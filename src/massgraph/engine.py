@@ -11,14 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (
-    DiagonalError,
-    DuplicateEdgeError,
-    InputError,
-    NodeLookupError,
-    SequencingError,
-)
-from .graph import EdgeRecord, GraphState, NodeRecord, edge_key
+from .errors import DuplicateEdgeError, InputError, NodeLookupError, ParameterError, SequencingError
+from .graph import EdgeRecord, GraphState, NodeRecord, above_one, edge_key
 from .kernel import reinforcement
 
 
@@ -87,9 +81,8 @@ def settle_phase_one(state: GraphState) -> GraphState:
     new_edges: dict[tuple[int, int], EdgeRecord] = {}
     for key in sorted(state.edges):
         a, b = key
-        edge = state.edges[key]
-        lifted = edge.weight + math.log(new_nodes[a].mass + new_nodes[b].mass)
-        new_edges[key] = replace(edge, weight=lifted)
+        lifted = state.edges[key].weight + math.log(new_nodes[a].mass + new_nodes[b].mass)
+        new_edges[key] = EdgeRecord(lifted)
     return replace(state, phase=1, nodes=new_nodes, edges=new_edges)
 
 
@@ -115,53 +108,46 @@ def apply_edge_event(state: GraphState, k: int, l: int,
         raise SequencingError(
             f"edge events require a settled state (phase >= 1), got phase {state.phase}"
         )
-    key = edge_key(k, l)
     for i in (k, l):
+        # 1.0 and True hash like 1, so a dict lookup alone would accept them
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise NodeLookupError(f"node ids are integers, got {i!r}")
         rec = state.nodes.get(i)
         if rec is None:
             raise NodeLookupError(f"unknown node id {i}")
         if not rec.alive:
             raise NodeLookupError(f"node {i} has been deleted")
+    key = edge_key(k, l)
     if key in state.edges:
         raise DuplicateEdgeError(
             f"nodes {k} and {l} are already connected; only one edge per pair"
         )
-    w = float(initial_weight)
-    if not (math.isfinite(w) and w > 1):
-        raise InputError(f"dynamic edge weight must be > 1, got {initial_weight}")
+    w = above_one(initial_weight, "dynamic edge weight")
 
     gain = reinforcement(w, state.params)
     new_nodes = dict(state.nodes)
     new_nodes[k] = replace(state.nodes[k], mass=state.nodes[k].mass + gain)
     new_nodes[l] = replace(state.nodes[l], mass=state.nodes[l].mass + gain)
 
-    phase = state.phase + 1
     delta = math.log(gain)
     new_edges = dict(state.edges)
     for other_key in sorted(state.edges):
         a, b = other_key
         if a == k or a == l or b == k or b == l:
-            edge = state.edges[other_key]
-            new_edges[other_key] = replace(edge, weight=edge.weight + delta)
-    new_edges[key] = EdgeRecord(
-        endpoints=key,
-        weight=w + math.log(new_nodes[k].mass + new_nodes[l].mass),
-        created_phase=phase,
-    )
-    return replace(state, phase=phase, nodes=new_nodes, edges=new_edges)
+            new_edges[other_key] = EdgeRecord(state.edges[other_key].weight + delta)
+    new_edges[key] = EdgeRecord(w + math.log(new_nodes[k].mass + new_nodes[l].mass))
+    return replace(state, phase=state.phase + 1, nodes=new_nodes, edges=new_edges)
 
 
 def apply_node_event(state: GraphState, initial_mass: float,
                      label: str | None = None) -> GraphState:
     """Add a fresh node with the next id; no existing mass or weight changes."""
-    m = float(initial_mass)
-    if not (math.isfinite(m) and m > 1):
-        raise InputError(f"initial mass of a new node must be > 1, got {initial_mass}")
-    node_id = state.next_id
+    m = above_one(initial_mass, "initial mass of a new node")
+    if label is not None and not isinstance(label, str):
+        raise InputError(f"node labels are strings, got {label!r}")
     new_nodes = dict(state.nodes)
-    new_nodes[node_id] = NodeRecord(id=node_id, mass=m, label=label)
-    return replace(state, phase=state.phase + 1, nodes=new_nodes,
-                   next_id=node_id + 1)
+    new_nodes[state.next_id] = NodeRecord(mass=m, label=label)
+    return replace(state, phase=state.phase + 1, nodes=new_nodes)
 
 
 def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneReport]:
@@ -171,7 +157,11 @@ def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneR
     Deleted nodes keep their id and last mass but are marked dead; they
     never reappear and their masses stop counting toward totals.
     """
+    if not isinstance(threshold, (int, float)):
+        raise InputError(f"prune threshold must be a number, got {threshold!r}")
     thr = float(threshold)
+    if not math.isfinite(thr):
+        raise ParameterError(f"prune threshold must be finite, got {threshold}")
     removed_edges: list[tuple[tuple[int, int], float]] = []
     kept: dict[tuple[int, int], EdgeRecord] = {}
     for key in sorted(state.edges):

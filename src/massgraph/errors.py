@@ -21,7 +21,7 @@ class ParameterError(MassGraphError):
 
 
 class InputError(MassGraphError):
-    """A mass or weight violates the strictly-greater-than-one rule."""
+    """A mass or weight is not a number > 1, or a label is not a string."""
 
 
 class DiagonalError(InputError):

@@ -1,6 +1,11 @@
 """Graph state: node masses, a sparse symmetric weight structure, and a
 phase counter.
 
+A state holds only what the model defines: per node its mass, optional
+label and liveness; per connected pair its weight; the phase; and the
+kernel parameters. Ids live only in the dict keys -- records never copy
+them -- and the next node id is derived, not stored.
+
 States are values: every transition in :mod:`massgraph.engine` builds a new
 state and never mutates an old one, so snapshots can be kept and compared
 across phases. Node ids are 1-based and permanent; deletion marks a node
@@ -18,9 +23,8 @@ from .kernel import KernelParams
 
 @dataclass(frozen=True)
 class NodeRecord:
-    """One node: permanent id, current mass, optional label, liveness."""
+    """One node: current mass, optional label, liveness."""
 
-    id: int
     mass: float
     label: str | None = None
     alive: bool = True
@@ -28,11 +32,24 @@ class NodeRecord:
 
 @dataclass(frozen=True)
 class EdgeRecord:
-    """One undirected edge; endpoints are stored as an ordered (low, high) pair."""
+    """One undirected edge's weight; its endpoints are the dict key."""
 
-    endpoints: tuple[int, int]
     weight: float
-    created_phase: int
+
+
+def above_one(value, what: str) -> float:
+    """``value`` as a float, if it is a finite int or float greater than 1.
+
+    Masses and weights obey this rule wherever they enter the model (the
+    logarithmic kernel is undefined at or below 1); ``what`` names the
+    offending quantity in the :class:`InputError`.
+    """
+    if not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number > 1, got {value!r}")
+    v = float(value)
+    if not (math.isfinite(v) and v > 1):
+        raise InputError(f"{what} must be > 1, got {value}")
+    return v
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
@@ -48,14 +65,18 @@ class GraphState:
 
     ``edges`` is keyed by the canonical (low, high) pair, so symmetry and
     the zero diagonal hold by construction; an absent pair reads as
-    weight 0. ``next_id`` is the id the next added node will receive.
+    weight 0.
     """
 
     phase: int
     nodes: dict[int, NodeRecord] = field(default_factory=dict)
     edges: dict[tuple[int, int], EdgeRecord] = field(default_factory=dict)
-    next_id: int = 1
     params: KernelParams = field(default_factory=KernelParams)
+
+    @property
+    def next_id(self) -> int:
+        """The id the next added node will receive; dead nodes keep theirs."""
+        return max(self.nodes, default=0) + 1
 
     def _record(self, i: int) -> NodeRecord:
         try:
@@ -89,10 +110,6 @@ class GraphState:
         self._record(i)
         return sum(1 for a, b in self.edges if a == i or b == i)
 
-    def edge_list(self) -> list[EdgeRecord]:
-        """All edges in ascending endpoint order."""
-        return [self.edges[key] for key in sorted(self.edges)]
-
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
 
@@ -118,10 +135,7 @@ def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
     n = len(masses)
     nodes: dict[int, NodeRecord] = {}
     for idx, raw in enumerate(masses):
-        m = float(raw)
-        if not (math.isfinite(m) and m > 1):
-            raise InputError(f"initial mass of node {idx + 1} must be > 1, got {raw}")
-        nodes[idx + 1] = NodeRecord(id=idx + 1, mass=m)
+        nodes[idx + 1] = NodeRecord(mass=above_one(raw, f"initial mass of node {idx + 1}"))
     edges: dict[tuple[int, int], EdgeRecord] = {}
     for i, j, raw_w in weights:
         key = edge_key(i, j)
@@ -132,12 +146,9 @@ def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
                 )
         if key in edges:
             raise DuplicateEdgeError(f"duplicate initial edge for pair {key}")
-        w = float(raw_w)
-        if not (math.isfinite(w) and w > 1):
-            raise InputError(f"initial weight of edge {key} must be > 1, got {raw_w}")
-        edges[key] = EdgeRecord(endpoints=key, weight=w, created_phase=0)
+        edges[key] = EdgeRecord(above_one(raw_w, f"initial weight of edge {key}"))
     return GraphState(phase=0, nodes=nodes, edges=dict(sorted(edges.items())),
-                      next_id=n + 1, params=params)
+                      params=params)
 
 
 def validate_state(state: GraphState) -> list[str]:
@@ -151,18 +162,14 @@ def validate_state(state: GraphState) -> list[str]:
     if state.phase < 0:
         problems.append(f"phase must be >= 0, got {state.phase}")
     for i, rec in sorted(state.nodes.items()):
-        if rec.id != i:
-            problems.append(f"node keyed {i} carries id {rec.id}")
         if rec.alive and not (math.isfinite(rec.mass) and rec.mass > 1):
             problems.append(f"alive node {i} has mass {rec.mass}, must be > 1")
-        if i >= state.next_id:
-            problems.append(f"node id {i} is not below next_id {state.next_id}")
     for key, edge in sorted(state.edges.items()):
         a, b = key
         if a == b:
             problems.append(f"edge {key} sits on the diagonal")
             continue
-        if a > b or edge.endpoints != key:
+        if a > b:
             problems.append(
                 f"edge keyed {key} is not stored in canonical (low, high) form"
             )

@@ -90,6 +90,32 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
+def _as_triples(value, path: str, *, max_id: int | None = None,
+                exclusive_min: float | None = None) -> list[tuple[int, int, float]]:
+    """A list of ``[i, j, w]`` edge triples as canonical ``(low, high, w)``:
+    endpoints distinct (and at most ``max_id``), no pair listed twice."""
+    triples: list[tuple[int, int, float]] = []
+    seen: set[tuple[int, int]] = set()
+    for idx, raw in enumerate(_as_list(value, path)):
+        entry_path = f"{path}[{idx}]"
+        entry = _as_list(raw, entry_path)
+        if len(entry) != 3:
+            _fail(entry_path, f"expected [i, j, w], got {len(entry)} elements")
+        i = _as_int(entry[0], f"{entry_path}[0]", minimum=1)
+        j = _as_int(entry[1], f"{entry_path}[1]", minimum=1)
+        if i == j:
+            _fail(entry_path, f"edge endpoints must differ, got {i} twice")
+        if max_id is not None and max(i, j) > max_id:
+            _fail(entry_path, f"endpoint out of range, only nodes 1..{max_id} exist")
+        key = (i, j) if i < j else (j, i)
+        if key in seen:
+            _fail(entry_path, f"duplicate edge for pair {key}")
+        seen.add(key)
+        triples.append((*key, _as_number(entry[2], f"{entry_path}[2]",
+                                         exclusive_min=exclusive_min)))
+    return triples
+
+
 def _decode(data: bytes) -> object:
     try:
         text = data.decode("utf-8")
@@ -149,25 +175,8 @@ def parse_script(data: bytes) -> tuple[GraphState, list[Event], KernelParams]:
         _as_number(raw, f"initial.masses[{idx}]", exclusive_min=1.0)
         for idx, raw in enumerate(_as_list(initial["masses"], "initial.masses"))
     ]
-    n = len(masses)
-    triples: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    for idx, raw in enumerate(_as_list(initial["edges"], "initial.edges")):
-        path = f"initial.edges[{idx}]"
-        entry = _as_list(raw, path)
-        if len(entry) != 3:
-            _fail(path, f"expected [i, j, w], got {len(entry)} elements")
-        i = _as_int(entry[0], f"{path}[0]", minimum=1)
-        j = _as_int(entry[1], f"{path}[1]", minimum=1)
-        if i == j:
-            _fail(path, f"edge endpoints must differ, got {i} twice")
-        if i > n or j > n:
-            _fail(path, f"endpoint out of range, only nodes 1..{n} exist")
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            _fail(path, f"duplicate edge for pair {key}")
-        seen.add(key)
-        triples.append((i, j, _as_number(entry[2], f"{path}[2]", exclusive_min=1.0)))
+    triples = _as_triples(initial["edges"], "initial.edges", max_id=len(masses),
+                          exclusive_min=1.0)
 
     events = [
         _parse_event(raw, f"events[{idx}]")
@@ -239,11 +248,6 @@ def _snapshot_to_json(state: GraphState) -> dict:
 
 def export_history_json(history: PhaseHistory) -> bytes:
     """Canonical JSON bytes of a full-state history."""
-    if history.digests_only:
-        raise InputError("digest-only histories cannot be exported as full snapshots")
-    for report in history.prune_reports:
-        if not math.isfinite(report.threshold):
-            raise InputError("non-finite prune threshold is not representable in JSON")
     doc = {
         "script": history.source,
         "snapshots": [_snapshot_to_json(state) for state in history.snapshots],
@@ -271,38 +275,21 @@ def _parse_snapshot(raw, path: str, params: KernelParams) -> GraphState:
         if node_id in nodes:
             _fail(node_path, f"duplicate node id {node_id}")
         nodes[node_id] = NodeRecord(
-            id=node_id,
             mass=_as_number(node_obj["mass"], f"{node_path}.mass"),
             label=_as_str(node_obj["label"], f"{node_path}.label") if "label" in node_obj else None,
             alive=_as_bool(node_obj["alive"], f"{node_path}.alive"),
         )
-    edges: dict[tuple[int, int], EdgeRecord] = {}
-    for idx, raw_edge in enumerate(_as_list(obj["edges"], f"{path}.edges")):
-        edge_path = f"{path}.edges[{idx}]"
-        entry = _as_list(raw_edge, edge_path)
-        if len(entry) != 3:
-            _fail(edge_path, f"expected [i, j, w], got {len(entry)} elements")
-        i = _as_int(entry[0], f"{edge_path}[0]", minimum=1)
-        j = _as_int(entry[1], f"{edge_path}[1]", minimum=1)
-        if i == j:
-            _fail(edge_path, "edge endpoints must differ")
-        key = (i, j) if i < j else (j, i)
-        if key in edges:
-            _fail(edge_path, f"duplicate edge for pair {key}")
-        # drifted weights below 1 are legal in histories; only structure is checked
-        edges[key] = EdgeRecord(endpoints=key, created_phase=0,
-                                weight=_as_number(entry[2], f"{edge_path}[2]"))
-    next_id = max(nodes) + 1 if nodes else 1
-    return GraphState(phase=phase, nodes=nodes, edges=edges, next_id=next_id,
-                      params=params)
+    # drifted weights below 1 are legal in histories; only structure is checked
+    edges = {(i, j): EdgeRecord(w) for i, j, w in _as_triples(obj["edges"], f"{path}.edges")}
+    return GraphState(phase=phase, nodes=nodes, edges=edges, params=params)
 
 
 def load_history(data: bytes) -> PhaseHistory:
     """Parse an exported history back into snapshots and reports.
 
-    Edge creation phases and the exact next-id counter are not part of the
-    wire format; reconstructed states carry best-effort values for them,
-    which is sufficient for metrics and visualization.
+    A snapshot's JSON holds everything a state defines, and the kernel
+    parameters come from the embedded script, so every loaded snapshot has
+    the same :func:`state_digest` as the state that was exported.
     """
     doc = _decode(data)
     root = _as_object(doc, "$", required=("script", "snapshots", "prune_reports"))
@@ -325,22 +312,16 @@ def load_history(data: bytes) -> PhaseHistory:
     for idx, raw in enumerate(_as_list(root["prune_reports"], "prune_reports")):
         path = f"prune_reports[{idx}]"
         obj = _as_object(raw, path, required=("threshold", "removed_edges", "removed_nodes"))
-        removed_edges = []
-        for jdx, raw_edge in enumerate(_as_list(obj["removed_edges"], f"{path}.removed_edges")):
-            entry = _as_list(raw_edge, f"{path}.removed_edges[{jdx}]")
-            if len(entry) != 3:
-                _fail(f"{path}.removed_edges[{jdx}]", "expected [i, j, w]")
-            a = _as_int(entry[0], f"{path}.removed_edges[{jdx}][0]", minimum=1)
-            b = _as_int(entry[1], f"{path}.removed_edges[{jdx}][1]", minimum=1)
-            w = _as_number(entry[2], f"{path}.removed_edges[{jdx}][2]")
-            removed_edges.append(((a, b), w))
+        removed_edges = tuple(
+            ((a, b), w) for a, b, w in _as_triples(obj["removed_edges"], f"{path}.removed_edges")
+        )
         removed_nodes = tuple(
             _as_int(raw_id, f"{path}.removed_nodes[{jdx}]", minimum=1)
             for jdx, raw_id in enumerate(_as_list(obj["removed_nodes"], f"{path}.removed_nodes"))
         )
         reports.append(PruneReport(
             threshold=_as_number(obj["threshold"], f"{path}.threshold"),
-            removed_edges=tuple(removed_edges),
+            removed_edges=removed_edges,
             removed_nodes=removed_nodes,
         ))
     return PhaseHistory(source=script, snapshots=snapshots, events=events,

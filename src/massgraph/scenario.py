@@ -87,36 +87,31 @@ class PhaseHistory:
     """Ordered record of one run: snapshots, the events that made them,
     and every prune's report.
 
-    ``snapshots[i]`` is the state at phase i (or a ``(phase, digest)``
-    pair when the run was captured digests-only for long simulations).
+    ``snapshots[i]`` is the state at phase i.
     """
 
     source: dict | None
-    snapshots: list[GraphState] | list[tuple[int, str]]
+    snapshots: list[GraphState]
     events: list[Event]
     prune_reports: list[PruneReport]
-    digests_only: bool = False
 
     @property
     def final(self) -> GraphState:
-        if self.digests_only:
-            raise InputError("digest-only histories do not keep full states")
         return self.snapshots[-1]
 
 
 def state_digest(state: GraphState) -> str:
-    """Stable content hash of a state, for snapshot-immutability checks
-    and digest-only histories."""
+    """Stable content hash of everything a state holds, for
+    snapshot-immutability and round-trip checks."""
     payload = {
         "phase": state.phase,
-        "next_id": state.next_id,
         "params": [state.params.mu, state.params.sigma],
         "nodes": [
             [i, rec.mass, rec.label, rec.alive]
             for i, rec in sorted(state.nodes.items())
         ],
         "edges": [
-            [key[0], key[1], edge.weight, edge.created_phase]
+            [key[0], key[1], edge.weight]
             for key, edge in sorted(state.edges.items())
         ],
     }
@@ -125,8 +120,7 @@ def state_digest(state: GraphState) -> str:
 
 
 def run_script(initial: GraphState, events: list[Event], *,
-               source: dict | None = None,
-               digests_only: bool = False) -> PhaseHistory:
+               source: dict | None = None) -> PhaseHistory:
     """Settle the initial state, then apply the events in order.
 
     A snapshot is captured after every transition (phase 0 included). Any
@@ -154,10 +148,6 @@ def run_script(initial: GraphState, events: list[Event], *,
         snapshots.append(state)
         if report is not None:
             reports.append(report)
-    if digests_only:
-        digested = [(s.phase, state_digest(s)) for s in snapshots]
-        return PhaseHistory(source=source, snapshots=digested, events=list(events),
-                            prune_reports=reports, digests_only=True)
     return PhaseHistory(source=source, snapshots=snapshots, events=list(events),
                         prune_reports=reports)
 

@@ -8,6 +8,7 @@ mpmath at 50-digit precision; those values are frozen here.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from massgraph import (
     InputError,
     KernelParams,
     NodeLookupError,
+    ParameterError,
     Prune,
     SequencingError,
     apply_edge_event,
@@ -113,7 +115,7 @@ class TestEdgeEvent:
             apply_edge_event(settled, 2, 1, 5.0)
 
     def test_reconnecting_a_pruned_pair_is_allowed(self, settled):
-        bare, _ = apply_prune(settled, math.inf)
+        bare, _ = apply_prune(settled, sys.float_info.max)
         # both endpoints died with the edge; rebuild from a fresh trace instead
         state = apply_node_event(settled, 3.0)
         state = apply_edge_event(state, 1, 3, 2.0)
@@ -223,7 +225,8 @@ class TestPrune:
         assert pruned.alive_ids() == [1, 2]
 
     def test_infinite_threshold_clears_everything(self, traced):
-        state, report = apply_prune(traced, math.inf)
+        # inf itself is rejected at the boundary; the largest finite float acts alike
+        state, report = apply_prune(traced, sys.float_info.max)
         assert state.edges == {}
         assert state.alive_ids() == []
         assert len(report.removed_edges) == 2
@@ -242,6 +245,44 @@ class TestPrune:
         state, report = apply_prune(phase0, 0.0)
         assert state.phase == 1
         assert report.removed_nodes == ()
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, settled, threshold):
+        isolated = apply_node_event(settled, 3.0)
+        with pytest.raises(ParameterError):
+            apply_prune(isolated, threshold)
+        # nothing was deleted: the isolated node is still there to prune
+        assert apply_prune(isolated, 0.0)[1].removed_nodes == (3,)
+
+    def test_non_numeric_threshold_rejected(self, settled):
+        with pytest.raises(InputError):
+            apply_prune(settled, "x")
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("bad_id", [1.0, True])
+    def test_edge_ids_must_be_int(self, settled, bad_id):
+        state = apply_node_event(settled, 3.0)
+        with pytest.raises(NodeLookupError):
+            apply_edge_event(state, bad_id, 3, 2.0)
+        with pytest.raises(NodeLookupError):
+            apply_edge_event(state, 3, bad_id, 2.0)
+
+    @pytest.mark.parametrize("bad", ["x", None, [2.0]])
+    def test_non_numeric_mass_and_weight_rejected(self, settled, bad):
+        with pytest.raises(InputError):
+            apply_node_event(settled, bad)
+        with pytest.raises(InputError):
+            apply_edge_event(apply_node_event(settled, 3.0), 1, 3, bad)
+        with pytest.raises(InputError):
+            new_graph([2, bad], [])
+        with pytest.raises(InputError):
+            new_graph([2, 2], [(1, 2, bad)])
+
+    @pytest.mark.parametrize("label", [5, 3.0, b"x"])
+    def test_label_must_be_text(self, settled, label):
+        with pytest.raises(InputError):
+            apply_node_event(settled, 3.0, label=label)
 
 
 class TestDispatch:

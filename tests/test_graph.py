@@ -87,9 +87,9 @@ class TestQueries:
         with pytest.raises(NodeLookupError):
             two_nodes.degree(0)
 
-    def test_edge_list_is_sorted(self):
+    def test_edges_are_sorted(self):
         state = new_graph([2, 2, 2], [(2, 3, 4), (1, 3, 3), (1, 2, 2)])
-        assert [e.endpoints for e in state.edge_list()] == [(1, 2), (1, 3), (2, 3)]
+        assert list(state.edges) == [(1, 2), (1, 3), (2, 3)]
 
     def test_total_mass(self, two_nodes):
         assert two_nodes.total_mass() == 4.0
@@ -116,23 +116,18 @@ class TestValidate:
     def test_unnormalized_edge_key_is_caught(self):
         state = GraphState(
             phase=0,
-            nodes={1: NodeRecord(1, 2.0), 2: NodeRecord(2, 2.0)},
-            edges={(2, 1): EdgeRecord((2, 1), 2.0, 0)},
-            next_id=3,
+            nodes={1: NodeRecord(2.0), 2: NodeRecord(2.0)},
+            edges={(2, 1): EdgeRecord(2.0)},
         )
         assert any("canonical" in v for v in validate_state(state))
 
     def test_edge_to_unknown_node_is_caught(self):
         state = GraphState(
             phase=1,
-            nodes={1: NodeRecord(1, 2.0)},
-            edges={(1, 9): EdgeRecord((1, 9), 2.0, 0)},
-            next_id=2,
+            nodes={1: NodeRecord(2.0)},
+            edges={(1, 9): EdgeRecord(2.0)},
         )
         assert any("unknown node 9" in v for v in validate_state(state))
-
-    def test_stale_next_id_is_caught(self, two_nodes):
-        assert any("next_id" in v for v in validate_state(replace(two_nodes, next_id=1)))
 
 
 @st.composite

@@ -205,12 +205,6 @@ class TestHistoryExport:
     def test_golden_seed42_scenario(self):
         assert seed42_history_bytes() == (GOLDEN / "history_seed42.json").read_bytes()
 
-    def test_digest_only_refuses_export(self):
-        state, events, _ = parse_script(doc_bytes(MINIMAL))
-        history = run_script(state, events, digests_only=True)
-        with pytest.raises(InputError):
-            export_history_json(history)
-
     def test_load_round_trip(self):
         state, _, _ = parse_script(doc_bytes(MINIMAL))
         events = [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from massgraph import (
@@ -71,13 +73,15 @@ class TestRunScript:
         apply_event(follow_on, AddEdge(1, 4, 3.0))
         assert [state_digest(s) for s in history.snapshots] == digests
 
-    def test_digest_only_mode(self, phase0):
-        full = run_script(phase0, TRACE_EVENTS)
-        slim = run_script(phase0, TRACE_EVENTS, digests_only=True)
-        assert slim.digests_only
-        assert slim.snapshots == [(s.phase, state_digest(s)) for s in full.snapshots]
-        with pytest.raises(Exception):
-            slim.final
+    @pytest.mark.parametrize("event", [
+        AddNode("x"), AddNode(3.0, label=5), AddEdge(1.0, 2, 3.0),
+        AddEdge(True, 2, 3.0), AddEdge(1, 2, "x"), Prune("x"), Prune(math.nan), Prune(math.inf),
+    ])
+    def test_undefined_event_input_fails_at_its_phase(self, event):
+        with pytest.raises(SimulationError) as excinfo:
+            run_script(new_graph([2, 2], []), [event])
+        assert excinfo.value.phase == 2
+        assert excinfo.value.event == event
 
 
 class TestConfig:
@@ -134,7 +138,7 @@ class TestGeneration:
         for i in initial.node_ids():
             assert lo <= initial.mass(i) <= hi
         wlo, whi = self.CONFIG.weight_range
-        for edge in initial.edge_list():
+        for edge in initial.edges.values():
             assert wlo <= edge.weight <= whi
         for ev in events:
             if isinstance(ev, AddEdge):
