@@ -47,10 +47,8 @@ from .scenario import (
     generate_scenario,
     metrics,
     run_script,
-    state_digest,
 )
 from .io import (
-    DotStyle,
     canonical_json_bytes,
     event_to_json,
     export_dot,
@@ -58,6 +56,7 @@ from .io import (
     load_history,
     parse_script,
     script_document,
+    state_digest,
 )
 from .cli import cli_main
 
@@ -67,7 +66,6 @@ __all__ = [
     "AddEdge",
     "AddNode",
     "DiagonalError",
-    "DotStyle",
     "DuplicateEdgeError",
     "EdgeRecord",
     "Event",

@@ -118,7 +118,7 @@ def _cmd_run(args) -> int:
             print("error: --dot-every requires --out", file=sys.stderr)
             return 2
     initial, events, _ = parse_script(args.script.read_bytes())
-    history = run_script(initial, events, source=script_document(initial, events))
+    history = run_script(initial, events)
     _emit(export_history_json(history), args.out)
     if args.dot_every is not None:
         for state in history.snapshots:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DuplicateEdgeError, InputError, NodeLookupError, ParameterError, SequencingError
-from .graph import EdgeRecord, GraphState, NodeRecord, above_one, edge_key
+from .graph import EdgeRecord, GraphState, NodeRecord, above_one, as_float, edge_key
 from .kernel import reinforcement
 
 
@@ -52,37 +52,42 @@ class PruneReport:
     removed_nodes: tuple[int, ...]
 
 
+def _new_edge(key: tuple[int, int], weight: float) -> EdgeRecord:
+    """A weight built from ln(mass sum), which is inf if the sum overflows."""
+    if not math.isfinite(weight):
+        raise InputError(f"weight of edge {key} overflows the float range: {weight}")
+    return EdgeRecord(weight)
+
+
 def settle_phase_one(state: GraphState) -> GraphState:
     """Turn the raw phase-0 inputs into the settled phase-1 state.
 
     Every node's mass grows by the summed reinforcement of its incident
     initial weights (absent pairs contribute nothing); afterwards every
     existing edge is re-weighted by ln of its endpoints' new mass sum.
-    Pairs without an initial edge stay unconnected.
+    Pairs without an initial edge stay unconnected. A weight that
+    overflows raises :class:`InputError`.
     """
     if state.phase != 0:
         raise SequencingError(
             f"settlement applies to a phase-0 state, got phase {state.phase}"
         )
-    params = state.params
-    incident: dict[int, list[tuple[int, float]]] = {i: [] for i in state.nodes}
-    for key in sorted(state.edges):
-        a, b = key
-        w = state.edges[key].weight
-        incident[a].append((b, w))
-        incident[b].append((a, w))
+    edges = sorted(state.edges.items())
+    # ascending pairs hand each node its gains in ascending neighbour order
+    gains = dict.fromkeys(state.nodes, 0.0)
+    for (a, b), edge in edges:
+        gain = reinforcement(edge.weight, state.params)
+        gains[a] += gain
+        gains[b] += gain
     new_nodes: dict[int, NodeRecord] = {}
     for i in sorted(state.nodes):
         rec = state.nodes[i]
-        gain = 0.0
-        for _, w in sorted(incident[i]):
-            gain += reinforcement(w, params)
-        new_nodes[i] = replace(rec, mass=rec.mass + gain) if gain else rec
+        new_nodes[i] = replace(rec, mass=rec.mass + gains[i]) if gains[i] else rec
     new_edges: dict[tuple[int, int], EdgeRecord] = {}
-    for key in sorted(state.edges):
+    for key, edge in edges:
         a, b = key
-        lifted = state.edges[key].weight + math.log(new_nodes[a].mass + new_nodes[b].mass)
-        new_edges[key] = EdgeRecord(lifted)
+        lifted = edge.weight + math.log(new_nodes[a].mass + new_nodes[b].mass)
+        new_edges[key] = _new_edge(key, lifted)
     return replace(state, phase=1, nodes=new_nodes, edges=new_edges)
 
 
@@ -93,12 +98,12 @@ def apply_edge_event(state: GraphState, k: int, l: int,
     1. Both endpoint masses grow by the reinforcement of the initial
        weight; every other mass is untouched.
     2. The new edge's weight is the initial weight plus ln of the
-       endpoints' *new* mass sum.
+       endpoints' *new* mass sum; if that overflows, InputError.
     3. Every pre-existing edge incident to either endpoint gains
        ln(mass increase) -- which is negative whenever the increase is
        below 1, so incident weights can shrink. Edges between other
-       nodes are untouched. Incident edges are visited in ascending
-       endpoint order.
+       nodes are untouched. Each shift is independent of the others, so
+       the visiting order does not matter.
     4. The phase advances by one.
 
     The pair must not currently be connected; a pair whose edge was pruned
@@ -131,11 +136,10 @@ def apply_edge_event(state: GraphState, k: int, l: int,
 
     delta = math.log(gain)
     new_edges = dict(state.edges)
-    for other_key in sorted(state.edges):
-        a, b = other_key
+    for (a, b), edge in state.edges.items():
         if a == k or a == l or b == k or b == l:
-            new_edges[other_key] = EdgeRecord(state.edges[other_key].weight + delta)
-    new_edges[key] = EdgeRecord(w + math.log(new_nodes[k].mass + new_nodes[l].mass))
+            new_edges[a, b] = EdgeRecord(edge.weight + delta)
+    new_edges[key] = _new_edge(key, w + math.log(new_nodes[k].mass + new_nodes[l].mass))
     return replace(state, phase=state.phase + 1, nodes=new_nodes, edges=new_edges)
 
 
@@ -157,9 +161,7 @@ def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneR
     Deleted nodes keep their id and last mass but are marked dead; they
     never reappear and their masses stop counting toward totals.
     """
-    if not isinstance(threshold, (int, float)):
-        raise InputError(f"prune threshold must be a number, got {threshold!r}")
-    thr = float(threshold)
+    thr = as_float(threshold, "prune threshold")
     if not math.isfinite(thr):
         raise ParameterError(f"prune threshold must be finite, got {threshold}")
     removed_edges: list[tuple[tuple[int, int], float]] = []

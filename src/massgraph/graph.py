@@ -37,16 +37,24 @@ class EdgeRecord:
     weight: float
 
 
+def as_float(value, what: str) -> float:
+    """``value`` as a float, if it is an int or float that a float can
+    hold; ``what`` names the offending quantity in the :class:`InputError`."""
+    if not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{what} must be finite, got an integer too large for a float") from None
+
+
 def above_one(value, what: str) -> float:
     """``value`` as a float, if it is a finite int or float greater than 1.
 
     Masses and weights obey this rule wherever they enter the model (the
-    logarithmic kernel is undefined at or below 1); ``what`` names the
-    offending quantity in the :class:`InputError`.
+    logarithmic kernel is undefined at or below 1).
     """
-    if not isinstance(value, (int, float)):
-        raise InputError(f"{what} must be a number > 1, got {value!r}")
-    v = float(value)
+    v = as_float(value, what)
     if not (math.isfinite(v) and v > 1):
         raise InputError(f"{what} must be > 1, got {value}")
     return v

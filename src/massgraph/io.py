@@ -14,22 +14,23 @@ Script documents (version 1) look like::
     }
 
 Parsing is strict: unknown fields are rejected so typos fail loudly, and
-every numeric constraint of the domain types is re-checked with a JSON
-path in the error. Exports are canonical -- keys sorted, floats rendered
-as their shortest round-trip decimals -- so identical inputs always yield
-byte-identical files.
+the model's own rules (from graph and kernel) report the JSON path of the
+element that breaks them. Exports are canonical -- keys sorted, floats
+rendered as their shortest round-trip decimals -- so identical inputs
+always yield byte-identical files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from dataclasses import dataclass
 from typing import NoReturn
 
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport
-from .errors import InputError, ScriptError
-from .graph import EdgeRecord, GraphState, NodeRecord, new_graph, validate_state
+from .errors import InputError, MassGraphError, ScriptError
+from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, new_graph,
+                    validate_state)
 from .kernel import KernelParams
 from .scenario import PhaseHistory
 
@@ -38,6 +39,14 @@ SCRIPT_VERSION = 1
 
 def _fail(path: str, message: str) -> NoReturn:
     raise ScriptError(f"{path}: {message}", path=path)
+
+
+def _at(path: str, rule, *args):
+    """``rule(*args)``, with a model error re-raised at the JSON ``path``."""
+    try:
+        return rule(*args)
+    except MassGraphError as err:
+        _fail(path, str(err))
 
 
 def _as_object(value, path: str, required: tuple[str, ...],
@@ -59,14 +68,15 @@ def _as_list(value, path: str) -> list:
     return value
 
 
-def _as_number(value, path: str, *, exclusive_min: float | None = None) -> float:
+def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        _fail(path, "must be finite, got an integer too large for a float")
     if not math.isfinite(v):
         _fail(path, f"must be finite, got {value}")
-    if exclusive_min is not None and not v > exclusive_min:
-        _fail(path, f"must be > {exclusive_min}, got {value}")
     return v
 
 
@@ -90,10 +100,9 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _as_triples(value, path: str, *, max_id: int | None = None,
-                exclusive_min: float | None = None) -> list[tuple[int, int, float]]:
-    """A list of ``[i, j, w]`` edge triples as canonical ``(low, high, w)``:
-    endpoints distinct (and at most ``max_id``), no pair listed twice."""
+def _as_triples(value, path: str) -> list[tuple[int, int, float]]:
+    """A list of ``[i, j, w]`` edge triples as canonical ``(low, high, w)``,
+    no pair listed twice."""
     triples: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
     for idx, raw in enumerate(_as_list(value, path)):
@@ -103,16 +112,11 @@ def _as_triples(value, path: str, *, max_id: int | None = None,
             _fail(entry_path, f"expected [i, j, w], got {len(entry)} elements")
         i = _as_int(entry[0], f"{entry_path}[0]", minimum=1)
         j = _as_int(entry[1], f"{entry_path}[1]", minimum=1)
-        if i == j:
-            _fail(entry_path, f"edge endpoints must differ, got {i} twice")
-        if max_id is not None and max(i, j) > max_id:
-            _fail(entry_path, f"endpoint out of range, only nodes 1..{max_id} exist")
-        key = (i, j) if i < j else (j, i)
+        key = _at(entry_path, edge_key, i, j)
         if key in seen:
             _fail(entry_path, f"duplicate edge for pair {key}")
         seen.add(key)
-        triples.append((*key, _as_number(entry[2], f"{entry_path}[2]",
-                                         exclusive_min=exclusive_min)))
+        triples.append((*key, _as_number(entry[2], f"{entry_path}[2]")))
     return triples
 
 
@@ -128,6 +132,8 @@ def _decode(data: bytes) -> object:
             f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}",
             line=err.lineno, column=err.colno,
         ) from err
+    except ValueError as err:  # an integer literal beyond Python's digit limit
+        raise ScriptError(f"invalid JSON: {err}") from err
 
 
 def _parse_event(raw, path: str) -> Event:
@@ -138,13 +144,12 @@ def _parse_event(raw, path: str) -> Event:
         _as_object(raw, path, required=("type", "k", "l", "w"))
         k = _as_int(raw["k"], f"{path}.k", minimum=1)
         l = _as_int(raw["l"], f"{path}.l", minimum=1)
-        if k == l:
-            _fail(path, f"edge endpoints must differ, got k = l = {k}")
-        w = _as_number(raw["w"], f"{path}.w", exclusive_min=1.0)
+        _at(path, edge_key, k, l)
+        w = _at(f"{path}.w", above_one, raw["w"], "edge weight")
         return AddEdge(k=k, l=l, initial_weight=w)
     if kind == "add_node":
         _as_object(raw, path, required=("type", "mass"), optional=("label",))
-        mass = _as_number(raw["mass"], f"{path}.mass", exclusive_min=1.0)
+        mass = _at(f"{path}.mass", above_one, raw["mass"], "node mass")
         label = _as_str(raw["label"], f"{path}.label") if "label" in raw else None
         return AddNode(initial_mass=mass, label=label)
     if kind == "prune":
@@ -159,7 +164,10 @@ def parse_script(data: bytes) -> tuple[GraphState, list[Event], KernelParams]:
     Raises :class:`ScriptError` with line/column for malformed JSON, or
     with the JSON path of the first violated constraint.
     """
-    doc = _decode(data)
+    return _script_values(_decode(data))
+
+
+def _script_values(doc) -> tuple[GraphState, list[Event], KernelParams]:
     root = _as_object(doc, "$", required=("version", "kernel", "initial", "events"))
     version = _as_int(root["version"], "version")
     if version != SCRIPT_VERSION:
@@ -167,22 +175,26 @@ def parse_script(data: bytes) -> tuple[GraphState, list[Event], KernelParams]:
 
     kernel_obj = _as_object(root["kernel"], "kernel", required=("mu", "sigma"))
     mu = _as_number(kernel_obj["mu"], "kernel.mu")
-    sigma = _as_number(kernel_obj["sigma"], "kernel.sigma", exclusive_min=0.0)
-    params = KernelParams(mu=mu, sigma=sigma)
+    sigma = _as_number(kernel_obj["sigma"], "kernel.sigma")
+    # with mu and sigma finite, only sigma's sign can still break KernelParams
+    params = _at("kernel.sigma", KernelParams, mu, sigma)
 
     initial = _as_object(root["initial"], "initial", required=("masses", "edges"))
     masses = [
-        _as_number(raw, f"initial.masses[{idx}]", exclusive_min=1.0)
+        _at(f"initial.masses[{idx}]", above_one, raw, "initial mass")
         for idx, raw in enumerate(_as_list(initial["masses"], "initial.masses"))
     ]
-    triples = _as_triples(initial["edges"], "initial.edges", max_id=len(masses),
-                          exclusive_min=1.0)
+    triples = [
+        (i, j, _at(f"initial.edges[{idx}][2]", above_one, w, "initial weight"))
+        for idx, (i, j, w) in enumerate(_as_triples(initial["edges"], "initial.edges"))
+    ]
+    state = _at("initial.edges", new_graph, masses, triples, params)
 
     events = [
         _parse_event(raw, f"events[{idx}]")
         for idx, raw in enumerate(_as_list(root["events"], "events"))
     ]
-    return new_graph(masses, triples, params), events, params
+    return state, events, params
 
 
 def event_to_json(event: Event) -> dict:
@@ -204,18 +216,15 @@ def script_document(initial: GraphState, events: list[Event]) -> dict:
     """Render a phase-0 state and event list as a script document."""
     if initial.phase != 0:
         raise InputError(f"script documents describe phase-0 states, got phase {initial.phase}")
-    ids = initial.node_ids()
-    if ids != list(range(1, len(ids) + 1)):
-        raise InputError("phase-0 node ids must be contiguous from 1")
+    nodes = [initial.nodes[i] for i in sorted(initial.nodes)]
+    if initial.nodes != {i: NodeRecord(rec.mass) for i, rec in enumerate(nodes, 1)}:
+        raise InputError("phase-0 nodes must be numbered from 1, alive and unlabelled")
     return {
         "version": SCRIPT_VERSION,
         "kernel": {"mu": float(initial.params.mu), "sigma": float(initial.params.sigma)},
         "initial": {
-            "masses": [float(initial.nodes[i].mass) for i in ids],
-            "edges": [
-                [key[0], key[1], float(edge.weight)]
-                for key, edge in sorted(initial.edges.items())
-            ],
+            "masses": [float(rec.mass) for rec in nodes],
+            "edges": _edges_to_json(initial),
         },
         "events": [event_to_json(event) for event in events],
     }
@@ -228,6 +237,10 @@ def canonical_json_bytes(obj) -> bytes:
                        allow_nan=False) + "\n").encode("utf-8")
 
 
+def _edges_to_json(state: GraphState) -> list:
+    return [[a, b, float(edge.weight)] for (a, b), edge in sorted(state.edges.items())]
+
+
 def _snapshot_to_json(state: GraphState) -> dict:
     nodes = []
     for i in sorted(state.nodes):
@@ -236,20 +249,26 @@ def _snapshot_to_json(state: GraphState) -> dict:
         if rec.label is not None:
             entry["label"] = rec.label
         nodes.append(entry)
-    return {
-        "phase": state.phase,
-        "nodes": nodes,
-        "edges": [
-            [key[0], key[1], float(edge.weight)]
-            for key, edge in sorted(state.edges.items())
-        ],
-    }
+    return {"phase": state.phase, "nodes": nodes, "edges": _edges_to_json(state)}
+
+
+def state_digest(state: GraphState) -> str:
+    """Stable content hash of everything a state holds: its exported
+    snapshot plus the kernel parameters. Non-finite values hash too."""
+    payload = _snapshot_to_json(state)
+    payload["params"] = [float(state.params.mu), float(state.params.sigma)]
+    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def export_history_json(history: PhaseHistory) -> bytes:
-    """Canonical JSON bytes of a full-state history."""
+    """Canonical JSON bytes of a full-state history and of its script, which
+    a ``history.source`` that is set must equal."""
+    script = script_document(history.snapshots[0], history.events)
+    if history.source is not None and history.source != script:
+        raise InputError("history.source is not the script of this run")
     doc = {
-        "script": history.source,
+        "script": script,
         "snapshots": [_snapshot_to_json(state) for state in history.snapshots],
         "prune_reports": [
             {
@@ -263,9 +282,11 @@ def export_history_json(history: PhaseHistory) -> bytes:
     return canonical_json_bytes(doc)
 
 
-def _parse_snapshot(raw, path: str, params: KernelParams) -> GraphState:
+def _parse_snapshot(raw, phase: int, params: KernelParams) -> GraphState:
+    path = f"snapshots[{phase}]"
     obj = _as_object(raw, path, required=("phase", "nodes", "edges"))
-    phase = _as_int(obj["phase"], f"{path}.phase", minimum=0)
+    if _as_int(obj["phase"], f"{path}.phase") != phase:
+        _fail(f"{path}.phase", f"expected phase {phase}, got {obj['phase']}")
     nodes: dict[int, NodeRecord] = {}
     for idx, raw_node in enumerate(_as_list(obj["nodes"], f"{path}.nodes")):
         node_path = f"{path}.nodes[{idx}]"
@@ -281,33 +302,32 @@ def _parse_snapshot(raw, path: str, params: KernelParams) -> GraphState:
         )
     # drifted weights below 1 are legal in histories; only structure is checked
     edges = {(i, j): EdgeRecord(w) for i, j, w in _as_triples(obj["edges"], f"{path}.edges")}
-    return GraphState(phase=phase, nodes=nodes, edges=edges, params=params)
+    state = GraphState(phase=phase, nodes=nodes, edges=edges, params=params)
+    problems = validate_state(state)
+    if problems:
+        _fail(path, "; ".join(problems))
+    return state
 
 
 def load_history(data: bytes) -> PhaseHistory:
     """Parse an exported history back into snapshots and reports.
 
-    A snapshot's JSON holds everything a state defines, and the kernel
-    parameters come from the embedded script, so every loaded snapshot has
-    the same :func:`state_digest` as the state that was exported.
+    The history must fit its script: one snapshot per phase, the script's
+    initial state at phase 0, one report per prune event. Every loaded
+    snapshot has the :func:`state_digest` of the state that was exported.
     """
     doc = _decode(data)
     root = _as_object(doc, "$", required=("script", "snapshots", "prune_reports"))
-    script = root["script"]
-    events: list[Event] = []
-    params = KernelParams()
-    if script is not None:
-        _, events, params = parse_script(canonical_json_bytes(script))
+    initial, events, params = _at("script", _script_values, root["script"])
     snapshots = [
-        _parse_snapshot(raw, f"snapshots[{idx}]", params)
-        for idx, raw in enumerate(_as_list(root["snapshots"], "snapshots"))
+        _parse_snapshot(raw, phase, params)
+        for phase, raw in enumerate(_as_list(root["snapshots"], "snapshots"))
     ]
-    for idx, state in enumerate(snapshots):
-        if state.phase != idx:
-            _fail(f"snapshots[{idx}].phase", f"expected phase {idx}, got {state.phase}")
-        problems = validate_state(state)
-        if problems:
-            _fail(f"snapshots[{idx}]", "; ".join(problems))
+    if len(snapshots) != len(events) + 2:
+        _fail("snapshots", f"expected {len(events) + 2} for {len(events)} events, "
+                           f"got {len(snapshots)}")
+    if snapshots[0] != initial:
+        _fail("snapshots[0]", "is not the script's initial state")
     reports = []
     for idx, raw in enumerate(_as_list(root["prune_reports"], "prune_reports")):
         path = f"prune_reports[{idx}]"
@@ -324,40 +344,30 @@ def load_history(data: bytes) -> PhaseHistory:
             removed_edges=removed_edges,
             removed_nodes=removed_nodes,
         ))
-    return PhaseHistory(source=script, snapshots=snapshots, events=events,
+    prunes = sum(isinstance(event, Prune) for event in events)
+    if len(reports) != prunes:
+        _fail("prune_reports", f"expected {prunes}, one per prune event, got {len(reports)}")
+    return PhaseHistory(source=None, snapshots=snapshots, events=events,
                         prune_reports=reports)
-
-
-@dataclass(frozen=True)
-class DotStyle:
-    """Scaling of masses to node diameters and weights to line widths."""
-
-    node_base: float = 0.3
-    node_scale: float = 0.15
-    pen_base: float = 1.0
-    pen_scale: float = 0.75
-    graph_name: str = "memory"
 
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_dot(state: GraphState, style: DotStyle | None = None) -> bytes:
-    """Graphviz DOT text: node diameter grows with ln(mass), edge penwidth
-    with ln(weight); dead nodes are omitted; ordering is ascending ids."""
-    if style is None:
-        style = DotStyle()
-    lines = [f"graph {style.graph_name} {{",
+def export_dot(state: GraphState) -> bytes:
+    """Graphviz DOT text of graph ``memory``: node diameter is
+    0.3 + 0.15 * ln(mass), edge penwidth 1 + 0.75 * ln(max(weight, 1));
+    dead nodes are omitted; ordering is ascending ids."""
+    lines = ["graph memory {",
              "  node [shape=circle fixedsize=true];"]
     for i in state.alive_ids():
         rec = state.nodes[i]
-        width = style.node_base + style.node_scale * math.log(rec.mass)
+        width = 0.3 + 0.15 * math.log(rec.mass)
         label = _dot_escape(rec.label) if rec.label is not None else str(i)
         lines.append(f'  {i} [label="{label}" width={width:.4f}];')
-    for key in sorted(state.edges):
-        a, b = key
-        pen = style.pen_base + style.pen_scale * math.log(max(state.edges[key].weight, 1.0))
+    for (a, b), edge in sorted(state.edges.items()):
+        pen = 1.0 + 0.75 * math.log(max(edge.weight, 1.0))
         lines.append(f"  {a} -- {b} [penwidth={pen:.4f}];")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -8,8 +8,6 @@ produces the same history byte for byte.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -64,17 +62,17 @@ class ScenarioConfig:
     kernel: KernelParams | KernelDraw = field(default_factory=KernelParams)
 
     def __post_init__(self):
-        if self.n_initial < 0:
-            raise ParameterError(f"n_initial must be >= 0, got {self.n_initial}")
-        if self.n_phases < 0:
-            raise ParameterError(f"n_phases must be >= 0, got {self.n_phases}")
+        for name in ("n_initial", "n_phases"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ParameterError(f"{name} must be an integer >= 0, got {value!r}")
         _check_range("mass_range", self.mass_range)
         _check_range("weight_range", self.weight_range)
         if not 0 <= self.initial_edge_density <= 1:
             raise ParameterError(
                 f"initial_edge_density must lie in [0, 1], got {self.initial_edge_density}"
             )
-        if len(self.event_mix) != 3 or any(p < 0 for p in self.event_mix):
+        if len(self.event_mix) != 3 or not all(p >= 0 for p in self.event_mix):
             raise ParameterError(f"event_mix needs three probabilities >= 0, got {self.event_mix}")
         if abs(sum(self.event_mix) - 1.0) > 1e-12:
             raise ParameterError(f"event_mix must sum to 1, got {self.event_mix}")
@@ -87,7 +85,8 @@ class PhaseHistory:
     """Ordered record of one run: snapshots, the events that made them,
     and every prune's report.
 
-    ``snapshots[i]`` is the state at phase i.
+    ``snapshots[i]`` is the state at phase i. ``source``, when set, must be
+    the script of ``snapshots[0]`` and ``events``; export checks it.
     """
 
     source: dict | None
@@ -98,25 +97,6 @@ class PhaseHistory:
     @property
     def final(self) -> GraphState:
         return self.snapshots[-1]
-
-
-def state_digest(state: GraphState) -> str:
-    """Stable content hash of everything a state holds, for
-    snapshot-immutability and round-trip checks."""
-    payload = {
-        "phase": state.phase,
-        "params": [state.params.mu, state.params.sigma],
-        "nodes": [
-            [i, rec.mass, rec.label, rec.alive]
-            for i, rec in sorted(state.nodes.items())
-        ],
-        "edges": [
-            [key[0], key[1], edge.weight]
-            for key, edge in sorted(state.edges.items())
-        ],
-    }
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def run_script(initial: GraphState, events: list[Event], *,
@@ -240,8 +220,8 @@ class MetricsReport:
 def metrics(state: GraphState, k: int = 1) -> MetricsReport:
     """Mass and degree summary; the top-k share is 1 for graphs with at
     most k alive nodes (and for the empty graph, by convention)."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
     alive = state.alive_ids()
     masses = [state.nodes[i].mass for i in alive]
     total = sum(masses)

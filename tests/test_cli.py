@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,14 @@ class TestRun:
         assert cli_main(["run", "--script", str(script)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_overflow_is_domain_error(self, tmp_path, capsys):
+        big = sys.float_info.max
+        script = tmp_path / "big.json"
+        script.write_text(json.dumps({**MINIMAL, "initial": {
+            "masses": [big / 2, big * 0.75], "edges": [[1, 2, 2]]}}))
+        assert cli_main(["run", "--script", str(script)]) == 1
+        assert "overflows" in capsys.readouterr().err
+
 
 class TestGen:
     def test_same_seed_twice_is_byte_identical(self, tmp_path):
@@ -134,6 +143,13 @@ class TestValidate:
             "masses": [2, 2], "edges": [[1, 1, 2]]}}))
         assert cli_main(["validate", "--script", str(script)]) == 1
         assert "initial.edges[0]" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        script = tmp_path / "huge.json"
+        script.write_text(json.dumps({**MINIMAL, "initial": {
+            "masses": [2, 10**400], "edges": []}}))
+        assert cli_main(["validate", "--script", str(script)]) == 1
+        assert "initial.masses[1]" in capsys.readouterr().err
 
 
 class TestStats:

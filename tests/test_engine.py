@@ -284,6 +284,33 @@ class TestBoundary:
         with pytest.raises(InputError):
             apply_node_event(settled, 3.0, label=label)
 
+    def test_integer_too_large_for_a_float_rejected(self, settled):
+        huge = 10**400
+        with pytest.raises(InputError):
+            new_graph([2, huge], [])
+        with pytest.raises(InputError):
+            new_graph([2, 2], [(1, 2, huge)])
+        with pytest.raises(InputError):
+            apply_node_event(settled, huge)
+        with pytest.raises(InputError):
+            apply_prune(settled, huge)
+
+
+class TestOverflow:
+    """A transition whose masses or weights leave the float range raises
+    instead of writing inf into the next state."""
+
+    BIG = sys.float_info.max
+
+    def test_settlement(self):
+        with pytest.raises(InputError, match=r"edge \(1, 2\)"):
+            settle_phase_one(new_graph([self.BIG / 2, self.BIG * 0.75], [(1, 2, 2.0)]))
+
+    def test_edge_event(self):
+        settled = settle_phase_one(new_graph([self.BIG / 2, self.BIG * 0.75], []))
+        with pytest.raises(InputError, match=r"edge \(1, 2\)"):
+            apply_edge_event(settled, 1, 2, 2.0)
+
 
 class TestDispatch:
     def test_each_variant(self, settled):

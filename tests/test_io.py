@@ -16,8 +16,11 @@ import pytest
 from massgraph import (
     AddEdge,
     AddNode,
+    EdgeRecord,
+    GraphState,
     InputError,
     KernelParams,
+    NodeRecord,
     Prune,
     ScenarioConfig,
     ScriptError,
@@ -32,6 +35,7 @@ from massgraph import (
     run_script,
     script_document,
     settle_phase_one,
+    state_digest,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -134,6 +138,10 @@ class TestParseScript:
         with pytest.raises(ScriptError, match="UTF-8"):
             parse_script(b"\xff\xfe{}")
 
+    def test_integer_literal_beyond_the_digit_limit(self):
+        with pytest.raises(ScriptError, match="invalid JSON"):
+            parse_script(b"[" + b"1" * 5000 + b"]")
+
     def test_booleans_are_not_numbers(self):
         doc = dict(MINIMAL)
         doc["initial"] = {"masses": [2, True], "edges": []}
@@ -154,6 +162,26 @@ class TestParseScript:
         with pytest.raises(ScriptError) as excinfo:
             parse_script(doc_bytes(doc))
         assert excinfo.value.path == "kernel.sigma"
+
+    @pytest.mark.parametrize("initial,events,path", [
+        ({"masses": [2, 10**400], "edges": []}, [], "initial.masses[1]"),
+        ({"masses": [2, 2], "edges": [[1, 2, 1]]}, [], "initial.edges[0][2]"),
+        ({"masses": [2, 2], "edges": [[1, 3, 2]]}, [], "initial.edges"),
+        ({"masses": [2, 2], "edges": []},
+         [{"type": "add_edge", "k": 2, "l": 2, "w": 2}], "events[0]"),
+        ({"masses": [2, 2], "edges": []},
+         [{"type": "add_node", "mass": 10**400}], "events[0].mass"),
+    ])
+    def test_model_rules_carry_their_path(self, initial, events, path):
+        doc = {**MINIMAL, "initial": initial, "events": events}
+        with pytest.raises(ScriptError) as excinfo:
+            parse_script(doc_bytes(doc))
+        assert excinfo.value.path == path
+
+    def test_out_of_range_endpoint_names_the_pair(self):
+        doc = {**MINIMAL, "initial": {"masses": [2, 2], "edges": [[1, 3, 2]]}}
+        with pytest.raises(ScriptError, match=r"edge \(1, 3\) references node 3"):
+            parse_script(doc_bytes(doc))
 
 
 class TestRenderRoundTrip:
@@ -180,6 +208,12 @@ class TestRenderRoundTrip:
         state = settle_phase_one(new_graph([2, 2], []))
         with pytest.raises(InputError):
             script_document(state, [])
+
+    @pytest.mark.parametrize("record", [NodeRecord(2.0, label="x"),
+                                        NodeRecord(2.0, alive=False)])
+    def test_rejects_nodes_a_script_cannot_hold(self, record):
+        with pytest.raises(InputError):
+            script_document(GraphState(phase=0, nodes={1: record}), [])
 
 
 class TestHistoryExport:
@@ -232,6 +266,34 @@ class TestHistoryExport:
         with pytest.raises(ScriptError) as excinfo:
             load_history(canonical_json_bytes(doc))
         assert excinfo.value.path == "snapshots[1].phase"
+
+    def test_export_rejects_a_foreign_source(self):
+        state, events, _ = parse_script(doc_bytes(MINIMAL))
+        other = {**MINIMAL, "kernel": {"mu": 0.5, "sigma": 1}}
+        with pytest.raises(InputError):
+            export_history_json(run_script(state, events, source=other))
+
+    def test_digest_covers_non_finite_states(self):
+        nodes = {1: NodeRecord(2.0), 2: NodeRecord(2.0)}
+        finite = GraphState(phase=1, nodes=nodes, edges={(1, 2): EdgeRecord(2.0)})
+        broken = GraphState(phase=1, nodes=nodes, edges={(1, 2): EdgeRecord(math.inf)})
+        assert len(state_digest(broken)) == 64
+        assert state_digest(broken) != state_digest(finite)
+
+    @pytest.mark.parametrize("corrupt,path", [
+        (lambda doc: doc.update(script=None), "script"),
+        (lambda doc: doc["snapshots"].pop(), "snapshots"),
+        (lambda doc: doc["snapshots"][0]["nodes"][0].update(mass=2.5), "snapshots[0]"),
+        (lambda doc: doc["prune_reports"].clear(), "prune_reports"),
+    ])
+    def test_load_rejects_a_history_its_script_did_not_make(self, corrupt, path):
+        state, _, _ = parse_script(doc_bytes(MINIMAL))
+        events = [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)]
+        doc = json.loads(export_history_json(run_script(state, events)))
+        corrupt(doc)
+        with pytest.raises(ScriptError) as excinfo:
+            load_history(canonical_json_bytes(doc))
+        assert excinfo.value.path == path
 
     def test_load_rejects_structurally_broken_snapshots(self):
         state, events, _ = parse_script(doc_bytes(MINIMAL))

@@ -41,8 +41,9 @@ configs = st.builds(
 )
 
 
-def assert_history_round_trips(initial, events):
-    history = run_script(initial, events, source=script_document(initial, events))
+def assert_history_round_trips(initial, events, with_source=True):
+    source = script_document(initial, events) if with_source else None
+    history = run_script(initial, events, source=source)
     exported = export_history_json(history)
     loaded = load_history(exported)
     assert [state_digest(s) for s in loaded.snapshots] == \
@@ -55,6 +56,12 @@ def assert_history_round_trips(initial, events):
 def test_worked_trace_history_round_trips():
     assert_history_round_trips(new_graph([2, 2], [(1, 2, 2)]),
                                [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)])
+
+
+def test_history_without_source_round_trips_its_kernel():
+    assert_history_round_trips(new_graph([2, 2], [(1, 2, 2)], KernelParams(mu=0.5, sigma=2.0)),
+                               [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)],
+                               with_source=False)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from massgraph import (
 )
 
 TRACE_EVENTS = [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)]
+BIG = sys.float_info.max
 
 # frozen from the 50-digit trace of the worked example
 POST_PRUNE_TOTAL = 7.4019541947575695
@@ -73,6 +75,15 @@ class TestRunScript:
         apply_event(follow_on, AddEdge(1, 4, 3.0))
         assert [state_digest(s) for s in history.snapshots] == digests
 
+    @pytest.mark.parametrize("edges,events,phase", [
+        ([(1, 2, 2.0)], [], 1),                # settlement
+        ([], [AddEdge(1, 2, 2.0)], 2),         # edge event
+    ])
+    def test_overflow_fails_at_its_phase(self, edges, events, phase):
+        with pytest.raises(SimulationError) as excinfo:
+            run_script(new_graph([BIG / 2, BIG * 0.75], edges), events)
+        assert excinfo.value.phase == phase
+
     @pytest.mark.parametrize("event", [
         AddNode("x"), AddNode(3.0, label=5), AddEdge(1.0, 2, 3.0),
         AddEdge(True, 2, 3.0), AddEdge(1, 2, "x"), Prune("x"), Prune(math.nan), Prune(math.inf),
@@ -96,6 +107,14 @@ class TestConfig:
     def test_density_bounds(self):
         with pytest.raises(ParameterError):
             ScenarioConfig(seed=1, n_initial=3, initial_edge_density=1.5)
+
+    @pytest.mark.parametrize("changes", [
+        {"event_mix": (math.nan, 0.5, 0.5)}, {"n_initial": 2.5}, {"n_phases": 3.5},
+        {"n_initial": True}, {"n_phases": True},
+    ])
+    def test_numbers_the_model_does_not_define(self, changes):
+        with pytest.raises(ParameterError):
+            ScenarioConfig(**{"seed": 1, "n_initial": 3, **changes})
 
     def test_kernel_draw_validation(self):
         with pytest.raises(ParameterError):
@@ -215,6 +234,11 @@ class TestMetrics:
         state = new_graph([2.5, 3.5], [])
         assert metrics(state, k=2).top_k_mass_share == 1.0
         assert metrics(state, k=9).top_k_mass_share == 1.0
+
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ParameterError):
+            metrics(new_graph([2], []), k=k)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ParameterError):
