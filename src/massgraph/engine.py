@@ -4,16 +4,25 @@ Each transition is a pure function from one :class:`GraphState` to the
 next; the phase counter advances by exactly one per applied event. All
 iteration orders are fixed (ascending ids / ascending endpoint pairs) so
 that identical inputs reproduce bit-identical states.
+
+The neighbour index (:attr:`GraphState.neighbours`) is derived from a
+state's edges and never mutated. An edge event reads it to find the edges
+at its endpoints, so its cost follows their degrees, not the edge count.
+Edge and node events hand their successor a copy-on-write update of it (a
+new outer dict, new tuples only for the nodes that changed); settlement and
+prunes hand none, and the successor builds one on first use. Every
+transition drops its predecessor's index, so of a chain of states only the
+newest holds one and kept snapshots do not grow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DuplicateEdgeError, InputError, NodeLookupError, ParameterError, SequencingError
-from .graph import EdgeRecord, GraphState, NodeRecord, above_one, as_float, edge_key
-from .kernel import reinforcement
+from .graph import EdgeRecord, GraphState, NodeRecord, above_one, edge_key
+from .kernel import as_float, reinforcement
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,17 @@ class PruneReport:
     removed_nodes: tuple[int, ...]
 
 
+def _successor(state: GraphState, phase: int, nodes: dict, edges: dict,
+               neighbours: dict | None = None) -> GraphState:
+    """The state after ``state``, holding ``neighbours`` as its index if
+    given; ``state`` drops its own index."""
+    successor = GraphState(phase, nodes, edges, state.params)
+    vars(state).pop("neighbours", None)
+    if neighbours is not None:
+        vars(successor)["neighbours"] = neighbours
+    return successor
+
+
 def _new_edge(key: tuple[int, int], weight: float) -> EdgeRecord:
     """A weight built from ln(mass sum), which is inf if the sum overflows."""
     if not math.isfinite(weight):
@@ -82,13 +102,13 @@ def settle_phase_one(state: GraphState) -> GraphState:
     new_nodes: dict[int, NodeRecord] = {}
     for i in sorted(state.nodes):
         rec = state.nodes[i]
-        new_nodes[i] = replace(rec, mass=rec.mass + gains[i]) if gains[i] else rec
+        new_nodes[i] = NodeRecord(rec.mass + gains[i], rec.label, rec.alive) if gains[i] else rec
     new_edges: dict[tuple[int, int], EdgeRecord] = {}
     for key, edge in edges:
         a, b = key
         lifted = edge.weight + math.log(new_nodes[a].mass + new_nodes[b].mass)
         new_edges[key] = _new_edge(key, lifted)
-    return replace(state, phase=1, nodes=new_nodes, edges=new_edges)
+    return _successor(state, 1, new_nodes, new_edges)
 
 
 def apply_edge_event(state: GraphState, k: int, l: int,
@@ -103,7 +123,8 @@ def apply_edge_event(state: GraphState, k: int, l: int,
        ln(mass increase) -- which is negative whenever the increase is
        below 1, so incident weights can shrink. Edges between other
        nodes are untouched. Each shift is independent of the others, so
-       the visiting order does not matter.
+       the visiting order does not matter; the edges are found through
+       the neighbour index, never by scanning all edges.
     4. The phase advances by one.
 
     The pair must not currently be connected; a pair whose edge was pruned
@@ -131,16 +152,24 @@ def apply_edge_event(state: GraphState, k: int, l: int,
 
     gain = reinforcement(w, state.params)
     new_nodes = dict(state.nodes)
-    new_nodes[k] = replace(state.nodes[k], mass=state.nodes[k].mass + gain)
-    new_nodes[l] = replace(state.nodes[l], mass=state.nodes[l].mass + gain)
+    mass_k = state.nodes[k].mass + gain
+    mass_l = state.nodes[l].mass + gain
+    new_nodes[k] = NodeRecord(mass_k, state.nodes[k].label)
+    new_nodes[l] = NodeRecord(mass_l, state.nodes[l].label)
 
     delta = math.log(gain)
-    new_edges = dict(state.edges)
-    for (a, b), edge in state.edges.items():
-        if a == k or a == l or b == k or b == l:
-            new_edges[a, b] = EdgeRecord(edge.weight + delta)
-    new_edges[key] = _new_edge(key, w + math.log(new_nodes[k].mass + new_nodes[l].mass))
-    return replace(state, phase=state.phase + 1, nodes=new_nodes, edges=new_edges)
+    edges = state.edges
+    new_edges = dict(edges)
+    neighbours = state.neighbours
+    for i in (k, l):
+        for j in neighbours[i]:
+            pair = (i, j) if i < j else (j, i)
+            new_edges[pair] = EdgeRecord(edges[pair].weight + delta)
+    new_edges[key] = _new_edge(key, w + math.log(mass_k + mass_l))
+    handed = dict(neighbours)
+    handed[k] = neighbours[k] + (l,)
+    handed[l] = neighbours[l] + (k,)
+    return _successor(state, state.phase + 1, new_nodes, new_edges, handed)
 
 
 def apply_node_event(state: GraphState, initial_mass: float,
@@ -149,9 +178,14 @@ def apply_node_event(state: GraphState, initial_mass: float,
     m = above_one(initial_mass, "initial mass of a new node")
     if label is not None and not isinstance(label, str):
         raise InputError(f"node labels are strings, got {label!r}")
+    new_id = state.next_id
     new_nodes = dict(state.nodes)
-    new_nodes[state.next_id] = NodeRecord(mass=m, label=label)
-    return replace(state, phase=state.phase + 1, nodes=new_nodes)
+    new_nodes[new_id] = NodeRecord(m, label)
+    # a predecessor without an index hands none on: its successor builds one if needed
+    neighbours = vars(state).get("neighbours")
+    if neighbours is not None:
+        neighbours = {**neighbours, new_id: ()}
+    return _successor(state, state.phase + 1, new_nodes, state.edges, neighbours)
 
 
 def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneReport]:
@@ -179,11 +213,10 @@ def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneR
     removed_nodes = tuple(i for i in sorted(degree) if degree[i] == 0)
     new_nodes = dict(state.nodes)
     for i in removed_nodes:
-        new_nodes[i] = replace(state.nodes[i], alive=False)
+        new_nodes[i] = NodeRecord(state.nodes[i].mass, state.nodes[i].label, alive=False)
     report = PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
                          removed_nodes=removed_nodes)
-    next_state = replace(state, phase=state.phase + 1, nodes=new_nodes, edges=kept)
-    return next_state, report
+    return _successor(state, state.phase + 1, new_nodes, kept), report
 
 
 def apply_event(state: GraphState, event: Event) -> tuple[GraphState, PruneReport | None]:

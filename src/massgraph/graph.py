@@ -7,18 +7,19 @@ kernel parameters. Ids live only in the dict keys -- records never copy
 them -- and the next node id is derived, not stored.
 
 States are values: every transition in :mod:`massgraph.engine` builds a new
-state and never mutates an old one, so snapshots can be kept and compared
-across phases. Node ids are 1-based and permanent; deletion marks a node
-dead instead of renumbering, and ids are never reused.
+state and never changes an old one's fields, so snapshots can be kept and
+compared across phases. Node ids are 1-based and permanent; deletion marks a
+node dead instead of renumbering, and ids are never reused.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DiagonalError, DuplicateEdgeError, InputError, NodeLookupError
-from .kernel import KernelParams
+from .kernel import KernelParams, as_float
 
 
 @dataclass(frozen=True)
@@ -35,17 +36,6 @@ class EdgeRecord:
     """One undirected edge's weight; its endpoints are the dict key."""
 
     weight: float
-
-
-def as_float(value, what: str) -> float:
-    """``value`` as a float, if it is an int or float that a float can
-    hold; ``what`` names the offending quantity in the :class:`InputError`."""
-    if not isinstance(value, (int, float)):
-        raise InputError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InputError(f"{what} must be finite, got an integer too large for a float") from None
 
 
 def above_one(value, what: str) -> float:
@@ -74,12 +64,27 @@ class GraphState:
     ``edges`` is keyed by the canonical (low, high) pair, so symmetry and
     the zero diagonal hold by construction; an absent pair reads as
     weight 0.
+
+    :attr:`neighbours` is a cache derived from ``edges``, not part of the
+    value: it is built on first use, never mutated, and takes no part in
+    equality. A transition in :mod:`massgraph.engine` may hand its
+    successor an updated copy and then drops its predecessor's, so in a
+    chain of states only the newest holds one.
     """
 
     phase: int
     nodes: dict[int, NodeRecord] = field(default_factory=dict)
     edges: dict[tuple[int, int], EdgeRecord] = field(default_factory=dict)
     params: KernelParams = field(default_factory=KernelParams)
+
+    @cached_property
+    def neighbours(self) -> dict[int, tuple[int, ...]]:
+        """Every node id mapped to the ids it shares an edge with."""
+        index: dict[int, list[int]] = {i: [] for i in self.nodes}
+        for a, b in self.edges:
+            index.setdefault(a, []).append(b)
+            index.setdefault(b, []).append(a)
+        return {i: tuple(ids) for i, ids in index.items()}
 
     @property
     def next_id(self) -> int:
@@ -167,11 +172,16 @@ def validate_state(state: GraphState) -> list[str]:
     to see them named here.
     """
     problems: list[str] = []
+    inf = math.inf
     if state.phase < 0:
         problems.append(f"phase must be >= 0, got {state.phase}")
     for i, rec in sorted(state.nodes.items()):
-        if rec.alive and not (math.isfinite(rec.mass) and rec.mass > 1):
-            problems.append(f"alive node {i} has mass {rec.mass}, must be > 1")
+        # a float in range, the common case, skips the conversion's calls
+        if rec.alive and not (type(rec.mass) is float and 1 < rec.mass < inf):
+            try:
+                above_one(rec.mass, f"alive node {i}'s mass")
+            except InputError as err:
+                problems.append(str(err))
     for key, edge in sorted(state.edges.items()):
         a, b = key
         if a == b:
@@ -187,6 +197,10 @@ def validate_state(state: GraphState) -> list[str]:
                 problems.append(f"edge {key} references unknown node {endpoint}")
             elif not rec.alive:
                 problems.append(f"edge {key} touches dead node {endpoint}")
-        if not math.isfinite(edge.weight):
-            problems.append(f"edge {key} has non-finite weight {edge.weight}")
+        if not (type(edge.weight) is float and -inf < edge.weight < inf):
+            try:
+                if not math.isfinite(as_float(edge.weight, f"weight of edge {key}")):
+                    problems.append(f"edge {key} has non-finite weight {edge.weight}")
+            except InputError as err:
+                problems.append(str(err))
     return problems

@@ -11,7 +11,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import KernelDomainError, ParameterError
+from .errors import InputError, KernelDomainError, ParameterError
+
+
+def as_float(value, what: str, error: type[Exception] = InputError) -> float:
+    """``value`` as a float, if it is an int or float that a float can
+    hold; ``what`` names the offending quantity in the ``error`` raised.
+
+    This is the one conversion rule for numbers entering the model: a bare
+    ``math.isfinite`` on an integer too large for a float would raise
+    ``OverflowError`` instead.
+    """
+    if not isinstance(value, (int, float)):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} must be finite, got an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -26,7 +42,9 @@ class KernelParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+        mu = as_float(self.mu, "mu", ParameterError)
+        sigma = as_float(self.sigma, "sigma", ParameterError)
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
             raise ParameterError(
                 f"kernel parameters must be finite, got mu={self.mu}, sigma={self.sigma}"
             )
@@ -78,6 +96,8 @@ def validate_kernel_params(params: KernelParams, grid_lo: float, grid_hi: float,
     spike near x = 1 can outpace the logarithm), so callers should check
     the parameters they intend to simulate with.
     """
+    as_float(grid_lo, "grid lower bound", ParameterError)
+    as_float(grid_hi, "grid upper bound", ParameterError)
     if not (1 < grid_lo < grid_hi):
         raise ParameterError(
             f"grid bounds must satisfy 1 < lo < hi, got [{grid_lo}, {grid_hi}]"

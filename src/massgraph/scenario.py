@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport, apply_event, settle_phase_one
 from .errors import GenerationError, InputError, MassGraphError, ParameterError, SimulationError
 from .graph import GraphState, new_graph, validate_state
-from .kernel import KernelParams
+from .kernel import KernelParams, as_float
 
 _MAX_REDRAWS = 1000
 
@@ -28,8 +28,8 @@ class KernelDraw:
     sigma_range: tuple[float, float]
 
     def __post_init__(self):
-        mu_lo, mu_hi = self.mu_range
-        sig_lo, sig_hi = self.sigma_range
+        mu_lo, mu_hi = (as_float(v, "mu range", ParameterError) for v in self.mu_range)
+        sig_lo, sig_hi = (as_float(v, "sigma range", ParameterError) for v in self.sigma_range)
         if not (math.isfinite(mu_lo) and math.isfinite(mu_hi) and mu_lo <= mu_hi):
             raise ParameterError(f"mu range must be ordered and finite, got {self.mu_range}")
         if not (0 < sig_lo <= sig_hi and math.isfinite(sig_hi)):
@@ -37,7 +37,7 @@ class KernelDraw:
 
 
 def _check_range(name: str, rng: tuple[float, float]) -> None:
-    lo, hi = rng
+    lo, hi = (as_float(v, name, ParameterError) for v in rng)
     if not (math.isfinite(lo) and math.isfinite(hi) and 1 < lo <= hi):
         raise ParameterError(f"{name} must satisfy 1 < lo <= hi, got {rng}")
 
@@ -62,21 +62,26 @@ class ScenarioConfig:
     kernel: KernelParams | KernelDraw = field(default_factory=KernelParams)
 
     def __post_init__(self):
+        # a seed of None would draw from OS entropy: a different scenario each call
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         for name in ("n_initial", "n_phases"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ParameterError(f"{name} must be an integer >= 0, got {value!r}")
         _check_range("mass_range", self.mass_range)
         _check_range("weight_range", self.weight_range)
-        if not 0 <= self.initial_edge_density <= 1:
+        if not 0 <= as_float(self.initial_edge_density, "initial_edge_density",
+                             ParameterError) <= 1:
             raise ParameterError(
                 f"initial_edge_density must lie in [0, 1], got {self.initial_edge_density}"
             )
-        if len(self.event_mix) != 3 or not all(p >= 0 for p in self.event_mix):
+        if len(self.event_mix) != 3 or not all(
+                as_float(p, "event_mix", ParameterError) >= 0 for p in self.event_mix):
             raise ParameterError(f"event_mix needs three probabilities >= 0, got {self.event_mix}")
         if abs(sum(self.event_mix) - 1.0) > 1e-12:
             raise ParameterError(f"event_mix must sum to 1, got {self.event_mix}")
-        if not math.isfinite(self.prune_threshold):
+        if not math.isfinite(as_float(self.prune_threshold, "prune_threshold", ParameterError)):
             raise ParameterError(f"prune_threshold must be finite, got {self.prune_threshold}")
 
 
@@ -143,14 +148,19 @@ def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:
     return kinds[-1][1]
 
 
-def _free_pairs(state: GraphState) -> list[tuple[int, int]]:
+def _free_pair(state: GraphState, r: int) -> tuple[int, int]:
+    """The r-th (from 0) unconnected alive pair in ascending (low, high)
+    order, found by counting each node's free later partners through the
+    neighbour index instead of listing every free pair."""
     alive = state.alive_ids()
-    return [
-        (a, b)
-        for idx, a in enumerate(alive)
-        for b in alive[idx + 1:]
-        if (a, b) not in state.edges
-    ]
+    neighbours = state.neighbours
+    for idx, a in enumerate(alive):
+        free = len(alive) - idx - 1 - sum(b > a for b in neighbours[a])
+        if r < free:
+            linked = set(neighbours[a])
+            return a, [b for b in alive[idx + 1:] if b not in linked][r]
+        r -= free
+    raise IndexError("fewer free pairs than the rank asked for")
 
 
 def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
@@ -184,10 +194,11 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
         for _attempt in range(_MAX_REDRAWS):
             kind = _draw_kind(rng, config.event_mix)
             if kind == "add_edge":
-                free = _free_pairs(state)
+                n = len(state.alive_ids())
+                free = n * (n - 1) // 2 - len(state.edges)
                 if not free:
                     continue
-                k, l = free[rng.randrange(len(free))]
+                k, l = _free_pair(state, rng.randrange(free))
                 event = AddEdge(k=k, l=l, initial_weight=rng.uniform(*config.weight_range))
             elif kind == "add_node":
                 event = AddNode(initial_mass=rng.uniform(*config.mass_range))

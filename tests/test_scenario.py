@@ -10,8 +10,12 @@ import pytest
 from massgraph import (
     AddEdge,
     AddNode,
+    EdgeRecord,
     GenerationError,
+    GraphState,
     KernelDraw,
+    KernelParams,
+    NodeRecord,
     ParameterError,
     Prune,
     ScenarioConfig,
@@ -23,6 +27,7 @@ from massgraph import (
     reinforcement,
     run_script,
     state_digest,
+    validate_kernel_params,
     validate_state,
 )
 
@@ -111,6 +116,8 @@ class TestConfig:
     @pytest.mark.parametrize("changes", [
         {"event_mix": (math.nan, 0.5, 0.5)}, {"n_initial": 2.5}, {"n_phases": 3.5},
         {"n_initial": True}, {"n_phases": True},
+        # a seed must fix the scenario: None would draw from OS entropy
+        {"seed": None}, {"seed": 1.5}, {"seed": "x"}, {"seed": True},
     ])
     def test_numbers_the_model_does_not_define(self, changes):
         with pytest.raises(ParameterError):
@@ -119,6 +126,34 @@ class TestConfig:
     def test_kernel_draw_validation(self):
         with pytest.raises(ParameterError):
             KernelDraw(mu_range=(0, 1), sigma_range=(0.0, 1.0))
+
+
+HUGE = 10**400  # an int that no float can hold
+
+
+@pytest.mark.parametrize("call", [
+    lambda: KernelParams(mu=HUGE),
+    lambda: KernelDraw(mu_range=(0.0, HUGE), sigma_range=(1.0, 2.0)),
+    lambda: KernelDraw(mu_range=(0.0, 1.0), sigma_range=(1.0, HUGE)),
+    lambda: ScenarioConfig(seed=1, n_initial=3, mass_range=(2.0, HUGE)),
+    lambda: ScenarioConfig(seed=1, n_initial=3, weight_range=(2.0, HUGE)),
+    lambda: ScenarioConfig(seed=1, n_initial=3, prune_threshold=HUGE),
+    lambda: ScenarioConfig(seed=1, n_initial=3, event_mix=(HUGE, 0.0, 0.0)),
+    lambda: validate_kernel_params(KernelParams(), 2.0, HUGE, 10),
+], ids=["mu", "mu_range", "sigma_range", "mass_range", "weight_range", "prune_threshold",
+        "event_mix", "grid_hi"])
+def test_integer_too_large_for_a_float_is_a_domain_error(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize("nodes,edges", [
+    ({1: NodeRecord(HUGE), 2: NodeRecord(2.0)}, {}),
+    ({1: NodeRecord(2.0), 2: NodeRecord(2.0)}, {(1, 2): EdgeRecord(HUGE)}),
+], ids=["mass", "weight"])
+def test_validate_state_reports_an_integer_too_large_for_a_float(nodes, edges):
+    problems = validate_state(GraphState(phase=1, nodes=nodes, edges=edges))
+    assert len(problems) == 1 and "too large for a float" in problems[0]
 
 
 class TestGeneration:
