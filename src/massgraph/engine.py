@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DuplicateEdgeError, InputError, NodeLookupError, ParameterError, SequencingError
-from .graph import EdgeRecord, GraphState, NodeRecord, above_one, edge_key
+from .graph import EdgeRecord, GraphState, NodeRecord, above_one, edge_key, node_id
 from .kernel import as_float, reinforcement
 
 
@@ -135,10 +135,7 @@ def apply_edge_event(state: GraphState, k: int, l: int,
             f"edge events require a settled state (phase >= 1), got phase {state.phase}"
         )
     for i in (k, l):
-        # 1.0 and True hash like 1, so a dict lookup alone would accept them
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise NodeLookupError(f"node ids are integers, got {i!r}")
-        rec = state.nodes.get(i)
+        rec = state.nodes.get(node_id(i))
         if rec is None:
             raise NodeLookupError(f"unknown node id {i}")
         if not rec.alive:

@@ -50,6 +50,15 @@ def above_one(value, what: str) -> float:
     return v
 
 
+def node_id(value) -> int:
+    """``value`` as a node id, if it is an int and not a bool: 1.0 and True
+    hash like 1, so a dict lookup alone would accept them and a state
+    would store them as keys."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise NodeLookupError(f"node ids are integers, got {value!r}")
+    return value
+
+
 def edge_key(i: int, j: int) -> tuple[int, int]:
     """Canonical dictionary key for the unordered pair {i, j}."""
     if i == j:
@@ -151,7 +160,7 @@ def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
         nodes[idx + 1] = NodeRecord(mass=above_one(raw, f"initial mass of node {idx + 1}"))
     edges: dict[tuple[int, int], EdgeRecord] = {}
     for i, j, raw_w in weights:
-        key = edge_key(i, j)
+        key = edge_key(node_id(i), node_id(j))
         for endpoint in key:
             if not 1 <= endpoint <= n:
                 raise NodeLookupError(
@@ -176,6 +185,8 @@ def validate_state(state: GraphState) -> list[str]:
     if state.phase < 0:
         problems.append(f"phase must be >= 0, got {state.phase}")
     for i, rec in sorted(state.nodes.items()):
+        if type(i) is not int:
+            problems.append(f"node key {i!r} is not an integer id")
         # a float in range, the common case, skips the conversion's calls
         if rec.alive and not (type(rec.mass) is float and 1 < rec.mass < inf):
             try:
@@ -184,6 +195,8 @@ def validate_state(state: GraphState) -> list[str]:
                 problems.append(str(err))
     for key, edge in sorted(state.edges.items()):
         a, b = key
+        if type(a) is not int or type(b) is not int:
+            problems.append(f"edge key {key!r} holds a non-integer id")
         if a == b:
             problems.append(f"edge {key} sits on the diagonal")
             continue

@@ -29,10 +29,9 @@ from typing import NoReturn
 
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport
 from .errors import InputError, MassGraphError, ScriptError
-from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, new_graph,
-                    validate_state)
+from .graph import GraphState, NodeRecord, above_one, edge_key, new_graph
 from .kernel import KernelParams
-from .scenario import PhaseHistory
+from .scenario import PhaseHistory, run_script
 
 SCRIPT_VERSION = 1
 
@@ -91,12 +90,6 @@ def _as_int(value, path: str, *, minimum: int | None = None) -> int:
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(path, f"expected a boolean, got {type(value).__name__}")
     return value
 
 
@@ -252,6 +245,14 @@ def _snapshot_to_json(state: GraphState) -> dict:
     return {"phase": state.phase, "nodes": nodes, "edges": _edges_to_json(state)}
 
 
+def _report_to_json(report: PruneReport) -> dict:
+    return {
+        "threshold": float(report.threshold),
+        "removed_edges": [[a, b, float(w)] for (a, b), w in report.removed_edges],
+        "removed_nodes": list(report.removed_nodes),
+    }
+
+
 def state_digest(state: GraphState) -> str:
     """Stable content hash of everything a state holds: its exported
     snapshot plus the kernel parameters. Non-finite values hash too."""
@@ -270,85 +271,44 @@ def export_history_json(history: PhaseHistory) -> bytes:
     doc = {
         "script": script,
         "snapshots": [_snapshot_to_json(state) for state in history.snapshots],
-        "prune_reports": [
-            {
-                "threshold": float(report.threshold),
-                "removed_edges": [[a, b, float(w)] for (a, b), w in report.removed_edges],
-                "removed_nodes": list(report.removed_nodes),
-            }
-            for report in history.prune_reports
-        ],
+        "prune_reports": [_report_to_json(report) for report in history.prune_reports],
     }
     return canonical_json_bytes(doc)
 
 
-def _parse_snapshot(raw, phase: int, params: KernelParams) -> GraphState:
-    path = f"snapshots[{phase}]"
-    obj = _as_object(raw, path, required=("phase", "nodes", "edges"))
-    if _as_int(obj["phase"], f"{path}.phase") != phase:
-        _fail(f"{path}.phase", f"expected phase {phase}, got {obj['phase']}")
-    nodes: dict[int, NodeRecord] = {}
-    for idx, raw_node in enumerate(_as_list(obj["nodes"], f"{path}.nodes")):
-        node_path = f"{path}.nodes[{idx}]"
-        node_obj = _as_object(raw_node, node_path,
-                              required=("id", "mass", "alive"), optional=("label",))
-        node_id = _as_int(node_obj["id"], f"{node_path}.id", minimum=1)
-        if node_id in nodes:
-            _fail(node_path, f"duplicate node id {node_id}")
-        nodes[node_id] = NodeRecord(
-            mass=_as_number(node_obj["mass"], f"{node_path}.mass"),
-            label=_as_str(node_obj["label"], f"{node_path}.label") if "label" in node_obj else None,
-            alive=_as_bool(node_obj["alive"], f"{node_path}.alive"),
-        )
-    # drifted weights below 1 are legal in histories; only structure is checked
-    edges = {(i, j): EdgeRecord(w) for i, j, w in _as_triples(obj["edges"], f"{path}.edges")}
-    state = GraphState(phase=phase, nodes=nodes, edges=edges, params=params)
-    problems = validate_state(state)
-    if problems:
-        _fail(path, "; ".join(problems))
-    return state
+def _require_replay(raw, path: str, run: list, to_json) -> None:
+    """Fail unless the JSON array ``raw`` equals ``run`` in its export
+    layout ``to_json``, at the first entry and field that differ."""
+    entries = _as_list(raw, path)
+    if len(entries) != len(run):
+        _fail(path, f"the script's run has {len(run)}, got {len(entries)}")
+    for idx, (entry, value) in enumerate(zip(entries, run)):
+        expected = to_json(value)
+        if entry != expected:
+            at = f"{path}[{idx}]"
+            _as_object(entry, at, required=tuple(expected))
+            name = next(name for name in expected if entry[name] != expected[name])
+            _fail(at, f"{name} differs from the script's run")
 
 
 def load_history(data: bytes) -> PhaseHistory:
-    """Parse an exported history back into snapshots and reports.
+    """Replay the script a history embeds and return that run.
 
-    The history must fit its script: one snapshot per phase, the script's
-    initial state at phase 0, one report per prune event. Every loaded
-    snapshot has the :func:`state_digest` of the state that was exported.
+    The engine is the only source of the returned states: the file's
+    ``snapshots`` and ``prune_reports`` must equal, as decoded JSON values,
+    the export of the replay -- exactly, so a history written where the
+    float math differs in the last bit does not load. Errors carry the
+    JSON path ``script`` when the script does not parse or its run fails,
+    and otherwise the first entry that differs, such as ``snapshots[3]``,
+    with the first differing field named in the message.
     """
-    doc = _decode(data)
-    root = _as_object(doc, "$", required=("script", "snapshots", "prune_reports"))
-    initial, events, params = _at("script", _script_values, root["script"])
-    snapshots = [
-        _parse_snapshot(raw, phase, params)
-        for phase, raw in enumerate(_as_list(root["snapshots"], "snapshots"))
-    ]
-    if len(snapshots) != len(events) + 2:
-        _fail("snapshots", f"expected {len(events) + 2} for {len(events)} events, "
-                           f"got {len(snapshots)}")
-    if snapshots[0] != initial:
-        _fail("snapshots[0]", "is not the script's initial state")
-    reports = []
-    for idx, raw in enumerate(_as_list(root["prune_reports"], "prune_reports")):
-        path = f"prune_reports[{idx}]"
-        obj = _as_object(raw, path, required=("threshold", "removed_edges", "removed_nodes"))
-        removed_edges = tuple(
-            ((a, b), w) for a, b, w in _as_triples(obj["removed_edges"], f"{path}.removed_edges")
-        )
-        removed_nodes = tuple(
-            _as_int(raw_id, f"{path}.removed_nodes[{jdx}]", minimum=1)
-            for jdx, raw_id in enumerate(_as_list(obj["removed_nodes"], f"{path}.removed_nodes"))
-        )
-        reports.append(PruneReport(
-            threshold=_as_number(obj["threshold"], f"{path}.threshold"),
-            removed_edges=removed_edges,
-            removed_nodes=removed_nodes,
-        ))
-    prunes = sum(isinstance(event, Prune) for event in events)
-    if len(reports) != prunes:
-        _fail("prune_reports", f"expected {prunes}, one per prune event, got {len(reports)}")
-    return PhaseHistory(source=None, snapshots=snapshots, events=events,
-                        prune_reports=reports)
+    root = _as_object(_decode(data), "$", required=("script", "snapshots", "prune_reports"))
+    initial, events, _ = _at("script", _script_values, root["script"])
+    history = _at("script", run_script, initial, events)
+    _require_replay(root["snapshots"], "snapshots", history.snapshots, _snapshot_to_json)
+    _require_replay(root["prune_reports"], "prune_reports", history.prune_reports,
+                    _report_to_json)
+    return history
 
 
 def _dot_escape(text: str) -> str:

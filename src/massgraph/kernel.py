@@ -20,9 +20,9 @@ def as_float(value, what: str, error: type[Exception] = InputError) -> float:
 
     This is the one conversion rule for numbers entering the model: a bare
     ``math.isfinite`` on an integer too large for a float would raise
-    ``OverflowError`` instead.
+    ``OverflowError`` instead, and a bool is not a number.
     """
-    if not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
@@ -96,18 +96,18 @@ def validate_kernel_params(params: KernelParams, grid_lo: float, grid_hi: float,
     spike near x = 1 can outpace the logarithm), so callers should check
     the parameters they intend to simulate with.
     """
-    as_float(grid_lo, "grid lower bound", ParameterError)
-    as_float(grid_hi, "grid upper bound", ParameterError)
-    if not (1 < grid_lo < grid_hi):
+    lo = as_float(grid_lo, "grid lower bound", ParameterError)
+    hi = as_float(grid_hi, "grid upper bound", ParameterError)
+    if not (1 < lo < hi < math.inf):
         raise ParameterError(
-            f"grid bounds must satisfy 1 < lo < hi, got [{grid_lo}, {grid_hi}]"
+            f"grid bounds must be finite and satisfy 1 < lo < hi, got [{grid_lo}, {grid_hi}]"
         )
-    if steps < 2:
-        raise ParameterError(f"grid needs at least 2 samples, got {steps}")
-    ratio = (grid_hi / grid_lo) ** (1.0 / (steps - 1))
+    if not isinstance(steps, int) or steps < 2:
+        raise ParameterError(f"grid needs an integer number >= 2 of samples, got {steps!r}")
+    ratio = (hi / lo) ** (1.0 / (steps - 1))
     prev = None
     for i in range(steps):
-        x = grid_lo * ratio**i
+        x = lo * ratio**i
         value = reinforcement(x, params)
         if prev is not None and value <= prev:
             return MonotonicityReport(False, violation_x=x, violation_value=value)

@@ -57,6 +57,13 @@ class TestConstruction:
         with pytest.raises(NodeLookupError):
             new_graph([2, 2], [(1, 3, 2)])
 
+    @pytest.mark.parametrize("bad_id", [1.0, True])
+    def test_edge_ids_must_be_int(self, bad_id):
+        with pytest.raises(NodeLookupError):
+            new_graph([2, 2], [(bad_id, 2, 2)])
+        with pytest.raises(NodeLookupError):
+            new_graph([2, 2], [(2, bad_id, 2)])
+
     def test_empty_graph_is_fine(self):
         state = new_graph([], [])
         assert state.node_ids() == []
@@ -129,6 +136,15 @@ class TestValidate:
         )
         assert any("unknown node 9" in v for v in validate_state(state))
 
+
+    @pytest.mark.parametrize("nodes,edges", [
+        ({1.0: NodeRecord(2.0), 2: NodeRecord(2.0)}, {}),
+        ({1: NodeRecord(2.0), 2: NodeRecord(2.0)}, {(1.0, 2): EdgeRecord(2.0)}),
+        ({1: NodeRecord(2.0), 2: NodeRecord(2.0)}, {(True, 2): EdgeRecord(2.0)}),
+    ], ids=["node-key", "edge-key-float", "edge-key-bool"])
+    def test_non_integer_id_is_caught(self, nodes, edges):
+        problems = validate_state(GraphState(phase=1, nodes=nodes, edges=edges))
+        assert len(problems) == 1 and "integer" in problems[0]
 
 @st.composite
 def graph_inputs(draw):

@@ -265,7 +265,7 @@ class TestHistoryExport:
         doc["snapshots"][1]["phase"] = 5
         with pytest.raises(ScriptError) as excinfo:
             load_history(canonical_json_bytes(doc))
-        assert excinfo.value.path == "snapshots[1].phase"
+        assert excinfo.value.path == "snapshots[1]"
 
     def test_export_rejects_a_foreign_source(self):
         state, events, _ = parse_script(doc_bytes(MINIMAL))
@@ -285,6 +285,15 @@ class TestHistoryExport:
         (lambda doc: doc["snapshots"].pop(), "snapshots"),
         (lambda doc: doc["snapshots"][0]["nodes"][0].update(mass=2.5), "snapshots[0]"),
         (lambda doc: doc["prune_reports"].clear(), "prune_reports"),
+        pytest.param(lambda doc: doc["snapshots"][3]["nodes"][0].update(
+            mass=doc["snapshots"][3]["nodes"][0]["mass"] + 1), "snapshots[3]", id="mass-raised"),
+        pytest.param(lambda doc: doc["prune_reports"][0].update(threshold=99.0, removed_nodes=[1]),
+                     "prune_reports[0]", id="prune-report-rewritten"),
+        pytest.param(lambda doc: doc["snapshots"][4].update(nodes=[], edges=[]),
+                     "snapshots[4]", id="final-snapshot-emptied"),
+        # nodes 1 and 2 are connected since phase 0, so the script's run fails
+        pytest.param(lambda doc: doc["script"]["events"][1].update(l=2), "script",
+                     id="script-run-fails"),
     ])
     def test_load_rejects_a_history_its_script_did_not_make(self, corrupt, path):
         state, _, _ = parse_script(doc_bytes(MINIMAL))
@@ -303,7 +312,7 @@ class TestHistoryExport:
         with pytest.raises(ScriptError) as excinfo:
             load_history(canonical_json_bytes(doc))
         assert excinfo.value.path == "snapshots[1]"
-        assert "dead node" in str(excinfo.value)
+        assert "nodes" in str(excinfo.value)
 
 
 class TestDotExport:

@@ -132,6 +132,10 @@ class TestMonotonicityScan:
         (5.0, 2.0, 100),    # inverted
         (1.0, 10.0, 100),   # lo not above 1
         (1.5, 10.0, 1),     # too few samples
+        (1.5, 10.0, 2.5),   # steps not an integer
+        (1.5, 10.0, "3"),
+        (1.5, 10.0, None),
+        (1.5, math.inf, 100),  # infinite bound
     ])
     def test_bad_grids_rejected(self, lo, hi, steps):
         with pytest.raises(ParameterError):

@@ -2,11 +2,16 @@
 
 A script document must parse back to the same phase-0 state and events,
 and an exported history must load back to states with the same
-``state_digest`` at every phase.
+``state_digest`` at every phase. Loading replays the embedded script, so
+a history whose numbers its script did not make does not load.
 """
 
 from __future__ import annotations
 
+import json
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +21,7 @@ from massgraph import (
     KernelParams,
     Prune,
     ScenarioConfig,
+    ScriptError,
     canonical_json_bytes,
     export_history_json,
     generate_scenario,
@@ -68,6 +74,37 @@ def test_history_without_source_round_trips_its_kernel():
 @given(configs)
 def test_history_round_trips(config):
     assert_history_round_trips(*generate_scenario(config))
+
+
+def masses_and_weights(doc) -> list[tuple[str, list | dict, int | str]]:
+    """Where each mass and weight of a history document sits: the path of
+    its snapshot or prune report, its container, and its key there."""
+    places = []
+    for p, snapshot in enumerate(doc["snapshots"]):
+        places += [(f"snapshots[{p}]", node, "mass") for node in snapshot["nodes"]]
+        places += [(f"snapshots[{p}]", edge, 2) for edge in snapshot["edges"]]
+    for i, report in enumerate(doc["prune_reports"]):
+        places += [(f"prune_reports[{i}]", edge, 2) for edge in report["removed_edges"]]
+    return places
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs, st.data())
+def test_history_loads_only_as_its_script_made_it(config, data):
+    exported = export_history_json(run_script(*generate_scenario(config)))
+    assert export_history_json(load_history(exported)) == exported
+    doc = json.loads(exported)
+    places = masses_and_weights(doc)
+    if not places:
+        return
+    path, container, key = data.draw(st.sampled_from(places))
+    change = data.draw(st.sampled_from([lambda v: math.nextafter(v, math.inf),
+                                        lambda v: math.nextafter(v, -math.inf),
+                                        lambda v: v + 1.0]))
+    container[key] = change(container[key])
+    with pytest.raises(ScriptError) as excinfo:
+        load_history(canonical_json_bytes(doc))
+    assert excinfo.value.path == path
 
 
 @settings(max_examples=60, deadline=None)

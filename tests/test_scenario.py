@@ -13,6 +13,7 @@ from massgraph import (
     EdgeRecord,
     GenerationError,
     GraphState,
+    InputError,
     KernelDraw,
     KernelParams,
     NodeRecord,
@@ -154,6 +155,21 @@ def test_integer_too_large_for_a_float_is_a_domain_error(call):
 def test_validate_state_reports_an_integer_too_large_for_a_float(nodes, edges):
     problems = validate_state(GraphState(phase=1, nodes=nodes, edges=edges))
     assert len(problems) == 1 and "too large for a float" in problems[0]
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: KernelParams(mu=True), ParameterError),
+    (lambda: KernelParams(sigma=True), ParameterError),
+    (lambda: KernelDraw(mu_range=(False, True), sigma_range=(1.0, 2.0)), ParameterError),
+    (lambda: ScenarioConfig(seed=1, n_initial=3, prune_threshold=True), ParameterError),
+    (lambda: ScenarioConfig(seed=1, n_initial=3, initial_edge_density=True), ParameterError),
+    (lambda: ScenarioConfig(seed=1, n_initial=3, event_mix=(True, False, False)), ParameterError),
+    (lambda: apply_event(new_graph([2, 2], [(1, 2, 2)]), Prune(True)), InputError),
+], ids=["mu", "sigma", "mu_range", "prune_threshold", "initial_edge_density", "event_mix",
+        "apply_prune"])
+def test_booleans_are_not_numbers(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestGeneration:
