@@ -6,6 +6,8 @@ input through a logarithmic reinforcement kernel with a log-Cauchy
 perturbation, and threshold pruning models forgetting.
 """
 
+import importlib
+
 from .errors import (
     DiagonalError,
     DuplicateEdgeError,
@@ -58,7 +60,6 @@ from .io import (
     script_document,
     state_digest,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"
 
@@ -112,3 +113,12 @@ __all__ = [
     "validate_kernel_params",
     "validate_state",
 ]
+
+
+def __getattr__(name: str):
+    # the CLI loads on first use, so `python -m massgraph.cli` finds it not
+    # yet imported and runs it without a RuntimeWarning
+    if name in ("cli", "cli_main"):
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else cli.cli_main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

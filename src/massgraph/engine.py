@@ -8,11 +8,12 @@ that identical inputs reproduce bit-identical states.
 The neighbour index (:attr:`GraphState.neighbours`) is derived from a
 state's edges and never mutated. An edge event reads it to find the edges
 at its endpoints, so its cost follows their degrees, not the edge count.
-Edge and node events hand their successor a copy-on-write update of it (a
-new outer dict, new tuples only for the nodes that changed); settlement and
-prunes hand none, and the successor builds one on first use. Every
-transition drops its predecessor's index, so of a chain of states only the
-newest holds one and kept snapshots do not grow.
+Every transition hands its successor an index: settlement, which keeps the
+edge set, hands on its predecessor's; the others a copy-on-write update (a
+new outer dict, new tuples only for the nodes that changed). Only a state no
+transition produced builds one, on first use. Every transition drops its
+predecessor's index, so of a chain of states only the newest holds one and
+kept snapshots do not grow.
 """
 
 from __future__ import annotations
@@ -62,13 +63,12 @@ class PruneReport:
 
 
 def _successor(state: GraphState, phase: int, nodes: dict, edges: dict,
-               neighbours: dict | None = None) -> GraphState:
-    """The state after ``state``, holding ``neighbours`` as its index if
-    given; ``state`` drops its own index."""
+               neighbours: dict) -> GraphState:
+    """The state after ``state``, holding ``neighbours`` as its index;
+    ``state`` drops its own."""
     successor = GraphState(phase, nodes, edges, state.params)
     vars(state).pop("neighbours", None)
-    if neighbours is not None:
-        vars(successor)["neighbours"] = neighbours
+    vars(successor)["neighbours"] = neighbours
     return successor
 
 
@@ -108,7 +108,7 @@ def settle_phase_one(state: GraphState) -> GraphState:
         a, b = key
         lifted = edge.weight + math.log(new_nodes[a].mass + new_nodes[b].mass)
         new_edges[key] = _new_edge(key, lifted)
-    return _successor(state, 1, new_nodes, new_edges)
+    return _successor(state, 1, new_nodes, new_edges, state.neighbours)
 
 
 def apply_edge_event(state: GraphState, k: int, l: int,
@@ -178,11 +178,8 @@ def apply_node_event(state: GraphState, initial_mass: float,
     new_id = state.next_id
     new_nodes = dict(state.nodes)
     new_nodes[new_id] = NodeRecord(m, label)
-    # a predecessor without an index hands none on: its successor builds one if needed
-    neighbours = vars(state).get("neighbours")
-    if neighbours is not None:
-        neighbours = {**neighbours, new_id: ()}
-    return _successor(state, state.phase + 1, new_nodes, state.edges, neighbours)
+    return _successor(state, state.phase + 1, new_nodes, state.edges,
+                      {**state.neighbours, new_id: ()})
 
 
 def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneReport]:
@@ -203,17 +200,16 @@ def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneR
             removed_edges.append((key, edge.weight))
         else:
             kept[key] = edge
-    degree = {i: 0 for i, rec in state.nodes.items() if rec.alive}
-    for a, b in kept:
-        degree[a] += 1
-        degree[b] += 1
-    removed_nodes = tuple(i for i in sorted(degree) if degree[i] == 0)
+    handed = dict(state.neighbours)
+    for i in {i for key, _ in removed_edges for i in key}:
+        handed[i] = tuple(j for j in handed[i] if edge_key(i, j) in kept)
+    removed_nodes = tuple(i for i, rec in sorted(state.nodes.items()) if rec.alive and not handed[i])
     new_nodes = dict(state.nodes)
     for i in removed_nodes:
         new_nodes[i] = NodeRecord(state.nodes[i].mass, state.nodes[i].label, alive=False)
     report = PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
                          removed_nodes=removed_nodes)
-    return _successor(state, state.phase + 1, new_nodes, kept), report
+    return _successor(state, state.phase + 1, new_nodes, kept, handed), report
 
 
 def apply_event(state: GraphState, event: Event) -> tuple[GraphState, PruneReport | None]:

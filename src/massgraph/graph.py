@@ -75,10 +75,10 @@ class GraphState:
     weight 0.
 
     :attr:`neighbours` is a cache derived from ``edges``, not part of the
-    value: it is built on first use, never mutated, and takes no part in
-    equality. A transition in :mod:`massgraph.engine` may hand its
-    successor an updated copy and then drops its predecessor's, so in a
-    chain of states only the newest holds one.
+    value: it is never mutated and takes no part in equality. Every
+    transition in :mod:`massgraph.engine` hands its successor one and drops
+    its predecessor's, so in a chain of states only the newest holds one;
+    only a state no transition produced builds its own, on first use.
     """
 
     phase: int
@@ -126,11 +126,6 @@ class GraphState:
 
     def has_edge(self, i: int, j: int) -> bool:
         return i != j and edge_key(i, j) in self.edges
-
-    def degree(self, i: int) -> int:
-        """Number of live edges incident to node i."""
-        self._record(i)
-        return sum(1 for a, b in self.edges if a == i or b == i)
 
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)

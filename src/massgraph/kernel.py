@@ -85,7 +85,6 @@ class MonotonicityReport:
 
     monotone: bool
     violation_x: float | None = None
-    violation_value: float | None = None
 
 
 def validate_kernel_params(params: KernelParams, grid_lo: float, grid_hi: float,
@@ -110,6 +109,6 @@ def validate_kernel_params(params: KernelParams, grid_lo: float, grid_hi: float,
         x = lo * ratio**i
         value = reinforcement(x, params)
         if prev is not None and value <= prev:
-            return MonotonicityReport(False, violation_x=x, violation_value=value)
+            return MonotonicityReport(False, violation_x=x)
         prev = value
     return MonotonicityReport(True)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -199,3 +201,13 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+
+
+def test_module_entry_point_runs_without_warnings():
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "massgraph.cli",
+                           "gen", "--seed", "1", "--nodes", "4", "--phases", "5"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

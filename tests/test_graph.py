@@ -82,17 +82,11 @@ class TestQueries:
         assert state.weight(1, 3) == 0.0
         assert not state.has_edge(1, 3)
 
-    def test_degree(self, two_nodes):
-        assert two_nodes.degree(1) == 1
-        assert two_nodes.degree(2) == 1
-
     def test_unknown_id_raises(self, two_nodes):
         with pytest.raises(NodeLookupError):
             two_nodes.mass(7)
         with pytest.raises(NodeLookupError):
             two_nodes.weight(1, 7)
-        with pytest.raises(NodeLookupError):
-            two_nodes.degree(0)
 
     def test_edges_are_sorted(self):
         state = new_graph([2, 2, 2], [(2, 3, 4), (1, 3, 3), (1, 2, 2)])

@@ -7,8 +7,12 @@ import copy
 from unittest.mock import patch
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massgraph import (
+    GraphState,
+    Prune,
+    ScenarioConfig,
     apply_edge_event,
     apply_event,
     apply_node_event,
@@ -56,15 +60,65 @@ def test_runs_hand_on_an_exact_index_and_keep_none_behind(config):
         assert apply_event(history.snapshots[p], event)[0] == history.snapshots[p + 1]
 
 
+# light masses and weights, so that most prunes remove edges and isolate nodes
+biting = st.builds(
+    ScenarioConfig,
+    seed=st.integers(min_value=0, max_value=2**32),
+    n_initial=st.integers(min_value=2, max_value=8),
+    mass_range=st.just((1.5, 4.0)),
+    weight_range=st.just((1.5, 4.0)),
+    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
+    n_phases=st.integers(min_value=2, max_value=30),
+    event_mix=st.just((0.5, 0.2, 0.3)),
+    prune_threshold=st.floats(min_value=3.0, max_value=7.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(biting)
+def test_prunes_hand_on_an_exact_index(config):
+    initial, events = generate_scenario(config)
+    state = settle_phase_one(initial)
+    for event in events:
+        state, _ = apply_event(state, event)
+        assert holds_index(state)
+        assert_index_matches_edges(state)
+
+
 def test_edge_and_node_events_hand_on_the_index():
+    # and so do settlement and prunes: every transition hands one on
     state = settle_phase_one(new_graph([2, 2, 3], [(1, 2, 2)]))
-    assert not holds_index(state)
+    assert holds_index(state)
+    assert_index_matches_edges(state)
     state = apply_edge_event(state, 1, 3, 2.0)
     assert holds_index(state)
+    assert_index_matches_edges(state)
     state = apply_node_event(state, 4.0)
+    assert holds_index(state)
     assert state.neighbours == {1: (2, 3), 2: (1,), 3: (1,), 4: ()}
-    state, _ = apply_prune(state, 0.0)
-    assert not holds_index(state)
+    # edge (1, 2) weighs 3.50 and (1, 3) 4.00: the prune isolates nodes 2 and 4
+    state, report = apply_prune(state, 3.75)
+    assert [key for key, _ in report.removed_edges] == [(1, 2)]
+    assert report.removed_nodes == (2, 4)
+    assert holds_index(state)
+    assert_index_matches_edges(state)
+
+
+def test_a_run_builds_the_index_once():
+    config = ScenarioConfig(seed=3, n_initial=10, n_phases=80, event_mix=(0.6, 0.2, 0.2),
+                            prune_threshold=20.0)
+    initial, events = generate_scenario(config)
+    assert sum(isinstance(event, Prune) for event in events) == 21
+    build = GraphState.neighbours.func
+    built = []
+
+    def counted(state):
+        built.append(state.phase)
+        return build(state)
+
+    with patch.object(GraphState.neighbours, "func", counted):
+        run_script(initial, events)
+    assert built == [0]
 
 
 def test_a_copy_keeps_a_correct_index_after_the_original_advances():
