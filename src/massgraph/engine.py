@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DuplicateEdgeError, InputError, NodeLookupError, ParameterError, SequencingError
+from .errors import DuplicateEdgeError, InputError, NodeLookupError, SequencingError
 from .graph import EdgeRecord, GraphState, NodeRecord, above_one, edge_key, node_id
 from .kernel import as_float, reinforcement
 
@@ -187,11 +187,10 @@ def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneR
     isolated alive node (including nodes that were already isolated).
 
     Deleted nodes keep their id and last mass but are marked dead; they
-    never reappear and their masses stop counting toward totals.
+    never reappear and their masses stop counting toward totals. A
+    threshold that is not a finite number raises :class:`InputError`.
     """
     thr = as_float(threshold, "prune threshold")
-    if not math.isfinite(thr):
-        raise ParameterError(f"prune threshold must be finite, got {threshold}")
     removed_edges: list[tuple[tuple[int, int], float]] = []
     kept: dict[tuple[int, int], EdgeRecord] = {}
     for key in sorted(state.edges):

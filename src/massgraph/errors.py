@@ -21,7 +21,8 @@ class ParameterError(MassGraphError):
 
 
 class InputError(MassGraphError):
-    """A mass or weight is not a number > 1, or a label is not a string."""
+    """A mass or weight is not a number > 1, a prune threshold is not a
+    finite number, or a label is not a string."""
 
 
 class DiagonalError(InputError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DiagonalError, DuplicateEdgeError, InputError, NodeLookupError
-from .kernel import KernelParams, as_float
+from .kernel import KernelParams, as_float, as_int
 
 
 @dataclass(frozen=True)
@@ -39,24 +39,22 @@ class EdgeRecord:
 
 
 def above_one(value, what: str) -> float:
-    """``value`` as a float, if it is a finite int or float greater than 1.
+    """``value`` as a float, if :func:`as_float` takes it and it is greater than 1.
 
     Masses and weights obey this rule wherever they enter the model (the
     logarithmic kernel is undefined at or below 1).
     """
     v = as_float(value, what)
-    if not (math.isfinite(v) and v > 1):
+    if not v > 1:
         raise InputError(f"{what} must be > 1, got {value}")
     return v
 
 
 def node_id(value) -> int:
-    """``value`` as a node id, if it is an int and not a bool: 1.0 and True
-    hash like 1, so a dict lookup alone would accept them and a state
+    """``value`` as a node id, if it is an int >= 1 and not a bool: 1.0 and
+    True hash like 1, so a dict lookup alone would accept them and a state
     would store them as keys."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NodeLookupError(f"node ids are integers, got {value!r}")
-    return value
+    return as_int(value, "node id", NodeLookupError, 1)
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
@@ -177,11 +175,15 @@ def validate_state(state: GraphState) -> list[str]:
     """
     problems: list[str] = []
     inf = math.inf
-    if state.phase < 0:
-        problems.append(f"phase must be >= 0, got {state.phase}")
+    try:
+        as_int(state.phase, "phase", InputError, 0)
+    except InputError as err:
+        problems.append(str(err))
     for i, rec in sorted(state.nodes.items()):
-        if type(i) is not int:
-            problems.append(f"node key {i!r} is not an integer id")
+        try:
+            node_id(i)
+        except NodeLookupError as err:
+            problems.append(f"node key {i!r}: {err}")
         # a float in range, the common case, skips the conversion's calls
         if rec.alive and not (type(rec.mass) is float and 1 < rec.mass < inf):
             try:
@@ -190,8 +192,10 @@ def validate_state(state: GraphState) -> list[str]:
                 problems.append(str(err))
     for key, edge in sorted(state.edges.items()):
         a, b = key
-        if type(a) is not int or type(b) is not int:
-            problems.append(f"edge key {key!r} holds a non-integer id")
+        try:
+            node_id(a), node_id(b)
+        except NodeLookupError as err:
+            problems.append(f"edge key {key!r}: {err}")
         if a == b:
             problems.append(f"edge {key} sits on the diagonal")
             continue
@@ -207,8 +211,7 @@ def validate_state(state: GraphState) -> list[str]:
                 problems.append(f"edge {key} touches dead node {endpoint}")
         if not (type(edge.weight) is float and -inf < edge.weight < inf):
             try:
-                if not math.isfinite(as_float(edge.weight, f"weight of edge {key}")):
-                    problems.append(f"edge {key} has non-finite weight {edge.weight}")
+                as_float(edge.weight, f"weight of edge {key}")
             except InputError as err:
                 problems.append(str(err))
     return problems

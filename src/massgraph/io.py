@@ -13,11 +13,12 @@ Script documents (version 1) look like::
       ]
     }
 
-Parsing is strict: unknown fields are rejected so typos fail loudly, and
-the model's own rules (from graph and kernel) report the JSON path of the
-element that breaks them. Exports are canonical -- keys sorted, floats
-rendered as their shortest round-trip decimals -- so identical inputs
-always yield byte-identical files.
+Parsing is strict: unknown fields are rejected so typos fail loudly. The
+parser checks only the JSON's shape; every number rule (integer ids >= 1,
+finite numbers, masses and weights > 1) is the model's own, from graph and
+kernel, and reports the JSON path of the element that breaks it. Exports
+are canonical -- keys sorted, floats rendered as their shortest round-trip
+decimals -- so identical inputs always yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import NoReturn
 
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport
 from .errors import InputError, MassGraphError, ScriptError
-from .graph import GraphState, NodeRecord, above_one, edge_key, new_graph
-from .kernel import KernelParams
+from .graph import GraphState, NodeRecord, above_one, edge_key, new_graph, node_id
+from .kernel import KernelParams, as_float, as_int
 from .scenario import PhaseHistory, run_script
 
 SCRIPT_VERSION = 1
@@ -67,26 +68,6 @@ def _as_list(value, path: str) -> list:
     return value
 
 
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
-    try:
-        v = float(value)
-    except OverflowError:
-        _fail(path, "must be finite, got an integer too large for a float")
-    if not math.isfinite(v):
-        _fail(path, f"must be finite, got {value}")
-    return v
-
-
-def _as_int(value, path: str, *, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return value
-
-
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {type(value).__name__}")
@@ -103,13 +84,13 @@ def _as_triples(value, path: str) -> list[tuple[int, int, float]]:
         entry = _as_list(raw, entry_path)
         if len(entry) != 3:
             _fail(entry_path, f"expected [i, j, w], got {len(entry)} elements")
-        i = _as_int(entry[0], f"{entry_path}[0]", minimum=1)
-        j = _as_int(entry[1], f"{entry_path}[1]", minimum=1)
+        i = _at(f"{entry_path}[0]", node_id, entry[0])
+        j = _at(f"{entry_path}[1]", node_id, entry[1])
         key = _at(entry_path, edge_key, i, j)
         if key in seen:
             _fail(entry_path, f"duplicate edge for pair {key}")
         seen.add(key)
-        triples.append((*key, _as_number(entry[2], f"{entry_path}[2]")))
+        triples.append((*key, _at(f"{entry_path}[2]", above_one, entry[2], "initial weight")))
     return triples
 
 
@@ -135,8 +116,8 @@ def _parse_event(raw, path: str) -> Event:
     kind = raw.get("type")
     if kind == "add_edge":
         _as_object(raw, path, required=("type", "k", "l", "w"))
-        k = _as_int(raw["k"], f"{path}.k", minimum=1)
-        l = _as_int(raw["l"], f"{path}.l", minimum=1)
+        k = _at(f"{path}.k", node_id, raw["k"])
+        l = _at(f"{path}.l", node_id, raw["l"])
         _at(path, edge_key, k, l)
         w = _at(f"{path}.w", above_one, raw["w"], "edge weight")
         return AddEdge(k=k, l=l, initial_weight=w)
@@ -147,7 +128,8 @@ def _parse_event(raw, path: str) -> Event:
         return AddNode(initial_mass=mass, label=label)
     if kind == "prune":
         _as_object(raw, path, required=("type", "threshold"))
-        return Prune(threshold=_as_number(raw["threshold"], f"{path}.threshold"))
+        return Prune(threshold=_at(f"{path}.threshold", as_float, raw["threshold"],
+                                   "prune threshold"))
     _fail(f"{path}.type", f"unknown event type {kind!r}")
 
 
@@ -162,13 +144,13 @@ def parse_script(data: bytes) -> tuple[GraphState, list[Event], KernelParams]:
 
 def _script_values(doc) -> tuple[GraphState, list[Event], KernelParams]:
     root = _as_object(doc, "$", required=("version", "kernel", "initial", "events"))
-    version = _as_int(root["version"], "version")
+    version = _at("version", as_int, root["version"], "version")
     if version != SCRIPT_VERSION:
         _fail("version", f"unsupported script version {version}, expected {SCRIPT_VERSION}")
 
     kernel_obj = _as_object(root["kernel"], "kernel", required=("mu", "sigma"))
-    mu = _as_number(kernel_obj["mu"], "kernel.mu")
-    sigma = _as_number(kernel_obj["sigma"], "kernel.sigma")
+    mu = _at("kernel.mu", as_float, kernel_obj["mu"], "mu")
+    sigma = _at("kernel.sigma", as_float, kernel_obj["sigma"], "sigma")
     # with mu and sigma finite, only sigma's sign can still break KernelParams
     params = _at("kernel.sigma", KernelParams, mu, sigma)
 
@@ -177,10 +159,7 @@ def _script_values(doc) -> tuple[GraphState, list[Event], KernelParams]:
         _at(f"initial.masses[{idx}]", above_one, raw, "initial mass")
         for idx, raw in enumerate(_as_list(initial["masses"], "initial.masses"))
     ]
-    triples = [
-        (i, j, _at(f"initial.edges[{idx}][2]", above_one, w, "initial weight"))
-        for idx, (i, j, w) in enumerate(_as_triples(initial["edges"], "initial.edges"))
-    ]
+    triples = _as_triples(initial["edges"], "initial.edges")
     state = _at("initial.edges", new_graph, masses, triples, params)
 
     events = [

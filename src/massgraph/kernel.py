@@ -15,19 +15,33 @@ from .errors import InputError, KernelDomainError, ParameterError
 
 
 def as_float(value, what: str, error: type[Exception] = InputError) -> float:
-    """``value`` as a float, if it is an int or float that a float can
-    hold; ``what`` names the offending quantity in the ``error`` raised.
+    """``value`` as a float, if it is an int or float that a finite float
+    can hold; ``what`` names the offending quantity in the ``error`` raised.
 
-    This is the one conversion rule for numbers entering the model: a bare
-    ``math.isfinite`` on an integer too large for a float would raise
-    ``OverflowError`` instead, and a bool is not a number.
+    This is the one conversion rule for numbers entering the model: the
+    model defines no NaN or infinite value, and a bool is not a number.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        v = float(value)
     except OverflowError:
         raise error(f"{what} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(v):
+        raise error(f"{what} must be finite, got {value}")
+    return v
+
+
+def as_int(value, what: str, error: type[Exception] = InputError,
+           minimum: int | None = None) -> int:
+    """``value``, if it is an int (a bool is not one) and at least
+    ``minimum``; ``what`` names the offending quantity in the ``error``
+    raised. The one rule for ids, counts and seeds."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{what} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -42,13 +56,8 @@ class KernelParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        mu = as_float(self.mu, "mu", ParameterError)
-        sigma = as_float(self.sigma, "sigma", ParameterError)
-        if not (math.isfinite(mu) and math.isfinite(sigma)):
-            raise ParameterError(
-                f"kernel parameters must be finite, got mu={self.mu}, sigma={self.sigma}"
-            )
-        if self.sigma <= 0:
+        as_float(self.mu, "mu", ParameterError)
+        if as_float(self.sigma, "sigma", ParameterError) <= 0:
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
 
 
@@ -97,12 +106,9 @@ def validate_kernel_params(params: KernelParams, grid_lo: float, grid_hi: float,
     """
     lo = as_float(grid_lo, "grid lower bound", ParameterError)
     hi = as_float(grid_hi, "grid upper bound", ParameterError)
-    if not (1 < lo < hi < math.inf):
-        raise ParameterError(
-            f"grid bounds must be finite and satisfy 1 < lo < hi, got [{grid_lo}, {grid_hi}]"
-        )
-    if not isinstance(steps, int) or steps < 2:
-        raise ParameterError(f"grid needs an integer number >= 2 of samples, got {steps!r}")
+    if not 1 < lo < hi:
+        raise ParameterError(f"grid bounds must satisfy 1 < lo < hi, got [{grid_lo}, {grid_hi}]")
+    as_int(steps, "grid steps", ParameterError, 2)
     ratio = (hi / lo) ** (1.0 / (steps - 1))
     prev = None
     for i in range(steps):

@@ -8,16 +8,23 @@ produces the same history byte for byte.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport, apply_event, settle_phase_one
 from .errors import GenerationError, InputError, MassGraphError, ParameterError, SimulationError
 from .graph import GraphState, new_graph, validate_state
-from .kernel import KernelParams, as_float
+from .kernel import KernelParams, as_float, as_int
 
 _MAX_REDRAWS = 1000
+
+
+def _numbers(name: str, values, count: int) -> list[float]:
+    """``values`` as ``count`` floats, if it is a tuple or list of that many
+    numbers that :func:`as_float` takes."""
+    if not isinstance(values, (tuple, list)) or len(values) != count:
+        raise ParameterError(f"{name} needs {count} numbers, got {values!r}")
+    return [as_float(v, name, ParameterError) for v in values]
 
 
 @dataclass(frozen=True)
@@ -28,18 +35,12 @@ class KernelDraw:
     sigma_range: tuple[float, float]
 
     def __post_init__(self):
-        mu_lo, mu_hi = (as_float(v, "mu range", ParameterError) for v in self.mu_range)
-        sig_lo, sig_hi = (as_float(v, "sigma range", ParameterError) for v in self.sigma_range)
-        if not (math.isfinite(mu_lo) and math.isfinite(mu_hi) and mu_lo <= mu_hi):
-            raise ParameterError(f"mu range must be ordered and finite, got {self.mu_range}")
-        if not (0 < sig_lo <= sig_hi and math.isfinite(sig_hi)):
-            raise ParameterError(f"sigma range must satisfy 0 < lo <= hi, got {self.sigma_range}")
-
-
-def _check_range(name: str, rng: tuple[float, float]) -> None:
-    lo, hi = (as_float(v, name, ParameterError) for v in rng)
-    if not (math.isfinite(lo) and math.isfinite(hi) and 1 < lo <= hi):
-        raise ParameterError(f"{name} must satisfy 1 < lo <= hi, got {rng}")
+        mu_lo, mu_hi = _numbers("mu_range", self.mu_range, 2)
+        sig_lo, sig_hi = _numbers("sigma_range", self.sigma_range, 2)
+        if not mu_lo <= mu_hi:
+            raise ParameterError(f"mu_range must be ordered, got {self.mu_range}")
+        if not 0 < sig_lo <= sig_hi:
+            raise ParameterError(f"sigma_range must satisfy 0 < lo <= hi, got {self.sigma_range}")
 
 
 @dataclass(frozen=True)
@@ -63,26 +64,27 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # a seed of None would draw from OS entropy: a different scenario each call
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
-        for name in ("n_initial", "n_phases"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ParameterError(f"{name} must be an integer >= 0, got {value!r}")
-        _check_range("mass_range", self.mass_range)
-        _check_range("weight_range", self.weight_range)
+        as_int(self.seed, "seed", ParameterError)
+        as_int(self.n_initial, "n_initial", ParameterError, 0)
+        as_int(self.n_phases, "n_phases", ParameterError, 0)
+        for name in ("mass_range", "weight_range"):
+            values = getattr(self, name)
+            lo, hi = _numbers(name, values, 2)
+            if not 1 < lo <= hi:
+                raise ParameterError(f"{name} must satisfy 1 < lo <= hi, got {values}")
         if not 0 <= as_float(self.initial_edge_density, "initial_edge_density",
                              ParameterError) <= 1:
             raise ParameterError(
                 f"initial_edge_density must lie in [0, 1], got {self.initial_edge_density}"
             )
-        if len(self.event_mix) != 3 or not all(
-                as_float(p, "event_mix", ParameterError) >= 0 for p in self.event_mix):
+        mix = _numbers("event_mix", self.event_mix, 3)
+        if min(mix) < 0:
             raise ParameterError(f"event_mix needs three probabilities >= 0, got {self.event_mix}")
-        if abs(sum(self.event_mix) - 1.0) > 1e-12:
+        if abs(sum(mix) - 1.0) > 1e-12:
             raise ParameterError(f"event_mix must sum to 1, got {self.event_mix}")
-        if not math.isfinite(as_float(self.prune_threshold, "prune_threshold", ParameterError)):
-            raise ParameterError(f"prune_threshold must be finite, got {self.prune_threshold}")
+        as_float(self.prune_threshold, "prune_threshold", ParameterError)
+        if not isinstance(self.kernel, (KernelParams, KernelDraw)):
+            raise ParameterError(f"kernel must be KernelParams or KernelDraw, got {self.kernel!r}")
 
 
 @dataclass
@@ -231,8 +233,7 @@ class MetricsReport:
 def metrics(state: GraphState, k: int = 1) -> MetricsReport:
     """Mass and degree summary; the top-k share is 1 for graphs with at
     most k alive nodes (and for the empty graph, by convention)."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
+    as_int(k, "k", ParameterError, 1)
     alive = state.alive_ids()
     masses = [state.nodes[i].mass for i in alive]
     total = sum(masses)

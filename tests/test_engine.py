@@ -20,7 +20,6 @@ from massgraph import (
     InputError,
     KernelParams,
     NodeLookupError,
-    ParameterError,
     Prune,
     SequencingError,
     apply_edge_event,
@@ -249,7 +248,7 @@ class TestPrune:
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, settled, threshold):
         isolated = apply_node_event(settled, 3.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError):
             apply_prune(isolated, threshold)
         # nothing was deleted: the isolated node is still there to prune
         assert apply_prune(isolated, 0.0)[1].removed_nodes == (3,)

@@ -18,6 +18,7 @@ from massgraph import (
     NodeLookupError,
     NodeRecord,
     new_graph,
+    run_script,
     validate_state,
 )
 
@@ -139,6 +140,24 @@ class TestValidate:
     def test_non_integer_id_is_caught(self, nodes, edges):
         problems = validate_state(GraphState(phase=1, nodes=nodes, edges=edges))
         assert len(problems) == 1 and "integer" in problems[0]
+
+    def test_id_below_one_is_caught(self):
+        # ids start at 1: a hand-built state holding node 0 must not run,
+        # only to be refused when its script is exported
+        state = GraphState(phase=0, nodes={0: NodeRecord(2.0), 1: NodeRecord(2.0)},
+                           edges={(0, 1): EdgeRecord(2.0)})
+        problems = validate_state(state)
+        assert len(problems) == 2 and all(">= 1" in p for p in problems)
+        with pytest.raises(InputError):
+            run_script(state, [])
+
+    @pytest.mark.parametrize("phase", [-1, 0.0, True, None, "x"])
+    def test_phase_is_an_integer_from_zero(self, phase):
+        state = GraphState(phase=phase, nodes={1: NodeRecord(2.0)})
+        problems = validate_state(state)
+        assert len(problems) == 1 and problems[0].startswith("phase must be")
+        with pytest.raises(InputError):
+            run_script(state, [])
 
 @st.composite
 def graph_inputs(draw):

@@ -171,11 +171,30 @@ class TestParseScript:
          [{"type": "add_edge", "k": 2, "l": 2, "w": 2}], "events[0]"),
         ({"masses": [2, 2], "edges": []},
          [{"type": "add_node", "mass": 10**400}], "events[0].mass"),
+        # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads
+        ({"masses": [2, 2], "edges": [[1, 2, math.inf]]}, [], "initial.edges[0][2]"),
+        ({"masses": [2, 2], "edges": []},
+         [{"type": "add_edge", "k": 1, "l": 2, "w": -math.inf}], "events[0].w"),
+        ({"masses": [2, 2], "edges": []},
+         [{"type": "prune", "threshold": math.nan}], "events[0].threshold"),
+        ({"masses": [2, 2], "edges": []},
+         [{"type": "add_edge", "k": True, "l": 2, "w": 2}], "events[0].k"),
+        ({"masses": [2, 2], "edges": [[1.0, 2, 2]]}, [], "initial.edges[0][0]"),
     ])
     def test_model_rules_carry_their_path(self, initial, events, path):
         doc = {**MINIMAL, "initial": initial, "events": events}
         with pytest.raises(ScriptError) as excinfo:
             parse_script(doc_bytes(doc))
+        assert excinfo.value.path == path
+
+    @pytest.mark.parametrize("changes,path", [
+        ({"kernel": {"mu": math.nan, "sigma": 1}}, "kernel.mu"),
+        ({"kernel": {"mu": 0, "sigma": math.inf}}, "kernel.sigma"),
+        ({"version": 1.0}, "version"),
+    ])
+    def test_header_numbers_carry_their_path(self, changes, path):
+        with pytest.raises(ScriptError) as excinfo:
+            parse_script(doc_bytes({**MINIMAL, **changes}))
         assert excinfo.value.path == path
 
     def test_out_of_range_endpoint_names_the_pair(self):

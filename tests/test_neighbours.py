@@ -7,7 +7,6 @@ import copy
 from unittest.mock import patch
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from massgraph import (
     GraphState,
@@ -23,7 +22,7 @@ from massgraph import (
     settle_phase_one,
 )
 from massgraph import scenario
-from test_roundtrip import configs
+from test_roundtrip import biting, configs
 
 
 def holds_index(state) -> bool:
@@ -58,20 +57,6 @@ def test_runs_hand_on_an_exact_index_and_keep_none_behind(config):
     # a snapshot without an index builds one and gives the same successor
     for p, event in enumerate(events, start=1):
         assert apply_event(history.snapshots[p], event)[0] == history.snapshots[p + 1]
-
-
-# light masses and weights, so that most prunes remove edges and isolate nodes
-biting = st.builds(
-    ScenarioConfig,
-    seed=st.integers(min_value=0, max_value=2**32),
-    n_initial=st.integers(min_value=2, max_value=8),
-    mass_range=st.just((1.5, 4.0)),
-    weight_range=st.just((1.5, 4.0)),
-    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
-    n_phases=st.integers(min_value=2, max_value=30),
-    event_mix=st.just((0.5, 0.2, 0.3)),
-    prune_threshold=st.floats(min_value=3.0, max_value=7.0),
-)
 
 
 @settings(max_examples=60, deadline=None)

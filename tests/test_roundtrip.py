@@ -33,7 +33,22 @@ from massgraph import (
     state_digest,
 )
 
-configs = st.builds(
+# light masses and weights, so that most prunes remove edges and isolate nodes
+biting = st.builds(
+    ScenarioConfig,
+    seed=st.integers(min_value=0, max_value=2**32),
+    n_initial=st.integers(min_value=2, max_value=8),
+    mass_range=st.just((1.5, 4.0)),
+    weight_range=st.just((1.5, 4.0)),
+    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
+    n_phases=st.integers(min_value=2, max_value=30),
+    event_mix=st.just((0.5, 0.2, 0.3)),
+    prune_threshold=st.floats(min_value=3.0, max_value=7.0),
+)
+
+# the default ranges keep weights far above any threshold drawn here, so
+# without biting no prune would remove an edge
+configs = st.one_of(st.builds(
     ScenarioConfig,
     seed=st.integers(min_value=0, max_value=2**32),
     n_initial=st.integers(min_value=0, max_value=6),
@@ -44,7 +59,7 @@ configs = st.builds(
     prune_threshold=st.floats(min_value=-5.0, max_value=8.0),
     kernel=st.builds(KernelParams, mu=st.floats(min_value=-1.0, max_value=2.0),
                      sigma=st.floats(min_value=0.2, max_value=3.0)),
-)
+), biting)
 
 
 def assert_history_round_trips(initial, events, with_source=True):

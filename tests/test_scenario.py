@@ -119,6 +119,9 @@ class TestConfig:
         {"n_initial": True}, {"n_phases": True},
         # a seed must fix the scenario: None would draw from OS entropy
         {"seed": None}, {"seed": 1.5}, {"seed": "x"}, {"seed": True},
+        # ranges are two numbers and the mix three, not some other shape
+        {"mass_range": (2.0,)}, {"weight_range": (2, 3, 4)}, {"mass_range": 5},
+        {"event_mix": 5}, {"kernel": "x"},
     ])
     def test_numbers_the_model_does_not_define(self, changes):
         with pytest.raises(ParameterError):
@@ -127,6 +130,15 @@ class TestConfig:
     def test_kernel_draw_validation(self):
         with pytest.raises(ParameterError):
             KernelDraw(mu_range=(0, 1), sigma_range=(0.0, 1.0))
+
+    @pytest.mark.parametrize("ranges", [
+        {"mu_range": (1.0,), "sigma_range": (1.0, 2.0)},
+        {"mu_range": (0.0, 1.0), "sigma_range": 2.0},
+        {"mu_range": (0.0, math.nan), "sigma_range": (1.0, 2.0)},
+    ])
+    def test_kernel_draw_ranges_are_two_finite_numbers(self, ranges):
+        with pytest.raises(ParameterError):
+            KernelDraw(**ranges)
 
 
 HUGE = 10**400  # an int that no float can hold
