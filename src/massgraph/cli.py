@@ -42,13 +42,6 @@ def _floats(count: int, flag: str):
     return parse
 
 
-def _mix(text: str) -> tuple[float, float, float]:
-    values = _floats(3, "--mix")(text)
-    if abs(sum(values) - 1.0) > 1e-12:
-        raise argparse.ArgumentTypeError(f"--mix probabilities must sum to 1, got {text!r}")
-    return values
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="massgraph",
@@ -66,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", required=True, type=int, help="RNG seed; sole source of randomness")
     gen.add_argument("--nodes", required=True, type=int, help="initial node count")
     gen.add_argument("--phases", required=True, type=int, help="final phase index to reach")
-    gen.add_argument("--mix", type=_mix, default=(0.7, 0.25, 0.05),
+    gen.add_argument("--mix", type=_floats(3, "--mix"), default=(0.7, 0.25, 0.05),
                      help="add_edge,add_node,prune probabilities (default 0.7,0.25,0.05)")
     gen.add_argument("--density", type=float, default=0.25,
                      help="initial edge density in [0,1] (default 0.25)")

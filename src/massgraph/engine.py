@@ -1,25 +1,32 @@
 """Phase transitions: settlement, edge and node arrivals, threshold pruning.
 
-Each transition is a pure function from one :class:`GraphState` to the
-next; the phase counter advances by exactly one per applied event. All
-iteration orders are fixed (ascending ids / ascending endpoint pairs) so
-that identical inputs reproduce bit-identical states.
+Each transition first computes its :class:`PhaseDelta` from a state it only
+reads; every check runs there, before anything changes. One routine,
+:func:`fold`, applies a delta in place to a set of dicts and their neighbour
+index. The public transitions (:func:`apply_event` and the rest) are pure:
+they fold onto copies and leave the old state's fields as they were. A run
+owns one :func:`working_copy` of its phase-0 state and folds each event into
+it with :func:`advance`, so an event costs what it touches (its endpoints
+and their incident edges), not a copy of every node and edge. All iteration
+orders are fixed (ascending ids / ascending endpoint pairs) so that
+identical inputs reproduce bit-identical states.
 
 The neighbour index (:attr:`GraphState.neighbours`) is derived from a
-state's edges and never mutated. An edge event reads it to find the edges
-at its endpoints, so its cost follows their degrees, not the edge count.
-Every transition hands its successor an index: settlement, which keeps the
-edge set, hands on its predecessor's; the others a copy-on-write update (a
-new outer dict, new tuples only for the nodes that changed). Only a state no
-transition produced builds one, on first use. Every transition drops its
-predecessor's index, so of a chain of states only the newest holds one and
-kept snapshots do not grow.
+state's edges. An edge event reads it to find the edges at its endpoints,
+so its cost follows their degrees, not the edge count. Every pure
+transition hands its successor a copy-on-write update (a new outer dict,
+new tuples only for the nodes that changed) and drops its own, so of a
+chain of states only the newest holds one and kept snapshots do not grow.
+Only a state no transition produced builds one, on first use. A working
+state's index is its own, and :func:`advance` updates it in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import DuplicateEdgeError, InputError, NodeLookupError, SequencingError
 from .graph import EdgeRecord, GraphState, NodeRecord, above_one, edge_key, node_id
@@ -62,14 +69,83 @@ class PruneReport:
     removed_nodes: tuple[int, ...]
 
 
-def _successor(state: GraphState, phase: int, nodes: dict, edges: dict,
-               neighbours: dict) -> GraphState:
-    """The state after ``state``, holding ``neighbours`` as its index;
-    ``state`` drops its own."""
-    successor = GraphState(phase, nodes, edges, state.params)
+class PhaseDelta(NamedTuple):
+    """What one transition changes: the node records it changes or adds, the
+    edge records it changes or adds (the added pairs after the changed
+    ones), and, for a prune, the pairs it removes and its report."""
+
+    nodes: dict[int, NodeRecord]
+    edges: dict[tuple[int, int], EdgeRecord]
+    removed: tuple[tuple[int, int], ...] = ()
+    report: PruneReport | None = None
+
+
+def fold(delta: PhaseDelta, nodes: dict, edges: dict, neighbours: dict | None = None) -> None:
+    """Apply ``delta`` to ``nodes``, ``edges`` and, if given, their neighbour
+    index, in place. A changed record keeps its key's place, an added one
+    goes last, and a prune leaves ``edges`` in ascending pair order."""
+    if neighbours is not None:
+        for i in delta.nodes:
+            if i not in neighbours:
+                neighbours[i] = ()
+        for pair in reversed(delta.edges):  # the added pairs come last
+            if pair in edges:
+                break
+            a, b = pair
+            neighbours[a] += (b,)
+            neighbours[b] += (a,)
+    nodes.update(delta.nodes)
+    edges.update(delta.edges)
+    if delta.report is None:
+        return
+    for pair in delta.removed:
+        del edges[pair]
+    kept = sorted(edges.items(), key=itemgetter(0))
+    edges.clear()
+    edges.update(kept)
+    if neighbours is not None:
+        for i in {i for pair in delta.removed for i in pair}:
+            neighbours[i] = tuple(j for j in neighbours[i] if edge_key(i, j) in edges)
+
+
+def folded(state: GraphState, delta: PhaseDelta,
+           neighbours: dict | None = None) -> GraphState:
+    """``state``'s successor, with ``delta`` folded onto copies of the dicts
+    it changes; a dict it leaves alone (the edges, for a node event) is
+    shared. The successor holds ``neighbours`` as its index, folded too,
+    when given, and none otherwise; ``state`` drops its own."""
+    nodes = dict(state.nodes) if delta.nodes else state.nodes
+    changes_edges = delta.edges or delta.report is not None
+    edges = dict(state.edges) if changes_edges else state.edges
+    fold(delta, nodes, edges, neighbours)
+    successor = GraphState(state.phase + 1, nodes, edges, state.params)
     vars(state).pop("neighbours", None)
-    vars(successor)["neighbours"] = neighbours
+    if neighbours is not None:
+        vars(successor)["neighbours"] = neighbours
     return successor
+
+
+def working_copy(state: GraphState) -> GraphState:
+    """A copy of ``state`` that owns its dicts and its neighbour index, for
+    :func:`advance`; ``state`` drops its index."""
+    copy = GraphState(state.phase, dict(state.nodes), dict(state.edges), state.params)
+    vars(copy)["neighbours"] = dict(state.neighbours)
+    vars(state).pop("neighbours")
+    return copy
+
+
+def advance(state: GraphState, delta: PhaseDelta) -> None:
+    """Fold ``delta`` into ``state``'s own dicts and index and move its phase
+    on by one. ``state`` must be a :func:`working_copy`, which no other state
+    shares a dict with."""
+    fold(delta, state.nodes, state.edges, state.neighbours)
+    object.__setattr__(state, "phase", state.phase + 1)
+
+
+def _apply(state: GraphState, delta: PhaseDelta) -> GraphState:
+    """The pure step: ``state`` keeps its fields, and its successor holds a
+    copy-on-write update of its index."""
+    return folded(state, delta, dict(state.neighbours))
 
 
 def _new_edge(key: tuple[int, int], weight: float) -> EdgeRecord:
@@ -79,15 +155,8 @@ def _new_edge(key: tuple[int, int], weight: float) -> EdgeRecord:
     return EdgeRecord(weight)
 
 
-def settle_phase_one(state: GraphState) -> GraphState:
-    """Turn the raw phase-0 inputs into the settled phase-1 state.
-
-    Every node's mass grows by the summed reinforcement of its incident
-    initial weights (absent pairs contribute nothing); afterwards every
-    existing edge is re-weighted by ln of its endpoints' new mass sum.
-    Pairs without an initial edge stay unconnected. A weight that
-    overflows raises :class:`InputError`.
-    """
+def settle_delta(state: GraphState) -> PhaseDelta:
+    """The delta of :func:`settle_phase_one`."""
     if state.phase != 0:
         raise SequencingError(
             f"settlement applies to a phase-0 state, got phase {state.phase}"
@@ -99,16 +168,67 @@ def settle_phase_one(state: GraphState) -> GraphState:
         gain = reinforcement(edge.weight, state.params)
         gains[a] += gain
         gains[b] += gain
-    new_nodes: dict[int, NodeRecord] = {}
+    grown: dict[int, NodeRecord] = {}
     for i in sorted(state.nodes):
-        rec = state.nodes[i]
-        new_nodes[i] = NodeRecord(rec.mass + gains[i], rec.label, rec.alive) if gains[i] else rec
-    new_edges: dict[tuple[int, int], EdgeRecord] = {}
+        if gains[i]:
+            rec = state.nodes[i]
+            grown[i] = NodeRecord(rec.mass + gains[i], rec.label, rec.alive)
+    nodes = {**state.nodes, **grown}
+    lifted: dict[tuple[int, int], EdgeRecord] = {}
     for key, edge in edges:
         a, b = key
-        lifted = edge.weight + math.log(new_nodes[a].mass + new_nodes[b].mass)
-        new_edges[key] = _new_edge(key, lifted)
-    return _successor(state, 1, new_nodes, new_edges, state.neighbours)
+        lifted[key] = _new_edge(key, edge.weight + math.log(nodes[a].mass + nodes[b].mass))
+    return PhaseDelta(grown, lifted)
+
+
+def settle_phase_one(state: GraphState) -> GraphState:
+    """Turn the raw phase-0 inputs into the settled phase-1 state.
+
+    Every node's mass grows by the summed reinforcement of its incident
+    initial weights (absent pairs contribute nothing); afterwards every
+    existing edge is re-weighted by ln of its endpoints' new mass sum.
+    Pairs without an initial edge stay unconnected. A weight that
+    overflows raises :class:`InputError`.
+    """
+    return _apply(state, settle_delta(state))
+
+
+def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> PhaseDelta:
+    """The delta of :func:`apply_edge_event`: two node records and
+    deg(k) + deg(l) + 1 edge records."""
+    if state.phase < 1:
+        raise SequencingError(
+            f"edge events require a settled state (phase >= 1), got phase {state.phase}"
+        )
+    nodes = state.nodes
+    for i in (k, l):
+        rec = nodes.get(node_id(i))
+        if rec is None:
+            raise NodeLookupError(f"unknown node id {i}")
+        if not rec.alive:
+            raise NodeLookupError(f"node {i} has been deleted")
+    key = edge_key(k, l)
+    edges = state.edges
+    if key in edges:
+        raise DuplicateEdgeError(
+            f"nodes {k} and {l} are already connected; only one edge per pair"
+        )
+    w = above_one(initial_weight, "dynamic edge weight")
+
+    gain = reinforcement(w, state.params)
+    mass_k = nodes[k].mass + gain
+    mass_l = nodes[l].mass + gain
+    grown = {k: NodeRecord(mass_k, nodes[k].label), l: NodeRecord(mass_l, nodes[l].label)}
+
+    shift = math.log(gain)
+    shifted: dict[tuple[int, int], EdgeRecord] = {}
+    neighbours = state.neighbours
+    for i in (k, l):
+        for j in neighbours[i]:
+            pair = (i, j) if i < j else (j, i)
+            shifted[pair] = EdgeRecord(edges[pair].weight + shift)
+    shifted[key] = _new_edge(key, w + math.log(mass_k + mass_l))
+    return PhaseDelta(grown, shifted)
 
 
 def apply_edge_event(state: GraphState, k: int, l: int,
@@ -130,56 +250,44 @@ def apply_edge_event(state: GraphState, k: int, l: int,
     The pair must not currently be connected; a pair whose edge was pruned
     earlier may be reconnected.
     """
-    if state.phase < 1:
-        raise SequencingError(
-            f"edge events require a settled state (phase >= 1), got phase {state.phase}"
-        )
-    for i in (k, l):
-        rec = state.nodes.get(node_id(i))
-        if rec is None:
-            raise NodeLookupError(f"unknown node id {i}")
-        if not rec.alive:
-            raise NodeLookupError(f"node {i} has been deleted")
-    key = edge_key(k, l)
-    if key in state.edges:
-        raise DuplicateEdgeError(
-            f"nodes {k} and {l} are already connected; only one edge per pair"
-        )
-    w = above_one(initial_weight, "dynamic edge weight")
+    return _apply(state, edge_delta(state, k, l, initial_weight))
 
-    gain = reinforcement(w, state.params)
-    new_nodes = dict(state.nodes)
-    mass_k = state.nodes[k].mass + gain
-    mass_l = state.nodes[l].mass + gain
-    new_nodes[k] = NodeRecord(mass_k, state.nodes[k].label)
-    new_nodes[l] = NodeRecord(mass_l, state.nodes[l].label)
 
-    delta = math.log(gain)
-    edges = state.edges
-    new_edges = dict(edges)
-    neighbours = state.neighbours
-    for i in (k, l):
-        for j in neighbours[i]:
-            pair = (i, j) if i < j else (j, i)
-            new_edges[pair] = EdgeRecord(edges[pair].weight + delta)
-    new_edges[key] = _new_edge(key, w + math.log(mass_k + mass_l))
-    handed = dict(neighbours)
-    handed[k] = neighbours[k] + (l,)
-    handed[l] = neighbours[l] + (k,)
-    return _successor(state, state.phase + 1, new_nodes, new_edges, handed)
+def node_delta(state: GraphState, initial_mass: float,
+               label: str | None = None) -> PhaseDelta:
+    """The delta of :func:`apply_node_event`: one node record."""
+    m = above_one(initial_mass, "initial mass of a new node")
+    if label is not None and not isinstance(label, str):
+        raise InputError(f"node labels are strings, got {label!r}")
+    return PhaseDelta({state.next_id: NodeRecord(m, label)}, {})
 
 
 def apply_node_event(state: GraphState, initial_mass: float,
                      label: str | None = None) -> GraphState:
     """Add a fresh node with the next id; no existing mass or weight changes."""
-    m = above_one(initial_mass, "initial mass of a new node")
-    if label is not None and not isinstance(label, str):
-        raise InputError(f"node labels are strings, got {label!r}")
-    new_id = state.next_id
-    new_nodes = dict(state.nodes)
-    new_nodes[new_id] = NodeRecord(m, label)
-    return _successor(state, state.phase + 1, new_nodes, state.edges,
-                      {**state.neighbours, new_id: ()})
+    return _apply(state, node_delta(state, initial_mass, label))
+
+
+def prune_delta(state: GraphState, threshold: float) -> PhaseDelta:
+    """The delta of :func:`apply_prune`: the removed pairs, a dead record
+    per removed node, and the report."""
+    thr = as_float(threshold, "prune threshold")
+    removed_edges = sorted((key, edge.weight) for key, edge in state.edges.items()
+                           if edge.weight < thr)
+    lost: dict[int, int] = {}
+    for pair, _ in removed_edges:
+        for i in pair:
+            lost[i] = lost.get(i, 0) + 1
+    neighbours = state.neighbours
+    # the nodes that were isolated, and those that lose every edge
+    isolated = [i for i, ids in neighbours.items() if not ids]
+    isolated += [i for i, n in lost.items() if len(neighbours[i]) == n]
+    removed_nodes = tuple(sorted(i for i in isolated if state.nodes[i].alive))
+    dead = {i: NodeRecord(state.nodes[i].mass, state.nodes[i].label, alive=False)
+            for i in removed_nodes}
+    report = PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
+                         removed_nodes=removed_nodes)
+    return PhaseDelta(dead, {}, tuple(pair for pair, _ in removed_edges), report)
 
 
 def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneReport]:
@@ -190,33 +298,22 @@ def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneR
     never reappear and their masses stop counting toward totals. A
     threshold that is not a finite number raises :class:`InputError`.
     """
-    thr = as_float(threshold, "prune threshold")
-    removed_edges: list[tuple[tuple[int, int], float]] = []
-    kept: dict[tuple[int, int], EdgeRecord] = {}
-    for key in sorted(state.edges):
-        edge = state.edges[key]
-        if edge.weight < thr:
-            removed_edges.append((key, edge.weight))
-        else:
-            kept[key] = edge
-    handed = dict(state.neighbours)
-    for i in {i for key, _ in removed_edges for i in key}:
-        handed[i] = tuple(j for j in handed[i] if edge_key(i, j) in kept)
-    removed_nodes = tuple(i for i, rec in sorted(state.nodes.items()) if rec.alive and not handed[i])
-    new_nodes = dict(state.nodes)
-    for i in removed_nodes:
-        new_nodes[i] = NodeRecord(state.nodes[i].mass, state.nodes[i].label, alive=False)
-    report = PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
-                         removed_nodes=removed_nodes)
-    return _successor(state, state.phase + 1, new_nodes, kept, handed), report
+    delta = prune_delta(state, threshold)
+    return _apply(state, delta), delta.report
+
+
+def event_delta(state: GraphState, event: Event) -> PhaseDelta:
+    """Dispatch one event to its delta."""
+    if isinstance(event, AddEdge):
+        return edge_delta(state, event.k, event.l, event.initial_weight)
+    if isinstance(event, AddNode):
+        return node_delta(state, event.initial_mass, event.label)
+    if isinstance(event, Prune):
+        return prune_delta(state, event.threshold)
+    raise TypeError(f"not an event: {event!r}")
 
 
 def apply_event(state: GraphState, event: Event) -> tuple[GraphState, PruneReport | None]:
     """Dispatch one event to its transition; prunes also return their report."""
-    if isinstance(event, AddEdge):
-        return apply_edge_event(state, event.k, event.l, event.initial_weight), None
-    if isinstance(event, AddNode):
-        return apply_node_event(state, event.initial_mass, event.label), None
-    if isinstance(event, Prune):
-        return apply_prune(state, event.threshold)
-    raise TypeError(f"not an event: {event!r}")
+    delta = event_delta(state, event)
+    return _apply(state, delta), delta.report

@@ -6,9 +6,12 @@ label and liveness; per connected pair its weight; the phase; and the
 kernel parameters. Ids live only in the dict keys -- records never copy
 them -- and the next node id is derived, not stored.
 
-States are values: every transition in :mod:`massgraph.engine` builds a new
-state and never changes an old one's fields, so snapshots can be kept and
-compared across phases. Node ids are 1-based and permanent; deletion marks a
+States are values: every public transition in :mod:`massgraph.engine` builds
+a new state and never changes an old one's fields, so snapshots can be kept
+and compared across phases. The one state that changes is a run's working
+state: ``run_script`` and ``generate_scenario`` fold each event into a copy
+they own, which shares no dict with any other state and is handed out only
+when the run is over. Node ids are 1-based and permanent; deletion marks a
 node dead instead of renumbering, and ids are never reused.
 """
 
@@ -73,10 +76,11 @@ class GraphState:
     weight 0.
 
     :attr:`neighbours` is a cache derived from ``edges``, not part of the
-    value: it is never mutated and takes no part in equality. Every
-    transition in :mod:`massgraph.engine` hands its successor one and drops
-    its predecessor's, so in a chain of states only the newest holds one;
-    only a state no transition produced builds its own, on first use.
+    value: it takes no part in equality. Every transition in
+    :mod:`massgraph.engine` hands its successor one and drops its
+    predecessor's, so in a chain of states only the newest holds one; only a
+    state no transition produced builds its own, on first use. Only a run's
+    working state changes its index, in place, together with its edges.
     """
 
     phase: int

@@ -2,16 +2,31 @@
 
 A scenario is a phase-0 state plus an ordered event list. Replay is fully
 deterministic: the generator owns a single seeded RNG and consumes it in a
-fixed order, and every transition is pure, so the same config always
-produces the same history byte for byte.
+fixed order, and every transition computes the same delta from the same
+state, so the same config always produces the same history byte for byte.
+Both a run and the generator fold their events into one working state each
+(see :mod:`massgraph.engine`), so an event costs what it touches.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .engine import AddEdge, AddNode, Event, Prune, PruneReport, apply_event, settle_phase_one
+from .engine import (
+    AddEdge,
+    AddNode,
+    Event,
+    PhaseDelta,
+    Prune,
+    PruneReport,
+    advance,
+    event_delta,
+    folded,
+    settle_delta,
+    working_copy,
+)
 from .errors import GenerationError, InputError, MassGraphError, ParameterError, SimulationError
 from .graph import GraphState, new_graph, validate_state
 from .kernel import KernelParams, as_float, as_int
@@ -87,56 +102,83 @@ class ScenarioConfig:
             raise ParameterError(f"kernel must be KernelParams or KernelDraw, got {self.kernel!r}")
 
 
-@dataclass
 class PhaseHistory:
     """Ordered record of one run: snapshots, the events that made them,
     and every prune's report.
 
-    ``snapshots[i]`` is the state at phase i. ``source``, when set, must be
-    the script of ``snapshots[0]`` and ``events``; export checks it.
+    ``snapshots[i]`` is the state at phase i. A run keeps only the phase-0
+    state, one :class:`~massgraph.engine.PhaseDelta` per phase and its
+    working final state; ``snapshots`` is built on first read, by folding
+    the deltas onto copies in order, and is then a plain, writable list. A
+    snapshot shares each dict its delta leaves alone with its predecessor
+    (the edges, after a node event), and holds no neighbour index. Its last
+    entry is the final state itself.
+
+    ``final`` is the state at the last phase, the run's working state,
+    which nothing mutates after :func:`run_script` returns. Once
+    ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so what is
+    assigned there is what ``final`` returns. Reading only ``final`` never
+    builds the per-phase copies.
+
+    ``source``, when set, must be the script of ``snapshots[0]`` and
+    ``events``; export checks it.
     """
 
-    source: dict | None
-    snapshots: list[GraphState]
-    events: list[Event]
-    prune_reports: list[PruneReport]
+    def __init__(self, source: dict | None, initial: GraphState, deltas: list[PhaseDelta],
+                 final: GraphState, events: list[Event], prune_reports: list[PruneReport]):
+        self.source = source
+        self.events = events
+        self.prune_reports = prune_reports
+        self._initial = initial
+        self._deltas = deltas
+        self._final = final
+
+    @cached_property
+    def snapshots(self) -> list[GraphState]:
+        states = [self._initial]
+        deltas, self._deltas = self._deltas, []
+        for p in range(len(deltas) - 1):
+            states.append(folded(states[-1], deltas[p]))
+            deltas[p] = None  # released once folded
+        states.append(self._final)
+        return states
 
     @property
     def final(self) -> GraphState:
-        return self.snapshots[-1]
+        built = vars(self).get("snapshots")
+        return self._final if built is None else built[-1]
 
 
 def run_script(initial: GraphState, events: list[Event], *,
                source: dict | None = None) -> PhaseHistory:
     """Settle the initial state, then apply the events in order.
 
-    A snapshot is captured after every transition (phase 0 included). Any
-    transition failure aborts the run with the phase index and offending
-    event attached.
+    The events fold in place into one working copy of ``initial``; the
+    returned history keeps each phase's delta and builds the snapshots
+    (phase 0 included) only when they are read. Any transition failure
+    aborts the run with the phase index and offending event attached.
     """
     problems = validate_state(initial)
     if problems:
         raise InputError("invalid initial state: " + "; ".join(problems))
-    snapshots: list[GraphState] = [initial]
-    reports: list[PruneReport] = []
     try:
-        state = settle_phase_one(initial)
+        deltas = [settle_delta(initial)]
     except MassGraphError as err:
         raise SimulationError(f"settlement failed: {err}", phase=1) from err
-    snapshots.append(state)
+    state = working_copy(initial)
+    advance(state, deltas[0])
     for event in events:
         try:
-            state, report = apply_event(state, event)
+            delta = event_delta(state, event)
         except MassGraphError as err:
             raise SimulationError(
                 f"phase {state.phase + 1} event {event!r} failed: {err}",
                 phase=state.phase + 1, event=event,
             ) from err
-        snapshots.append(state)
-        if report is not None:
-            reports.append(report)
-    return PhaseHistory(source=source, snapshots=snapshots, events=list(events),
-                        prune_reports=reports)
+        advance(state, delta)
+        deltas.append(delta)
+    reports = [delta.report for delta in deltas if delta.report is not None]
+    return PhaseHistory(source, initial, deltas, state, list(events), reports)
 
 
 def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:
@@ -150,14 +192,14 @@ def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:
     return kinds[-1][1]
 
 
-def _free_pair(state: GraphState, r: int) -> tuple[int, int]:
-    """The r-th (from 0) unconnected alive pair in ascending (low, high)
-    order, found by counting each node's free later partners through the
-    neighbour index instead of listing every free pair."""
-    alive = state.alive_ids()
-    neighbours = state.neighbours
+def _free_pair(alive: list[int], later: dict[int, int], neighbours: dict,
+               r: int) -> tuple[int, int]:
+    """The r-th (from 0) unconnected pair of the ascending ``alive`` ids, in
+    ascending (low, high) order, found by counting each node's free later
+    partners -- ``later[a]`` is how many of a's neighbours lie above a --
+    instead of listing every free pair."""
     for idx, a in enumerate(alive):
-        free = len(alive) - idx - 1 - sum(b > a for b in neighbours[a])
+        free = len(alive) - idx - 1 - later[a]
         if r < free:
             linked = set(neighbours[a])
             return a, [b for b in alive[idx + 1:] if b not in linked][r]
@@ -190,17 +232,24 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
     initial = new_graph(masses, edges, params)
 
     events: list[Event] = []
-    state = settle_phase_one(initial)
+    state = working_copy(initial)
+    advance(state, settle_delta(initial))
+    # beside the working index: the alive ids, ascending, and each node's
+    # count of neighbours above it
+    alive = state.alive_ids()
+    later = dict.fromkeys(state.nodes, 0)
+    for a, _ in state.edges:
+        later[a] += 1
     for _ in range(max(0, config.n_phases - 1)):
         event: Event | None = None
         for _attempt in range(_MAX_REDRAWS):
             kind = _draw_kind(rng, config.event_mix)
             if kind == "add_edge":
-                n = len(state.alive_ids())
+                n = len(alive)
                 free = n * (n - 1) // 2 - len(state.edges)
                 if not free:
                     continue
-                k, l = _free_pair(state, rng.randrange(free))
+                k, l = _free_pair(alive, later, state.neighbours, rng.randrange(free))
                 event = AddEdge(k=k, l=l, initial_weight=rng.uniform(*config.weight_range))
             elif kind == "add_node":
                 event = AddNode(initial_mass=rng.uniform(*config.mass_range))
@@ -212,7 +261,19 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
                 f"phase {state.phase + 1}: no unconnected alive pair is available "
                 f"and the event mix offers no alternative"
             )
-        state, _ = apply_event(state, event)
+        delta = event_delta(state, event)
+        advance(state, delta)
+        if isinstance(event, AddEdge):
+            later[event.k] += 1  # _free_pair gives k < l
+        elif isinstance(event, AddNode):
+            (new_id,) = delta.nodes
+            alive.append(new_id)
+            later[new_id] = 0
+        else:
+            for a, _ in delta.removed:
+                later[a] -= 1
+            dead = set(delta.report.removed_nodes)
+            alive = [i for i in alive if i not in dead]
         events.append(event)
     return initial, events
 

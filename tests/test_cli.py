@@ -128,8 +128,11 @@ class TestGen:
         assert "error" in capsys.readouterr().err
 
     def test_mix_must_sum_to_one(self, tmp_path, capsys):
-        assert cli_main(["gen", "--seed", "1", "--nodes", "3", "--phases", "4",
-                         "--mix", "0.5,0.2,0.2"]) == 2
+        # ScenarioConfig holds the mix rule, so every undefined mix is a domain error
+        for mix in ("0.5,0.2,0.2", "1.5,-0.3,-0.2"):
+            assert cli_main(["gen", "--seed", "1", "--nodes", "3", "--phases", "4",
+                             "--mix", mix]) == 1
+            assert "event_mix" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
-"""The neighbour index: derived from the edges, never mutated, handed from
-each state to its successor, and dropped by the predecessor."""
+"""The neighbour index: derived from the edges, handed from each state to its
+successor and dropped by the predecessor; only a run's working state updates
+its own in place."""
 
 from __future__ import annotations
 
@@ -43,20 +44,29 @@ def assert_index_matches_edges(state):
 @given(configs)
 def test_runs_hand_on_an_exact_index_and_keep_none_behind(config):
     initial, events = generate_scenario(config)
-    real = scenario.apply_event
+    real = scenario.advance
+    folded_phases = []
 
-    def checked(state, event):
-        if holds_index(state):  # the index the previous transition handed on
-            assert_index_matches_edges(state)
-        return real(state, event)
+    def checked(state, delta):
+        real(state, delta)
+        assert holds_index(state)  # the working index, after every phase
+        assert_index_matches_edges(state)
+        folded_phases.append(state.phase)
 
-    with patch.object(scenario, "apply_event", checked):
+    with patch.object(scenario, "advance", checked):
         history = run_script(initial, events)
+    assert folded_phases == list(range(1, len(events) + 2))
     assert_index_matches_edges(history.final)
+    final = history.final
+    assert history.snapshots[-1] is final
+    assert history.final is final
     assert not any(holds_index(s) for s in history.snapshots[:-1])
     # a snapshot without an index builds one and gives the same successor
     for p, event in enumerate(events, start=1):
         assert apply_event(history.snapshots[p], event)[0] == history.snapshots[p + 1]
+    replacement = copy.copy(final)
+    history.snapshots[-1] = replacement
+    assert history.final is replacement
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,7 +112,9 @@ def test_a_run_builds_the_index_once():
         return build(state)
 
     with patch.object(GraphState.neighbours, "func", counted):
-        run_script(initial, events)
+        history = run_script(initial, events)
+        assert_index_matches_edges(history.final)  # the working index
+        assert len(history.snapshots) == len(events) + 2  # built without one
     assert built == [0]
 
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
+import random
 import sys
+from collections import Counter
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
 
 from massgraph import (
     AddEdge,
@@ -22,15 +28,19 @@ from massgraph import (
     ScenarioConfig,
     SimulationError,
     apply_event,
+    canonical_json_bytes,
     generate_scenario,
     metrics,
     new_graph,
     reinforcement,
     run_script,
+    script_document,
     state_digest,
     validate_kernel_params,
     validate_state,
 )
+from massgraph import engine, scenario
+from test_roundtrip import configs
 
 TRACE_EVENTS = [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)]
 BIG = sys.float_info.max
@@ -99,6 +109,52 @@ class TestRunScript:
             run_script(new_graph([2, 2], []), [event])
         assert excinfo.value.phase == 2
         assert excinfo.value.event == event
+
+    def test_an_event_builds_only_the_records_it_touches(self):
+        config = ScenarioConfig(seed=3, n_initial=10, n_phases=80,
+                                event_mix=(0.6, 0.2, 0.2), prune_threshold=20.0)
+        initial, events = generate_scenario(config)
+        built = Counter()
+
+        def counted(record):
+            def build(*args, **kwargs):
+                built[record] += 1
+                return record(*args, **kwargs)
+            return build
+
+        def no_copy(*args):
+            raise AssertionError("a run copied its state")
+
+        real = scenario.advance
+        steps = []  # after each fold: records built so far, and the dicts folded into
+
+        def step(state, delta):
+            real(state, delta)
+            steps.append((built[EdgeRecord], built[NodeRecord], state.nodes, state.edges))
+
+        with patch.object(engine, "EdgeRecord", counted(EdgeRecord)), \
+                patch.object(engine, "NodeRecord", counted(NodeRecord)), \
+                patch.object(engine, "folded", no_copy), \
+                patch.object(scenario, "folded", no_copy), \
+                patch.object(scenario, "advance", step):
+            history = run_script(initial, events)
+            final = history.final
+        assert all(nodes is final.nodes and edges is final.edges
+                   for _, _, nodes, edges in steps)
+        kinds = Counter(type(event) for event in events)
+        assert kinds[AddEdge] > 20 and kinds[AddNode] > 5 and kinds[Prune] > 5
+        for p, event in enumerate(events, start=1):
+            before = history.snapshots[p]
+            edge_records = steps[p][0] - steps[p - 1][0]
+            node_records = steps[p][1] - steps[p - 1][1]
+            if isinstance(event, AddEdge):
+                degrees = sum(event.k in pair or event.l in pair for pair in before.edges)
+                assert (edge_records, node_records) == (degrees + 1, 2)
+            elif isinstance(event, AddNode):
+                assert (edge_records, node_records) == (0, 1)
+            else:
+                dead = len(before.alive_ids()) - len(history.snapshots[p + 1].alive_ids())
+                assert (edge_records, node_records) == (0, dead)
 
 
 class TestConfig:
@@ -239,6 +295,31 @@ class TestGeneration:
                 assert not state.has_edge(ev.k, ev.l)
             state, _ = apply_event(state, ev)
 
+    def test_scripts_are_unchanged_and_pick_the_listed_free_pair(self):
+        # the configs benchmarks/workloads.py builds for sweep and archive
+        def sweep(seed):
+            rng = random.Random(seed)
+            return [ScenarioConfig(seed=rng.randrange(2**31), n_initial=30, n_phases=phases,
+                                   event_mix=(0.6, 0.2, 0.2), prune_threshold=20.0,
+                                   initial_edge_density=0.2,
+                                   kernel=KernelDraw(mu_range=(-1.0, 1.0),
+                                                     sigma_range=(0.5, 2.0)))
+                    for phases in (100, 141, 200, 283, 400) for _ in range(6)]
+
+        def archive(seed):
+            rng = random.Random(seed)
+            return [ScenarioConfig(seed=rng.randrange(2**31), n_initial=12, n_phases=phases,
+                                   event_mix=(0.7, 0.25, 0.05), prune_threshold=3.0,
+                                   initial_edge_density=0.1)
+                    for phases in (40, 57, 80, 113, 160) for _ in range(3)]
+
+        configs = [c for seed in (1, 2) for c in sweep(seed) + archive(seed)]
+        # what the generator wrote before it kept its own neighbour counts
+        written = "4923a7fcbac99baa639cb1b3ba8a06cc66e8e8a76a1d01a41abc82c20ec30b9f"
+        assert scripts_digest(configs) == written
+        with patch.object(scenario, "_free_pair", listed_free_pair):
+            assert scripts_digest(configs) == written
+
     def test_drawn_kernel_is_deterministic_and_in_range(self):
         config = ScenarioConfig(
             seed=7, n_initial=3, n_phases=4, event_mix=(0.5, 0.5, 0.0),
@@ -264,6 +345,26 @@ class TestGeneration:
                                     initial_edge_density=0.0, n_phases=phases)
             _, events = generate_scenario(config)
             assert events == []
+
+
+def scripts_digest(configs) -> str:
+    digest = hashlib.sha256()
+    for config in configs:
+        digest.update(canonical_json_bytes(script_document(*generate_scenario(config))))
+    return digest.hexdigest()
+
+
+def listed_free_pair(alive, later, neighbours, r):
+    """``scenario._free_pair`` by brute force: list every unconnected alive pair."""
+    return [(a, b) for a, b in itertools.combinations(alive, 2) if b not in neighbours[a]][r]
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs)
+def test_generation_picks_the_listed_free_pair(config):
+    digest = scripts_digest([config])
+    with patch.object(scenario, "_free_pair", listed_free_pair):
+        assert scripts_digest([config]) == digest
 
 
 class TestMetrics:
