@@ -35,10 +35,7 @@ from .engine import (
     Event,
     Prune,
     PruneReport,
-    apply_edge_event,
     apply_event,
-    apply_node_event,
-    apply_prune,
     settle_phase_one,
 )
 from .scenario import (
@@ -89,10 +86,7 @@ __all__ = [
     "ScriptError",
     "SequencingError",
     "SimulationError",
-    "apply_edge_event",
     "apply_event",
-    "apply_node_event",
-    "apply_prune",
     "canonical_json_bytes",
     "cli_main",
     "edge_key",

@@ -1,24 +1,23 @@
 """Phase transitions: settlement, edge and node arrivals, threshold pruning.
 
 Each transition first computes its :class:`PhaseDelta` from a state it only
-reads; every check runs there, before anything changes. One routine,
-:func:`fold`, applies a delta in place to a set of dicts and their neighbour
-index. The public transitions (:func:`apply_event` and the rest) are pure:
-they fold onto copies and leave the old state's fields as they were. A run
-owns one :func:`working_copy` of its phase-0 state and folds each event into
-it with :func:`advance`, so an event costs what it touches (its endpoints
-and their incident edges), not a copy of every node and edge. All iteration
-orders are fixed (ascending ids / ascending endpoint pairs) so that
-identical inputs reproduce bit-identical states.
+reads (:func:`settle_delta`, :func:`edge_delta`, :func:`node_delta`,
+:func:`prune_delta`); every check runs there, before anything changes, and
+the model's rules are documented there. A run owns one :func:`working_copy`
+of its phase-0 state and folds each delta into it with :func:`advance`, so
+an event costs what it touches (its endpoints and their incident edges),
+not a copy of every node and edge. The pure API, :func:`settle_phase_one`
+and :func:`apply_event`, takes the same two steps on a fresh working copy
+and leaves the old state's fields as they were. All iteration orders are
+fixed (ascending ids / ascending endpoint pairs) so that identical inputs
+reproduce bit-identical states.
 
 The neighbour index (:attr:`GraphState.neighbours`) is derived from a
-state's edges. An edge event reads it to find the edges at its endpoints,
-so its cost follows their degrees, not the edge count. Every pure
-transition hands its successor a copy-on-write update (a new outer dict,
-new tuples only for the nodes that changed) and drops its own, so of a
-chain of states only the newest holds one and kept snapshots do not grow.
-Only a state no transition produced builds one, on first use. A working
-state's index is its own, and :func:`advance` updates it in place.
+state's edges; an edge event reads it to find the edges at its endpoints,
+so its cost follows their degrees, not the edge count. One rule keeps it:
+:func:`working_copy` takes the index over from its predecessor, which drops
+it, and :func:`advance` updates it. A state no transition produced builds
+its own, on first use.
 """
 
 from __future__ import annotations
@@ -72,11 +71,10 @@ class PruneReport:
 class PhaseDelta(NamedTuple):
     """What one transition changes: the node records it changes or adds, the
     edge records it changes or adds (the added pairs after the changed
-    ones), and, for a prune, the pairs it removes and its report."""
+    ones), and, for a prune, its report, whose edges it removes."""
 
     nodes: dict[int, NodeRecord]
     edges: dict[tuple[int, int], EdgeRecord]
-    removed: tuple[tuple[int, int], ...] = ()
     report: PruneReport | None = None
 
 
@@ -98,36 +96,33 @@ def fold(delta: PhaseDelta, nodes: dict, edges: dict, neighbours: dict | None = 
     edges.update(delta.edges)
     if delta.report is None:
         return
-    for pair in delta.removed:
+    removed = [pair for pair, _ in delta.report.removed_edges]
+    for pair in removed:
         del edges[pair]
     kept = sorted(edges.items(), key=itemgetter(0))
     edges.clear()
     edges.update(kept)
     if neighbours is not None:
-        for i in {i for pair in delta.removed for i in pair}:
+        for i in {i for pair in removed for i in pair}:
             neighbours[i] = tuple(j for j in neighbours[i] if edge_key(i, j) in edges)
 
 
-def folded(state: GraphState, delta: PhaseDelta,
-           neighbours: dict | None = None) -> GraphState:
+def folded(state: GraphState, delta: PhaseDelta) -> GraphState:
     """``state``'s successor, with ``delta`` folded onto copies of the dicts
     it changes; a dict it leaves alone (the edges, for a node event) is
-    shared. The successor holds ``neighbours`` as its index, folded too,
-    when given, and none otherwise; ``state`` drops its own."""
+    shared. The successor holds no neighbour index."""
     nodes = dict(state.nodes) if delta.nodes else state.nodes
     changes_edges = delta.edges or delta.report is not None
     edges = dict(state.edges) if changes_edges else state.edges
-    fold(delta, nodes, edges, neighbours)
-    successor = GraphState(state.phase + 1, nodes, edges, state.params)
-    vars(state).pop("neighbours", None)
-    if neighbours is not None:
-        vars(successor)["neighbours"] = neighbours
-    return successor
+    fold(delta, nodes, edges)
+    return GraphState(state.phase + 1, nodes, edges, state.params)
 
 
 def working_copy(state: GraphState) -> GraphState:
-    """A copy of ``state`` that owns its dicts and its neighbour index, for
-    :func:`advance`; ``state`` drops its index."""
+    """A copy of ``state`` that owns its dicts and takes its neighbour index
+    over, for :func:`advance`; ``state`` drops its index. The index's
+    tuples are shared, so a copy of ``state`` made earlier keeps a correct
+    one."""
     copy = GraphState(state.phase, dict(state.nodes), dict(state.edges), state.params)
     vars(copy)["neighbours"] = dict(state.neighbours)
     vars(state).pop("neighbours")
@@ -137,15 +132,9 @@ def working_copy(state: GraphState) -> GraphState:
 def advance(state: GraphState, delta: PhaseDelta) -> None:
     """Fold ``delta`` into ``state``'s own dicts and index and move its phase
     on by one. ``state`` must be a :func:`working_copy`, which no other state
-    shares a dict with."""
+    shares a dict with; an index entry that changes gets a new tuple."""
     fold(delta, state.nodes, state.edges, state.neighbours)
     object.__setattr__(state, "phase", state.phase + 1)
-
-
-def _apply(state: GraphState, delta: PhaseDelta) -> GraphState:
-    """The pure step: ``state`` keeps its fields, and its successor holds a
-    copy-on-write update of its index."""
-    return folded(state, delta, dict(state.neighbours))
 
 
 def _new_edge(key: tuple[int, int], weight: float) -> EdgeRecord:
@@ -156,7 +145,14 @@ def _new_edge(key: tuple[int, int], weight: float) -> EdgeRecord:
 
 
 def settle_delta(state: GraphState) -> PhaseDelta:
-    """The delta of :func:`settle_phase_one`."""
+    """Settlement: turn the raw phase-0 inputs into the settled phase-1 state.
+
+    Every node's mass grows by the summed reinforcement of its incident
+    initial weights (absent pairs contribute nothing); afterwards every
+    existing edge is re-weighted by ln of its endpoints' new mass sum.
+    Pairs without an initial edge stay unconnected. A weight that
+    overflows raises :class:`InputError`.
+    """
     if state.phase != 0:
         raise SequencingError(
             f"settlement applies to a phase-0 state, got phase {state.phase}"
@@ -182,20 +178,34 @@ def settle_delta(state: GraphState) -> PhaseDelta:
 
 
 def settle_phase_one(state: GraphState) -> GraphState:
-    """Turn the raw phase-0 inputs into the settled phase-1 state.
-
-    Every node's mass grows by the summed reinforcement of its incident
-    initial weights (absent pairs contribute nothing); afterwards every
-    existing edge is re-weighted by ln of its endpoints' new mass sum.
-    Pairs without an initial edge stay unconnected. A weight that
-    overflows raises :class:`InputError`.
-    """
-    return _apply(state, settle_delta(state))
+    """The settled phase-1 state (see :func:`settle_delta`); ``state``
+    keeps its fields."""
+    delta = settle_delta(state)
+    successor = working_copy(state)
+    advance(successor, delta)
+    return successor
 
 
 def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> PhaseDelta:
-    """The delta of :func:`apply_edge_event`: two node records and
-    deg(k) + deg(l) + 1 edge records."""
+    """A dynamic edge input, in this fixed order.
+
+    1. Both endpoint masses grow by the reinforcement of the initial
+       weight; every other mass is untouched.
+    2. The new edge's weight is the initial weight plus ln of the
+       endpoints' *new* mass sum; if that overflows, InputError.
+    3. Every pre-existing edge incident to either endpoint gains
+       ln(mass increase) -- which is negative whenever the increase is
+       below 1, so incident weights can shrink. Edges between other
+       nodes are untouched. Each shift is independent of the others, so
+       the visiting order does not matter; the edges are found through
+       the neighbour index, never by scanning all edges.
+    4. The phase advances by one.
+
+    Both endpoints must be alive nodes. The pair must not currently be
+    connected; a pair whose edge was pruned earlier may be reconnected.
+    The delta holds two node records and
+    deg(k) + deg(l) + 1 edge records.
+    """
     if state.phase < 1:
         raise SequencingError(
             f"edge events require a settled state (phase >= 1), got phase {state.phase}"
@@ -231,46 +241,25 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
     return PhaseDelta(grown, shifted)
 
 
-def apply_edge_event(state: GraphState, k: int, l: int,
-                     initial_weight: float) -> GraphState:
-    """Apply one dynamic edge input, in this fixed order.
-
-    1. Both endpoint masses grow by the reinforcement of the initial
-       weight; every other mass is untouched.
-    2. The new edge's weight is the initial weight plus ln of the
-       endpoints' *new* mass sum; if that overflows, InputError.
-    3. Every pre-existing edge incident to either endpoint gains
-       ln(mass increase) -- which is negative whenever the increase is
-       below 1, so incident weights can shrink. Edges between other
-       nodes are untouched. Each shift is independent of the others, so
-       the visiting order does not matter; the edges are found through
-       the neighbour index, never by scanning all edges.
-    4. The phase advances by one.
-
-    The pair must not currently be connected; a pair whose edge was pruned
-    earlier may be reconnected.
-    """
-    return _apply(state, edge_delta(state, k, l, initial_weight))
-
-
 def node_delta(state: GraphState, initial_mass: float,
                label: str | None = None) -> PhaseDelta:
-    """The delta of :func:`apply_node_event`: one node record."""
+    """A static expansion: a fresh node with the next id; no existing mass
+    or weight changes. The delta holds one node record."""
     m = above_one(initial_mass, "initial mass of a new node")
     if label is not None and not isinstance(label, str):
         raise InputError(f"node labels are strings, got {label!r}")
     return PhaseDelta({state.next_id: NodeRecord(m, label)}, {})
 
 
-def apply_node_event(state: GraphState, initial_mass: float,
-                     label: str | None = None) -> GraphState:
-    """Add a fresh node with the next id; no existing mass or weight changes."""
-    return _apply(state, node_delta(state, initial_mass, label))
-
-
 def prune_delta(state: GraphState, threshold: float) -> PhaseDelta:
-    """The delta of :func:`apply_prune`: the removed pairs, a dead record
-    per removed node, and the report."""
+    """Forgetting: remove every edge weighing less than the threshold, then
+    every isolated alive node (including nodes that were already isolated).
+
+    Deleted nodes keep their id and last mass but are marked dead; they
+    never reappear and their masses stop counting toward totals. A
+    threshold that is not a finite number raises :class:`InputError`. The
+    delta holds a dead record per removed node and the report.
+    """
     thr = as_float(threshold, "prune threshold")
     removed_edges = sorted((key, edge.weight) for key, edge in state.edges.items()
                            if edge.weight < thr)
@@ -287,19 +276,7 @@ def prune_delta(state: GraphState, threshold: float) -> PhaseDelta:
             for i in removed_nodes}
     report = PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
                          removed_nodes=removed_nodes)
-    return PhaseDelta(dead, {}, tuple(pair for pair, _ in removed_edges), report)
-
-
-def apply_prune(state: GraphState, threshold: float) -> tuple[GraphState, PruneReport]:
-    """Remove every edge weighing less than the threshold, then every
-    isolated alive node (including nodes that were already isolated).
-
-    Deleted nodes keep their id and last mass but are marked dead; they
-    never reappear and their masses stop counting toward totals. A
-    threshold that is not a finite number raises :class:`InputError`.
-    """
-    delta = prune_delta(state, threshold)
-    return _apply(state, delta), delta.report
+    return PhaseDelta(dead, {}, report)
 
 
 def event_delta(state: GraphState, event: Event) -> PhaseDelta:
@@ -314,6 +291,9 @@ def event_delta(state: GraphState, event: Event) -> PhaseDelta:
 
 
 def apply_event(state: GraphState, event: Event) -> tuple[GraphState, PruneReport | None]:
-    """Dispatch one event to its transition; prunes also return their report."""
+    """The state after one event, and a prune's report; ``state`` keeps its
+    fields."""
     delta = event_delta(state, event)
-    return _apply(state, delta), delta.report
+    successor = working_copy(state)
+    advance(successor, delta)
+    return successor, delta.report

@@ -6,13 +6,14 @@ label and liveness; per connected pair its weight; the phase; and the
 kernel parameters. Ids live only in the dict keys -- records never copy
 them -- and the next node id is derived, not stored.
 
-States are values: every public transition in :mod:`massgraph.engine` builds
-a new state and never changes an old one's fields, so snapshots can be kept
-and compared across phases. The one state that changes is a run's working
-state: ``run_script`` and ``generate_scenario`` fold each event into a copy
-they own, which shares no dict with any other state and is handed out only
-when the run is over. Node ids are 1-based and permanent; deletion marks a
-node dead instead of renumbering, and ids are never reused.
+States are values: every transition in :mod:`massgraph.engine` folds its
+change into a working copy of its predecessor and never changes an old
+state's fields, so snapshots can be kept and compared across phases. The one
+state that changes is a run's working state: ``run_script`` and
+``generate_scenario`` fold each event into one copy they own, which shares
+no dict with any other state and is handed out only when the run is over.
+Node ids are 1-based and permanent; deletion marks a node dead instead of
+renumbering, and ids are never reused.
 """
 
 from __future__ import annotations
@@ -76,11 +77,12 @@ class GraphState:
     weight 0.
 
     :attr:`neighbours` is a cache derived from ``edges``, not part of the
-    value: it takes no part in equality. Every transition in
-    :mod:`massgraph.engine` hands its successor one and drops its
-    predecessor's, so in a chain of states only the newest holds one; only a
-    state no transition produced builds its own, on first use. Only a run's
-    working state changes its index, in place, together with its edges.
+    value: it takes no part in equality. One rule keeps it:
+    :func:`~massgraph.engine.working_copy` takes it over from the state it
+    copies, which drops it, and :func:`~massgraph.engine.advance` updates it
+    in place together with the edges. So in a chain of states only the
+    newest holds one, and only a state no transition produced builds its
+    own, on first use.
     """
 
     phase: int

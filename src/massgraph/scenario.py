@@ -11,6 +11,7 @@ Both a run and the generator fold their events into one working state each
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -149,7 +150,7 @@ class PhaseHistory:
         return self._final if built is None else built[-1]
 
 
-def run_script(initial: GraphState, events: list[Event], *,
+def run_script(initial: GraphState, events: Iterable[Event], *,
                source: dict | None = None) -> PhaseHistory:
     """Settle the initial state, then apply the events in order.
 
@@ -158,6 +159,7 @@ def run_script(initial: GraphState, events: list[Event], *,
     (phase 0 included) only when they are read. Any transition failure
     aborts the run with the phase index and offending event attached.
     """
+    events = list(events)  # an iterator is read once, here
     problems = validate_state(initial)
     if problems:
         raise InputError("invalid initial state: " + "; ".join(problems))
@@ -178,7 +180,7 @@ def run_script(initial: GraphState, events: list[Event], *,
         advance(state, delta)
         deltas.append(delta)
     reports = [delta.report for delta in deltas if delta.report is not None]
-    return PhaseHistory(source, initial, deltas, state, list(events), reports)
+    return PhaseHistory(source, initial, deltas, state, events, reports)
 
 
 def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:
@@ -270,7 +272,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
             alive.append(new_id)
             later[new_id] = 0
         else:
-            for a, _ in delta.removed:
+            for (a, _), _ in delta.report.removed_edges:
                 later[a] -= 1
             dead = set(delta.report.removed_nodes)
             alive = [i for i in alive if i not in dead]

@@ -24,7 +24,6 @@ from massgraph import (
     Prune,
     ScenarioConfig,
     apply_event,
-    apply_prune,
     cli_main,
     export_dot,
     export_history_json,
@@ -166,7 +165,7 @@ def test_criterion_3_invariants_over_long_run():
             lost = sum(prev.mass(i) for i in prune_report.removed_nodes)
             assert state.total_mass() == pytest.approx(
                 prev.total_mass() - lost, abs=1e-9)
-            _, again = apply_prune(state, event.threshold)
+            _, again = apply_event(state, Prune(event.threshold))
             assert again.removed_edges == ()
             assert again.removed_nodes == ()
 

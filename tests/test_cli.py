@@ -214,3 +214,15 @@ def test_module_entry_point_runs_without_warnings():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_every_public_name_resolves_and_star_imports():
+    import massgraph
+
+    assert len(set(massgraph.__all__)) == len(massgraph.__all__)
+    namespace: dict = {}
+    exec("from massgraph import *", namespace)  # an unbound name raises here
+    assert set(namespace) - {"__builtins__"} == set(massgraph.__all__)
+    for name in massgraph.__all__:
+        assert namespace[name] is getattr(massgraph, name)
+    assert namespace["cli_main"] is cli_main  # bound through the lazy __getattr__

@@ -22,10 +22,7 @@ from massgraph import (
     NodeLookupError,
     Prune,
     SequencingError,
-    apply_edge_event,
     apply_event,
-    apply_node_event,
-    apply_prune,
     new_graph,
     reinforcement,
     settle_phase_one,
@@ -89,8 +86,8 @@ class TestSettle:
 
 class TestEdgeEvent:
     def test_worked_trace(self, settled):
-        state = apply_node_event(settled, 3.0)
-        state = apply_edge_event(state, 1, 3, 2.0)
+        state = apply_event(settled, AddNode(3.0))[0]
+        state = apply_event(state, AddEdge(1, 3, 2.0))[0]
         assert state.phase == 3
         assert state.mass(1) == pytest.approx(M1_AFTER_EDGE, abs=TOL)
         assert state.mass(2) == pytest.approx(M_SETTLED, abs=TOL)  # untouched
@@ -102,54 +99,54 @@ class TestEdgeEvent:
 
     def test_isolated_pair(self):
         state = settle_phase_one(new_graph([5, 7], []))
-        state = apply_edge_event(state, 1, 2, math.e)
+        state = apply_event(state, AddEdge(1, 2, math.e))[0]
         assert state.mass(1) == pytest.approx(5 + F_AT_E, abs=TOL)
         assert state.mass(2) == pytest.approx(7 + F_AT_E, abs=TOL)
         assert state.weight(1, 2) == pytest.approx(W_ISOLATED_PAIR, abs=TOL)
 
     def test_duplicate_edge_rejected(self, settled):
         with pytest.raises(DuplicateEdgeError):
-            apply_edge_event(settled, 1, 2, 5.0)
+            apply_event(settled, AddEdge(1, 2, 5.0))[0]
         with pytest.raises(DuplicateEdgeError):
-            apply_edge_event(settled, 2, 1, 5.0)
+            apply_event(settled, AddEdge(2, 1, 5.0))[0]
 
     def test_reconnecting_a_pruned_pair_is_allowed(self, settled):
-        bare, _ = apply_prune(settled, sys.float_info.max)
+        bare, _ = apply_event(settled, Prune(sys.float_info.max))
         # both endpoints died with the edge; rebuild from a fresh trace instead
-        state = apply_node_event(settled, 3.0)
-        state = apply_edge_event(state, 1, 3, 2.0)
-        state, _ = apply_prune(state, 3.6)   # drops (1,2)
+        state = apply_event(settled, AddNode(3.0))[0]
+        state = apply_event(state, AddEdge(1, 3, 2.0))[0]
+        state, _ = apply_event(state, Prune(3.6))  # drops (1,2)
         assert not state.has_edge(1, 2)
         assert state.alive(1) and not state.alive(2)
-        state = apply_node_event(state, 2.5)  # node 4
-        reconnected = apply_edge_event(state, 1, 4, 2.0)
+        state = apply_event(state, AddNode(2.5))[0]  # node 4
+        reconnected = apply_event(state, AddEdge(1, 4, 2.0))[0]
         assert reconnected.has_edge(1, 4)
         assert bare.alive_ids() == []
 
     def test_endpoint_errors(self, settled):
         with pytest.raises(NodeLookupError):
-            apply_edge_event(settled, 1, 9, 2.0)
+            apply_event(settled, AddEdge(1, 9, 2.0))[0]
         with pytest.raises(DiagonalError):
-            apply_edge_event(settled, 1, 1, 2.0)
+            apply_event(settled, AddEdge(1, 1, 2.0))[0]
         with pytest.raises(InputError):
-            apply_edge_event(settle_phase_one(new_graph([5, 7], [])), 1, 2, 1.0)
+            apply_event(settle_phase_one(new_graph([5, 7], [])), AddEdge(1, 2, 1.0))[0]
 
     def test_dead_endpoint_rejected(self, settled):
-        state = apply_node_event(settled, 3.0)
-        state = apply_edge_event(state, 1, 3, 2.0)
-        state, _ = apply_prune(state, 3.6)   # node 2 dies
+        state = apply_event(settled, AddNode(3.0))[0]
+        state = apply_event(state, AddEdge(1, 3, 2.0))[0]
+        state, _ = apply_event(state, Prune(3.6))  # node 2 dies
         with pytest.raises(NodeLookupError):
-            apply_edge_event(state, 2, 3, 2.0)
+            apply_event(state, AddEdge(2, 3, 2.0))[0]
 
     def test_requires_settled_state(self, phase0):
         with pytest.raises(SequencingError):
-            apply_edge_event(phase0, 1, 2, 2.0)
+            apply_event(phase0, AddEdge(1, 2, 2.0))[0]
 
     def test_locality(self):
         state = settle_phase_one(
             new_graph([2, 2, 3, 4, 5], [(1, 2, 2), (3, 4, 7), (4, 5, 9)]))
         before = state
-        after = apply_edge_event(state, 1, 5, 3.0)
+        after = apply_event(state, AddEdge(1, 5, 3.0))[0]
         # nodes 2, 3, 4 and the (3,4) edge are bit-identical
         for i in (2, 3, 4):
             assert after.nodes[i] is before.nodes[i]
@@ -160,14 +157,14 @@ class TestEdgeEvent:
         assert after.weight(4, 5) == before.weight(4, 5) + delta
 
     def test_new_edge_lower_bound(self, settled):
-        state = apply_node_event(settled, 3.0)
-        state = apply_edge_event(state, 1, 3, 2.0)
+        state = apply_event(settled, AddNode(3.0))[0]
+        state = apply_event(state, AddEdge(1, 3, 2.0))[0]
         assert state.weight(1, 3) > 2.0 + math.log(2)
 
 
 class TestNodeEvent:
     def test_static_expansion(self, settled):
-        state = apply_node_event(settled, 3.0, label="a proposition")
+        state = apply_event(settled, AddNode(3.0, label="a proposition"))[0]
         assert state.phase == 2
         assert state.node_ids() == [1, 2, 3]
         assert state.mass(3) == 3.0
@@ -178,19 +175,19 @@ class TestNodeEvent:
 
     def test_mass_must_exceed_one(self, settled):
         with pytest.raises(InputError):
-            apply_node_event(settled, 1.0)
+            apply_event(settled, AddNode(1.0))[0]
 
     def test_on_empty_graph(self):
         state = settle_phase_one(new_graph([], []))
-        state = apply_node_event(state, 2.5)
+        state = apply_event(state, AddNode(2.5))[0]
         assert state.node_ids() == [1]
         assert state.mass(1) == 2.5
 
     def test_ids_never_reused(self, settled):
-        state = apply_node_event(settled, 3.0)
-        state = apply_edge_event(state, 1, 3, 2.0)
-        state, _ = apply_prune(state, 3.6)          # kills node 2
-        state = apply_node_event(state, 4.0)
+        state = apply_event(settled, AddNode(3.0))[0]
+        state = apply_event(state, AddEdge(1, 3, 2.0))[0]
+        state, _ = apply_event(state, Prune(3.6))  # kills node 2
+        state = apply_event(state, AddNode(4.0))[0]
         assert state.node_ids() == [1, 2, 3, 4]     # id 2 still present, dead
         assert not state.alive(2)
         assert state.next_id == 5
@@ -199,11 +196,11 @@ class TestNodeEvent:
 class TestPrune:
     @pytest.fixture
     def traced(self, settled):
-        state = apply_node_event(settled, 3.0)
-        return apply_edge_event(state, 1, 3, 2.0)
+        state = apply_event(settled, AddNode(3.0))[0]
+        return apply_event(state, AddEdge(1, 3, 2.0))[0]
 
     def test_worked_trace(self, traced):
-        state, report = apply_prune(traced, 3.6)
+        state, report = apply_event(traced, Prune(3.6))
         assert state.phase == 4
         assert not state.has_edge(1, 2)
         assert state.has_edge(1, 3)
@@ -217,23 +214,23 @@ class TestPrune:
         assert last_weight == pytest.approx(W12_AFTER_EDGE, abs=TOL)
 
     def test_zero_threshold_removes_only_isolated(self, settled):
-        state = apply_node_event(settled, 3.0)       # node 3 isolated
-        pruned, report = apply_prune(state, 0.0)
+        state = apply_event(settled, AddNode(3.0))[0]  # node 3 isolated
+        pruned, report = apply_event(state, Prune(0.0))
         assert report.removed_edges == ()
         assert report.removed_nodes == (3,)
         assert pruned.alive_ids() == [1, 2]
 
     def test_infinite_threshold_clears_everything(self, traced):
         # inf itself is rejected at the boundary; the largest finite float acts alike
-        state, report = apply_prune(traced, sys.float_info.max)
+        state, report = apply_event(traced, Prune(sys.float_info.max))
         assert state.edges == {}
         assert state.alive_ids() == []
         assert len(report.removed_edges) == 2
         assert report.removed_nodes == (1, 2, 3)
 
     def test_idempotent(self, traced):
-        once, _ = apply_prune(traced, 3.6)
-        twice, report = apply_prune(once, 3.6)
+        once, _ = apply_event(traced, Prune(3.6))
+        twice, report = apply_event(once, Prune(3.6))
         assert report.removed_edges == ()
         assert report.removed_nodes == ()
         assert twice.edges == once.edges
@@ -241,38 +238,38 @@ class TestPrune:
         assert twice.phase == once.phase + 1
 
     def test_allowed_at_any_phase(self, phase0):
-        state, report = apply_prune(phase0, 0.0)
+        state, report = apply_event(phase0, Prune(0.0))
         assert state.phase == 1
         assert report.removed_nodes == ()
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, settled, threshold):
-        isolated = apply_node_event(settled, 3.0)
+        isolated = apply_event(settled, AddNode(3.0))[0]
         with pytest.raises(InputError):
-            apply_prune(isolated, threshold)
+            apply_event(isolated, Prune(threshold))
         # nothing was deleted: the isolated node is still there to prune
-        assert apply_prune(isolated, 0.0)[1].removed_nodes == (3,)
+        assert apply_event(isolated, Prune(0.0))[1].removed_nodes == (3,)
 
     def test_non_numeric_threshold_rejected(self, settled):
         with pytest.raises(InputError):
-            apply_prune(settled, "x")
+            apply_event(settled, Prune("x"))
 
 
 class TestBoundary:
     @pytest.mark.parametrize("bad_id", [1.0, True])
     def test_edge_ids_must_be_int(self, settled, bad_id):
-        state = apply_node_event(settled, 3.0)
+        state = apply_event(settled, AddNode(3.0))[0]
         with pytest.raises(NodeLookupError):
-            apply_edge_event(state, bad_id, 3, 2.0)
+            apply_event(state, AddEdge(bad_id, 3, 2.0))[0]
         with pytest.raises(NodeLookupError):
-            apply_edge_event(state, 3, bad_id, 2.0)
+            apply_event(state, AddEdge(3, bad_id, 2.0))[0]
 
     @pytest.mark.parametrize("bad", ["x", None, [2.0]])
     def test_non_numeric_mass_and_weight_rejected(self, settled, bad):
         with pytest.raises(InputError):
-            apply_node_event(settled, bad)
+            apply_event(settled, AddNode(bad))[0]
         with pytest.raises(InputError):
-            apply_edge_event(apply_node_event(settled, 3.0), 1, 3, bad)
+            apply_event(apply_event(settled, AddNode(3.0))[0], AddEdge(1, 3, bad))[0]
         with pytest.raises(InputError):
             new_graph([2, bad], [])
         with pytest.raises(InputError):
@@ -281,7 +278,7 @@ class TestBoundary:
     @pytest.mark.parametrize("label", [5, 3.0, b"x"])
     def test_label_must_be_text(self, settled, label):
         with pytest.raises(InputError):
-            apply_node_event(settled, 3.0, label=label)
+            apply_event(settled, AddNode(3.0, label=label))[0]
 
     def test_integer_too_large_for_a_float_rejected(self, settled):
         huge = 10**400
@@ -290,9 +287,9 @@ class TestBoundary:
         with pytest.raises(InputError):
             new_graph([2, 2], [(1, 2, huge)])
         with pytest.raises(InputError):
-            apply_node_event(settled, huge)
+            apply_event(settled, AddNode(huge))[0]
         with pytest.raises(InputError):
-            apply_prune(settled, huge)
+            apply_event(settled, Prune(huge))
 
 
 class TestOverflow:
@@ -308,7 +305,7 @@ class TestOverflow:
     def test_edge_event(self):
         settled = settle_phase_one(new_graph([self.BIG / 2, self.BIG * 0.75], []))
         with pytest.raises(InputError, match=r"edge \(1, 2\)"):
-            apply_edge_event(settled, 1, 2, 2.0)
+            apply_event(settled, AddEdge(1, 2, 2.0))[0]
 
 
 class TestDispatch:

@@ -24,7 +24,7 @@ from massgraph import (
     Prune,
     ScenarioConfig,
     ScriptError,
-    apply_node_event,
+    apply_event,
     canonical_json_bytes,
     export_dot,
     export_history_json,
@@ -277,6 +277,15 @@ class TestHistoryExport:
             assert final.edges[key].weight == edge.weight
         assert export_history_json(loaded) == exported
 
+    def test_a_run_of_an_event_iterator_round_trips(self):
+        state, _, _ = parse_script(doc_bytes(MINIMAL))
+        events = [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)]
+        history = run_script(state, iter(events))
+        assert history.events == events
+        exported = export_history_json(history)
+        assert exported == export_history_json(run_script(state, events))
+        assert load_history(exported).events == events
+
     def test_load_rejects_misnumbered_phases(self):
         state, events, _ = parse_script(doc_bytes(MINIMAL))
         exported = export_history_json(run_script(state, events))
@@ -362,6 +371,6 @@ class TestDotExport:
 
     def test_labels_are_escaped(self):
         state = settle_phase_one(new_graph([2], []))
-        state = apply_node_event(state, 2.5, label='say "hi" \\ bye')
+        state = apply_event(state, AddNode(2.5, label='say "hi" \\ bye'))[0]
         dot = export_dot(state).decode()
         assert 'label="say \\"hi\\" \\\\ bye"' in dot

@@ -10,13 +10,12 @@ from unittest.mock import patch
 from hypothesis import given, settings
 
 from massgraph import (
+    AddEdge,
+    AddNode,
     GraphState,
     Prune,
     ScenarioConfig,
-    apply_edge_event,
     apply_event,
-    apply_node_event,
-    apply_prune,
     generate_scenario,
     new_graph,
     run_script,
@@ -85,14 +84,14 @@ def test_edge_and_node_events_hand_on_the_index():
     state = settle_phase_one(new_graph([2, 2, 3], [(1, 2, 2)]))
     assert holds_index(state)
     assert_index_matches_edges(state)
-    state = apply_edge_event(state, 1, 3, 2.0)
+    state = apply_event(state, AddEdge(1, 3, 2.0))[0]
     assert holds_index(state)
     assert_index_matches_edges(state)
-    state = apply_node_event(state, 4.0)
+    state = apply_event(state, AddNode(4.0))[0]
     assert holds_index(state)
     assert state.neighbours == {1: (2, 3), 2: (1,), 3: (1,), 4: ()}
     # edge (1, 2) weighs 3.50 and (1, 3) 4.00: the prune isolates nodes 2 and 4
-    state, report = apply_prune(state, 3.75)
+    state, report = apply_event(state, Prune(3.75))
     assert [key for key, _ in report.removed_edges] == [(1, 2)]
     assert report.removed_nodes == (2, 4)
     assert holds_index(state)
@@ -122,7 +121,7 @@ def test_a_copy_keeps_a_correct_index_after_the_original_advances():
     state = settle_phase_one(new_graph([2, 2, 3], [(1, 2, 2)]))
     assert state.neighbours == {1: (2,), 2: (1,), 3: ()}
     twin = copy.copy(state)
-    apply_edge_event(state, 1, 3, 2.0)
+    apply_event(state, AddEdge(1, 3, 2.0))[0]
     assert not holds_index(state)
     assert twin.neighbours == {1: (2,), 2: (1,), 3: ()}
-    assert apply_edge_event(twin, 2, 3, 2.0).neighbours == {1: (2,), 2: (1, 3), 3: (2,)}
+    assert apply_event(twin, AddEdge(2, 3, 2.0))[0].neighbours == {1: (2,), 2: (1, 3), 3: (2,)}
