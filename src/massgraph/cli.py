@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a seeded random script")
     gen.add_argument("--seed", required=True, type=int, help="RNG seed; sole source of randomness")
     gen.add_argument("--nodes", required=True, type=int, help="initial node count")
-    gen.add_argument("--phases", required=True, type=int, help="final phase index to reach")
+    gen.add_argument("--phases", required=True, type=int, help="final phase index to reach (>= 1)")
     gen.add_argument("--mix", type=_floats(3, "--mix"), default=(0.7, 0.25, 0.05),
                      help="add_edge,add_node,prune probabilities (default 0.7,0.25,0.05)")
     gen.add_argument("--density", type=float, default=0.25,

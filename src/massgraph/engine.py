@@ -12,12 +12,17 @@ and leaves the old state's fields as they were. All iteration orders are
 fixed (ascending ids / ascending endpoint pairs) so that identical inputs
 reproduce bit-identical states.
 
+An edge event's delta keeps the rule, not its result: the two grown node
+records, the new edge's record and ``shift = ln(gain)``, which :func:`fold`
+adds to every edge at the two endpoints. So a kept delta costs O(1) per
+edge event, whatever the endpoints' degrees.
+
 The neighbour index (:attr:`GraphState.neighbours`) is derived from a
-state's edges; an edge event reads it to find the edges at its endpoints,
-so its cost follows their degrees, not the edge count. One rule keeps it:
-:func:`working_copy` takes the index over from its predecessor, which drops
-it, and :func:`advance` updates it. A state no transition produced builds
-its own, on first use.
+state's edges; :func:`fold` reads it to find the edges at an edge event's
+endpoints, so the event's cost follows their degrees, not the edge count.
+One rule keeps it: :func:`working_copy` takes the index over from its
+predecessor, which drops it, and :func:`advance` updates it. A state no
+transition produced builds its own, on first use.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DuplicateEdgeError, InputError, NodeLookupError, SequencingError
-from .graph import EdgeRecord, GraphState, NodeRecord, above_one, edge_key, node_id
+from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, node_id,
+                    node_label)
 from .kernel import as_float, reinforcement
 
 
@@ -70,30 +76,42 @@ class PruneReport:
 
 class PhaseDelta(NamedTuple):
     """What one transition changes: the node records it changes or adds, the
-    edge records it changes or adds (the added pairs after the changed
-    ones), and, for a prune, its report, whose edges it removes."""
+    edge records it changes or adds, and, for a prune, its report, whose
+    edges it removes.
+
+    An edge event's delta holds its one new edge record and ``shift``,
+    ln(gain): the endpoints are that edge's key, and :func:`fold` adds
+    ``shift`` to the weight of every edge at them that existed before.
+    ``shift`` is None for every other transition."""
 
     nodes: dict[int, NodeRecord]
     edges: dict[tuple[int, int], EdgeRecord]
     report: PruneReport | None = None
+    shift: float | None = None
 
 
-def fold(delta: PhaseDelta, nodes: dict, edges: dict, neighbours: dict | None = None) -> None:
-    """Apply ``delta`` to ``nodes``, ``edges`` and, if given, their neighbour
-    index, in place. A changed record keeps its key's place, an added one
-    goes last, and a prune leaves ``edges`` in ascending pair order."""
-    if neighbours is not None:
-        for i in delta.nodes:
-            if i not in neighbours:
-                neighbours[i] = ()
-        for pair in reversed(delta.edges):  # the added pairs come last
-            if pair in edges:
-                break
-            a, b = pair
-            neighbours[a] += (b,)
-            neighbours[b] += (a,)
+def fold(delta: PhaseDelta, nodes: dict, edges: dict, neighbours: dict) -> None:
+    """Apply ``delta`` to ``nodes``, ``edges`` and their neighbour index, in
+    place. A changed record keeps its key's place, an added one goes last,
+    and a prune leaves ``edges`` in ascending pair order.
+
+    An edge event's shift reaches the edges at its endpoints through the
+    index, before the new pair joins it, so the new edge is not shifted."""
+    for i in delta.nodes:
+        if i not in neighbours:
+            neighbours[i] = ()
     nodes.update(delta.nodes)
     edges.update(delta.edges)
+    shift = delta.shift
+    if shift is not None:
+        (pair,) = delta.edges
+        for i in pair:
+            for j in neighbours[i]:
+                key = (i, j) if i < j else (j, i)
+                edges[key] = EdgeRecord(edges[key].weight + shift)
+        a, b = pair
+        neighbours[a] += (b,)
+        neighbours[b] += (a,)
     if delta.report is None:
         return
     removed = [pair for pair, _ in delta.report.removed_edges]
@@ -102,19 +120,19 @@ def fold(delta: PhaseDelta, nodes: dict, edges: dict, neighbours: dict | None = 
     kept = sorted(edges.items(), key=itemgetter(0))
     edges.clear()
     edges.update(kept)
-    if neighbours is not None:
-        for i in {i for pair in removed for i in pair}:
-            neighbours[i] = tuple(j for j in neighbours[i] if edge_key(i, j) in edges)
+    for i in {i for pair in removed for i in pair}:
+        neighbours[i] = tuple(j for j in neighbours[i] if edge_key(i, j) in edges)
 
 
-def folded(state: GraphState, delta: PhaseDelta) -> GraphState:
+def folded(state: GraphState, delta: PhaseDelta, neighbours: dict) -> GraphState:
     """``state``'s successor, with ``delta`` folded onto copies of the dicts
     it changes; a dict it leaves alone (the edges, for a node event) is
-    shared. The successor holds no neighbour index."""
+    shared. ``neighbours`` is ``state``'s index, which the fold updates in
+    place; the successor holds no index."""
     nodes = dict(state.nodes) if delta.nodes else state.nodes
     changes_edges = delta.edges or delta.report is not None
     edges = dict(state.edges) if changes_edges else state.edges
-    fold(delta, nodes, edges)
+    fold(delta, nodes, edges, neighbours)
     return GraphState(state.phase + 1, nodes, edges, state.params)
 
 
@@ -197,14 +215,14 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
        ln(mass increase) -- which is negative whenever the increase is
        below 1, so incident weights can shrink. Edges between other
        nodes are untouched. Each shift is independent of the others, so
-       the visiting order does not matter; the edges are found through
-       the neighbour index, never by scanning all edges.
+       the visiting order does not matter; :func:`fold` finds the edges
+       through the neighbour index, never by scanning all edges.
     4. The phase advances by one.
 
     Both endpoints must be alive nodes. The pair must not currently be
     connected; a pair whose edge was pruned earlier may be reconnected.
-    The delta holds two node records and
-    deg(k) + deg(l) + 1 edge records.
+    The delta holds two node records, the new edge's record and the shift
+    of step 3, whatever deg(k) + deg(l) is; it reads no neighbour index.
     """
     if state.phase < 1:
         raise SequencingError(
@@ -218,8 +236,7 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
         if not rec.alive:
             raise NodeLookupError(f"node {i} has been deleted")
     key = edge_key(k, l)
-    edges = state.edges
-    if key in edges:
+    if key in state.edges:
         raise DuplicateEdgeError(
             f"nodes {k} and {l} are already connected; only one edge per pair"
         )
@@ -229,16 +246,9 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
     mass_k = nodes[k].mass + gain
     mass_l = nodes[l].mass + gain
     grown = {k: NodeRecord(mass_k, nodes[k].label), l: NodeRecord(mass_l, nodes[l].label)}
-
     shift = math.log(gain)
-    shifted: dict[tuple[int, int], EdgeRecord] = {}
-    neighbours = state.neighbours
-    for i in (k, l):
-        for j in neighbours[i]:
-            pair = (i, j) if i < j else (j, i)
-            shifted[pair] = EdgeRecord(edges[pair].weight + shift)
-    shifted[key] = _new_edge(key, w + math.log(mass_k + mass_l))
-    return PhaseDelta(grown, shifted)
+    added = {key: _new_edge(key, w + math.log(mass_k + mass_l))}
+    return PhaseDelta(grown, added, shift=shift)
 
 
 def node_delta(state: GraphState, initial_mass: float,
@@ -246,9 +256,7 @@ def node_delta(state: GraphState, initial_mass: float,
     """A static expansion: a fresh node with the next id; no existing mass
     or weight changes. The delta holds one node record."""
     m = above_one(initial_mass, "initial mass of a new node")
-    if label is not None and not isinstance(label, str):
-        raise InputError(f"node labels are strings, got {label!r}")
-    return PhaseDelta({state.next_id: NodeRecord(m, label)}, {})
+    return PhaseDelta({state.next_id: NodeRecord(m, node_label(label))}, {})
 
 
 def prune_delta(state: GraphState, threshold: float) -> PhaseDelta:

@@ -61,6 +61,13 @@ def node_id(value) -> int:
     return as_int(value, "node id", NodeLookupError, 1)
 
 
+def node_label(value) -> str | None:
+    """``value`` as a node label, if it is None or a string."""
+    if value is not None and not isinstance(value, str):
+        raise InputError(f"node labels are strings, got {value!r}")
+    return value
+
+
 def edge_key(i: int, j: int) -> tuple[int, int]:
     """Canonical dictionary key for the unordered pair {i, j}."""
     if i == j:
@@ -190,6 +197,11 @@ def validate_state(state: GraphState) -> list[str]:
             node_id(i)
         except NodeLookupError as err:
             problems.append(f"node key {i!r}: {err}")
+        if rec.label is not None:
+            try:
+                node_label(rec.label)
+            except InputError as err:
+                problems.append(f"node {i}: {err}")
         # a float in range, the common case, skips the conversion's calls
         if rec.alive and not (type(rec.mass) is float and 1 < rec.mass < inf):
             try:

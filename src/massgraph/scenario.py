@@ -64,8 +64,9 @@ class ScenarioConfig:
     """Everything a seeded random scenario needs.
 
     ``event_mix`` gives (add_edge, add_node, prune) probabilities summing
-    to 1; ``n_phases`` is the final phase index the run should reach, so
-    the generator emits n_phases - 1 events (settlement owns phase 1).
+    to 1; ``n_phases`` is the final phase index the run should reach, at
+    least 1, so the generator emits n_phases - 1 events (settlement owns
+    phase 1).
     """
 
     seed: int
@@ -82,7 +83,7 @@ class ScenarioConfig:
         # a seed of None would draw from OS entropy: a different scenario each call
         as_int(self.seed, "seed", ParameterError)
         as_int(self.n_initial, "n_initial", ParameterError, 0)
-        as_int(self.n_phases, "n_phases", ParameterError, 0)
+        as_int(self.n_phases, "n_phases", ParameterError, 1)  # a run reaches phase 1
         for name in ("mass_range", "weight_range"):
             values = getattr(self, name)
             lo, hi = _numbers(name, values, 2)
@@ -108,12 +109,15 @@ class PhaseHistory:
     and every prune's report.
 
     ``snapshots[i]`` is the state at phase i. A run keeps only the phase-0
-    state, one :class:`~massgraph.engine.PhaseDelta` per phase and its
-    working final state; ``snapshots`` is built on first read, by folding
-    the deltas onto copies in order, and is then a plain, writable list. A
-    snapshot shares each dict its delta leaves alone with its predecessor
-    (the edges, after a node event), and holds no neighbour index. Its last
-    entry is the final state itself.
+    state and its neighbour index, one
+    :class:`~massgraph.engine.PhaseDelta` per phase and its working final
+    state; an edge event's delta holds one edge record and its shift, not
+    the records the shift changes. ``snapshots`` is built on first read, by
+    folding the deltas onto copies in order, with the kept index standing
+    in for each state's; it rebuilds the shifted records and no index, and
+    is then a plain, writable list. A snapshot shares each dict its delta
+    leaves alone with its predecessor (the edges, after a node event), and
+    holds no neighbour index. Its last entry is the final state itself.
 
     ``final`` is the state at the last phase, the run's working state,
     which nothing mutates after :func:`run_script` returns. Once
@@ -125,12 +129,14 @@ class PhaseHistory:
     ``events``; export checks it.
     """
 
-    def __init__(self, source: dict | None, initial: GraphState, deltas: list[PhaseDelta],
-                 final: GraphState, events: list[Event], prune_reports: list[PruneReport]):
+    def __init__(self, source: dict | None, initial: GraphState, neighbours: dict,
+                 deltas: list[PhaseDelta], final: GraphState, events: list[Event],
+                 prune_reports: list[PruneReport]):
         self.source = source
         self.events = events
         self.prune_reports = prune_reports
         self._initial = initial
+        self._neighbours = neighbours
         self._deltas = deltas
         self._final = final
 
@@ -138,8 +144,9 @@ class PhaseHistory:
     def snapshots(self) -> list[GraphState]:
         states = [self._initial]
         deltas, self._deltas = self._deltas, []
+        neighbours, self._neighbours = self._neighbours, {}
         for p in range(len(deltas) - 1):
-            states.append(folded(states[-1], deltas[p]))
+            states.append(folded(states[-1], deltas[p], neighbours))
             deltas[p] = None  # released once folded
         states.append(self._final)
         return states
@@ -155,9 +162,10 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     """Settle the initial state, then apply the events in order.
 
     The events fold in place into one working copy of ``initial``; the
-    returned history keeps each phase's delta and builds the snapshots
-    (phase 0 included) only when they are read. Any transition failure
-    aborts the run with the phase index and offending event attached.
+    returned history keeps phase 0's neighbour index and each phase's
+    delta, and builds the snapshots (phase 0 included) only when they are
+    read. Any transition failure aborts the run with the phase index and
+    offending event attached.
     """
     events = list(events)  # an iterator is read once, here
     problems = validate_state(initial)
@@ -168,6 +176,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     except MassGraphError as err:
         raise SimulationError(f"settlement failed: {err}", phase=1) from err
     state = working_copy(initial)
+    neighbours = dict(state.neighbours)  # phase 0's, for building the snapshots
     advance(state, deltas[0])
     for event in events:
         try:
@@ -180,7 +189,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
         advance(state, delta)
         deltas.append(delta)
     reports = [delta.report for delta in deltas if delta.report is not None]
-    return PhaseHistory(source, initial, deltas, state, events, reports)
+    return PhaseHistory(source, initial, neighbours, deltas, state, events, reports)
 
 
 def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:
@@ -242,7 +251,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
     later = dict.fromkeys(state.nodes, 0)
     for a, _ in state.edges:
         later[a] += 1
-    for _ in range(max(0, config.n_phases - 1)):
+    for _ in range(config.n_phases - 1):
         event: Event | None = None
         for _attempt in range(_MAX_REDRAWS):
             kind = _draw_kind(rng, config.event_mix)

@@ -134,6 +134,11 @@ class TestGen:
                              "--mix", mix]) == 1
             assert "event_mix" in capsys.readouterr().err
 
+    def test_zero_phases_is_domain_error(self, capsys):
+        # a run reaches phase 1 whatever it is asked, so 0 is no final phase
+        assert cli_main(["gen", "--seed", "1", "--nodes", "3", "--phases", "0"]) == 1
+        assert "n_phases" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_valid_script(self, tmp_path, capsys):

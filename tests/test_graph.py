@@ -115,6 +115,15 @@ class TestValidate:
         assert len(violations) == 1
         assert "(1, 2)" in violations[0] and "dead" in violations[0]
 
+    def test_non_string_label_is_caught(self):
+        # refused before the run, not by export_dot at the end of it
+        state = GraphState(0, {1: NodeRecord(2.0, label=5), 2: NodeRecord(3.0)},
+                           {(1, 2): EdgeRecord(2.0)})
+        problems = validate_state(state)
+        assert len(problems) == 1 and "node 1" in problems[0] and "label" in problems[0]
+        with pytest.raises(InputError, match="label"):
+            run_script(state, [])
+
     def test_unnormalized_edge_key_is_caught(self):
         state = GraphState(
             phase=0,

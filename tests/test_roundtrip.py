@@ -53,7 +53,7 @@ configs = st.one_of(st.builds(
     seed=st.integers(min_value=0, max_value=2**32),
     n_initial=st.integers(min_value=0, max_value=6),
     initial_edge_density=st.floats(min_value=0.0, max_value=1.0),
-    n_phases=st.integers(min_value=0, max_value=15),
+    n_phases=st.integers(min_value=1, max_value=15),
     # add_node always has weight, so generation never runs out of events
     event_mix=st.sampled_from([(0.6, 0.3, 0.1), (0.4, 0.2, 0.4), (0.0, 0.5, 0.5)]),
     prune_threshold=st.floats(min_value=-5.0, max_value=8.0),

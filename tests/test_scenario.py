@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import math
@@ -29,6 +30,7 @@ from massgraph import (
     SimulationError,
     apply_event,
     canonical_json_bytes,
+    edge_key,
     generate_scenario,
     metrics,
     new_graph,
@@ -155,6 +157,33 @@ class TestRunScript:
             else:
                 dead = len(before.alive_ids()) - len(history.snapshots[p + 1].alive_ids())
                 assert (edge_records, node_records) == (0, dead)
+
+    def test_a_run_keeps_one_edge_record_per_edge_event(self):
+        # two hubs, of degree 9 -> 39 and 1 -> 31: an event shifts every edge
+        # at its endpoints; the run keeps the shift, not the shifted records
+        initial = new_graph([3.0] * 40, [(1, j, 3.0) for j in range(2, 11)])
+        events = [AddEdge(hub, j, 3.0) for hub in (1, 2) for j in range(11, 41)]
+        history = run_script(initial, events)
+        kinds = (dict, list, tuple, GraphState, NodeRecord, EdgeRecord)
+        seen, todo = {}, [history]
+        while todo:  # what the run keeps before its snapshots are read
+            obj = todo.pop()
+            if id(obj) not in seen:
+                seen[id(obj)] = obj
+                todo += [o for o in gc.get_referents(obj) if isinstance(o, kinds)]
+        kept = list(seen.values())
+        deltas = [o for o in kept if isinstance(o, engine.PhaseDelta)]
+        before = history.snapshots[1]
+        touched = 0
+        for p, event in enumerate(events, start=2):
+            key = edge_key(event.k, event.l)
+            (delta,) = [d for d in deltas if key in d.edges and set(d.nodes) == set(key)]
+            assert list(delta.edges) == [key]
+            touched += len(before.neighbours[event.k]) + len(before.neighbours[event.l])
+            before = history.snapshots[p]
+        assert touched > 15 * len(events)
+        records = sum(isinstance(o, EdgeRecord) for o in kept)
+        assert records <= 2 * len(initial.edges) + len(history.final.edges) + len(events)
 
 
 class TestConfig:
@@ -339,12 +368,13 @@ class TestGeneration:
         with pytest.raises(GenerationError):
             generate_scenario(config)
 
-    def test_zero_and_one_phase_yield_settlement_only(self):
-        for phases in (0, 1):
-            config = ScenarioConfig(seed=5, n_initial=2,
-                                    initial_edge_density=0.0, n_phases=phases)
-            _, events = generate_scenario(config)
-            assert events == []
+    def test_one_phase_yields_settlement_only_and_zero_is_refused(self):
+        # a run reaches phase 1 whatever it is asked, so 0 is no final phase
+        with pytest.raises(ParameterError, match="n_phases"):
+            ScenarioConfig(seed=5, n_initial=2, initial_edge_density=0.0, n_phases=0)
+        config = ScenarioConfig(seed=5, n_initial=2, initial_edge_density=0.0, n_phases=1)
+        initial, events = generate_scenario(config)
+        assert events == [] and run_script(initial, events).final.phase == 1
 
 
 def scripts_digest(configs) -> str:
