@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .errors import MassGraphError
@@ -152,11 +151,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     history = load_history(args.history.read_bytes())
-    rows = []
-    for state in history.snapshots:
-        report = asdict(metrics(state, args.top_k))
-        report["degree_histogram"] = list(report["degree_histogram"])
-        rows.append(report)
+    # a report's fields hold numbers and tuples, which json writes as arrays
+    rows = [vars(metrics(state, args.top_k)) for state in history.snapshots]
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 

@@ -8,9 +8,11 @@ of its phase-0 state and folds each delta into it with :func:`advance`, so
 an event costs what it touches (its endpoints and their incident edges),
 not a copy of every node and edge. The pure API, :func:`settle_phase_one`
 and :func:`apply_event`, takes the same two steps on a fresh working copy
-and leaves the old state's fields as they were. All iteration orders are
-fixed (ascending ids / ascending endpoint pairs) so that identical inputs
-reproduce bit-identical states.
+and leaves the old state's fields as they were. Every reader that needs an
+order sorts for itself (ascending ids / ascending endpoint pairs); a dict's
+own order is still a fixed function of the script (phase-0 pairs ascending,
+each added pair last, survivors of a prune in their places), so identical
+inputs reproduce bit-identical states.
 
 An edge event's delta keeps the rule, not its result: the two grown node
 records, the new edge's record and ``shift = ln(gain)``, which :func:`fold`
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DuplicateEdgeError, InputError, NodeLookupError, SequencingError
@@ -93,7 +94,7 @@ class PhaseDelta(NamedTuple):
 def fold(delta: PhaseDelta, nodes: dict, edges: dict, neighbours: dict) -> None:
     """Apply ``delta`` to ``nodes``, ``edges`` and their neighbour index, in
     place. A changed record keeps its key's place, an added one goes last,
-    and a prune leaves ``edges`` in ascending pair order.
+    and a prune's survivors keep theirs.
 
     An edge event's shift reaches the edges at its endpoints through the
     index, before the new pair joins it, so the new edge is not shifted."""
@@ -117,20 +118,17 @@ def fold(delta: PhaseDelta, nodes: dict, edges: dict, neighbours: dict) -> None:
     removed = [pair for pair, _ in delta.report.removed_edges]
     for pair in removed:
         del edges[pair]
-    kept = sorted(edges.items(), key=itemgetter(0))
-    edges.clear()
-    edges.update(kept)
     for i in {i for pair in removed for i in pair}:
         neighbours[i] = tuple(j for j in neighbours[i] if edge_key(i, j) in edges)
 
 
 def folded(state: GraphState, delta: PhaseDelta, neighbours: dict) -> GraphState:
     """``state``'s successor, with ``delta`` folded onto copies of the dicts
-    it changes; a dict it leaves alone (the edges, for a node event) is
-    shared. ``neighbours`` is ``state``'s index, which the fold updates in
-    place; the successor holds no index."""
+    it changes; a dict it leaves alone (the edges, for a node event or a
+    prune that removes no edge) is shared. ``neighbours`` is ``state``'s
+    index, which the fold updates in place; the successor holds no index."""
     nodes = dict(state.nodes) if delta.nodes else state.nodes
-    changes_edges = delta.edges or delta.report is not None
+    changes_edges = delta.edges or (delta.report and delta.report.removed_edges)
     edges = dict(state.edges) if changes_edges else state.edges
     fold(delta, nodes, edges, neighbours)
     return GraphState(state.phase + 1, nodes, edges, state.params)

@@ -116,8 +116,9 @@ class PhaseHistory:
     folding the deltas onto copies in order, with the kept index standing
     in for each state's; it rebuilds the shifted records and no index, and
     is then a plain, writable list. A snapshot shares each dict its delta
-    leaves alone with its predecessor (the edges, after a node event), and
-    holds no neighbour index. Its last entry is the final state itself.
+    leaves alone with its predecessor (the edges, after a node event or a
+    prune that removes no edge), and holds no neighbour index. Its last
+    entry is the final state itself.
 
     ``final`` is the state at the last phase, the run's working state,
     which nothing mutates after :func:`run_script` returns. Once

@@ -31,6 +31,10 @@ MINIMAL = {
 
 GEN42 = ["gen", "--seed", "42", "--nodes", "5", "--phases", "22"]
 
+# the forgetting regime: 13 prunes, 6 of which remove edges that edge events shifted
+FORGETTING = ["gen", "--seed", "7", "--nodes", "10", "--phases", "60",
+              "--mix", "0.6,0.2,0.2", "--prune-threshold", "20", "--density", "0.3"]
+
 
 def write_trace_script(path: Path) -> None:
     state, _, _ = parse_script(json.dumps(MINIMAL).encode())
@@ -106,6 +110,19 @@ class TestGen:
         assert cli_main(["run", "--script", str(script), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "history_seed42.json").read_bytes()
 
+    def test_forgetting_script_matches_golden(self, tmp_path):
+        script = tmp_path / "s.json"
+        assert cli_main(FORGETTING + ["--out", str(script)]) == 0
+        assert script.read_bytes() == (GOLDEN / "script_forgetting.json").read_bytes()
+
+    def test_forgetting_script_runs_to_golden_history(self, tmp_path):
+        out = tmp_path / "h.json"
+        assert cli_main(["run", "--script", str(GOLDEN / "script_forgetting.json"),
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "history_forgetting.json").read_bytes()
+        reports = json.loads(out.read_bytes())["prune_reports"]
+        assert sum(bool(report["removed_edges"]) for report in reports) == 6
+
     def test_different_seed_differs(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -172,6 +189,12 @@ class TestStats:
         assert rows[-1]["alive_nodes"] == 2
         assert rows[-1]["max_mass_node"][0] == 3
         assert rows[-1]["top_k_mass_share"] == pytest.approx(0.51346594402655622)
+
+    def test_worked_trace_output_matches_golden(self, capsysbinary):
+        history = GOLDEN / "history_worked_trace.json"
+        assert cli_main(["stats", "--history", str(history), "--top-k", "1"]) == 0
+        assert capsysbinary.readouterr().out == \
+            (GOLDEN / "stats_worked_trace.txt").read_bytes()
 
     def test_bad_history_is_domain_error(self, tmp_path):
         history = tmp_path / "h.json"

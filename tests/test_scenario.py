@@ -185,6 +185,29 @@ class TestRunScript:
         records = sum(isinstance(o, EdgeRecord) for o in kept)
         assert records <= 2 * len(initial.edges) + len(history.final.edges) + len(events)
 
+    def test_a_prune_neither_copies_nor_sorts_the_edges(self):
+        # the forgetting regime: prunes follow edge events, which add pairs
+        # last, and about half of them remove edges
+        config = ScenarioConfig(seed=7, n_initial=10, n_phases=60, event_mix=(0.6, 0.2, 0.2),
+                                prune_threshold=20.0, initial_edge_density=0.3)
+        initial, events = generate_scenario(config)
+        history = run_script(initial, events)
+        shared = biting = unsorted = 0
+        for p, event in enumerate(events, start=1):
+            if not isinstance(event, Prune):
+                continue
+            before, after = history.snapshots[p], history.snapshots[p + 1]
+            removed = {pair for pair in before.edges if pair not in after.edges}
+            if removed:
+                biting += 1
+                assert list(after.edges) == [k for k in before.edges if k not in removed]
+                unsorted += list(after.edges) != sorted(after.edges)
+            else:
+                shared += 1
+                assert after.edges is before.edges
+        assert (shared, biting) == (7, 6)
+        assert unsorted > 0  # survivors a sort would have moved
+
 
 class TestConfig:
     def test_mix_must_sum_to_one(self):
