@@ -10,11 +10,12 @@ flows from ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .errors import MassGraphError
+from .errors import MassGraphError, ParameterError
 from .io import (
     canonical_json_bytes,
     export_dot,
@@ -23,7 +24,7 @@ from .io import (
     parse_script,
     script_document,
 )
-from .kernel import KernelParams, validate_kernel_params
+from .kernel import KernelParams, as_int, validate_kernel_params
 from .scenario import KernelDraw, ScenarioConfig, generate_scenario, metrics, run_script
 
 
@@ -41,7 +42,9 @@ def _floats(count: int, flag: str):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="massgraph",
         description="Deterministic mass-based graph memory simulator.",
@@ -150,6 +153,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    as_int(args.top_k, "k", ParameterError, 1)  # metrics' rule, checked before the read
     history = load_history(args.history.read_bytes())
     # a report's fields hold numbers and tuples, which json writes as arrays
     rows = [vars(metrics(state, args.top_k)) for state in history.snapshots]

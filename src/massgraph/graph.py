@@ -202,6 +202,8 @@ def validate_state(state: GraphState) -> list[str]:
                 node_label(rec.label)
             except InputError as err:
                 problems.append(f"node {i}: {err}")
+        if type(rec.alive) is not bool:  # 1 == True, but exports would differ
+            problems.append(f"node {i}: alive must be a bool, got {rec.alive!r}")
         # a float in range, the common case, skips the conversion's calls
         if rec.alive and not (type(rec.mass) is float and 1 < rec.mass < inf):
             try:

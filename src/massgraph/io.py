@@ -19,6 +19,15 @@ finite numbers, masses and weights > 1) is the model's own, from graph and
 kernel, and reports the JSON path of the element that breaks it. Exports
 are canonical -- keys sorted, floats rendered as their shortest round-trip
 decimals -- so identical inputs always yield byte-identical files.
+
+A history's snapshots are written as text, not built as dicts first: the
+text of each node and edge record is kept and reused while later
+snapshots hold the same record, so export pays for what each phase
+changed, plus the copying of the output. Loading replays the embedded
+script and compares the file's bytes with that run's export, decoding
+only the script; a file that differs is decoded whole and compared by
+value, which names the first entry that differs. The same snapshot text,
+with the kernel parameters, is what :func:`state_digest` hashes.
 """
 
 from __future__ import annotations
@@ -26,11 +35,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterator
+from itertools import compress
+from operator import is_not
 from typing import NoReturn
 
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport
 from .errors import InputError, MassGraphError, ScriptError
-from .graph import GraphState, NodeRecord, above_one, edge_key, new_graph, node_id
+from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, new_graph,
+                    node_id)
 from .kernel import KernelParams, as_float, as_int
 from .scenario import PhaseHistory, run_script
 
@@ -94,6 +107,11 @@ def _as_triples(value, path: str) -> list[tuple[int, int, float]]:
     return triples
 
 
+def _require_bytes(data) -> None:
+    if not isinstance(data, (bytes, bytearray)):
+        raise ScriptError(f"expected a bytes document, got {type(data).__name__}")
+
+
 def _decode(data: bytes) -> object:
     try:
         text = data.decode("utf-8")
@@ -137,8 +155,10 @@ def parse_script(data: bytes) -> tuple[GraphState, list[Event], KernelParams]:
     """Parse a version-1 script document into domain values.
 
     Raises :class:`ScriptError` with line/column for malformed JSON, or
-    with the JSON path of the first violated constraint.
+    with the JSON path of the first violated constraint; input that is not
+    ``bytes`` or ``bytearray`` raises :class:`ScriptError` too.
     """
+    _require_bytes(data)
     return _script_values(_decode(data))
 
 
@@ -202,26 +222,74 @@ def script_document(initial: GraphState, events: list[Event]) -> dict:
     }
 
 
+def _compact(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+
+
 def canonical_json_bytes(obj) -> bytes:
     """Sorted keys, compact separators, shortest round-trip floats, one
     trailing newline: identical values always produce identical bytes."""
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                       allow_nan=False) + "\n").encode("utf-8")
+    return _compact(obj) + b"\n"
 
 
 def _edges_to_json(state: GraphState) -> list:
     return [[a, b, float(edge.weight)] for (a, b), edge in sorted(state.edges.items())]
 
 
-def _snapshot_to_json(state: GraphState) -> dict:
-    nodes = []
-    for i in sorted(state.nodes):
-        rec = state.nodes[i]
-        entry = {"id": i, "mass": float(rec.mass), "alive": rec.alive}
-        if rec.label is not None:
-            entry["label"] = rec.label
-        nodes.append(entry)
-    return {"phase": state.phase, "nodes": nodes, "edges": _edges_to_json(state)}
+class _SnapshotWriter:
+    """The canonical JSON text of snapshots, written in phase order.
+
+    The text of each node and edge record is kept by id or pair and reused
+    while a snapshot holds the same record object, as a snapshot does for
+    every record its delta leaves alone; a ``nodes`` or ``edges`` dict that
+    is the last one written reuses its whole array. A number that is not
+    finite is written as ``json.dumps`` writes it (``NaN``, ``Infinity``)
+    and turns ``finite`` false, so a caller that needs JSON can refuse it.
+    """
+
+    def __init__(self):
+        self.finite = True
+        # for "nodes" and "edges": each id's or pair's record when last
+        # written and its text; the dict last written and its array's text
+        self._written = {"nodes": {}, "edges": {}}
+        self._texts = {"nodes": {}, "edges": {}}
+        self._arrays = {}
+
+    def _number(self, value) -> str:
+        x = float(value)
+        if math.isfinite(x):
+            return repr(x)
+        self.finite = False
+        return json.dumps(x)
+
+    def _node(self, i: int, rec: NodeRecord) -> bytes:
+        label = "" if rec.label is None else f'"label":{json.dumps(rec.label)},'
+        alive = "true" if rec.alive else "false"
+        return f'{{"alive":{alive},"id":{i},{label}"mass":{self._number(rec.mass)}}}'.encode()
+
+    def _edge(self, pair: tuple[int, int], rec: EdgeRecord) -> bytes:
+        return f"[{pair[0]},{pair[1]},{self._number(rec.weight)}]".encode()
+
+    def _array(self, name: str, records: dict, render) -> bytes:
+        """The comma-joined texts of ``records`` in ascending key order."""
+        last, text = self._arrays.get(name, (None, b""))
+        if records is last:
+            return text
+        written, texts = self._written[name], self._texts[name]
+        # the keys whose record is not the one last written, found without
+        # a Python-level step per record
+        for key in compress(records, map(is_not, map(written.get, records), records.values())):
+            rec = written[key] = records[key]
+            texts[key] = render(key, rec)
+        text = b",".join(map(texts.__getitem__, sorted(records)))
+        self._arrays[name] = (records, text)
+        return text
+
+    def pieces(self, state: GraphState) -> tuple[bytes, ...]:
+        """``state``'s snapshot text, in pieces that join to it."""
+        return (b'{"edges":[', self._array("edges", state.edges, self._edge),
+                b'],"nodes":[', self._array("nodes", state.nodes, self._node),
+                f'],"phase":{state.phase}}}'.encode())
 
 
 def _report_to_json(report: PruneReport) -> dict:
@@ -233,26 +301,37 @@ def _report_to_json(report: PruneReport) -> dict:
 
 
 def state_digest(state: GraphState) -> str:
-    """Stable content hash of everything a state holds: its exported
-    snapshot plus the kernel parameters. Non-finite values hash too."""
-    payload = _snapshot_to_json(state)
-    payload["params"] = [float(state.params.mu), float(state.params.sigma)]
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Stable content hash of everything a state holds: its snapshot's
+    export text plus the kernel parameters. Non-finite values hash too."""
+    digest = hashlib.sha256(b"".join(_SnapshotWriter().pieces(state)))
+    digest.update(f"[{float(state.params.mu)!r},{float(state.params.sigma)!r}]".encode())
+    return digest.hexdigest()
+
+
+def _history_pieces(history: PhaseHistory) -> Iterator[bytes]:
+    """The canonical bytes of a history, in pieces that join to them: its
+    top-level keys sort as ``prune_reports``, ``script``, ``snapshots``,
+    and the compact JSON of an array is its elements' joined by commas."""
+    script = script_document(history.snapshots[0], history.events)
+    if history.source is not None and history.source != script:
+        raise InputError("history.source is not the script of this run")
+    reports = b",".join(_compact(_report_to_json(report)) for report in history.prune_reports)
+    yield b'{"prune_reports":[%b],"script":%b,"snapshots":[' % (reports, _compact(script))
+    writer = _SnapshotWriter()
+    for p, state in enumerate(history.snapshots):
+        if p:
+            yield b","
+        yield from writer.pieces(state)
+    if not writer.finite:
+        raise ValueError("Out of range float values are not JSON compliant")
+    yield b"]}\n"
 
 
 def export_history_json(history: PhaseHistory) -> bytes:
     """Canonical JSON bytes of a full-state history and of its script, which
-    a ``history.source`` that is set must equal."""
-    script = script_document(history.snapshots[0], history.events)
-    if history.source is not None and history.source != script:
-        raise InputError("history.source is not the script of this run")
-    doc = {
-        "script": script,
-        "snapshots": [_snapshot_to_json(state) for state in history.snapshots],
-        "prune_reports": [_report_to_json(report) for report in history.prune_reports],
-    }
-    return canonical_json_bytes(doc)
+    a ``history.source`` that is set must equal. A number that is not
+    finite raises ValueError."""
+    return b"".join(_history_pieces(history))
 
 
 def _require_replay(raw, path: str, run: list, to_json) -> None:
@@ -270,21 +349,60 @@ def _require_replay(raw, path: str, run: list, to_json) -> None:
             _fail(at, f"{name} differs from the script's run")
 
 
+def _canonical_run(data: bytes) -> PhaseHistory | None:
+    """The run of the script that ``data`` embeds, if ``data`` is that
+    run's canonical export byte for byte; otherwise None. Only the script
+    is decoded: the rest is compared piece by piece with the export."""
+    head, script_key, snapshots_key = b'{"prune_reports":[', b'],"script":', b',"snapshots":['
+    if not data.startswith(head):
+        return None
+    # canonical prune reports hold no string, and a quote inside a string
+    # follows a backslash, never a comma: the first match of each key is it
+    start = data.find(script_key) + len(script_key)
+    end = data.find(snapshots_key, start)
+    if start < len(script_key) or end < 0:
+        return None
+    try:
+        initial, events, _ = _script_values(json.loads(data[start:end]))
+        history = run_script(initial, events)
+        offset = 0
+        for piece in _history_pieces(history):
+            if not data.startswith(piece, offset):
+                return None
+            offset += len(piece)
+    except (ValueError, RecursionError, MassGraphError):
+        return None
+    return history if offset == len(data) else None
+
+
 def load_history(data: bytes) -> PhaseHistory:
     """Replay the script a history embeds and return that run.
 
     The engine is the only source of the returned states: the file's
     ``snapshots`` and ``prune_reports`` must equal, as decoded JSON values,
     the export of the replay -- exactly, so a history written where the
-    float math differs in the last bit does not load. Errors carry the
-    JSON path ``script`` when the script does not parse or its run fails,
-    and otherwise the first entry that differs, such as ``snapshots[3]``,
-    with the first differing field named in the message.
+    float math differs in the last bit does not load. A file in canonical
+    bytes is compared with the replay's export byte for byte, and only its
+    script is decoded; any other file, or one that differs, is decoded
+    whole and compared by value. Errors carry the JSON path ``script``
+    when the script does not parse or its run fails, and otherwise the
+    first entry that differs, such as ``snapshots[3]``, with the first
+    differing field named in the message.
     """
+    _require_bytes(data)
+    history = _canonical_run(data)
+    if history is not None:
+        return history
     root = _as_object(_decode(data), "$", required=("script", "snapshots", "prune_reports"))
     initial, events, _ = _at("script", _script_values, root["script"])
     history = _at("script", run_script, initial, events)
-    _require_replay(root["snapshots"], "snapshots", history.snapshots, _snapshot_to_json)
+    writer = _SnapshotWriter()
+
+    def snapshot_json(state: GraphState) -> dict:
+        entry = json.loads(b"".join(writer.pieces(state)))
+        return {name: entry[name] for name in ("phase", "nodes", "edges")}  # as errors name them
+
+    _require_replay(root["snapshots"], "snapshots", history.snapshots, snapshot_json)
     _require_replay(root["prune_reports"], "prune_reports", history.prune_reports,
                     _report_to_json)
     return history

@@ -196,6 +196,11 @@ class TestStats:
         assert capsysbinary.readouterr().out == \
             (GOLDEN / "stats_worked_trace.txt").read_bytes()
 
+    def test_top_k_is_checked_before_the_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli_main(["stats", "--history", str(missing), "--top-k", "0"]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
+
     def test_bad_history_is_domain_error(self, tmp_path):
         history = tmp_path / "h.json"
         history.write_text("{}")

@@ -124,6 +124,16 @@ class TestValidate:
         with pytest.raises(InputError, match="label"):
             run_script(state, [])
 
+    @pytest.mark.parametrize("alive", [1, 1.0, "yes"])
+    def test_non_bool_liveness_is_caught(self, alive):
+        # 1 == True, so a script document would take node 1 for a live one
+        state = GraphState(0, {1: NodeRecord(2.0, alive=alive), 2: NodeRecord(3.0)},
+                           {(1, 2): EdgeRecord(2.0)})
+        problems = validate_state(state)
+        assert len(problems) == 1 and "node 1" in problems[0] and "bool" in problems[0]
+        with pytest.raises(InputError, match="bool"):
+            run_script(state, [])
+
     def test_unnormalized_edge_key_is_caught(self):
         state = GraphState(
             phase=0,

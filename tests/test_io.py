@@ -138,6 +138,11 @@ class TestParseScript:
         with pytest.raises(ScriptError, match="UTF-8"):
             parse_script(b"\xff\xfe{}")
 
+    @pytest.mark.parametrize("entry", [parse_script, load_history])
+    def test_text_is_not_a_document(self, entry):
+        with pytest.raises(ScriptError, match="got str"):
+            entry("{}")
+
     def test_integer_literal_beyond_the_digit_limit(self):
         with pytest.raises(ScriptError, match="invalid JSON"):
             parse_script(b"[" + b"1" * 5000 + b"]")
@@ -295,6 +300,13 @@ class TestHistoryExport:
             load_history(canonical_json_bytes(doc))
         assert excinfo.value.path == "snapshots[1]"
 
+    def test_load_refuses_bytes_after_a_canonical_export(self):
+        state, events, _ = parse_script(doc_bytes(MINIMAL))
+        exported = export_history_json(run_script(state, events))
+        with pytest.raises(ScriptError) as excinfo:
+            load_history(exported + b"]")
+        assert excinfo.value.line == 2
+
     def test_export_rejects_a_foreign_source(self):
         state, events, _ = parse_script(doc_bytes(MINIMAL))
         other = {**MINIMAL, "kernel": {"mu": 0.5, "sigma": 1}}
@@ -331,6 +343,13 @@ class TestHistoryExport:
         with pytest.raises(ScriptError) as excinfo:
             load_history(canonical_json_bytes(doc))
         assert excinfo.value.path == path
+
+    def test_load_names_the_first_differing_field_in_phase_nodes_edges_order(self):
+        state, events, _ = parse_script(doc_bytes(MINIMAL))
+        doc = json.loads(export_history_json(run_script(state, events)))
+        doc["snapshots"][1].update(nodes=[], edges=[])
+        with pytest.raises(ScriptError, match=r"^snapshots\[1\]: nodes differs"):
+            load_history(canonical_json_bytes(doc))
 
     def test_load_rejects_structurally_broken_snapshots(self):
         state, events, _ = parse_script(doc_bytes(MINIMAL))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from massgraph import (
     AddEdge,
     AddNode,
+    EdgeRecord,
     GraphState,
     KernelParams,
     Prune,
@@ -164,3 +166,78 @@ def test_no_reader_depends_on_the_order_of_the_edge_dict(config):
             flipped_after, _ = apply_event(flipped, event)
             assert flipped_after == after
             assert state_digest(flipped_after) == state_digest(after)
+
+
+@st.composite
+def labelled(draw):
+    """A biting scenario whose added nodes carry drawn labels."""
+    initial, events = generate_scenario(draw(biting))
+    return initial, [AddNode(event.initial_mass, label=draw(st.none() | st.text()))
+                     if isinstance(event, AddNode) else event for event in events]
+
+
+def dict_layout(history) -> bytes:
+    """The history document built as dicts, then encoded whole: the layout
+    the text writer must reproduce byte for byte."""
+    def snapshot(state):
+        nodes = []
+        for i in sorted(state.nodes):
+            rec = state.nodes[i]
+            entry = {"id": i, "mass": float(rec.mass), "alive": rec.alive}
+            if rec.label is not None:
+                entry["label"] = rec.label
+            nodes.append(entry)
+        edges = [[a, b, float(edge.weight)] for (a, b), edge in sorted(state.edges.items())]
+        return {"phase": state.phase, "nodes": nodes, "edges": edges}
+
+    return canonical_json_bytes({
+        "script": script_document(history.snapshots[0], history.events),
+        "snapshots": [snapshot(state) for state in history.snapshots],
+        "prune_reports": [{"threshold": float(report.threshold),
+                           "removed_edges": [[a, b, float(w)]
+                                             for (a, b), w in report.removed_edges],
+                           "removed_nodes": list(report.removed_nodes)}
+                          for report in history.prune_reports],
+    })
+
+
+def reversed_keys(value):
+    if isinstance(value, dict):
+        return {name: reversed_keys(value[name]) for name in reversed(value)}
+    if isinstance(value, list):
+        return [reversed_keys(item) for item in value]
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled(), st.data())
+def test_the_text_writer_reproduces_the_dict_layout(scenario, data):
+    history = run_script(*scenario)
+    exported = export_history_json(history)
+    assert exported == dict_layout(history)
+    digests = [state_digest(state) for state in history.snapshots]
+    doc = json.loads(exported)
+    # value-equal but not canonical: each is decoded and compared by value
+    for variant in (json.dumps(doc, indent=1).encode(),
+                    exported + b" ",
+                    exported.replace(b',"phase":', b',"phase": ', 1),
+                    json.dumps(reversed_keys(doc), separators=(",", ":")).encode()):
+        assert [state_digest(state) for state in load_history(variant).snapshots] == digests
+    places = [place for place in masses_and_weights(doc) if place[0].startswith("snapshots")]
+    if not places:
+        return
+    path, container, key = data.draw(st.sampled_from(places))
+    container[key] = math.nextafter(container[key], data.draw(st.sampled_from([-1, 1])) * math.inf)
+    with pytest.raises(ScriptError) as excinfo:
+        load_history(canonical_json_bytes(doc))
+    assert excinfo.value.path == path
+
+
+def test_a_number_that_is_not_finite_hashes_but_does_not_export():
+    history = run_script(new_graph([2, 2], [(1, 2, 2)]), [])
+    settled = history.snapshots[1]
+    broken = GraphState(1, settled.nodes, {(1, 2): EdgeRecord(math.inf)}, settled.params)
+    history.snapshots[1] = broken
+    with pytest.raises(ValueError):
+        export_history_json(history)
+    assert re.fullmatch("[0-9a-f]{64}", state_digest(broken))
