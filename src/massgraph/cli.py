@@ -13,14 +13,17 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import MassGraphError, ParameterError
+from .graph import GraphState
 from .io import (
+    _checked_run,
+    _history_pieces,
     canonical_json_bytes,
     export_dot,
-    export_history_json,
-    load_history,
     parse_script,
     script_document,
 )
@@ -96,12 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(data: bytes, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        out.write_bytes(data)
+def _emit(pieces: Iterable[bytes], out: Path | None) -> None:
+    """Write ``pieces`` in order to the file ``out``, or to stdout."""
+    with nullcontext(sys.stdout.buffer) if out is None else out.open("wb") as file:
+        file.writelines(pieces)
+        file.flush()
 
 
 def _cmd_run(args) -> int:
@@ -114,13 +116,22 @@ def _cmd_run(args) -> int:
             return 2
     initial, events, _ = parse_script(args.script.read_bytes())
     history = run_script(initial, events)
-    _emit(export_history_json(history), args.out)
+    states = history.states()
     if args.dot_every is not None:
-        for state in history.snapshots:
-            if state.phase % args.dot_every == 0:
-                dot_path = args.out.with_name(f"{args.out.stem}.phase{state.phase:04d}.dot")
-                dot_path.write_bytes(export_dot(state))
+        states = _with_dot_files(states, args.out, args.dot_every)
+    _emit(_history_pieces(history, states), args.out)  # and the DOT files, in one fold
     return 0
+
+
+def _with_dot_files(states: Iterator[GraphState], out: Path,
+                    every: int) -> Iterator[GraphState]:
+    """``states``, writing each one whose phase ``every`` divides to a DOT
+    file beside ``out`` as it passes."""
+    for state in states:
+        if state.phase % every == 0:
+            dot_path = out.with_name(f"{out.stem}.phase{state.phase:04d}.dot")
+            dot_path.write_bytes(export_dot(state))
+        yield state
 
 
 def _cmd_gen(args) -> int:
@@ -141,7 +152,7 @@ def _cmd_gen(args) -> int:
         kernel=kernel,
     )
     initial, events = generate_scenario(config)
-    _emit(canonical_json_bytes(script_document(initial, events)), args.out)
+    _emit([canonical_json_bytes(script_document(initial, events))], args.out)
     return 0
 
 
@@ -154,9 +165,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     as_int(args.top_k, "k", ParameterError, 1)  # metrics' rule, checked before the read
-    history = load_history(args.history.read_bytes())
-    # a report's fields hold numbers and tuples, which json writes as arrays
-    rows = [vars(metrics(state, args.top_k)) for state in history.snapshots]
+    # a report's fields hold numbers and tuples, which json writes as arrays;
+    # the rows are made in the pass that checks the history, and printed
+    # only once the whole file is checked
+    _, rows = _checked_run(args.history.read_bytes(),
+                           lambda state: vars(metrics(state, args.top_k)))
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 

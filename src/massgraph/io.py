@@ -28,15 +28,23 @@ script and compares the file's bytes with that run's export, decoding
 only the script; a file that differs is decoded whole and compared by
 value, which names the first entry that differs. The same snapshot text,
 with the kernel parameters, is what :func:`state_digest` hashes.
+
+Each of these readers takes the states from
+:meth:`~massgraph.scenario.PhaseHistory.states`, one phase at a time, and
+never builds the ``snapshots`` list: export, both load compares, and the
+command line's ``run`` (which streams the text to its output and writes
+each DOT file as the state passes) and ``stats`` (which makes its rows in
+the pass that checks the file) fold the run once and hold one state and
+its text beside their input or output.
 """
 
 from __future__ import annotations
 
-import hashlib
+import io
 import json
 import math
-from collections.abc import Iterator
-from itertools import compress
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain, compress
 from operator import is_not
 from typing import NoReturn
 
@@ -285,11 +293,11 @@ class _SnapshotWriter:
         self._arrays[name] = (records, text)
         return text
 
-    def pieces(self, state: GraphState) -> tuple[bytes, ...]:
-        """``state``'s snapshot text, in pieces that join to it."""
-        return (b'{"edges":[', self._array("edges", state.edges, self._edge),
-                b'],"nodes":[', self._array("nodes", state.nodes, self._node),
-                f'],"phase":{state.phase}}}'.encode())
+    def text(self, state: GraphState, lead: bytes = b"") -> bytes:
+        """``state``'s snapshot text, after ``lead``."""
+        return b'%b{"edges":[%b],"nodes":[%b],"phase":%d}' % (
+            lead, self._array("edges", state.edges, self._edge),
+            self._array("nodes", state.nodes, self._node), state.phase)
 
 
 def _report_to_json(report: PruneReport) -> dict:
@@ -303,27 +311,34 @@ def _report_to_json(report: PruneReport) -> dict:
 def state_digest(state: GraphState) -> str:
     """Stable content hash of everything a state holds: its snapshot's
     export text plus the kernel parameters. Non-finite values hash too."""
-    digest = hashlib.sha256(b"".join(_SnapshotWriter().pieces(state)))
+    import hashlib  # here, so that importing the package does not load it
+
+    digest = hashlib.sha256(_SnapshotWriter().text(state))
     digest.update(f"[{float(state.params.mu)!r},{float(state.params.sigma)!r}]".encode())
     return digest.hexdigest()
 
 
-def _history_pieces(history: PhaseHistory) -> Iterator[bytes]:
-    """The canonical bytes of a history, in pieces that join to them: its
-    top-level keys sort as ``prune_reports``, ``script``, ``snapshots``,
-    and the compact JSON of an array is its elements' joined by commas."""
-    script = script_document(history.snapshots[0], history.events)
+def _history_pieces(history: PhaseHistory, states: Iterator[GraphState]) -> Iterator[bytes]:
+    """The canonical bytes of ``history``, whose states ``states`` yields in
+    phase order, in pieces that join to them: the head, then one piece per
+    snapshot, then the tail. The top-level keys sort as ``prune_reports``,
+    ``script``, ``snapshots``, and the compact JSON of an array is its
+    elements' joined by commas. A number that is not finite raises
+    ValueError before its snapshot's piece is yielded."""
+    initial = next(states)
+    script = script_document(initial, history.events)
     if history.source is not None and history.source != script:
         raise InputError("history.source is not the script of this run")
     reports = b",".join(_compact(_report_to_json(report)) for report in history.prune_reports)
     yield b'{"prune_reports":[%b],"script":%b,"snapshots":[' % (reports, _compact(script))
     writer = _SnapshotWriter()
-    for p, state in enumerate(history.snapshots):
-        if p:
-            yield b","
-        yield from writer.pieces(state)
-    if not writer.finite:
-        raise ValueError("Out of range float values are not JSON compliant")
+    lead = b""
+    for state in chain((initial,), states):
+        text = writer.text(state, lead)
+        if not writer.finite:
+            raise ValueError("Out of range float values are not JSON compliant")
+        yield text
+        lead = b","
     yield b"]}\n"
 
 
@@ -331,15 +346,18 @@ def export_history_json(history: PhaseHistory) -> bytes:
     """Canonical JSON bytes of a full-state history and of its script, which
     a ``history.source`` that is set must equal. A number that is not
     finite raises ValueError."""
-    return b"".join(_history_pieces(history))
+    out = io.BytesIO()  # grows in place, where a join would hold every piece too
+    out.writelines(_history_pieces(history, history.states()))
+    return out.getvalue()
 
 
-def _require_replay(raw, path: str, run: list, to_json) -> None:
-    """Fail unless the JSON array ``raw`` equals ``run`` in its export
-    layout ``to_json``, at the first entry and field that differ."""
+def _require_replay(raw, path: str, run: Iterable, count: int, to_json) -> None:
+    """Fail unless the JSON array ``raw`` equals the ``count`` values of
+    ``run`` in their export layout ``to_json``, at the first entry and
+    field that differ."""
     entries = _as_list(raw, path)
-    if len(entries) != len(run):
-        _fail(path, f"the script's run has {len(run)}, got {len(entries)}")
+    if len(entries) != count:
+        _fail(path, f"the script's run has {count}, got {len(entries)}")
     for idx, (entry, value) in enumerate(zip(entries, run)):
         expected = to_json(value)
         if entry != expected:
@@ -349,10 +367,12 @@ def _require_replay(raw, path: str, run: list, to_json) -> None:
             _fail(at, f"{name} differs from the script's run")
 
 
-def _canonical_run(data: bytes) -> PhaseHistory | None:
+def _canonical_run(data: bytes,
+                   states: Callable[[PhaseHistory], Iterator[GraphState]]) -> PhaseHistory | None:
     """The run of the script that ``data`` embeds, if ``data`` is that
     run's canonical export byte for byte; otherwise None. Only the script
-    is decoded: the rest is compared piece by piece with the export."""
+    is decoded: the rest is compared piece by piece with the export, whose
+    states ``states(history)`` yields."""
     head, script_key, snapshots_key = b'{"prune_reports":[', b'],"script":', b',"snapshots":['
     if not data.startswith(head):
         return None
@@ -366,13 +386,48 @@ def _canonical_run(data: bytes) -> PhaseHistory | None:
         initial, events, _ = _script_values(json.loads(data[start:end]))
         history = run_script(initial, events)
         offset = 0
-        for piece in _history_pieces(history):
+        for piece in _history_pieces(history, states(history)):
             if not data.startswith(piece, offset):
                 return None
             offset += len(piece)
     except (ValueError, RecursionError, MassGraphError):
         return None
     return history if offset == len(data) else None
+
+
+def _checked_run(data: bytes,
+                 row: Callable[[GraphState], object] | None = None) -> tuple[PhaseHistory, list]:
+    """:func:`load_history` of ``data``, and ``row(state)`` of each of its
+    states in phase order, made in the pass that checks the state, so
+    that the states are folded once. A pass that fails partway and falls
+    back to the by-value compare drops the rows it made."""
+    _require_bytes(data)
+    rows = []
+
+    def states(history: PhaseHistory) -> Iterator[GraphState]:
+        rows.clear()
+        for state in history.states():
+            if row is not None:
+                rows.append(row(state))
+            yield state
+
+    history = _canonical_run(data, states)
+    if history is not None:
+        return history, rows
+    root = _as_object(_decode(data), "$", required=("script", "snapshots", "prune_reports"))
+    initial, events, _ = _at("script", _script_values, root["script"])
+    history = _at("script", run_script, initial, events)
+    writer = _SnapshotWriter()
+
+    def snapshot_json(state: GraphState) -> dict:
+        entry = json.loads(writer.text(state))
+        return {name: entry[name] for name in ("phase", "nodes", "edges")}  # as errors name them
+
+    _require_replay(root["snapshots"], "snapshots", states(history), history.final.phase + 1,
+                    snapshot_json)
+    _require_replay(root["prune_reports"], "prune_reports", history.prune_reports,
+                    len(history.prune_reports), _report_to_json)
+    return history, rows
 
 
 def load_history(data: bytes) -> PhaseHistory:
@@ -382,30 +437,14 @@ def load_history(data: bytes) -> PhaseHistory:
     ``snapshots`` and ``prune_reports`` must equal, as decoded JSON values,
     the export of the replay -- exactly, so a history written where the
     float math differs in the last bit does not load. A file in canonical
-    bytes is compared with the replay's export byte for byte, and only its
-    script is decoded; any other file, or one that differs, is decoded
-    whole and compared by value. Errors carry the JSON path ``script``
-    when the script does not parse or its run fails, and otherwise the
-    first entry that differs, such as ``snapshots[3]``, with the first
-    differing field named in the message.
+    bytes is compared with the replay's export byte for byte, one state
+    at a time, and only its script is decoded; any other file, or one that
+    differs, is decoded whole and compared by value. Errors carry the JSON
+    path ``script`` when the script does not parse or its run fails, and
+    otherwise the first entry that differs, such as ``snapshots[3]``, with
+    the first differing field named in the message.
     """
-    _require_bytes(data)
-    history = _canonical_run(data)
-    if history is not None:
-        return history
-    root = _as_object(_decode(data), "$", required=("script", "snapshots", "prune_reports"))
-    initial, events, _ = _at("script", _script_values, root["script"])
-    history = _at("script", run_script, initial, events)
-    writer = _SnapshotWriter()
-
-    def snapshot_json(state: GraphState) -> dict:
-        entry = json.loads(b"".join(writer.pieces(state)))
-        return {name: entry[name] for name in ("phase", "nodes", "edges")}  # as errors name them
-
-    _require_replay(root["snapshots"], "snapshots", history.snapshots, snapshot_json)
-    _require_replay(root["prune_reports"], "prune_reports", history.prune_reports,
-                    _report_to_json)
-    return history
+    return _checked_run(data)[0]
 
 
 def _dot_escape(text: str) -> str:

@@ -11,7 +11,7 @@ Both a run and the generator fold their events into one working state each
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -105,28 +105,32 @@ class ScenarioConfig:
 
 
 class PhaseHistory:
-    """Ordered record of one run: snapshots, the events that made them,
+    """Ordered record of one run: its states, the events that made them,
     and every prune's report.
 
-    ``snapshots[i]`` is the state at phase i. A run keeps only the phase-0
-    state and its neighbour index, one
+    A run keeps only the phase-0 state and its neighbour index, one
     :class:`~massgraph.engine.PhaseDelta` per phase and its working final
     state; an edge event's delta holds one edge record and its shift, not
-    the records the shift changes. ``snapshots`` is built on first read, by
-    folding the deltas onto copies in order, with the kept index standing
-    in for each state's; it rebuilds the shifted records and no index, and
-    is then a plain, writable list. A snapshot shares each dict its delta
+    the records the shift changes. The state at each phase is made by
+    folding the deltas onto copies in order, with a copy of the kept index
+    standing in for each state's: a state shares each dict its delta
     leaves alone with its predecessor (the edges, after a node event or a
-    prune that removes no edge), and holds no neighbour index. Its last
-    entry is the final state itself.
+    prune that removes no edge), and holds no neighbour index. The last
+    state is the final state itself.
+
+    :meth:`states` yields the states in phase order and keeps none of
+    them, so a reader that takes one phase at a time holds one state.
+    ``snapshots`` is the list of them, ``snapshots[i]`` the state at phase
+    i, for callers that index or keep states: it is built on first read,
+    frees each delta once folded, and is then a plain, writable list.
 
     ``final`` is the state at the last phase, the run's working state,
     which nothing mutates after :func:`run_script` returns. Once
     ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so what is
     assigned there is what ``final`` returns. Reading only ``final`` never
-    builds the per-phase copies.
+    folds a delta.
 
-    ``source``, when set, must be the script of ``snapshots[0]`` and
+    ``source``, when set, must be the script of the phase-0 state and
     ``events``; export checks it.
     """
 
@@ -141,16 +145,37 @@ class PhaseHistory:
         self._deltas = deltas
         self._final = final
 
+    def _folds(self, deltas: list, neighbours: dict) -> Iterator[GraphState]:
+        """Every state in phase order, each delta folded onto copies of its
+        predecessor's changed dicts and then dropped from ``deltas``;
+        ``neighbours`` is phase 0's index, which the folds update."""
+        state = self._initial
+        yield state
+        for p in range(len(deltas) - 1):
+            state = folded(state, deltas[p], neighbours)
+            deltas[p] = None  # released once folded
+            yield state
+        yield self._final
+
+    def states(self) -> Iterator[GraphState]:
+        """The states at phases 0 to the last, in order, as ``snapshots``
+        holds them.
+
+        Each call folds the kept deltas afresh onto its own copy of the
+        index and keeps no state it has yielded, so the calls are
+        independent of each other and of ``snapshots``; once ``snapshots``
+        is built, it yields that list's entries instead.
+        """
+        built = vars(self).get("snapshots")
+        if built is not None:
+            return iter(built)
+        return self._folds(list(self._deltas), dict(self._neighbours))
+
     @cached_property
     def snapshots(self) -> list[GraphState]:
-        states = [self._initial]
         deltas, self._deltas = self._deltas, []
         neighbours, self._neighbours = self._neighbours, {}
-        for p in range(len(deltas) - 1):
-            states.append(folded(states[-1], deltas[p], neighbours))
-            deltas[p] = None  # released once folded
-        states.append(self._final)
-        return states
+        return list(self._folds(deltas, neighbours))
 
     @property
     def final(self) -> GraphState:
@@ -164,9 +189,9 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
 
     The events fold in place into one working copy of ``initial``; the
     returned history keeps phase 0's neighbour index and each phase's
-    delta, and builds the snapshots (phase 0 included) only when they are
-    read. Any transition failure aborts the run with the phase index and
-    offending event attached.
+    delta, and folds them into states (phase 0 included) only when they
+    are read. Any transition failure aborts the run with the phase index
+    and offending event attached.
     """
     events = list(events)  # an iterator is read once, here
     problems = validate_state(initial)

@@ -13,11 +13,18 @@ import pytest
 from massgraph import (
     AddEdge,
     AddNode,
+    PhaseHistory,
     Prune,
     canonical_json_bytes,
     cli_main,
+    export_dot,
+    export_history_json,
+    load_history,
+    metrics,
     parse_script,
+    run_script,
     script_document,
+    state_digest,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,6 +214,84 @@ class TestStats:
         assert cli_main(["stats", "--history", str(history)]) == 1
 
 
+def refuse_snapshots(monkeypatch) -> None:
+    def refuse(history):
+        raise AssertionError("a streamed reader built history.snapshots")
+    monkeypatch.setattr(PhaseHistory, "snapshots", property(refuse))
+
+
+class TestStreamedReaders:
+    """Export, load, ``run`` and ``stats`` read a history one state at a
+    time, never as the list of snapshots, and write what the list gave."""
+
+    SCRIPT = GOLDEN / "script_forgetting.json"
+    HISTORY = GOLDEN / "history_forgetting.json"
+
+    @pytest.fixture
+    def snapshots(self):
+        """The forgetting run's snapshots, built before the list is refused."""
+        initial, events, _ = parse_script(self.SCRIPT.read_bytes())
+        return run_script(initial, events).snapshots
+
+    @staticmethod
+    def stats_text(snapshots) -> str:
+        return json.dumps([vars(metrics(s, 1)) for s in snapshots], indent=2,
+                          sort_keys=True) + "\n"
+
+    def test_export_and_load(self, snapshots, monkeypatch):
+        initial, events, _ = parse_script(self.SCRIPT.read_bytes())
+        data = self.HISTORY.read_bytes()
+        pretty = json.dumps(json.loads(data), indent=1).encode()
+        refuse_snapshots(monkeypatch)
+        assert export_history_json(run_script(initial, events)) == data
+        for text in (data, pretty):
+            loaded = load_history(text)
+            assert [state_digest(s) for s in loaded.states()] == \
+                [state_digest(s) for s in snapshots]
+
+    def test_run_writes_the_history_and_its_dot_files(self, snapshots, tmp_path,
+                                                      monkeypatch):
+        refuse_snapshots(monkeypatch)
+        out = tmp_path / "h.json"
+        assert cli_main(["run", "--script", str(self.SCRIPT), "--out", str(out),
+                         "--dot-every", "7"]) == 0
+        assert out.read_bytes() == self.HISTORY.read_bytes()
+        dots = {f"h.phase{s.phase:04d}.dot": export_dot(s) for s in snapshots
+                if s.phase % 7 == 0}
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.dot")} == dots
+
+    def test_stats_prints_each_row_once(self, snapshots, tmp_path, capsys, monkeypatch):
+        refuse_snapshots(monkeypatch)
+        data = self.HISTORY.read_bytes()
+        files = {
+            "canonical": data,
+            "re-indented": json.dumps(json.loads(data), indent=1).encode(),
+            # canonical but for a space before the closing brace: the byte
+            # compare fails after every row was made, the by-value one passes
+            "spaced": data[:-2] + b" }\n",
+        }
+        for name, text in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(text)
+            assert cli_main(["stats", "--history", str(path)]) == 0
+            assert capsys.readouterr().out == self.stats_text(snapshots), name
+        golden = GOLDEN / "history_worked_trace.json"
+        assert cli_main(["stats", "--history", str(golden), "--top-k", "1"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "stats_worked_trace.txt").read_text()
+
+    def test_stats_prints_nothing_for_a_tampered_history(self, tmp_path, capsys,
+                                                         monkeypatch):
+        refuse_snapshots(monkeypatch)
+        doc = json.loads(self.HISTORY.read_bytes())
+        doc["snapshots"][-1]["nodes"][0]["mass"] += 1
+        path = tmp_path / "h.json"
+        path.write_bytes(canonical_json_bytes(doc))
+        assert cli_main(["stats", "--history", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"snapshots[{len(doc['snapshots']) - 1}]" in captured.err
+
+
 class TestKernelCheck:
     def test_monotone_params_exit_zero(self, capsys):
         assert cli_main(["kernel-check", "--mu", "0", "--sigma", "1"]) == 0
@@ -239,14 +324,25 @@ class TestUsageErrors:
         assert cli_main(["--help"]) == 0
 
 
-def test_module_entry_point_runs_without_warnings():
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from this checkout."""
     path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "massgraph.cli",
-                           "gen", "--seed", "1", "--nodes", "4", "--phases", "5"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_module_entry_point_runs_without_warnings():
+    done = run_python("-W", "error", "-m", "massgraph.cli",
+                      "gen", "--seed", "1", "--nodes", "4", "--phases", "5")
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_importing_the_package_does_not_load_hashlib():
+    # state_digest imports it on first use
+    done = run_python("-c", "import sys, massgraph; print('hashlib' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_every_public_name_resolves_and_star_imports():

@@ -241,3 +241,23 @@ def test_a_number_that_is_not_finite_hashes_but_does_not_export():
     with pytest.raises(ValueError):
         export_history_json(history)
     assert re.fullmatch("[0-9a-f]{64}", state_digest(broken))
+
+
+@settings(max_examples=60, deadline=None)
+@given(biting, st.integers(min_value=0, max_value=30))
+def test_states_yields_the_snapshots_and_keeps_what_it_yielded(config, stop):
+    history = run_script(*generate_scenario(config))
+    yielded, digests = [], []
+    for state in history.states():
+        yielded.append(state)
+        digests.append(state_digest(state))  # as it was when yielded
+    assert [state_digest(s) for s in yielded] == digests
+    assert list(history.states()) == yielded  # a second pass folds afresh
+    assert [s.phase for s in yielded] == list(range(history.final.phase + 1))
+    assert yielded[-1] is history.final
+    # a pass under way when the list is built goes on as it began
+    partway = history.states()
+    head = [next(partway) for _ in range(min(stop, len(yielded)))]
+    assert history.snapshots == yielded
+    assert head + list(partway) == yielded
+    assert all(a is b for a, b in zip(history.states(), history.snapshots))
