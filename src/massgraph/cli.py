@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import MassGraphError, ParameterError
@@ -100,10 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(pieces: Iterable[bytes], out: Path | None) -> None:
-    """Write ``pieces`` in order to the file ``out``, or to stdout."""
-    with nullcontext(sys.stdout.buffer) if out is None else out.open("wb") as file:
-        file.writelines(pieces)
-        file.flush()
+    """Write ``pieces`` in order to the file ``out``, or to stdout. If a
+    piece fails, ``out`` is deleted before the error propagates, so no
+    truncated file is left behind."""
+    if out is None:
+        sys.stdout.buffer.writelines(pieces)
+        sys.stdout.buffer.flush()
+        return
+    file = out.open("wb")
+    try:
+        with file:
+            file.writelines(pieces)
+    except BaseException:
+        out.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_run(args) -> int:

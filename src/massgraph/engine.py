@@ -15,8 +15,8 @@ each added pair last, survivors of a prune in their places), so identical
 inputs reproduce bit-identical states.
 
 An edge event's delta keeps the rule, not its result: the two grown node
-records, the new edge's record and ``shift = ln(gain)``, which :func:`fold`
-adds to every edge at the two endpoints. So a kept delta costs O(1) per
+records, the new edge's weight and ``shift = ln(gain)``, which :func:`fold`
+adds to every weight at the two endpoints. So a kept delta costs O(1) per
 edge event, whatever the endpoints' degrees.
 
 The neighbour index (:attr:`GraphState.neighbours`) is derived from a
@@ -77,10 +77,10 @@ class PruneReport:
 
 class PhaseDelta(NamedTuple):
     """What one transition changes: the node records it changes or adds, the
-    edge records it changes or adds, and, for a prune, its report, whose
+    edge weights it changes or adds, and, for a prune, its report, whose
     edges it removes.
 
-    An edge event's delta holds its one new edge record and ``shift``,
+    An edge event's delta holds its one new edge weight and ``shift``,
     ln(gain): the endpoints are that edge's key, and :func:`fold` adds
     ``shift`` to the weight of every edge at them that existed before.
     ``shift`` is None for every other transition."""
@@ -109,7 +109,7 @@ def fold(delta: PhaseDelta, nodes: dict, edges: dict, neighbours: dict) -> None:
         for i in pair:
             for j in neighbours[i]:
                 key = (i, j) if i < j else (j, i)
-                edges[key] = EdgeRecord(edges[key].weight + shift)
+                edges[key] = EdgeRecord(edges[key] + shift)
         a, b = pair
         neighbours[a] += (b,)
         neighbours[b] += (a,)
@@ -176,8 +176,8 @@ def settle_delta(state: GraphState) -> PhaseDelta:
     edges = sorted(state.edges.items())
     # ascending pairs hand each node its gains in ascending neighbour order
     gains = dict.fromkeys(state.nodes, 0.0)
-    for (a, b), edge in edges:
-        gain = reinforcement(edge.weight, state.params)
+    for (a, b), weight in edges:
+        gain = reinforcement(weight, state.params)
         gains[a] += gain
         gains[b] += gain
     grown: dict[int, NodeRecord] = {}
@@ -187,9 +187,9 @@ def settle_delta(state: GraphState) -> PhaseDelta:
             grown[i] = NodeRecord(rec.mass + gains[i], rec.label, rec.alive)
     nodes = {**state.nodes, **grown}
     lifted: dict[tuple[int, int], EdgeRecord] = {}
-    for key, edge in edges:
+    for key, weight in edges:
         a, b = key
-        lifted[key] = _new_edge(key, edge.weight + math.log(nodes[a].mass + nodes[b].mass))
+        lifted[key] = _new_edge(key, weight + math.log(nodes[a].mass + nodes[b].mass))
     return PhaseDelta(grown, lifted)
 
 
@@ -219,7 +219,7 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
 
     Both endpoints must be alive nodes. The pair must not currently be
     connected; a pair whose edge was pruned earlier may be reconnected.
-    The delta holds two node records, the new edge's record and the shift
+    The delta holds two node records, the new edge's weight and the shift
     of step 3, whatever deg(k) + deg(l) is; it reads no neighbour index.
     """
     if state.phase < 1:
@@ -267,8 +267,7 @@ def prune_delta(state: GraphState, threshold: float) -> PhaseDelta:
     delta holds a dead record per removed node and the report.
     """
     thr = as_float(threshold, "prune threshold")
-    removed_edges = sorted((key, edge.weight) for key, edge in state.edges.items()
-                           if edge.weight < thr)
+    removed_edges = sorted((key, float(w)) for key, w in state.edges.items() if w < thr)
     lost: dict[int, int] = {}
     for pair, _ in removed_edges:
         for i in pair:

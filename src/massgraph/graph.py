@@ -2,9 +2,9 @@
 phase counter.
 
 A state holds only what the model defines: per node its mass, optional
-label and liveness; per connected pair its weight; the phase; and the
-kernel parameters. Ids live only in the dict keys -- records never copy
-them -- and the next node id is derived, not stored.
+label and liveness; per connected pair its weight, a float; the phase;
+and the kernel parameters. Ids live only in the dict keys -- records never
+copy them -- and the next node id is derived, not stored.
 
 States are values: every transition in :mod:`massgraph.engine` folds its
 change into a working copy of its predecessor and never changes an old
@@ -35,11 +35,13 @@ class NodeRecord:
     alive: bool = True
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """One undirected edge's weight; its endpoints are the dict key."""
+class EdgeRecord(float):
+    """One undirected edge's weight, as its value (``weight`` is the exact
+    float); its endpoints are the dict key. ``EdgeRecord(x)`` converts like
+    ``float(x)``: the model's number rule applies where weights enter."""
 
-    weight: float
+    __slots__ = ()
+    weight = property(float.__float__)
 
 
 def above_one(value, what: str) -> float:
@@ -132,8 +134,7 @@ class GraphState:
         self._record(j)
         if i == j:
             return 0.0
-        edge = self.edges.get(edge_key(i, j))
-        return edge.weight if edge is not None else 0.0
+        return float(self.edges.get(edge_key(i, j), 0.0))
 
     def has_edge(self, i: int, j: int) -> bool:
         return i != j and edge_key(i, j) in self.edges
@@ -210,7 +211,7 @@ def validate_state(state: GraphState) -> list[str]:
                 above_one(rec.mass, f"alive node {i}'s mass")
             except InputError as err:
                 problems.append(str(err))
-    for key, edge in sorted(state.edges.items()):
+    for key, weight in sorted(state.edges.items()):
         a, b = key
         try:
             node_id(a), node_id(b)
@@ -229,9 +230,9 @@ def validate_state(state: GraphState) -> list[str]:
                 problems.append(f"edge {key} references unknown node {endpoint}")
             elif not rec.alive:
                 problems.append(f"edge {key} touches dead node {endpoint}")
-        if not (type(edge.weight) is float and -inf < edge.weight < inf):
+        if not (isinstance(weight, float) and -inf < weight < inf):
             try:
-                as_float(edge.weight, f"weight of edge {key}")
+                as_float(weight, f"weight of edge {key}")
             except InputError as err:
                 problems.append(str(err))
     return problems

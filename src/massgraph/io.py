@@ -241,7 +241,7 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def _edges_to_json(state: GraphState) -> list:
-    return [[a, b, float(edge.weight)] for (a, b), edge in sorted(state.edges.items())]
+    return [[a, b, float(w)] for (a, b), w in sorted(state.edges.items())]
 
 
 class _SnapshotWriter:
@@ -275,8 +275,8 @@ class _SnapshotWriter:
         alive = "true" if rec.alive else "false"
         return f'{{"alive":{alive},"id":{i},{label}"mass":{self._number(rec.mass)}}}'.encode()
 
-    def _edge(self, pair: tuple[int, int], rec: EdgeRecord) -> bytes:
-        return f"[{pair[0]},{pair[1]},{self._number(rec.weight)}]".encode()
+    def _edge(self, pair: tuple[int, int], weight: EdgeRecord) -> bytes:
+        return f"[{pair[0]},{pair[1]},{self._number(weight)}]".encode()
 
     def _array(self, name: str, records: dict, render) -> bytes:
         """The comma-joined texts of ``records`` in ascending key order."""
@@ -462,8 +462,8 @@ def export_dot(state: GraphState) -> bytes:
         width = 0.3 + 0.15 * math.log(rec.mass)
         label = _dot_escape(rec.label) if rec.label is not None else str(i)
         lines.append(f'  {i} [label="{label}" width={width:.4f}];')
-    for (a, b), edge in sorted(state.edges.items()):
-        pen = 1.0 + 0.75 * math.log(max(edge.weight, 1.0))
+    for (a, b), weight in sorted(state.edges.items()):
+        pen = 1.0 + 0.75 * math.log(max(weight, 1.0))
         lines.append(f"  {a} -- {b} [penwidth={pen:.4f}];")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

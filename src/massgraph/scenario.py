@@ -110,8 +110,8 @@ class PhaseHistory:
 
     A run keeps only the phase-0 state and its neighbour index, one
     :class:`~massgraph.engine.PhaseDelta` per phase and its working final
-    state; an edge event's delta holds one edge record and its shift, not
-    the records the shift changes. The state at each phase is made by
+    state; an edge event's delta holds one edge weight and its shift, not
+    the weights the shift changes. The state at each phase is made by
     folding the deltas onto copies in order, with a copy of the kept index
     standing in for each state's: a state shares each dict its delta
     leaves alone with its predecessor (the edges, after a node event or a

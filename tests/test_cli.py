@@ -78,6 +78,18 @@ class TestRun:
             assert text.startswith("graph memory {")
             assert text.rstrip().endswith("}")
 
+    def test_a_failed_run_leaves_no_history_file(self, tmp_path, capsys):
+        # the DOT file of phase 2 cannot be written once phases 0 and 1
+        # have streamed to --out
+        script = tmp_path / "trace.json"
+        out = tmp_path / "history.json"
+        write_trace_script(script)
+        (tmp_path / "history.phase0002.dot").mkdir()
+        assert cli_main(["run", "--script", str(script), "--out", str(out),
+                         "--dot-every", "2"]) == 1
+        assert not out.exists()
+        assert "history.phase0002.dot" in capsys.readouterr().err
+
     def test_dot_every_requires_out(self, tmp_path, capsys):
         script = tmp_path / "trace.json"
         write_trace_script(script)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -132,6 +133,16 @@ class TestValidate:
         problems = validate_state(state)
         assert len(problems) == 1 and "node 1" in problems[0] and "bool" in problems[0]
         with pytest.raises(InputError, match="bool"):
+            run_script(state, [])
+
+    @pytest.mark.parametrize("weight", ["2.5", True, EdgeRecord(math.nan),
+                                        EdgeRecord(math.inf), EdgeRecord(-math.inf)],
+                             ids=["str", "bool", "nan", "inf", "-inf"])
+    def test_edge_value_that_is_not_a_finite_number_is_caught(self, weight):
+        state = GraphState(0, {1: NodeRecord(2.0), 2: NodeRecord(3.0)}, {(1, 2): weight})
+        problems = validate_state(state)
+        assert len(problems) == 1 and problems[0].startswith("weight of edge (1, 2)")
+        with pytest.raises(InputError, match="weight of edge"):
             run_script(state, [])
 
     def test_unnormalized_edge_key_is_caught(self):

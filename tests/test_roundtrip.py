@@ -261,3 +261,20 @@ def test_states_yields_the_snapshots_and_keeps_what_it_yielded(config, stop):
     assert history.snapshots == yielded
     assert head + list(partway) == yielded
     assert all(a is b for a, b in zip(history.states(), history.snapshots))
+
+
+@settings(max_examples=60, deadline=None)
+@given(biting)
+def test_every_state_holds_each_weight_as_an_edge_record(config):
+    # a shift or a prune that leaves a plain float, or a record whose
+    # weight is not an exact float, fails here, whichever way it is read
+    history = run_script(*generate_scenario(config))
+    folded = list(history.states())  # before the list is built: folded afresh
+    loaded = load_history(export_history_json(history))
+    for state in itertools.chain(folded, history.snapshots, [history.final], loaded.states()):
+        for (a, b), edge in state.edges.items():
+            assert type(edge) is EdgeRecord
+            assert type(edge.weight) is float and edge.weight == edge
+            assert type(state.weight(a, b)) is float
+    for report in history.prune_reports + loaded.prune_reports:
+        assert all(type(w) is float for _, w in report.removed_edges)
