@@ -126,20 +126,28 @@ def _cmd_run(args) -> int:
     initial, events, _ = parse_script(args.script.read_bytes())
     history = run_script(initial, events)
     states = history.states()
+    written: list[Path] = []
     if args.dot_every is not None:
-        states = _with_dot_files(states, args.out, args.dot_every)
-    _emit(_history_pieces(history, states), args.out)  # and the DOT files, in one fold
+        states = _with_dot_files(states, args.out, args.dot_every, written)
+    try:
+        _emit(_history_pieces(history, states), args.out)  # and the DOT files, in one fold
+    except BaseException:
+        for path in written:  # as _emit deletes the history
+            path.unlink(missing_ok=True)
+        raise
     return 0
 
 
-def _with_dot_files(states: Iterator[GraphState], out: Path,
-                    every: int) -> Iterator[GraphState]:
+def _with_dot_files(states: Iterator[GraphState], out: Path, every: int,
+                    written: list[Path]) -> Iterator[GraphState]:
     """``states``, writing each one whose phase ``every`` divides to a DOT
-    file beside ``out`` as it passes."""
+    file beside ``out`` as it passes, and appending its path to ``written``
+    once written."""
     for state in states:
         if state.phase % every == 0:
             dot_path = out.with_name(f"{out.stem}.phase{state.phase:04d}.dot")
             dot_path.write_bytes(export_dot(state))
+            written.append(dot_path)
         yield state
 
 
@@ -172,6 +180,25 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _indented(rows: list[dict]) -> str:
+    """``json.dumps(rows, indent=2, sort_keys=True)``, encoded by json's C
+    encoder, which ``indent`` would bypass, and then laid out. Each row
+    maps names to numbers, None and flat arrays of numbers, so every string
+    is a key: ``", "`` before a quote parts two fields, and any other
+    ``", "`` two array items."""
+    text = json.dumps(rows, sort_keys=True)
+    if text == "[]":
+        return text
+    body = (text[2:-2]  # inside the outer "[{" and "}]"
+            .replace("}, {", "\n  },\n  {\n    ")
+            .replace(', "', ',\n    "')
+            .replace(", ", ",\n      ")
+            .replace("[", "[\n      ")
+            .replace("]", "\n    ]")
+            .replace("[\n      \n    ]", "[]"))
+    return "[\n  {\n    " + body + "\n  }\n]"
+
+
 def _cmd_stats(args) -> int:
     as_int(args.top_k, "k", ParameterError, 1)  # metrics' rule, checked before the read
     # a report's fields hold numbers and tuples, which json writes as arrays;
@@ -179,7 +206,7 @@ def _cmd_stats(args) -> int:
     # only once the whole file is checked
     _, rows = _checked_run(args.history.read_bytes(),
                            lambda state: vars(metrics(state, args.top_k)))
-    print(json.dumps(rows, indent=2, sort_keys=True))
+    print(_indented(rows))
     return 0
 
 

@@ -24,7 +24,10 @@ state's edges; :func:`fold` reads it to find the edges at an edge event's
 endpoints, so the event's cost follows their degrees, not the edge count.
 One rule keeps it: :func:`working_copy` takes the index over from its
 predecessor, which drops it, and :func:`advance` updates it. A state no
-transition produced builds its own, on first use.
+transition produced builds its own, on first use. The alive nodes' degree
+histogram (:attr:`GraphState.degree_histogram`) follows the same rule:
+:func:`folded` derives a successor's from its predecessor's, and
+:func:`advance` drops a working state's.
 """
 
 from __future__ import annotations
@@ -126,12 +129,41 @@ def folded(state: GraphState, delta: PhaseDelta, neighbours: dict) -> GraphState
     """``state``'s successor, with ``delta`` folded onto copies of the dicts
     it changes; a dict it leaves alone (the edges, for a node event or a
     prune that removes no edge) is shared. ``neighbours`` is ``state``'s
-    index, which the fold updates in place; the successor holds no index."""
+    index, which the fold updates in place; the successor holds no index.
+
+    If ``state`` holds its :attr:`~GraphState.degree_histogram`, the
+    successor gets its own from it in O(touched): each node the delta
+    touches leaves its old degree's count if it was alive and joins its new
+    one if it is alive now. A delta that changes no count shares the tuple.
+    So ``metrics`` of the successor counts no edges."""
     nodes = dict(state.nodes) if delta.nodes else state.nodes
     changes_edges = delta.edges or (delta.report and delta.report.removed_edges)
     edges = dict(state.edges) if changes_edges else state.edges
+    hist = vars(state).get("degree_histogram")
+    if hist is None:
+        fold(delta, nodes, edges, neighbours)
+        return GraphState(state.phase + 1, nodes, edges, state.params)
+    touched = {*delta.nodes, *(i for pair in delta.edges for i in pair)}
+    if delta.report is not None:
+        touched.update(i for pair, _ in delta.report.removed_edges for i in pair)
+    counts = list(hist)
+    for i in touched:
+        rec = state.nodes.get(i)
+        if rec is not None and rec.alive:
+            counts[len(neighbours[i])] -= 1
     fold(delta, nodes, edges, neighbours)
-    return GraphState(state.phase + 1, nodes, edges, state.params)
+    for i in touched:
+        if nodes[i].alive:
+            d = len(neighbours[i])
+            if d >= len(counts):
+                counts += [0] * (d + 1 - len(counts))
+            counts[d] += 1
+    while counts and not counts[-1]:
+        counts.pop()
+    successor = GraphState(state.phase + 1, nodes, edges, state.params)
+    counted = tuple(counts)
+    vars(successor)["degree_histogram"] = hist if counted == hist else counted
+    return successor
 
 
 def working_copy(state: GraphState) -> GraphState:
@@ -148,8 +180,11 @@ def working_copy(state: GraphState) -> GraphState:
 def advance(state: GraphState, delta: PhaseDelta) -> None:
     """Fold ``delta`` into ``state``'s own dicts and index and move its phase
     on by one. ``state`` must be a :func:`working_copy`, which no other state
-    shares a dict with; an index entry that changes gets a new tuple."""
+    shares a dict with; an index entry that changes gets a new tuple.
+    ``state`` drops its degree histogram, so ``metrics`` of a working state
+    counts its edges afresh, in O(E)."""
     fold(delta, state.nodes, state.edges, state.neighbours)
+    vars(state).pop("degree_histogram", None)
     object.__setattr__(state, "phase", state.phase + 1)
 
 

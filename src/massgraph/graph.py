@@ -85,13 +85,16 @@ class GraphState:
     the zero diagonal hold by construction; an absent pair reads as
     weight 0.
 
-    :attr:`neighbours` is a cache derived from ``edges``, not part of the
-    value: it takes no part in equality. One rule keeps it:
-    :func:`~massgraph.engine.working_copy` takes it over from the state it
-    copies, which drops it, and :func:`~massgraph.engine.advance` updates it
-    in place together with the edges. So in a chain of states only the
-    newest holds one, and only a state no transition produced builds its
-    own, on first use.
+    :attr:`neighbours` and :attr:`degree_histogram` are caches derived from
+    ``nodes`` and ``edges``, not part of the value: they take no part in
+    equality. One rule keeps both: a state gets a cache only from its
+    predecessor's, updated for what the delta touched, and a state that got
+    none builds its own on first use. :func:`~massgraph.engine.working_copy`
+    takes the index over from the state it copies, which drops it, and
+    :func:`~massgraph.engine.advance` updates it in place, so in a chain of
+    states only the newest holds one. :func:`~massgraph.engine.folded`
+    derives each successor's histogram from its predecessor's, and
+    :func:`~massgraph.engine.advance` drops the working state's.
     """
 
     phase: int
@@ -107,6 +110,19 @@ class GraphState:
             index.setdefault(a, []).append(b)
             index.setdefault(b, []).append(a)
         return {i: tuple(ids) for i, ids in index.items()}
+
+    @cached_property
+    def degree_histogram(self) -> tuple[int, ...]:
+        """``h[d]`` is the number of alive nodes of degree ``d``, up to the
+        highest degree; ``()`` when no node is alive."""
+        degrees = {i: 0 for i, rec in self.nodes.items() if rec.alive}
+        for a, b in self.edges:
+            degrees[a] += 1
+            degrees[b] += 1
+        hist = [0] * (max(degrees.values(), default=-1) + 1)
+        for d in degrees.values():
+            hist[d] += 1
+        return tuple(hist)
 
     @property
     def next_id(self) -> int:

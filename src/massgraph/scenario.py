@@ -115,8 +115,11 @@ class PhaseHistory:
     folding the deltas onto copies in order, with a copy of the kept index
     standing in for each state's: a state shares each dict its delta
     leaves alone with its predecessor (the edges, after a node event or a
-    prune that removes no edge), and holds no neighbour index. The last
-    state is the final state itself.
+    prune that removes no edge), and holds no neighbour index. Each folded
+    state gets its degree histogram from its predecessor's, starting from
+    phase 0's, so :func:`metrics` of it reads no edge. The last state is
+    the final state itself, which counts its histogram from its edges on
+    first use.
 
     :meth:`states` yields the states in phase order and keeps none of
     them, so a reader that takes one phase at a time holds one state.
@@ -148,8 +151,10 @@ class PhaseHistory:
     def _folds(self, deltas: list, neighbours: dict) -> Iterator[GraphState]:
         """Every state in phase order, each delta folded onto copies of its
         predecessor's changed dicts and then dropped from ``deltas``;
-        ``neighbours`` is phase 0's index, which the folds update."""
+        ``neighbours`` is phase 0's index, which the folds update. Each
+        fold derives its state's degree histogram from phase 0's."""
         state = self._initial
+        state.degree_histogram  # the seed of the chain of histograms
         yield state
         for p in range(len(deltas) - 1):
             state = folded(state, deltas[p], neighbours)
@@ -330,7 +335,12 @@ class MetricsReport:
 
 def metrics(state: GraphState, k: int = 1) -> MetricsReport:
     """Mass and degree summary; the top-k share is 1 for graphs with at
-    most k alive nodes (and for the empty graph, by convention)."""
+    most k alive nodes (and for the empty graph, by convention).
+
+    The degree histogram is :attr:`GraphState.degree_histogram`: a state
+    that :class:`PhaseHistory` folds carries it, so its metrics cost
+    O(N log N) and read no edge; any other state (phase 0, ``final``, a
+    hand-built one) counts its edges once, in O(E)."""
     as_int(k, "k", ParameterError, 1)
     alive = state.alive_ids()
     masses = [state.nodes[i].mass for i in alive]
@@ -345,14 +355,7 @@ def metrics(state: GraphState, k: int = 1) -> MetricsReport:
         if m > best_mass:
             best_id, best_mass = i, m
     share = sum(sorted(masses, reverse=True)[:k]) / total if len(alive) > k else 1.0
-    degrees = {i: 0 for i in alive}
-    for a, b in state.edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    hist = [0] * (max(degrees.values()) + 1)
-    for d in degrees.values():
-        hist[d] += 1
     return MetricsReport(phase=state.phase, total_mass=total, alive_nodes=len(alive),
                          alive_edges=len(state.edges),
                          max_mass_node=(best_id, best_mass),
-                         top_k_mass_share=share, degree_histogram=tuple(hist))
+                         top_k_mass_share=share, degree_histogram=state.degree_histogram)

@@ -1,6 +1,8 @@
 """The neighbour index: derived from the edges, handed from each state to its
 successor and dropped by the predecessor; only a run's working state updates
-its own in place."""
+its own in place. The degree histogram, the other derived cache, follows the
+same rule: a folded state derives its own from its predecessor's, and the
+working state drops its own as it advances."""
 
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from massgraph import (
     settle_phase_one,
 )
 from massgraph import scenario
+from massgraph.engine import advance, edge_delta, folded, node_delta, settle_delta, working_copy
 from test_roundtrip import biting, configs
 
 
@@ -125,3 +128,21 @@ def test_a_copy_keeps_a_correct_index_after_the_original_advances():
     assert not holds_index(state)
     assert twin.neighbours == {1: (2,), 2: (1,), 3: ()}
     assert apply_event(twin, AddEdge(2, 3, 2.0))[0].neighbours == {1: (2,), 2: (1, 3), 3: (2,)}
+
+
+def test_a_working_state_drops_its_histogram_as_it_advances():
+    state = working_copy(settle_phase_one(new_graph([2, 2, 3], [(1, 2, 2)])))
+    assert state.degree_histogram == (1, 2)
+    advance(state, edge_delta(state, 1, 3, 2.0))
+    assert state.degree_histogram == (0, 2, 1)  # counted afresh, not the stale (1, 2)
+
+
+def test_a_fold_derives_its_histogram_only_from_its_predecessors():
+    initial = new_graph([2, 2, 3], [(1, 2, 2)])
+    settled = folded(initial, settle_delta(initial), dict(initial.neighbours))
+    assert "degree_histogram" not in vars(settled)  # nothing to derive it from
+    hist = initial.degree_histogram
+    settled = folded(initial, settle_delta(initial), dict(initial.neighbours))
+    assert settled.degree_histogram is hist  # settling changes no degree
+    grown = folded(settled, node_delta(settled, 4.0), dict(settled.neighbours))
+    assert vars(grown)["degree_histogram"] == (2, 2)

@@ -24,6 +24,7 @@ from massgraph import (
     EdgeRecord,
     GraphState,
     KernelParams,
+    MetricsReport,
     Prune,
     ScenarioConfig,
     ScriptError,
@@ -278,3 +279,46 @@ def test_every_state_holds_each_weight_as_an_edge_record(config):
             assert type(state.weight(a, b)) is float
     for report in history.prune_reports + loaded.prune_reports:
         assert all(type(w) is float for _, w in report.removed_edges)
+
+
+def counted_metrics(state: GraphState, k: int) -> MetricsReport:
+    """``metrics`` as it was before states carried their degree histogram,
+    which it counted over every edge: the oracle of the folds."""
+    alive = state.alive_ids()
+    masses = [state.nodes[i].mass for i in alive]
+    total = sum(masses)
+    if not alive:
+        return MetricsReport(phase=state.phase, total_mass=0.0, alive_nodes=0,
+                             alive_edges=0, max_mass_node=None,
+                             top_k_mass_share=1.0, degree_histogram=())
+    best_id = alive[0]
+    best_mass = masses[0]
+    for i, m in zip(alive[1:], masses[1:]):
+        if m > best_mass:
+            best_id, best_mass = i, m
+    share = sum(sorted(masses, reverse=True)[:k]) / total if len(alive) > k else 1.0
+    degrees = {i: 0 for i in alive}
+    for a, b in state.edges:
+        degrees[a] += 1
+        degrees[b] += 1
+    hist = [0] * (max(degrees.values()) + 1)
+    for d in degrees.values():
+        hist[d] += 1
+    return MetricsReport(phase=state.phase, total_mass=total, alive_nodes=len(alive),
+                         alive_edges=len(state.edges),
+                         max_mass_node=(best_id, best_mass),
+                         top_k_mass_share=share, degree_histogram=tuple(hist))
+
+
+@settings(max_examples=60, deadline=None)
+@given(biting, st.integers(min_value=1, max_value=4))
+def test_every_state_carries_the_degree_histogram_of_its_edges(config, k):
+    # the folds derive each histogram from the one before: a prune that
+    # leaves its dead nodes counted, or a count of 0 left at the end, fails here
+    history = run_script(*generate_scenario(config))
+    folded = list(history.states())
+    loaded = load_history(export_history_json(history))
+    for state in itertools.chain(folded, history.snapshots, [history.final], loaded.states()):
+        fresh = GraphState(state.phase, state.nodes, state.edges, state.params)
+        assert state.degree_histogram == fresh.degree_histogram
+        assert metrics(state, k) == counted_metrics(state, k)
