@@ -180,25 +180,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _indented(rows: list[dict]) -> str:
-    """``json.dumps(rows, indent=2, sort_keys=True)``, encoded by json's C
-    encoder, which ``indent`` would bypass, and then laid out. Each row
-    maps names to numbers, None and flat arrays of numbers, so every string
-    is a key: ``", "`` before a quote parts two fields, and any other
-    ``", "`` two array items."""
-    text = json.dumps(rows, sort_keys=True)
-    if text == "[]":
-        return text
-    body = (text[2:-2]  # inside the outer "[{" and "}]"
-            .replace("}, {", "\n  },\n  {\n    ")
-            .replace(', "', ',\n    "')
-            .replace(", ", ",\n      ")
-            .replace("[", "[\n      ")
-            .replace("]", "\n    ]")
-            .replace("[\n      \n    ]", "[]"))
-    return "[\n  {\n    " + body + "\n  }\n]"
-
-
 def _cmd_stats(args) -> int:
     as_int(args.top_k, "k", ParameterError, 1)  # metrics' rule, checked before the read
     # a report's fields hold numbers and tuples, which json writes as arrays;
@@ -206,7 +187,7 @@ def _cmd_stats(args) -> int:
     # only once the whole file is checked
     _, rows = _checked_run(args.history.read_bytes(),
                            lambda state: vars(metrics(state, args.top_k)))
-    print(_indented(rows))
+    print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 
 

@@ -131,18 +131,16 @@ def folded(state: GraphState, delta: PhaseDelta, neighbours: dict) -> GraphState
     prune that removes no edge) is shared. ``neighbours`` is ``state``'s
     index, which the fold updates in place; the successor holds no index.
 
-    If ``state`` holds its :attr:`~GraphState.degree_histogram`, the
-    successor gets its own from it in O(touched): each node the delta
-    touches leaves its old degree's count if it was alive and joins its new
-    one if it is alive now. A delta that changes no count shares the tuple.
-    So ``metrics`` of the successor counts no edges."""
+    The successor gets its :attr:`~GraphState.degree_histogram` from
+    ``state``'s in O(touched): each node the delta touches leaves its old
+    degree's count if it was alive and joins its new one if it is alive
+    now. A delta that changes no count shares the tuple. So ``metrics`` of
+    the successor counts no edges; only a ``state`` that holds no histogram
+    counts its own, once."""
     nodes = dict(state.nodes) if delta.nodes else state.nodes
     changes_edges = delta.edges or (delta.report and delta.report.removed_edges)
     edges = dict(state.edges) if changes_edges else state.edges
-    hist = vars(state).get("degree_histogram")
-    if hist is None:
-        fold(delta, nodes, edges, neighbours)
-        return GraphState(state.phase + 1, nodes, edges, state.params)
+    hist = state.degree_histogram
     touched = {*delta.nodes, *(i for pair in delta.edges for i in pair)}
     if delta.report is not None:
         touched.update(i for pair, _ in delta.report.removed_edges for i in pair)

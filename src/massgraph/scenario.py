@@ -154,7 +154,6 @@ class PhaseHistory:
         ``neighbours`` is phase 0's index, which the folds update. Each
         fold derives its state's degree histogram from phase 0's."""
         state = self._initial
-        state.degree_histogram  # the seed of the chain of histograms
         yield state
         for p in range(len(deltas) - 1):
             state = folded(state, deltas[p], neighbours)

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from massgraph import (
     AddEdge,
@@ -29,7 +26,6 @@ from massgraph import (
     script_document,
     state_digest,
 )
-from massgraph.cli import _indented
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -241,27 +237,6 @@ class TestStats:
         assert cli_main(["stats", "--history", str(history), "--top-k", "3"]) == 0
         assert capsysbinary.readouterr().out == \
             (GOLDEN / "stats_forgetting.txt").read_bytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.fixed_dictionaries({
-        "alive_edges": st.integers(min_value=0),
-        "alive_nodes": st.integers(min_value=0),
-        "degree_histogram": st.lists(st.integers(min_value=0), max_size=5),
-        "max_mass_node": st.none() | st.tuples(st.integers(min_value=1), st.floats()),
-        "phase": st.integers(min_value=0),
-        "top_k_mass_share": st.floats(),
-        "total_mass": st.floats(),
-    }), max_size=4))
-    @example([])
-    @example([{"alive_edges": 0, "alive_nodes": 0, "degree_histogram": (),
-               "max_mass_node": None, "phase": 7, "top_k_mass_share": math.nan,
-               "total_mass": math.inf},
-              {"alive_edges": 1, "alive_nodes": 2, "degree_histogram": (0, 2),
-               "max_mass_node": (2, -math.inf), "phase": 8, "top_k_mass_share": -0.0,
-               "total_mass": 1e-300}])
-    def test_rows_are_laid_out_as_json_indents_them(self, rows):
-        # NaN and +-inf, which json writes as NaN and Infinity, are drawn too
-        assert _indented(rows) == json.dumps(rows, indent=2, sort_keys=True)
 
     def test_top_k_is_checked_before_the_file_is_read(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
