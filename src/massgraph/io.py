@@ -23,19 +23,19 @@ decimals -- so identical inputs always yield byte-identical files.
 A history's snapshots are written as text, not built as dicts first: the
 text of each node and edge record is kept and reused while later
 snapshots hold the same record, so export pays for what each phase
-changed, plus the copying of the output. Loading replays the embedded
-script and compares the file's bytes with that run's export, decoding
-only the script; a file that differs is decoded whole and compared by
-value, which names the first entry that differs. The same snapshot text,
-with the kernel parameters, is what :func:`state_digest` hashes.
+changed, plus the copying of the output. A history loads if and only if
+its canonical encoding equals the export of its script's one replay,
+byte for byte; a file whose own bytes differ is decoded whole and its
+re-encoding compared. The same snapshot text, with the kernel
+parameters, is what :func:`state_digest` hashes.
 
 Each of these readers takes the states from
 :meth:`~massgraph.scenario.PhaseHistory.states`, one phase at a time, and
-never builds the ``snapshots`` list: export, both load compares, and the
-command line's ``run`` (which streams the text to its output and writes
-each DOT file as the state passes) and ``stats`` (which makes its rows in
-the pass that checks the file) fold the run once and hold one state and
-its text beside their input or output.
+never builds the ``snapshots`` list: export, load, and the command
+line's ``run`` (which streams the text to its output and writes each DOT
+file as the state passes) and ``stats`` (which makes its rows in the pass
+that checks the file) fold the run once for a file in canonical bytes,
+and hold one state and its text beside their input or output.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _decode(data: bytes) -> object:
             f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}",
             line=err.lineno, column=err.colno,
         ) from err
-    except ValueError as err:  # an integer literal beyond Python's digit limit
+    except (ValueError, RecursionError) as err:  # beyond the digit or the nesting limit
         raise ScriptError(f"invalid JSON: {err}") from err
 
 
@@ -353,96 +353,95 @@ def export_history_json(history: PhaseHistory) -> bytes:
 
 def _require_replay(raw, path: str, run: Iterable, count: int, to_json) -> None:
     """Fail unless the JSON array ``raw`` equals the ``count`` values of
-    ``run`` in their export layout ``to_json``, at the first entry and
-    field that differ."""
+    ``run`` in their export layout ``to_json``, as JSON text, so that 1,
+    1.0 and true differ, at the first entry and field that differ."""
+    text = json.JSONEncoder(sort_keys=True).encode
     entries = _as_list(raw, path)
     if len(entries) != count:
         _fail(path, f"the script's run has {count}, got {len(entries)}")
     for idx, (entry, value) in enumerate(zip(entries, run)):
         expected = to_json(value)
-        if entry != expected:
+        if text(entry) != text(expected):
             at = f"{path}[{idx}]"
             _as_object(entry, at, required=tuple(expected))
-            name = next(name for name in expected if entry[name] != expected[name])
+            name = next(name for name in expected if text(entry[name]) != text(expected[name]))
             _fail(at, f"{name} differs from the script's run")
 
 
-def _canonical_run(data: bytes,
-                   states: Callable[[PhaseHistory], Iterator[GraphState]]) -> PhaseHistory | None:
-    """The run of the script that ``data`` embeds, if ``data`` is that
-    run's canonical export byte for byte; otherwise None. Only the script
-    is decoded: the rest is compared piece by piece with the export, whose
-    states ``states(history)`` yields."""
-    head, script_key, snapshots_key = b'{"prune_reports":[', b'],"script":', b',"snapshots":['
-    if not data.startswith(head):
-        return None
-    # canonical prune reports hold no string, and a quote inside a string
-    # follows a backslash, never a comma: the first match of each key is it
-    start = data.find(script_key) + len(script_key)
-    end = data.find(snapshots_key, start)
-    if start < len(script_key) or end < 0:
-        return None
-    try:
-        initial, events, _ = _script_values(json.loads(data[start:end]))
-        history = run_script(initial, events)
-        offset = 0
-        for piece in _history_pieces(history, states(history)):
-            if not data.startswith(piece, offset):
-                return None
-            offset += len(piece)
-    except (ValueError, RecursionError, MassGraphError):
-        return None
-    return history if offset == len(data) else None
+def _root(data: bytes) -> dict:
+    return _as_object(_decode(data), "$", required=("script", "snapshots", "prune_reports"))
 
 
 def _checked_run(data: bytes,
                  row: Callable[[GraphState], object] | None = None) -> tuple[PhaseHistory, list]:
-    """:func:`load_history` of ``data``, and ``row(state)`` of each of its
-    states in phase order, made in the pass that checks the state, so
-    that the states are folded once. A pass that fails partway and falls
-    back to the by-value compare drops the rows it made."""
+    """:func:`load_history` of ``data``, which loads if and only if its
+    canonical encoding equals the export of its script's one replay, and
+    ``row(state)`` of each state in phase order, made in the pass that
+    compares it, and afresh in a compare of the re-encoding."""
     _require_bytes(data)
     rows = []
 
-    def states(history: PhaseHistory) -> Iterator[GraphState]:
+    def states() -> Iterator[GraphState]:
         rows.clear()
         for state in history.states():
             if row is not None:
                 rows.append(row(state))
             yield state
 
-    history = _canonical_run(data, states)
-    if history is not None:
-        return history, rows
-    root = _as_object(_decode(data), "$", required=("script", "snapshots", "prune_reports"))
-    initial, events, _ = _at("script", _script_values, root["script"])
+    def matches(target: bytes) -> bool:  # compared piece by piece, to the first that differs
+        offset = 0
+        for piece in _history_pieces(history, states()):
+            if not target.startswith(piece, offset):
+                return False
+            offset += len(piece)
+        return offset == len(target)
+
+    script_key, snapshots_key = b'],"script":', b',"snapshots":['
+    root = None
+    try:  # the script alone, from where the writer puts it: a quote inside a
+        # string follows a backslash, never a comma, and a history that can
+        # load holds no other such keys, so the first match of each is it
+        start = data.index(script_key) + len(script_key)
+        script = json.loads(data[start:data.index(snapshots_key, start)])
+    except (ValueError, RecursionError):  # no such slice, or one that does not decode
+        script = (root := _root(data))["script"]
+    initial, events, _ = _at("script", _script_values, script)
+    del script  # before the run and the compare: the run holds what it needs of it
     history = _at("script", run_script, initial, events)
+    if root is None and matches(data):  # the script was sliced: the bytes as they are first
+        return history, rows
+    root = root or _root(data)
+    try:
+        canonical = canonical_json_bytes(root)
+    except ValueError:  # a NaN or Infinity literal, which no export holds
+        canonical = data  # so there is nothing more to compare
+    if canonical != data and matches(canonical):
+        return history, rows
     writer = _SnapshotWriter()
 
     def snapshot_json(state: GraphState) -> dict:
         entry = json.loads(writer.text(state))
         return {name: entry[name] for name in ("phase", "nodes", "edges")}  # as errors name them
 
-    _require_replay(root["snapshots"], "snapshots", states(history), history.final.phase + 1,
+    _require_replay(root["snapshots"], "snapshots", history.states(), history.final.phase + 1,
                     snapshot_json)
     _require_replay(root["prune_reports"], "prune_reports", history.prune_reports,
                     len(history.prune_reports), _report_to_json)
-    return history, rows
+    _fail("script", "differs from the script its run exports")
 
 
 def load_history(data: bytes) -> PhaseHistory:
     """Replay the script a history embeds and return that run.
 
-    The engine is the only source of the returned states: the file's
-    ``snapshots`` and ``prune_reports`` must equal, as decoded JSON values,
-    the export of the replay -- exactly, so a history written where the
-    float math differs in the last bit does not load. A file in canonical
-    bytes is compared with the replay's export byte for byte, one state
-    at a time, and only its script is decoded; any other file, or one that
-    differs, is decoded whole and compared by value. Errors carry the JSON
-    path ``script`` when the script does not parse or its run fails, and
-    otherwise the first entry that differs, such as ``snapshots[3]``, with
-    the first differing field named in the message.
+    The engine is the only source of the returned states: ``data`` loads
+    if and only if its canonical encoding equals the export of the
+    script's one replay, byte for byte, so neither a value the writer
+    never writes (``1`` for ``true`` or for a float, ``1.0`` for an id)
+    nor a history written where float math differs in the last bit
+    loads. Errors carry the JSON path ``script`` when the script does not
+    parse, its run fails or only its spelling differs, and otherwise the
+    first entry that differs, such as ``snapshots[3]``, with the first
+    differing field named in the message.
     """
     return _checked_run(data)[0]
 

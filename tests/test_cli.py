@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from massgraph import (
     AddNode,
     PhaseHistory,
     Prune,
+    ScriptError,
     canonical_json_bytes,
     cli_main,
     export_dot,
@@ -301,8 +303,9 @@ class TestStreamedReaders:
         files = {
             "canonical": data,
             "re-indented": json.dumps(json.loads(data), indent=1).encode(),
-            # canonical but for a space before the closing brace: the byte
-            # compare fails after every row was made, the by-value one passes
+            # canonical but for a space before the closing brace: the compare
+            # of the bytes fails after every row was made, that of their
+            # re-encoding passes
             "spaced": data[:-2] + b" }\n",
         }
         for name, text in files.items():
@@ -325,6 +328,41 @@ class TestStreamedReaders:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"snapshots[{len(doc['snapshots']) - 1}]" in captured.err
+
+    def test_each_load_replays_the_script_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_script(*args, **kwargs)
+
+        monkeypatch.setattr("massgraph.io.run_script", counted)
+        data = self.HISTORY.read_bytes()
+        tampered, with_nan = json.loads(data), json.loads(data)
+        tampered["snapshots"][-1]["nodes"][0]["mass"] += 1
+        with_nan["snapshots"][2]["nodes"][0]["mass"] = math.nan
+        files = {  # each with the path of the error it raises, if any
+            "canonical": (data, None),
+            "re-indented": (json.dumps(json.loads(data), indent=1).encode(), None),
+            "spaced": (data[:-2] + b" }\n", None),
+            "tampered": (canonical_json_bytes(tampered),
+                         f"snapshots[{len(tampered['snapshots']) - 1}]"),
+            # no canonical encoding exists: the re-encoding raises ValueError
+            "re-indented-nan": (json.dumps(with_nan, indent=1).encode(), "snapshots[2]"),
+        }
+        for name, (text, path) in files.items():
+            file = tmp_path / f"{name}.json"
+            file.write_bytes(text)
+            calls.clear()
+            if path is None:
+                load_history(text)
+            else:
+                with pytest.raises(ScriptError) as excinfo:
+                    load_history(text)
+                assert excinfo.value.path == path, name
+            assert cli_main(["stats", "--history", str(file)]) == (0 if path is None else 1), name
+            assert len(calls) == 2, name
+            capsys.readouterr()
 
 
 class TestKernelCheck:
@@ -365,6 +403,16 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=60)
+
+
+@pytest.mark.parametrize("command", [["validate", "--script"], ["stats", "--history"]])
+def test_nesting_beyond_the_recursion_limit_is_an_error(tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 100000)
+    done = run_python("-m", "massgraph.cli", *command, str(deep))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: invalid JSON: maximum recursion depth")
+    assert "Traceback" not in done.stderr
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -143,6 +143,11 @@ class TestParseScript:
         with pytest.raises(ScriptError, match="got str"):
             entry("{}")
 
+    @pytest.mark.parametrize("entry", [parse_script, load_history])
+    def test_nesting_beyond_the_recursion_limit(self, entry):
+        with pytest.raises(ScriptError, match="invalid JSON: maximum recursion depth"):
+            entry(b"[" * 100000)
+
     def test_integer_literal_beyond_the_digit_limit(self):
         with pytest.raises(ScriptError, match="invalid JSON"):
             parse_script(b"[" + b"1" * 5000 + b"]")
@@ -334,6 +339,13 @@ class TestHistoryExport:
         # nodes 1 and 2 are connected since phase 0, so the script's run fails
         pytest.param(lambda doc: doc["script"]["events"][1].update(l=2), "script",
                      id="script-run-fails"),
+        # values the writer never writes, equal to its own only in Python
+        pytest.param(lambda doc: doc["snapshots"][1]["nodes"][0].update(alive=1),
+                     "snapshots[1]", id="alive-as-1"),
+        pytest.param(lambda doc: doc["snapshots"][2]["nodes"][0].update(id=1.0),
+                     "snapshots[2]", id="id-as-1.0"),
+        pytest.param(lambda doc: doc["script"]["kernel"].update(sigma=1), "script",
+                     id="sigma-as-int"),
     ])
     def test_load_rejects_a_history_its_script_did_not_make(self, corrupt, path):
         state, _, _ = parse_script(doc_bytes(MINIMAL))

@@ -218,7 +218,7 @@ def test_the_text_writer_reproduces_the_dict_layout(scenario, data):
     assert exported == dict_layout(history)
     digests = [state_digest(state) for state in history.snapshots]
     doc = json.loads(exported)
-    # value-equal but not canonical: each is decoded and compared by value
+    # value-equal but not canonical: each is decoded and its re-encoding compared
     for variant in (json.dumps(doc, indent=1).encode(),
                     exported + b" ",
                     exported.replace(b',"phase":', b',"phase": ', 1),
