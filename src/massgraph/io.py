@@ -16,9 +16,17 @@ Script documents (version 1) look like::
 Parsing is strict: unknown fields are rejected so typos fail loudly. The
 parser checks only the JSON's shape; every number rule (integer ids >= 1,
 finite numbers, masses and weights > 1) is the model's own, from graph and
-kernel, and reports the JSON path of the element that breaks it. Exports
-are canonical -- keys sorted, floats rendered as their shortest round-trip
-decimals -- so identical inputs always yield byte-identical files.
+kernel, and reports the JSON path of the element that breaks it. An event
+whose values already have the exact type and range those rules take
+unchanged (an int id, not a bool; a float mass, weight or threshold in
+range) and whose keys are exactly its kind's is built in one check, with
+no path string; the shortcut never accepts a value the checked path
+refuses, and everything else, every error included, takes that path.
+:func:`script_document` applies the same rules with the same shortcut, so
+it refuses with :class:`InputError` what :func:`parse_script` would refuse,
+and writes each value as parsing reads it back. Exports are canonical --
+keys sorted, floats rendered as their shortest round-trip decimals -- so
+identical inputs always yield byte-identical files.
 
 A history's snapshots are written as text, not built as dicts first: the
 text of each node and edge record is kept and reused while later
@@ -51,7 +59,7 @@ from typing import NoReturn
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport
 from .errors import InputError, MassGraphError, ScriptError
 from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, new_graph,
-                    node_id)
+                    node_id, node_label)
 from .kernel import KernelParams, as_float, as_int
 from .scenario import PhaseHistory, run_script
 
@@ -136,7 +144,44 @@ def _decode(data: bytes) -> object:
         raise ScriptError(f"invalid JSON: {err}") from err
 
 
-def _parse_event(raw, path: str) -> Event:
+def _plain_edge(k, l, w) -> bool:
+    """Whether the model's rules take ``k``, ``l`` and ``w`` as an edge's ids
+    and weight unchanged: ints (not bools) >= 1 that differ, and a float
+    in (1, inf). The shortcut that admits a value in one check; every
+    other value goes through the rules themselves."""
+    return type(k) is int and type(l) is int and type(w) is float and 0 < k != l > 0 \
+        and 1 < w < math.inf
+
+
+def _plain_node(mass, label) -> bool:
+    """:func:`_plain_edge` for a node's mass and label: a float in (1, inf)
+    and None or a string."""
+    return type(mass) is float and 1 < mass < math.inf and (label is None or type(label) is str)
+
+
+def _plain_threshold(threshold) -> bool:
+    """:func:`_plain_edge` for a prune threshold: a finite float."""
+    return type(threshold) is float and -math.inf < threshold < math.inf
+
+
+def _parse_event(raw, idx: int) -> Event:
+    # the shortcut: exactly its kind's keys, with values that the checked path
+    # below would take unchanged; it builds no path string
+    if type(raw) is dict:
+        kind = raw.get("type")
+        if kind == "add_edge":
+            if len(raw) == 4 and _plain_edge(k := raw.get("k"), l := raw.get("l"),
+                                             w := raw.get("w")):
+                return AddEdge(k, l, w)
+        elif kind == "add_node":
+            label = raw.get("label")
+            if len(raw) == (2 if label is None else 3) and \
+                    _plain_node(mass := raw.get("mass"), label):
+                return AddNode(mass, label)
+        elif kind == "prune":
+            if len(raw) == 2 and _plain_threshold(threshold := raw.get("threshold")):
+                return Prune(threshold)
+    path = f"events[{idx}]"
     if not isinstance(raw, dict):
         _fail(path, f"expected an object, got {type(raw).__name__}")
     kind = raw.get("type")
@@ -190,44 +235,82 @@ def _script_values(doc) -> tuple[GraphState, list[Event], KernelParams]:
     triples = _as_triples(initial["edges"], "initial.edges")
     state = _at("initial.edges", new_graph, masses, triples, params)
 
-    events = [
-        _parse_event(raw, f"events[{idx}]")
-        for idx, raw in enumerate(_as_list(root["events"], "events"))
-    ]
+    events = [_parse_event(raw, idx) for idx, raw in enumerate(_as_list(root["events"], "events"))]
     return state, events, params
 
 
 def event_to_json(event: Event) -> dict:
-    """One event as its tagged script-document record."""
+    """One event as its tagged script-document record, each field as the
+    model's rules take it (``node_id``, ``edge_key``, ``above_one``,
+    ``node_label``, ``as_float``), so that :func:`parse_script` reads the
+    same event back; a field they refuse raises their error."""
     if isinstance(event, AddEdge):
-        return {"type": "add_edge", "k": event.k, "l": event.l,
-                "w": float(event.initial_weight)}
+        k, l, w = event.k, event.l, event.initial_weight
+        if not _plain_edge(k, l, w):
+            k, l = node_id(k), node_id(l)
+            edge_key(k, l)
+            w = above_one(w, "edge weight")
+        return {"type": "add_edge", "k": k, "l": l, "w": w}
     if isinstance(event, AddNode):
-        record = {"type": "add_node", "mass": float(event.initial_mass)}
-        if event.label is not None:
-            record["label"] = event.label
+        mass, label = event.initial_mass, event.label
+        if not _plain_node(mass, label):
+            mass, label = above_one(mass, "node mass"), node_label(label)
+        record = {"type": "add_node", "mass": mass}
+        if label is not None:
+            record["label"] = label
         return record
     if isinstance(event, Prune):
-        return {"type": "prune", "threshold": float(event.threshold)}
+        threshold = event.threshold
+        if not _plain_threshold(threshold):
+            threshold = as_float(threshold, "prune threshold")
+        return {"type": "prune", "threshold": threshold}
     raise TypeError(f"not an event: {event!r}")
 
 
 def script_document(initial: GraphState, events: list[Event]) -> dict:
-    """Render a phase-0 state and event list as a script document."""
+    """Render a phase-0 state and event list as a script document, which
+    :func:`parse_script` reads back as equal values: a value the model's
+    rules refuse raises :class:`InputError` naming the phase-0 state or
+    ``events[i]``."""
+    initial_json = _initial_json(initial)
+    records = []
+    try:
+        for event in events:
+            records.append(event_to_json(event))
+    except MassGraphError as err:
+        raise InputError(f"events[{len(records)}]: {err}") from err
+    return {
+        "version": SCRIPT_VERSION,
+        "kernel": {"mu": float(initial.params.mu), "sigma": float(initial.params.sigma)},
+        "initial": initial_json,
+        "events": records,
+    }
+
+
+def _initial_json(initial: GraphState) -> dict:
+    """The ``initial`` record of a script whose phase 0 is ``initial``. Its
+    masses and weights pass in one check each where the model's rules take
+    them unchanged, as :func:`_plain_edge` does for events; otherwise
+    :func:`new_graph` applies those rules to them."""
     if initial.phase != 0:
         raise InputError(f"script documents describe phase-0 states, got phase {initial.phase}")
     nodes = [initial.nodes[i] for i in sorted(initial.nodes)]
     if initial.nodes != {i: NodeRecord(rec.mass) for i, rec in enumerate(nodes, 1)}:
         raise InputError("phase-0 nodes must be numbered from 1, alive and unlabelled")
-    return {
-        "version": SCRIPT_VERSION,
-        "kernel": {"mu": float(initial.params.mu), "sigma": float(initial.params.sigma)},
-        "initial": {
-            "masses": [float(rec.mass) for rec in nodes],
-            "edges": _edges_to_json(initial),
-        },
-        "events": [event_to_json(event) for event in events],
-    }
+    masses = [rec.mass for rec in nodes]
+    edges = [[a, b, float(w) if isinstance(w, float) else w]  # an EdgeRecord is its float
+             for (a, b), w in sorted(initial.edges.items())]
+    n = len(masses)
+    if all(_plain_node(mass, None) for mass in masses) and \
+            all(_plain_edge(a, b, w) and a < b <= n for a, b, w in edges):
+        return {"masses": masses, "edges": edges}
+    try:
+        state = new_graph(masses, edges, initial.params)
+    except MassGraphError as err:
+        raise InputError(f"phase-0 state: {err}") from err
+    if state.edges.keys() != initial.edges.keys():
+        raise InputError("phase-0 edges must be keyed by their (low, high) pair")
+    return {"masses": [rec.mass for rec in state.nodes.values()], "edges": _edges_to_json(state)}
 
 
 def _compact(obj) -> bytes:

@@ -12,6 +12,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massgraph import (
     AddEdge,
@@ -37,6 +39,7 @@ from massgraph import (
     settle_phase_one,
     state_digest,
 )
+from massgraph.io import _parse_event
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -211,6 +214,78 @@ class TestParseScript:
         doc = {**MINIMAL, "initial": {"masses": [2, 2], "edges": [[1, 3, 2]]}}
         with pytest.raises(ScriptError, match=r"edge \(1, 3\) references node 3"):
             parse_script(doc_bytes(doc))
+
+
+class CheckedOnly(dict):
+    """An event object that parsing's shortcut declines, since it admits
+    objects whose type is exactly dict: it takes the checked path."""
+
+
+# JSON values for an event's fields: ints for floats, bools, NaN,
+# infinities, huge ints, strings and null, besides values the model takes
+json_values = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=0.5, max_value=4.0),
+    st.sampled_from([1.0, -0.0, math.nan, math.inf, -math.inf, 10**400, -10**400, True, False,
+                     None, "2", "", [1]]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=2),
+)
+
+
+def field_values(valid, near):
+    """``valid`` five times in eight, ``near`` misses twice, and any of
+    ``json_values`` once."""
+    return st.integers(min_value=0, max_value=7).flatmap(
+        lambda pick: json_values if pick == 0 else near if pick < 3 else valid)
+
+
+ids = field_values(st.integers(min_value=1, max_value=3),
+                   st.sampled_from([0, -1, 1.0, 2.0, True, 10**400, "1", None]))
+numbers = field_values(st.floats(min_value=1.0, max_value=4.0), st.one_of(
+    st.integers(min_value=-1, max_value=5),
+    st.sampled_from([1.0, -0.0, math.nan, math.inf, -math.inf, 10**400, True, "2", None])))
+labels = field_values(st.text(max_size=2), st.sampled_from([None, 1, True]))
+EVENT_FIELDS = {"add_edge": {"k": ids, "l": ids, "w": numbers},
+                "add_node": {"mass": numbers, "label": labels},
+                "prune": {"threshold": numbers}}
+
+
+@st.composite
+def event_objects(draw):
+    """An event object of each kind that may miss a field or carry one more,
+    or a JSON value of another shape."""
+    kind = draw(st.sampled_from([*EVENT_FIELDS, None]))
+    if kind is None:
+        return draw(st.one_of(json_values, st.dictionaries(
+            st.sampled_from(["type", "k", "l", "w", "mass"]), json_values, max_size=4)))
+    raw = {"type": kind}
+    for name, values in EVENT_FIELDS[kind].items():
+        if draw(st.integers(min_value=0, max_value=7)):  # one in eight is missing
+            raw[name] = draw(values)
+    if not draw(st.integers(min_value=0, max_value=3)):  # one in four has one more
+        others = [name for name in ("k", "w", "mass", "label", "threshold", "thresold")
+                  if name not in EVENT_FIELDS[kind]]
+        raw[draw(st.sampled_from(others))] = draw(json_values)
+    return raw
+
+
+@settings(max_examples=1000, deadline=None)
+@given(event_objects())
+def test_the_shortcut_agrees_with_the_checked_path(raw):
+    data = doc_bytes({**MINIMAL, "events": [raw]})
+    raw = json.loads(data)["events"][0]  # as parsing decodes it
+    try:
+        checked = _parse_event(CheckedOnly(raw) if isinstance(raw, dict) else raw, 0)
+    except ScriptError as err:
+        with pytest.raises(ScriptError) as excinfo:
+            parse_script(data)
+        assert (excinfo.value.path, str(excinfo.value)) == (err.path, str(err))
+    else:
+        _, events, _ = parse_script(data)
+        assert events == [checked]
+        assert repr(events) == repr([checked])  # so 5 and 5.0, or 0.0 and -0.0, differ
 
 
 class TestRenderRoundTrip:

@@ -23,8 +23,11 @@ from massgraph import (
     AddNode,
     EdgeRecord,
     GraphState,
+    InputError,
     KernelParams,
+    MassGraphError,
     MetricsReport,
+    NodeRecord,
     Prune,
     ScenarioConfig,
     ScriptError,
@@ -43,6 +46,8 @@ from massgraph import (
     validate_state,
 )
 from massgraph.engine import prune_delta
+from massgraph.graph import above_one, edge_key, node_id, node_label
+from massgraph.kernel import as_float
 
 # light masses and weights, so that most prunes remove edges and isolate nodes
 biting = st.builds(
@@ -142,6 +147,82 @@ def test_script_round_trips(config):
     assert parsed_events == events
     assert params == initial.params
     assert state_digest(parsed) == state_digest(initial)
+
+
+# fields as a caller may hand them over: mostly values the model takes, and
+# ints for floats, bools, NaN, infinities, huge ints, strings and None
+fields = st.one_of(
+    st.integers(min_value=1, max_value=3),
+    st.floats(min_value=0.5, max_value=5.0),
+    st.sampled_from([0, 5, 2**53 + 1, 10**400, 1.0, -0.0, math.nan, math.inf, -math.inf,
+                     True, False, None, "5"]),
+    st.floats(),
+)
+any_events = st.lists(st.one_of(
+    st.builds(AddEdge, fields, fields, fields),
+    st.builds(AddNode, fields, st.one_of(st.none(), st.text(max_size=2), fields)),
+    st.builds(Prune, fields),
+), max_size=4)
+
+
+def as_the_model_takes(event):
+    """``event`` with each field as the model's rules take it; raises what
+    they raise for a field they refuse."""
+    if isinstance(event, AddEdge):
+        k, l = node_id(event.k), node_id(event.l)
+        edge_key(k, l)
+        return AddEdge(k, l, above_one(event.initial_weight, "edge weight"))
+    if isinstance(event, AddNode):
+        return AddNode(above_one(event.initial_mass, "node mass"), node_label(event.label))
+    return Prune(as_float(event.threshold, "prune threshold"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields, fields, fields, any_events)
+def test_a_script_document_reads_back_exactly_or_is_refused(mass1, mass2, weight, events):
+    initial = GraphState(0, {1: NodeRecord(mass1), 2: NodeRecord(mass2)}, {(1, 2): weight})
+    try:
+        expected_initial = new_graph([mass1, mass2], [(1, 2, weight)])
+        expected = [as_the_model_takes(event) for event in events]
+    except MassGraphError:
+        with pytest.raises(InputError):
+            script_document(initial, events)
+        return
+    data = canonical_json_bytes(script_document(initial, events))  # no ValueError either
+    parsed_initial, parsed, _ = parse_script(data)
+    assert parsed_initial == expected_initial
+    assert repr(parsed_initial.nodes) == repr(expected_initial.nodes)
+    assert parsed == expected
+    assert repr(parsed) == repr(expected)  # so 5 and 5.0, or 0.0 and -0.0, differ
+
+
+@pytest.mark.parametrize("initial,events,where", [
+    (new_graph([2, 2], []), [AddNode(3.0, label=5)], "events[0]"),
+    (new_graph([2, 2], []), [AddEdge(True, 2, 5.0)], "events[0]"),
+    (new_graph([2, 2], []), [AddEdge(1, 1, 5.0)], "events[0]"),
+    (new_graph([2, 2], []), [AddEdge(1, 2, 0.5)], "events[0]"),
+    (new_graph([2, 2], []), [AddNode(3.0), AddEdge(1, 2, math.nan)], "events[1]"),
+    (new_graph([2, 2], []), [Prune(math.inf)], "events[0]"),
+    (new_graph([2, 2], []), [AddEdge(1, 2, "5")], "events[0]"),
+    (GraphState(0, {1: NodeRecord(0.5), 2: NodeRecord(3.0)}), [], "phase-0 state"),
+    (GraphState(0, {1: NodeRecord(2.0), 2: NodeRecord(3.0)}, {(2, 1): 2.0}), [], "phase-0 edges"),
+])
+def test_a_script_document_refuses_what_parse_script_refuses(initial, events, where):
+    with pytest.raises(InputError, match=re.escape(where)):
+        script_document(initial, events)
+
+
+def test_a_script_document_writes_each_number_as_parsing_reads_it():
+    initial = GraphState(0, {1: NodeRecord(2), 2: NodeRecord(3.0)}, {(1, 2): 4})
+    events = [AddEdge(1, 2, 5), AddNode(3, label="x"), Prune(2)]
+    doc = script_document(initial, events)
+    assert doc["initial"] == {"masses": [2.0, 3.0], "edges": [[1, 2, 4.0]]}
+    assert canonical_json_bytes(doc["events"]) == \
+        b'[{"k":1,"l":2,"type":"add_edge","w":5.0},{"label":"x","mass":3.0,"type":"add_node"},' \
+        b'{"threshold":2.0,"type":"prune"}]\n'
+    state, parsed, _ = parse_script(canonical_json_bytes(doc))
+    assert repr(parsed) == repr([AddEdge(1, 2, 5.0), AddNode(3.0, label="x"), Prune(2.0)])
+    assert state == new_graph([2.0, 3.0], [(1, 2, 4.0)])
 
 
 @settings(max_examples=60, deadline=None)
