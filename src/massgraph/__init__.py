@@ -49,7 +49,6 @@ from .scenario import (
 )
 from .io import (
     canonical_json_bytes,
-    event_to_json,
     export_dot,
     export_history_json,
     load_history,
@@ -90,7 +89,6 @@ __all__ = [
     "canonical_json_bytes",
     "cli_main",
     "edge_key",
-    "event_to_json",
     "export_dot",
     "export_history_json",
     "generate_scenario",

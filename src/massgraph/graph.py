@@ -14,11 +14,14 @@ state that changes is a run's working state: ``run_script`` and
 no dict with any other state and is handed out only when the run is over.
 Node ids are 1-based and permanent; deletion marks a node dead instead of
 renumbering, and ids are never reused.
+
+A run and a script both start from a phase-0 state, and
+:func:`initial_inputs` is the one rule for which states those are: the
+ones :func:`new_graph` builds, with masses and weights > 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -204,12 +207,11 @@ def validate_state(state: GraphState) -> list[str]:
     to see them named here.
     """
     problems: list[str] = []
-    inf = math.inf
     try:
         as_int(state.phase, "phase", InputError, 0)
     except InputError as err:
         problems.append(str(err))
-    for i, rec in sorted(state.nodes.items()):
+    for i, rec in state.nodes.items():
         try:
             node_id(i)
         except NodeLookupError as err:
@@ -221,18 +223,18 @@ def validate_state(state: GraphState) -> list[str]:
                 problems.append(f"node {i}: {err}")
         if type(rec.alive) is not bool:  # 1 == True, but exports would differ
             problems.append(f"node {i}: alive must be a bool, got {rec.alive!r}")
-        # a float in range, the common case, skips the conversion's calls
-        if rec.alive and not (type(rec.mass) is float and 1 < rec.mass < inf):
+        if rec.alive:
             try:
-                above_one(rec.mass, f"alive node {i}'s mass")
+                above_one(rec.mass, "mass")
             except InputError as err:
-                problems.append(str(err))
-    for key, weight in sorted(state.edges.items()):
+                problems.append(f"node {i}: {err}")
+    for key, weight in state.edges.items():
         a, b = key
         try:
             node_id(a), node_id(b)
         except NodeLookupError as err:
             problems.append(f"edge key {key!r}: {err}")
+            continue
         if a == b:
             problems.append(f"edge {key} sits on the diagonal")
             continue
@@ -246,9 +248,32 @@ def validate_state(state: GraphState) -> list[str]:
                 problems.append(f"edge {key} references unknown node {endpoint}")
             elif not rec.alive:
                 problems.append(f"edge {key} touches dead node {endpoint}")
-        if not (isinstance(weight, float) and -inf < weight < inf):
-            try:
-                as_float(weight, f"weight of edge {key}")
-            except InputError as err:
-                problems.append(str(err))
+        try:
+            as_float(weight, "value")
+        except InputError as err:
+            problems.append(f"weight of edge {key}: {err}")
     return problems
+
+
+def initial_inputs(state: GraphState) -> tuple[list[float], list[tuple[int, int, float]]]:
+    """The masses and ``(low, high, weight)`` triples, as floats, from which
+    :func:`new_graph` rebuilds ``state``, if ``state`` is one a run may
+    start from and a script can hold: :func:`validate_state` finds nothing,
+    the phase is 0, the nodes are numbered 1..n, alive and unlabelled, and
+    every weight is > 1. Otherwise one :class:`InputError` lists every
+    problem.
+    """
+    problems = validate_state(state)
+    if state.phase != 0:
+        problems.append(f"a run starts at phase 0, got phase {state.phase!r}")
+    n = len(state.nodes)
+    if state.nodes.keys() != set(range(1, n + 1)):
+        problems.append(f"phase-0 nodes must be numbered 1 to {n}")
+    problems += [f"node {i}: phase-0 nodes are alive and unlabelled"
+                 for i, rec in state.nodes.items() if not rec.alive or rec.label is not None]
+    problems += [f"initial weight of edge {key} must be > 1, got {w}"
+                 for key, w in state.edges.items() if isinstance(w, (int, float)) and w <= 1]
+    if problems:
+        raise InputError("invalid phase-0 state: " + "; ".join(problems))
+    return ([float(state.nodes[i].mass) for i in range(1, n + 1)],
+            [(a, b, float(w)) for (a, b), w in sorted(state.edges.items())])

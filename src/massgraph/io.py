@@ -16,15 +16,17 @@ Script documents (version 1) look like::
 Parsing is strict: unknown fields are rejected so typos fail loudly. The
 parser checks only the JSON's shape; every number rule (integer ids >= 1,
 finite numbers, masses and weights > 1) is the model's own, from graph and
-kernel, and reports the JSON path of the element that breaks it. An event
-whose values already have the exact type and range those rules take
-unchanged (an int id, not a bool; a float mass, weight or threshold in
-range) and whose keys are exactly its kind's is built in one check, with
-no path string; the shortcut never accepts a value the checked path
-refuses, and everything else, every error included, takes that path.
-:func:`script_document` applies the same rules with the same shortcut, so
-it refuses with :class:`InputError` what :func:`parse_script` would refuse,
-and writes each value as parsing reads it back. Exports are canonical --
+kernel, and reports the JSON path of the element that breaks it. The
+parser alone has a shortcut: an event whose values already have the exact
+type and range those rules take unchanged (an int id, not a bool; a float
+mass, weight or threshold in range) and whose keys are exactly its kind's
+is built in one check, with no path string; the shortcut never accepts a
+value the checked path refuses, and everything else, every error
+included, takes that path. :func:`script_document` applies the model's
+rules to each event and :func:`~massgraph.graph.initial_inputs`, the rule
+``run_script`` applies too, to the phase-0 state, so it refuses with
+:class:`InputError` what :func:`parse_script` would refuse, and writes
+each value as parsing reads it back. Exports are canonical --
 keys sorted, floats rendered as their shortest round-trip decimals -- so
 identical inputs always yield byte-identical files.
 
@@ -58,8 +60,8 @@ from typing import NoReturn
 
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport
 from .errors import InputError, MassGraphError, ScriptError
-from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, new_graph,
-                    node_id, node_label)
+from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, initial_inputs,
+                    new_graph, node_id, node_label)
 from .kernel import KernelParams, as_float, as_int
 from .scenario import PhaseHistory, run_script
 
@@ -147,8 +149,8 @@ def _decode(data: bytes) -> object:
 def _plain_edge(k, l, w) -> bool:
     """Whether the model's rules take ``k``, ``l`` and ``w`` as an edge's ids
     and weight unchanged: ints (not bools) >= 1 that differ, and a float
-    in (1, inf). The shortcut that admits a value in one check; every
-    other value goes through the rules themselves."""
+    in (1, inf). The parser's shortcut, which admits an event in one
+    check; every other event goes through the rules themselves."""
     return type(k) is int and type(l) is int and type(w) is float and 0 < k != l > 0 \
         and 1 < w < math.inf
 
@@ -239,78 +241,44 @@ def _script_values(doc) -> tuple[GraphState, list[Event], KernelParams]:
     return state, events, params
 
 
-def event_to_json(event: Event) -> dict:
+def _event_to_json(event: Event) -> dict:
     """One event as its tagged script-document record, each field as the
-    model's rules take it (``node_id``, ``edge_key``, ``above_one``,
-    ``node_label``, ``as_float``), so that :func:`parse_script` reads the
-    same event back; a field they refuse raises their error."""
+    model's rules take it, so that :func:`parse_script` reads the same
+    event back; a field they refuse raises their error."""
     if isinstance(event, AddEdge):
-        k, l, w = event.k, event.l, event.initial_weight
-        if not _plain_edge(k, l, w):
-            k, l = node_id(k), node_id(l)
-            edge_key(k, l)
-            w = above_one(w, "edge weight")
-        return {"type": "add_edge", "k": k, "l": l, "w": w}
+        k, l = node_id(event.k), node_id(event.l)
+        edge_key(k, l)
+        return {"type": "add_edge", "k": k, "l": l,
+                "w": above_one(event.initial_weight, "edge weight")}
     if isinstance(event, AddNode):
-        mass, label = event.initial_mass, event.label
-        if not _plain_node(mass, label):
-            mass, label = above_one(mass, "node mass"), node_label(label)
-        record = {"type": "add_node", "mass": mass}
-        if label is not None:
-            record["label"] = label
+        record = {"type": "add_node", "mass": above_one(event.initial_mass, "node mass")}
+        if node_label(event.label) is not None:
+            record["label"] = event.label
         return record
     if isinstance(event, Prune):
-        threshold = event.threshold
-        if not _plain_threshold(threshold):
-            threshold = as_float(threshold, "prune threshold")
-        return {"type": "prune", "threshold": threshold}
+        return {"type": "prune", "threshold": as_float(event.threshold, "prune threshold")}
     raise TypeError(f"not an event: {event!r}")
 
 
 def script_document(initial: GraphState, events: list[Event]) -> dict:
     """Render a phase-0 state and event list as a script document, which
-    :func:`parse_script` reads back as equal values: a value the model's
-    rules refuse raises :class:`InputError` naming the phase-0 state or
-    ``events[i]``."""
-    initial_json = _initial_json(initial)
+    :func:`parse_script` reads back as equal values. The phase-0 state is
+    refused as :func:`~massgraph.graph.initial_inputs` refuses it, as
+    ``run_script`` does; an event field the model's rules refuse raises
+    :class:`InputError` naming ``events[i]``."""
+    masses, weights = initial_inputs(initial)
     records = []
     try:
         for event in events:
-            records.append(event_to_json(event))
+            records.append(_event_to_json(event))
     except MassGraphError as err:
         raise InputError(f"events[{len(records)}]: {err}") from err
     return {
         "version": SCRIPT_VERSION,
         "kernel": {"mu": float(initial.params.mu), "sigma": float(initial.params.sigma)},
-        "initial": initial_json,
+        "initial": {"masses": masses, "edges": [[a, b, w] for a, b, w in weights]},
         "events": records,
     }
-
-
-def _initial_json(initial: GraphState) -> dict:
-    """The ``initial`` record of a script whose phase 0 is ``initial``. Its
-    masses and weights pass in one check each where the model's rules take
-    them unchanged, as :func:`_plain_edge` does for events; otherwise
-    :func:`new_graph` applies those rules to them."""
-    if initial.phase != 0:
-        raise InputError(f"script documents describe phase-0 states, got phase {initial.phase}")
-    nodes = [initial.nodes[i] for i in sorted(initial.nodes)]
-    if initial.nodes != {i: NodeRecord(rec.mass) for i, rec in enumerate(nodes, 1)}:
-        raise InputError("phase-0 nodes must be numbered from 1, alive and unlabelled")
-    masses = [rec.mass for rec in nodes]
-    edges = [[a, b, float(w) if isinstance(w, float) else w]  # an EdgeRecord is its float
-             for (a, b), w in sorted(initial.edges.items())]
-    n = len(masses)
-    if all(_plain_node(mass, None) for mass in masses) and \
-            all(_plain_edge(a, b, w) and a < b <= n for a, b, w in edges):
-        return {"masses": masses, "edges": edges}
-    try:
-        state = new_graph(masses, edges, initial.params)
-    except MassGraphError as err:
-        raise InputError(f"phase-0 state: {err}") from err
-    if state.edges.keys() != initial.edges.keys():
-        raise InputError("phase-0 edges must be keyed by their (low, high) pair")
-    return {"masses": [rec.mass for rec in state.nodes.values()], "edges": _edges_to_json(state)}
 
 
 def _compact(obj) -> bytes:
@@ -321,10 +289,6 @@ def canonical_json_bytes(obj) -> bytes:
     """Sorted keys, compact separators, shortest round-trip floats, one
     trailing newline: identical values always produce identical bytes."""
     return _compact(obj) + b"\n"
-
-
-def _edges_to_json(state: GraphState) -> list:
-    return [[a, b, float(w)] for (a, b), w in sorted(state.edges.items())]
 
 
 class _SnapshotWriter:

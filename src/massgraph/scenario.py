@@ -28,8 +28,8 @@ from .engine import (
     settle_delta,
     working_copy,
 )
-from .errors import GenerationError, InputError, MassGraphError, ParameterError, SimulationError
-from .graph import GraphState, new_graph, validate_state
+from .errors import GenerationError, MassGraphError, ParameterError, SimulationError
+from .graph import GraphState, initial_inputs, new_graph
 from .kernel import KernelParams, as_float, as_int
 
 _MAX_REDRAWS = 1000
@@ -194,13 +194,14 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     The events fold in place into one working copy of ``initial``; the
     returned history keeps phase 0's neighbour index and each phase's
     delta, and folds them into states (phase 0 included) only when they
-    are read. Any transition failure aborts the run with the phase index
-    and offending event attached.
+    are read. ``initial`` must be a state a script can hold, which
+    :func:`~massgraph.graph.initial_inputs` decides; it raises
+    :class:`InputError` before settlement for any other. Any transition
+    failure aborts the run with the phase index and offending event
+    attached.
     """
     events = list(events)  # an iterator is read once, here
-    problems = validate_state(initial)
-    if problems:
-        raise InputError("invalid initial state: " + "; ".join(problems))
+    initial_inputs(initial)
     try:
         deltas = [settle_delta(initial)]
     except MassGraphError as err:
@@ -348,13 +349,9 @@ def metrics(state: GraphState, k: int = 1) -> MetricsReport:
         return MetricsReport(phase=state.phase, total_mass=0.0, alive_nodes=0,
                              alive_edges=0, max_mass_node=None,
                              top_k_mass_share=1.0, degree_histogram=())
-    best_id = alive[0]
-    best_mass = masses[0]
-    for i, m in zip(alive[1:], masses[1:]):
-        if m > best_mass:
-            best_id, best_mass = i, m
+    best_mass = max(masses)  # the first of equal masses, so the lowest id
     share = sum(sorted(masses, reverse=True)[:k]) / total if len(alive) > k else 1.0
     return MetricsReport(phase=state.phase, total_mass=total, alive_nodes=len(alive),
                          alive_edges=len(state.edges),
-                         max_mass_node=(best_id, best_mass),
+                         max_mass_node=(alive[masses.index(best_mass)], best_mass),
                          top_k_mass_share=share, degree_histogram=state.degree_histogram)

@@ -166,7 +166,9 @@ class TestValidate:
         ({1.0: NodeRecord(2.0), 2: NodeRecord(2.0)}, {}),
         ({1: NodeRecord(2.0), 2: NodeRecord(2.0)}, {(1.0, 2): EdgeRecord(2.0)}),
         ({1: NodeRecord(2.0), 2: NodeRecord(2.0)}, {(True, 2): EdgeRecord(2.0)}),
-    ], ids=["node-key", "edge-key-float", "edge-key-bool"])
+        ({1: NodeRecord(2.0), "a": NodeRecord(2.0)}, {}),  # ids that do not order
+        ({1: NodeRecord(2.0), 2: NodeRecord(2.0)}, {(1, "a"): EdgeRecord(2.0)}),
+    ], ids=["node-key", "edge-key-float", "edge-key-bool", "node-key-str", "edge-key-str"])
     def test_non_integer_id_is_caught(self, nodes, edges):
         problems = validate_state(GraphState(phase=1, nodes=nodes, edges=edges))
         assert len(problems) == 1 and "integer" in problems[0]

@@ -46,7 +46,7 @@ from massgraph import (
     validate_state,
 )
 from massgraph.engine import prune_delta
-from massgraph.graph import above_one, edge_key, node_id, node_label
+from massgraph.graph import above_one, edge_key, initial_inputs, node_id, node_label
 from massgraph.kernel import as_float
 
 # light masses and weights, so that most prunes remove edges and isolate nodes
@@ -205,11 +205,95 @@ def test_a_script_document_reads_back_exactly_or_is_refused(mass1, mass2, weight
     (new_graph([2, 2], []), [Prune(math.inf)], "events[0]"),
     (new_graph([2, 2], []), [AddEdge(1, 2, "5")], "events[0]"),
     (GraphState(0, {1: NodeRecord(0.5), 2: NodeRecord(3.0)}), [], "phase-0 state"),
-    (GraphState(0, {1: NodeRecord(2.0), 2: NodeRecord(3.0)}, {(2, 1): 2.0}), [], "phase-0 edges"),
+    (GraphState(0, {1: NodeRecord(2.0), 2: NodeRecord(3.0)}, {(2, 1): 2.0}), [],
+     "phase-0 state: edge keyed (2, 1) is not stored in canonical (low, high) form"),
 ])
 def test_a_script_document_refuses_what_parse_script_refuses(initial, events, where):
     with pytest.raises(InputError, match=re.escape(where)):
         script_document(initial, events)
+
+
+# phase-0 states as a caller may build them by hand: masses and weights near
+# 1 (ints included), and now and then a flaw or two: an id that is a bool, a
+# float or out of 1..n, a label, a dead node, alive=1, an edge keyed (high,
+# low), or a later phase
+near_one = st.one_of(st.sampled_from([0.5, 1, 1.0, math.nextafter(1.0, 2.0), 2, 5.0]),
+                     st.floats(min_value=1.0, max_value=3.0))
+
+
+@st.composite
+def hand_built_states(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    nodes = {i: NodeRecord(draw(near_one)) for i in range(1, n + 1)}
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(nodes, 2))),
+                          unique=True)) if n > 1 else []
+    edges = {pair: draw(st.one_of(near_one, st.builds(EdgeRecord, near_one))) for pair in pairs}
+    phase = 0
+    for flaw in draw(st.sets(st.sampled_from(["id", "label", "dead", "alive", "key", "phase"]),
+                             max_size=2)):
+        if flaw == "phase":
+            phase = 1
+        elif flaw == "key" and edges:
+            (a, b), w = edges.popitem()
+            edges[b, a] = w
+        elif nodes:
+            i = draw(st.sampled_from(sorted(nodes)))
+            if flaw == "id":
+                new = draw(st.sampled_from([True, 1.0, 2.0, 0, n + 1]))
+                nodes = {new if j == i else j: rec for j, rec in nodes.items()}
+            elif flaw == "label":
+                nodes[i] = NodeRecord(nodes[i].mass, label="x")
+            else:
+                nodes[i] = NodeRecord(nodes[i].mass, alive=False if flaw == "dead" else 1)
+    return GraphState(phase, nodes, edges)
+
+
+def refuses(call, *args) -> bool:
+    try:
+        call(*args)
+    except InputError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_states())
+def test_a_run_and_a_script_document_refuse_the_same_phase_0_states(state):
+    refused = refuses(run_script, state, [])
+    assert refuses(script_document, state, []) == refused
+    if not refused:
+        assert new_graph(*initial_inputs(state), state.params) == state
+        assert parse_script(canonical_json_bytes(script_document(state, [])))[0] == state
+
+
+@pytest.mark.parametrize("nodes", [
+    {1: NodeRecord(2.0, label="x"), 2: NodeRecord(3.0)},
+    {1: NodeRecord(2.0), 2: NodeRecord(3.0, alive=False)},
+    {1: NodeRecord(2.0), 3: NodeRecord(3.0)},
+], ids=["labelled", "dead", "ids-1-and-3"])
+def test_a_run_refuses_a_state_no_script_can_hold(nodes):
+    # such a run used to go ahead, and only its export refused it
+    with pytest.raises(InputError, match="invalid phase-0 state"):
+        run_script(GraphState(0, nodes), [])
+
+
+@pytest.mark.parametrize("nodes", [
+    {True: NodeRecord(2.0), 2: NodeRecord(3.0)},
+    {1: NodeRecord(2.0, alive=1), 2: NodeRecord(3.0)},
+], ids=["bool-id", "alive-as-1"])
+def test_a_script_document_refuses_a_state_no_run_starts_from(nodes):
+    state = GraphState(0, nodes)
+    with pytest.raises(InputError):
+        run_script(state, [])
+    with pytest.raises(InputError, match="invalid phase-0 state"):
+        script_document(state, [])
+
+
+def test_a_run_refuses_a_phase_0_weight_of_at_most_one_before_settlement():
+    state = GraphState(0, {1: NodeRecord(2.0), 2: NodeRecord(3.0)}, {(1, 2): EdgeRecord(0.5)})
+    for call in (run_script, script_document):
+        with pytest.raises(InputError, match=re.escape("edge (1, 2) must be > 1, got 0.5")):
+            call(state, [])
 
 
 def test_a_script_document_writes_each_number_as_parsing_reads_it():

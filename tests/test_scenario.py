@@ -82,7 +82,7 @@ class TestRunScript:
 
     def test_rejects_settled_initial(self, phase0):
         history = run_script(phase0, [])
-        with pytest.raises(SimulationError):
+        with pytest.raises(InputError, match="phase 0"):
             run_script(history.final, [])
 
     def test_snapshots_are_immutable(self, phase0):
