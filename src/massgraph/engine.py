@@ -19,12 +19,13 @@ records, the new edge's weight and ``shift = ln(gain)``, which :func:`fold`
 adds to every weight at the two endpoints. So a kept delta costs O(1) per
 edge event, whatever the endpoints' degrees.
 
-The neighbour index (:attr:`GraphState.neighbours`) is derived from a
-state's edges; :func:`fold` reads it to find the edges at an edge event's
-endpoints, so the event's cost follows their degrees, not the edge count.
-One rule keeps it: :func:`working_copy` takes the index over from its
-predecessor, which drops it, and :func:`advance` updates it. A state no
-transition produced builds its own, on first use. The alive nodes' degree
+The incidence index (:attr:`GraphState.incident`, node id -> keys of its
+edges) is derived from a state's edges; :func:`fold` reads it to find the
+edges at an edge event's endpoints, so the event's cost follows their
+degrees, not the edge count, and it builds no key to reach them. One rule
+keeps it: :func:`working_copy` takes the index over from its predecessor,
+which drops it, and :func:`advance` updates it. A state no transition
+produced builds its own, on first use. The alive nodes' degree
 histogram (:attr:`GraphState.degree_histogram`) follows the same rule:
 :func:`folded` derives a successor's from its predecessor's, and
 :func:`advance` drops a working state's.
@@ -42,7 +43,7 @@ from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, nod
 from .kernel import as_float, reinforcement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddEdge:
     """Dynamic input: connect nodes k and l with a fresh initial weight > 1."""
 
@@ -51,7 +52,7 @@ class AddEdge:
     initial_weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddNode:
     """Static expansion: a new node with an initial mass > 1."""
 
@@ -59,7 +60,7 @@ class AddNode:
     label: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prune:
     """Forgetting: drop edges below the threshold, then delete isolated nodes."""
 
@@ -94,41 +95,39 @@ class PhaseDelta(NamedTuple):
     shift: float | None = None
 
 
-def fold(delta: PhaseDelta, nodes: dict, edges: dict, neighbours: dict) -> None:
-    """Apply ``delta`` to ``nodes``, ``edges`` and their neighbour index, in
-    place. A changed record keeps its key's place, an added one goes last,
-    and a prune's survivors keep theirs.
+def fold(delta: PhaseDelta, nodes: dict, edges: dict, incident: dict) -> None:
+    """Apply ``delta`` to ``nodes``, ``edges`` and their index (node id ->
+    keys of its edges), in place. A changed record keeps its key's place,
+    an added one goes last, and a prune's survivors keep theirs.
 
     An edge event's shift reaches the edges at its endpoints through the
-    index, before the new pair joins it, so the new edge is not shifted."""
+    index, before the new key joins it, so the new edge is not shifted."""
     for i in delta.nodes:
-        if i not in neighbours:
-            neighbours[i] = ()
+        if i not in incident:
+            incident[i] = ()
     nodes.update(delta.nodes)
     edges.update(delta.edges)
     shift = delta.shift
     if shift is not None:
-        (pair,) = delta.edges
-        for i in pair:
-            for j in neighbours[i]:
-                key = (i, j) if i < j else (j, i)
-                edges[key] = EdgeRecord(edges[key] + shift)
-        a, b = pair
-        neighbours[a] += (b,)
-        neighbours[b] += (a,)
+        (new,) = delta.edges
+        a, b = new
+        for key in incident[a] + incident[b]:
+            edges[key] = EdgeRecord(edges[key] + shift)
+        incident[a] += (new,)
+        incident[b] += (new,)
     if delta.report is None:
         return
-    removed = [pair for pair, _ in delta.report.removed_edges]
-    for pair in removed:
-        del edges[pair]
-    for i in {i for pair in removed for i in pair}:
-        neighbours[i] = tuple(j for j in neighbours[i] if edge_key(i, j) in edges)
+    removed = [key for key, _ in delta.report.removed_edges]
+    for key in removed:
+        del edges[key]
+    for i in {i for key in removed for i in key}:
+        incident[i] = tuple(key for key in incident[i] if key in edges)
 
 
-def folded(state: GraphState, delta: PhaseDelta, neighbours: dict) -> GraphState:
+def folded(state: GraphState, delta: PhaseDelta, incident: dict) -> GraphState:
     """``state``'s successor, with ``delta`` folded onto copies of the dicts
     it changes; a dict it leaves alone (the edges, for a node event or a
-    prune that removes no edge) is shared. ``neighbours`` is ``state``'s
+    prune that removes no edge) is shared. ``incident`` is ``state``'s
     index, which the fold updates in place; the successor holds no index.
 
     The successor gets its :attr:`~GraphState.degree_histogram` from
@@ -148,11 +147,11 @@ def folded(state: GraphState, delta: PhaseDelta, neighbours: dict) -> GraphState
     for i in touched:
         rec = state.nodes.get(i)
         if rec is not None and rec.alive:
-            counts[len(neighbours[i])] -= 1
-    fold(delta, nodes, edges, neighbours)
+            counts[len(incident[i])] -= 1
+    fold(delta, nodes, edges, incident)
     for i in touched:
         if nodes[i].alive:
-            d = len(neighbours[i])
+            d = len(incident[i])
             if d >= len(counts):
                 counts += [0] * (d + 1 - len(counts))
             counts[d] += 1
@@ -165,13 +164,13 @@ def folded(state: GraphState, delta: PhaseDelta, neighbours: dict) -> GraphState
 
 
 def working_copy(state: GraphState) -> GraphState:
-    """A copy of ``state`` that owns its dicts and takes its neighbour index
+    """A copy of ``state`` that owns its dicts and takes its incidence index
     over, for :func:`advance`; ``state`` drops its index. The index's
     tuples are shared, so a copy of ``state`` made earlier keeps a correct
     one."""
     copy = GraphState(state.phase, dict(state.nodes), dict(state.edges), state.params)
-    vars(copy)["neighbours"] = dict(state.neighbours)
-    vars(state).pop("neighbours")
+    vars(copy)["incident"] = dict(state.incident)
+    vars(state).pop("incident")
     return copy
 
 
@@ -181,7 +180,7 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
     shares a dict with; an index entry that changes gets a new tuple.
     ``state`` drops its degree histogram, so ``metrics`` of a working state
     counts its edges afresh, in O(E)."""
-    fold(delta, state.nodes, state.edges, state.neighbours)
+    fold(delta, state.nodes, state.edges, state.incident)
     vars(state).pop("degree_histogram", None)
     object.__setattr__(state, "phase", state.phase + 1)
 
@@ -247,13 +246,13 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
        below 1, so incident weights can shrink. Edges between other
        nodes are untouched. Each shift is independent of the others, so
        the visiting order does not matter; :func:`fold` finds the edges
-       through the neighbour index, never by scanning all edges.
+       through the incidence index, never by scanning all edges.
     4. The phase advances by one.
 
     Both endpoints must be alive nodes. The pair must not currently be
     connected; a pair whose edge was pruned earlier may be reconnected.
     The delta holds two node records, the new edge's weight and the shift
-    of step 3, whatever deg(k) + deg(l) is; it reads no neighbour index.
+    of step 3, whatever deg(k) + deg(l) is; it reads no incidence index.
     """
     if state.phase < 1:
         raise SequencingError(
@@ -279,7 +278,7 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
     grown = {k: NodeRecord(mass_k, nodes[k].label), l: NodeRecord(mass_l, nodes[l].label)}
     shift = math.log(gain)
     added = {key: _new_edge(key, w + math.log(mass_k + mass_l))}
-    return PhaseDelta(grown, added, shift=shift)
+    return PhaseDelta(grown, added, None, shift)
 
 
 def node_delta(state: GraphState, initial_mass: float,
@@ -305,10 +304,10 @@ def prune_delta(state: GraphState, threshold: float) -> PhaseDelta:
     for pair, _ in removed_edges:
         for i in pair:
             lost[i] = lost.get(i, 0) + 1
-    neighbours = state.neighbours
+    incident = state.incident
     # the nodes that were isolated, and those that lose every edge
-    isolated = [i for i, ids in neighbours.items() if not ids]
-    isolated += [i for i, n in lost.items() if len(neighbours[i]) == n]
+    isolated = [i for i, keys in incident.items() if not keys]
+    isolated += [i for i, n in lost.items() if len(incident[i]) == n]
     removed_nodes = tuple(sorted(i for i in isolated if state.nodes[i].alive))
     dead = {i: NodeRecord(state.nodes[i].mass, state.nodes[i].label, alive=False)
             for i in removed_nodes}

@@ -29,7 +29,7 @@ from .errors import DiagonalError, DuplicateEdgeError, InputError, NodeLookupErr
 from .kernel import KernelParams, as_float, as_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord:
     """One node: current mass, optional label, liveness."""
 
@@ -88,11 +88,12 @@ class GraphState:
     the zero diagonal hold by construction; an absent pair reads as
     weight 0.
 
-    :attr:`neighbours` and :attr:`degree_histogram` are caches derived from
-    ``nodes`` and ``edges``, not part of the value: they take no part in
-    equality. One rule keeps both: a state gets a cache only from its
-    predecessor's, updated for what the delta touched, and a state that got
-    none builds its own on first use. :func:`~massgraph.engine.working_copy`
+    :attr:`incident` (node id -> keys of its edges) and
+    :attr:`degree_histogram` are caches derived from ``nodes`` and ``edges``,
+    not part of the value: they take no part in equality. One rule keeps
+    both: a state gets a cache only from its predecessor's, updated for what
+    the delta touched, and a state that got none builds its own on first
+    use. :func:`~massgraph.engine.working_copy`
     takes the index over from the state it copies, which drops it, and
     :func:`~massgraph.engine.advance` updates it in place, so in a chain of
     states only the newest holds one. :func:`~massgraph.engine.folded`
@@ -106,13 +107,13 @@ class GraphState:
     params: KernelParams = field(default_factory=KernelParams)
 
     @cached_property
-    def neighbours(self) -> dict[int, tuple[int, ...]]:
-        """Every node id mapped to the ids it shares an edge with."""
-        index: dict[int, list[int]] = {i: [] for i in self.nodes}
-        for a, b in self.edges:
-            index.setdefault(a, []).append(b)
-            index.setdefault(b, []).append(a)
-        return {i: tuple(ids) for i, ids in index.items()}
+    def incident(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Every node id mapped to the keys of its edges, as ``edges`` holds them."""
+        index: dict[int, list[tuple[int, int]]] = {i: [] for i in self.nodes}
+        for key in self.edges:
+            for i in key:
+                index.setdefault(i, []).append(key)
+        return {i: tuple(keys) for i, keys in index.items()}
 
     @cached_property
     def degree_histogram(self) -> tuple[int, ...]:

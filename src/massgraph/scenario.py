@@ -108,14 +108,14 @@ class PhaseHistory:
     """Ordered record of one run: its states, the events that made them,
     and every prune's report.
 
-    A run keeps only the phase-0 state and its neighbour index, one
+    A run keeps only the phase-0 state and its incidence index, one
     :class:`~massgraph.engine.PhaseDelta` per phase and its working final
     state; an edge event's delta holds one edge weight and its shift, not
     the weights the shift changes. The state at each phase is made by
     folding the deltas onto copies in order, with a copy of the kept index
     standing in for each state's: a state shares each dict its delta
     leaves alone with its predecessor (the edges, after a node event or a
-    prune that removes no edge), and holds no neighbour index. Each folded
+    prune that removes no edge), and holds no incidence index. Each folded
     state gets its degree histogram from its predecessor's, starting from
     phase 0's, so :func:`metrics` of it reads no edge. The last state is
     the final state itself, which counts its histogram from its edges on
@@ -137,26 +137,26 @@ class PhaseHistory:
     ``events``; export checks it.
     """
 
-    def __init__(self, source: dict | None, initial: GraphState, neighbours: dict,
+    def __init__(self, source: dict | None, initial: GraphState, incident: dict,
                  deltas: list[PhaseDelta], final: GraphState, events: list[Event],
                  prune_reports: list[PruneReport]):
         self.source = source
         self.events = events
         self.prune_reports = prune_reports
         self._initial = initial
-        self._neighbours = neighbours
+        self._incident = incident
         self._deltas = deltas
         self._final = final
 
-    def _folds(self, deltas: list, neighbours: dict) -> Iterator[GraphState]:
+    def _folds(self, deltas: list, incident: dict) -> Iterator[GraphState]:
         """Every state in phase order, each delta folded onto copies of its
         predecessor's changed dicts and then dropped from ``deltas``;
-        ``neighbours`` is phase 0's index, which the folds update. Each
+        ``incident`` is phase 0's index, which the folds update. Each
         fold derives its state's degree histogram from phase 0's."""
         state = self._initial
         yield state
         for p in range(len(deltas) - 1):
-            state = folded(state, deltas[p], neighbours)
+            state = folded(state, deltas[p], incident)
             deltas[p] = None  # released once folded
             yield state
         yield self._final
@@ -173,13 +173,13 @@ class PhaseHistory:
         built = vars(self).get("snapshots")
         if built is not None:
             return iter(built)
-        return self._folds(list(self._deltas), dict(self._neighbours))
+        return self._folds(list(self._deltas), dict(self._incident))
 
     @cached_property
     def snapshots(self) -> list[GraphState]:
         deltas, self._deltas = self._deltas, []
-        neighbours, self._neighbours = self._neighbours, {}
-        return list(self._folds(deltas, neighbours))
+        incident, self._incident = self._incident, {}
+        return list(self._folds(deltas, incident))
 
     @property
     def final(self) -> GraphState:
@@ -192,7 +192,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     """Settle the initial state, then apply the events in order.
 
     The events fold in place into one working copy of ``initial``; the
-    returned history keeps phase 0's neighbour index and each phase's
+    returned history keeps phase 0's incidence index and each phase's
     delta, and folds them into states (phase 0 included) only when they
     are read. ``initial`` must be a state a script can hold, which
     :func:`~massgraph.graph.initial_inputs` decides; it raises
@@ -207,7 +207,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     except MassGraphError as err:
         raise SimulationError(f"settlement failed: {err}", phase=1) from err
     state = working_copy(initial)
-    neighbours = dict(state.neighbours)  # phase 0's, for building the snapshots
+    incident = dict(state.incident)  # phase 0's, for building the snapshots
     advance(state, deltas[0])
     for event in events:
         try:
@@ -220,7 +220,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
         advance(state, delta)
         deltas.append(delta)
     reports = [delta.report for delta in deltas if delta.report is not None]
-    return PhaseHistory(source, initial, neighbours, deltas, state, events, reports)
+    return PhaseHistory(source, initial, incident, deltas, state, events, reports)
 
 
 def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:
@@ -234,17 +234,16 @@ def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:
     return kinds[-1][1]
 
 
-def _free_pair(alive: list[int], later: dict[int, int], neighbours: dict,
+def _free_pair(alive: list[int], later: dict[int, int], edges: dict,
                r: int) -> tuple[int, int]:
     """The r-th (from 0) unconnected pair of the ascending ``alive`` ids, in
     ascending (low, high) order, found by counting each node's free later
     partners -- ``later[a]`` is how many of a's neighbours lie above a --
-    instead of listing every free pair."""
+    instead of listing every free pair; b > a, so ``(a, b)`` is its key."""
     for idx, a in enumerate(alive):
         free = len(alive) - idx - 1 - later[a]
         if r < free:
-            linked = set(neighbours[a])
-            return a, [b for b in alive[idx + 1:] if b not in linked][r]
+            return a, [b for b in alive[idx + 1:] if (a, b) not in edges][r]
         r -= free
     raise IndexError("fewer free pairs than the rank asked for")
 
@@ -276,7 +275,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
     events: list[Event] = []
     state = working_copy(initial)
     advance(state, settle_delta(initial))
-    # beside the working index: the alive ids, ascending, and each node's
+    # beside the working state: the alive ids, ascending, and each node's
     # count of neighbours above it
     alive = state.alive_ids()
     later = dict.fromkeys(state.nodes, 0)
@@ -291,7 +290,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
                 free = n * (n - 1) // 2 - len(state.edges)
                 if not free:
                     continue
-                k, l = _free_pair(alive, later, state.neighbours, rng.randrange(free))
+                k, l = _free_pair(alive, later, state.edges, rng.randrange(free))
                 event = AddEdge(k=k, l=l, initial_weight=rng.uniform(*config.weight_range))
             elif kind == "add_node":
                 event = AddNode(initial_mass=rng.uniform(*config.mass_range))

@@ -7,7 +7,10 @@ mpmath at 50-digit precision; those values are frozen here.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 
 import pytest
@@ -20,6 +23,7 @@ from massgraph import (
     InputError,
     KernelParams,
     NodeLookupError,
+    NodeRecord,
     Prune,
     SequencingError,
     apply_event,
@@ -320,6 +324,16 @@ class TestDispatch:
     def test_rejects_non_events(self, settled):
         with pytest.raises(TypeError):
             apply_event(settled, "prune")
+
+
+@pytest.mark.parametrize("value", [NodeRecord(2.5, "hub", False), AddEdge(1, 2, 2.0),
+                                   AddNode(3.0, "new"), Prune(3.6)])
+def test_records_and_events_are_slotted_values(value):
+    assert dataclasses.replace(value) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(TypeError):
+        vars(value)  # no per-instance __dict__
 
 
 class TestDeterminismAndInvariants:

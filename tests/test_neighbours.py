@@ -1,12 +1,15 @@
-"""The neighbour index: derived from the edges, handed from each state to its
-successor and dropped by the predecessor; only a run's working state updates
-its own in place. The degree histogram, the other derived cache, follows the
-same rule: a folded state derives its own from its predecessor's, and the
-working state drops its own as it advances."""
+"""The incidence index (node id -> keys of its edges): derived from the
+edges, handed from each state to its successor and dropped by the
+predecessor; only a run's working state updates its own in place. The
+degree histogram, the other derived cache, follows the same rule: a folded
+state derives its own from its predecessor's, and the working state drops
+its own as it advances."""
 
 from __future__ import annotations
 
 import copy
+import sys
+from collections import Counter
 from unittest.mock import patch
 
 from hypothesis import given, settings
@@ -23,23 +26,24 @@ from massgraph import (
     run_script,
     settle_phase_one,
 )
-from massgraph import scenario
+from massgraph import engine, scenario
 from massgraph.engine import advance, edge_delta, folded, node_delta, settle_delta, working_copy
 from test_roundtrip import biting, configs
 
 
 def holds_index(state) -> bool:
-    return "neighbours" in vars(state)
+    return "incident" in vars(state)
 
 
 def assert_index_matches_edges(state):
-    rebuilt = {i: set() for i in state.nodes}
-    for a, b in state.edges:
-        rebuilt[a].add(b)
-        rebuilt[b].add(a)
-    index = state.neighbours
-    assert {i: set(ids) for i, ids in index.items()} == rebuilt
-    assert all(len(ids) == len(set(ids)) for ids in index.values())
+    # every node has an entry, and each edge key sits exactly once in each
+    # of its endpoints' tuples and nowhere else, as the edge dict's own key
+    index = state.incident
+    assert index.keys() == state.nodes.keys()
+    placed = Counter((i, key) for i, keys in index.items() for key in keys)
+    assert placed == Counter((i, key) for key in state.edges for i in key)
+    held = {key: key for key in state.edges}
+    assert all(held[key] is key for keys in index.values() for key in keys)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +96,7 @@ def test_edge_and_node_events_hand_on_the_index():
     assert_index_matches_edges(state)
     state = apply_event(state, AddNode(4.0))[0]
     assert holds_index(state)
-    assert state.neighbours == {1: (2, 3), 2: (1,), 3: (1,), 4: ()}
+    assert state.incident == {1: ((1, 2), (1, 3)), 2: ((1, 2),), 3: ((1, 3),), 4: ()}
     # edge (1, 2) weighs 3.50 and (1, 3) 4.00: the prune isolates nodes 2 and 4
     state, report = apply_event(state, Prune(3.75))
     assert [key for key, _ in report.removed_edges] == [(1, 2)]
@@ -106,28 +110,50 @@ def test_a_run_builds_the_index_once():
                             prune_threshold=20.0)
     initial, events = generate_scenario(config)
     assert sum(isinstance(event, Prune) for event in events) == 21
-    build = GraphState.neighbours.func
+    build = GraphState.incident.func
     built = []
 
     def counted(state):
         built.append(state.phase)
         return build(state)
 
-    with patch.object(GraphState.neighbours, "func", counted):
+    with patch.object(GraphState.incident, "func", counted):
         history = run_script(initial, events)
         assert_index_matches_edges(history.final)  # the working index
         assert len(history.snapshots) == len(events) + 2  # built without one
     assert built == [0]
 
 
+def test_a_run_builds_edge_keys_only_for_its_edge_events():
+    # the fold reaches the edges it shifts or re-filters by the keys the
+    # index holds; only edge_delta builds one, for its new pair
+    config = ScenarioConfig(seed=1, n_initial=8, mass_range=(1.5, 4.0),
+                            weight_range=(1.5, 4.0), initial_edge_density=0.5, n_phases=30,
+                            event_mix=(0.5, 0.2, 0.3), prune_threshold=5.0)
+    initial, events = generate_scenario(config)
+    real = engine.edge_key
+    callers = []
+
+    def counted(i, j):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(i, j)
+
+    with patch.object(engine, "edge_key", counted):
+        history = run_script(initial, events)
+        assert len(history.snapshots) == len(events) + 2
+    assert sum(len(report.removed_edges) for report in history.prune_reports) == 10
+    assert callers == ["edge_delta"] * sum(isinstance(event, AddEdge) for event in events)
+
+
 def test_a_copy_keeps_a_correct_index_after_the_original_advances():
     state = settle_phase_one(new_graph([2, 2, 3], [(1, 2, 2)]))
-    assert state.neighbours == {1: (2,), 2: (1,), 3: ()}
+    assert state.incident == {1: ((1, 2),), 2: ((1, 2),), 3: ()}
     twin = copy.copy(state)
     apply_event(state, AddEdge(1, 3, 2.0))[0]
     assert not holds_index(state)
-    assert twin.neighbours == {1: (2,), 2: (1,), 3: ()}
-    assert apply_event(twin, AddEdge(2, 3, 2.0))[0].neighbours == {1: (2,), 2: (1, 3), 3: (2,)}
+    assert twin.incident == {1: ((1, 2),), 2: ((1, 2),), 3: ()}
+    assert apply_event(twin, AddEdge(2, 3, 2.0))[0].incident == \
+        {1: ((1, 2),), 2: ((1, 2), (2, 3)), 3: ((2, 3),)}
 
 
 def test_a_working_state_drops_its_histogram_as_it_advances():
@@ -140,7 +166,7 @@ def test_a_working_state_drops_its_histogram_as_it_advances():
 def test_a_fold_derives_its_histogram_from_its_predecessors():
     initial = new_graph([2, 2, 3], [(1, 2, 2)])
     hist = initial.degree_histogram
-    settled = folded(initial, settle_delta(initial), dict(initial.neighbours))
+    settled = folded(initial, settle_delta(initial), dict(initial.incident))
     assert settled.degree_histogram is hist  # settling changes no degree
-    grown = folded(settled, node_delta(settled, 4.0), dict(settled.neighbours))
+    grown = folded(settled, node_delta(settled, 4.0), dict(settled.incident))
     assert vars(grown)["degree_histogram"] == (2, 2)

@@ -179,7 +179,7 @@ class TestRunScript:
             key = edge_key(event.k, event.l)
             (delta,) = [d for d in deltas if key in d.edges and set(d.nodes) == set(key)]
             assert list(delta.edges) == [key]
-            touched += len(before.neighbours[event.k]) + len(before.neighbours[event.l])
+            touched += len(before.incident[event.k]) + len(before.incident[event.l])
             before = history.snapshots[p]
         assert touched > 15 * len(events)
         records = sum(isinstance(o, EdgeRecord) for o in kept)
@@ -408,9 +408,9 @@ def scripts_digest(configs) -> str:
     return digest.hexdigest()
 
 
-def listed_free_pair(alive, later, neighbours, r):
+def listed_free_pair(alive, later, edges, r):
     """``scenario._free_pair`` by brute force: list every unconnected alive pair."""
-    return [(a, b) for a, b in itertools.combinations(alive, 2) if b not in neighbours[a]][r]
+    return [(a, b) for a, b in itertools.combinations(alive, 2) if (a, b) not in edges][r]
 
 
 @settings(max_examples=60, deadline=None)
