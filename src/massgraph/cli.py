@@ -130,7 +130,8 @@ def _cmd_run(args) -> int:
     if args.dot_every is not None:
         states = _with_dot_files(states, args.out, args.dot_every, written)
     try:
-        _emit(_history_pieces(history, states), args.out)  # and the DOT files, in one fold
+        # and the DOT files, in one fold
+        _emit((piece for _, piece in _history_pieces(history, states)), args.out)
     except BaseException:
         for path in written:  # as _emit deletes the history
             path.unlink(missing_ok=True)

@@ -23,10 +23,10 @@ The incidence index (:attr:`GraphState.incident`, node id -> keys of its
 edges) is derived from a state's edges; :func:`fold` reads it to find the
 edges at an edge event's endpoints, so the event's cost follows their
 degrees, not the edge count, and it builds no key to reach them. One rule
-keeps it: :func:`working_copy` takes the index over from its predecessor,
-which drops it, and :func:`advance` updates it. A state no transition
-produced builds its own, on first use. The alive nodes' degree
-histogram (:attr:`GraphState.degree_histogram`) follows the same rule:
+keeps it: :func:`working_copy` copies its source's index, and
+:func:`advance` updates the copy. A state no transition produced builds
+its own, on first use. The alive nodes' degree histogram
+(:attr:`GraphState.degree_histogram`) follows the same rule:
 :func:`folded` derives a successor's from its predecessor's, and
 :func:`advance` drops a working state's.
 """
@@ -164,13 +164,12 @@ def folded(state: GraphState, delta: PhaseDelta, incident: dict) -> GraphState:
 
 
 def working_copy(state: GraphState) -> GraphState:
-    """A copy of ``state`` that owns its dicts and takes its incidence index
-    over, for :func:`advance`; ``state`` drops its index. The index's
-    tuples are shared, so a copy of ``state`` made earlier keeps a correct
-    one."""
+    """A copy of ``state`` that owns its dicts and a copy of its incidence
+    index, for :func:`advance`; ``state`` keeps its own. The index's tuples
+    are shared, and :func:`advance` replaces an entry's tuple rather than
+    changing it, so ``state``'s index stays correct."""
     copy = GraphState(state.phase, dict(state.nodes), dict(state.edges), state.params)
     vars(copy)["incident"] = dict(state.incident)
-    vars(state).pop("incident")
     return copy
 
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DiagonalError, DuplicateEdgeError, InputError, NodeLookupError
+from .errors import (DiagonalError, DuplicateEdgeError, InputError, NodeLookupError,
+                     ParameterError)
 from .kernel import KernelParams, as_float, as_int
 
 
@@ -94,9 +95,9 @@ class GraphState:
     both: a state gets a cache only from its predecessor's, updated for what
     the delta touched, and a state that got none builds its own on first
     use. :func:`~massgraph.engine.working_copy`
-    takes the index over from the state it copies, which drops it, and
-    :func:`~massgraph.engine.advance` updates it in place, so in a chain of
-    states only the newest holds one. :func:`~massgraph.engine.folded`
+    copies the index of the state it copies, which keeps its own, and
+    :func:`~massgraph.engine.advance` updates the copy in place.
+    :func:`~massgraph.engine.folded`
     derives each successor's histogram from its predecessor's, and
     :func:`~massgraph.engine.advance` drops the working state's.
     """
@@ -178,9 +179,12 @@ def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
     the initially connected pairs. Every mass and weight must be strictly
     greater than 1 (the logarithmic kernel is undefined below that), pairs
     must be distinct and off-diagonal, and indices must be in 1..n.
+    ``params`` is None, for the default kernel, or a :class:`KernelParams`.
     """
     if params is None:
         params = KernelParams()
+    elif not isinstance(params, KernelParams):
+        raise ParameterError(f"params must be KernelParams, got {params!r}")
     n = len(masses)
     nodes: dict[int, NodeRecord] = {}
     for idx, raw in enumerate(masses):
@@ -212,6 +216,8 @@ def validate_state(state: GraphState) -> list[str]:
         as_int(state.phase, "phase", InputError, 0)
     except InputError as err:
         problems.append(str(err))
+    if not isinstance(state.params, KernelParams):  # the kernel reads its fields
+        problems.append(f"params must be KernelParams, got {state.params!r}")
     for i, rec in state.nodes.items():
         try:
             node_id(i)

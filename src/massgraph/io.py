@@ -36,8 +36,10 @@ snapshots hold the same record, so export pays for what each phase
 changed, plus the copying of the output. A history loads if and only if
 its canonical encoding equals the export of its script's one replay,
 byte for byte; a file whose own bytes differ is decoded whole and its
-re-encoding compared. The same snapshot text, with the kernel
-parameters, is what :func:`state_digest` hashes.
+re-encoding compared. The export is compared piece by piece, and a load
+that fails names the JSON path of the first piece that differs. The
+same snapshot text, with the kernel parameters, is what
+:func:`state_digest` hashes.
 
 Each of these readers takes the states from
 :meth:`~massgraph.scenario.PhaseHistory.states`, one phase at a time, and
@@ -53,7 +55,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from itertools import chain, compress
 from operator import is_not
 from typing import NoReturn
@@ -365,28 +367,38 @@ def state_digest(state: GraphState) -> str:
     return digest.hexdigest()
 
 
-def _history_pieces(history: PhaseHistory, states: Iterator[GraphState]) -> Iterator[bytes]:
+def _history_pieces(history: PhaseHistory,
+                    states: Iterator[GraphState]) -> Iterator[tuple[str, bytes]]:
     """The canonical bytes of ``history``, whose states ``states`` yields in
-    phase order, in pieces that join to them: the head, then one piece per
-    snapshot, then the tail. The top-level keys sort as ``prune_reports``,
-    ``script``, ``snapshots``, and the compact JSON of an array is its
-    elements' joined by commas. A number that is not finite raises
-    ValueError before its snapshot's piece is yielded."""
+    phase order, in pieces that join to them, each with its JSON path: the
+    head and the closing ``]`` as ``prune_reports``, each report as
+    ``prune_reports[i]``, the script as ``script``, each snapshot as
+    ``snapshots[p]``, and the head and tail around them as ``snapshots``.
+    The top-level keys sort as ``prune_reports``, ``script``,
+    ``snapshots``, and the compact JSON of an array is its elements' joined
+    by commas. A number that is not finite raises ValueError before its
+    snapshot's piece is yielded."""
     initial = next(states)
     script = script_document(initial, history.events)
     if history.source is not None and history.source != script:
         raise InputError("history.source is not the script of this run")
-    reports = b",".join(_compact(_report_to_json(report)) for report in history.prune_reports)
-    yield b'{"prune_reports":[%b],"script":%b,"snapshots":[' % (reports, _compact(script))
+    yield "prune_reports", b'{"prune_reports":['
+    lead = b""
+    for i, report in enumerate(history.prune_reports):
+        yield f"prune_reports[{i}]", lead + _compact(_report_to_json(report))
+        lead = b","
+    yield "prune_reports", b"]"
+    yield "script", b',"script":' + _compact(script)
+    yield "snapshots", b',"snapshots":['
     writer = _SnapshotWriter()
     lead = b""
     for state in chain((initial,), states):
         text = writer.text(state, lead)
         if not writer.finite:
             raise ValueError("Out of range float values are not JSON compliant")
-        yield text
+        yield f"snapshots[{state.phase}]", text
         lead = b","
-    yield b"]}\n"
+    yield "snapshots", b"]}\n"
 
 
 def export_history_json(history: PhaseHistory) -> bytes:
@@ -394,25 +406,8 @@ def export_history_json(history: PhaseHistory) -> bytes:
     a ``history.source`` that is set must equal. A number that is not
     finite raises ValueError."""
     out = io.BytesIO()  # grows in place, where a join would hold every piece too
-    out.writelines(_history_pieces(history, history.states()))
+    out.writelines(piece for _, piece in _history_pieces(history, history.states()))
     return out.getvalue()
-
-
-def _require_replay(raw, path: str, run: Iterable, count: int, to_json) -> None:
-    """Fail unless the JSON array ``raw`` equals the ``count`` values of
-    ``run`` in their export layout ``to_json``, as JSON text, so that 1,
-    1.0 and true differ, at the first entry and field that differ."""
-    text = json.JSONEncoder(sort_keys=True).encode
-    entries = _as_list(raw, path)
-    if len(entries) != count:
-        _fail(path, f"the script's run has {count}, got {len(entries)}")
-    for idx, (entry, value) in enumerate(zip(entries, run)):
-        expected = to_json(value)
-        if text(entry) != text(expected):
-            at = f"{path}[{idx}]"
-            _as_object(entry, at, required=tuple(expected))
-            name = next(name for name in expected if text(entry[name]) != text(expected[name]))
-            _fail(at, f"{name} differs from the script's run")
 
 
 def _root(data: bytes) -> dict:
@@ -424,7 +419,11 @@ def _checked_run(data: bytes,
     """:func:`load_history` of ``data``, which loads if and only if its
     canonical encoding equals the export of its script's one replay, and
     ``row(state)`` of each state in phase order, made in the pass that
-    compares it, and afresh in a compare of the re-encoding."""
+    compares it, and afresh in a compare of the re-encoding. The bytes as
+    they are are compared when the script can be sliced from them, and the
+    re-encoding of the decoded file unless it is those bytes; a failing
+    load names the path of the first piece the last compare found out of
+    place, with no other pass over the states."""
     _require_bytes(data)
     rows = []
 
@@ -435,16 +434,16 @@ def _checked_run(data: bytes,
                 rows.append(row(state))
             yield state
 
-    def matches(target: bytes) -> bool:  # compared piece by piece, to the first that differs
+    def difference(target: bytes) -> str | None:
         offset = 0
-        for piece in _history_pieces(history, states()):
+        for path, piece in _history_pieces(history, states()):
             if not target.startswith(piece, offset):
-                return False
+                return path
             offset += len(piece)
-        return offset == len(target)
+        return None if offset == len(target) else path  # bytes after the tail
 
     script_key, snapshots_key = b'],"script":', b',"snapshots":['
-    root = None
+    root = compared = None
     try:  # the script alone, from where the writer puts it: a quote inside a
         # string follows a backslash, never a comma, and a history that can
         # load holds no other such keys, so the first match of each is it
@@ -455,26 +454,16 @@ def _checked_run(data: bytes,
     initial, events, _ = _at("script", _script_values, script)
     del script  # before the run and the compare: the run holds what it needs of it
     history = _at("script", run_script, initial, events)
-    if root is None and matches(data):  # the script was sliced: the bytes as they are first
+    if root is None:  # the script was sliced: the bytes as they are first
+        if (path := difference(data)) is None:
+            return history, rows
+        compared, root = data, _root(data)
+    # NaN and Infinity are written as the literals json reads, and differ
+    # from every export, which holds none
+    canonical = json.dumps(root, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    if canonical != compared and (path := difference(canonical)) is None:
         return history, rows
-    root = root or _root(data)
-    try:
-        canonical = canonical_json_bytes(root)
-    except ValueError:  # a NaN or Infinity literal, which no export holds
-        canonical = data  # so there is nothing more to compare
-    if canonical != data and matches(canonical):
-        return history, rows
-    writer = _SnapshotWriter()
-
-    def snapshot_json(state: GraphState) -> dict:
-        entry = json.loads(writer.text(state))
-        return {name: entry[name] for name in ("phase", "nodes", "edges")}  # as errors name them
-
-    _require_replay(root["snapshots"], "snapshots", history.states(), history.final.phase + 1,
-                    snapshot_json)
-    _require_replay(root["prune_reports"], "prune_reports", history.prune_reports,
-                    len(history.prune_reports), _report_to_json)
-    _fail("script", "differs from the script its run exports")
+    _fail(path, "differs from the script's run")
 
 
 def load_history(data: bytes) -> PhaseHistory:
@@ -486,9 +475,11 @@ def load_history(data: bytes) -> PhaseHistory:
     never writes (``1`` for ``true`` or for a float, ``1.0`` for an id)
     nor a history written where float math differs in the last bit
     loads. Errors carry the JSON path ``script`` when the script does not
-    parse, its run fails or only its spelling differs, and otherwise the
-    first entry that differs, such as ``snapshots[3]``, with the first
-    differing field named in the message.
+    parse, its run fails or only its spelling differs, and otherwise that
+    of the first entry that differs, in file order, such as
+    ``snapshots[3]``. When an array holds fewer entries than the run, the
+    first missing one is named (``snapshots[4]``, ``prune_reports[0]``);
+    when it holds more, the array (``snapshots``).
     """
     return _checked_run(data)[0]
 

@@ -108,18 +108,18 @@ class PhaseHistory:
     """Ordered record of one run: its states, the events that made them,
     and every prune's report.
 
-    A run keeps only the phase-0 state and its incidence index, one
-    :class:`~massgraph.engine.PhaseDelta` per phase and its working final
-    state; an edge event's delta holds one edge weight and its shift, not
-    the weights the shift changes. The state at each phase is made by
-    folding the deltas onto copies in order, with a copy of the kept index
-    standing in for each state's: a state shares each dict its delta
-    leaves alone with its predecessor (the edges, after a node event or a
-    prune that removes no edge), and holds no incidence index. Each folded
-    state gets its degree histogram from its predecessor's, starting from
-    phase 0's, so :func:`metrics` of it reads no edge. The last state is
-    the final state itself, which counts its histogram from its edges on
-    first use.
+    A run keeps only the phase-0 state, which holds its incidence index,
+    one :class:`~massgraph.engine.PhaseDelta` per phase and its working
+    final state; an edge event's delta holds one edge weight and its
+    shift, not the weights the shift changes. The state at each phase is
+    made by folding the deltas onto copies in order, with a copy of phase
+    0's index standing in for each state's: a folded state shares each
+    dict its delta leaves alone with its predecessor (the edges, after a
+    node event or a prune that removes no edge), and holds no incidence
+    index. Each folded state gets its degree histogram from its
+    predecessor's, starting from phase 0's, so :func:`metrics` of it reads
+    no edge. The last state is the final state itself, which counts its
+    histogram from its edges on first use.
 
     :meth:`states` yields the states in phase order and keeps none of
     them, so a reader that takes one phase at a time holds one state.
@@ -137,22 +137,20 @@ class PhaseHistory:
     ``events``; export checks it.
     """
 
-    def __init__(self, source: dict | None, initial: GraphState, incident: dict,
-                 deltas: list[PhaseDelta], final: GraphState, events: list[Event],
-                 prune_reports: list[PruneReport]):
+    def __init__(self, source: dict | None, initial: GraphState, deltas: list[PhaseDelta],
+                 final: GraphState, events: list[Event], prune_reports: list[PruneReport]):
         self.source = source
         self.events = events
         self.prune_reports = prune_reports
         self._initial = initial
-        self._incident = incident
         self._deltas = deltas
         self._final = final
 
     def _folds(self, deltas: list, incident: dict) -> Iterator[GraphState]:
         """Every state in phase order, each delta folded onto copies of its
         predecessor's changed dicts and then dropped from ``deltas``;
-        ``incident`` is phase 0's index, which the folds update. Each
-        fold derives its state's degree histogram from phase 0's."""
+        ``incident`` is a copy of phase 0's index, which the folds update.
+        Each fold derives its state's degree histogram from phase 0's."""
         state = self._initial
         yield state
         for p in range(len(deltas) - 1):
@@ -173,13 +171,12 @@ class PhaseHistory:
         built = vars(self).get("snapshots")
         if built is not None:
             return iter(built)
-        return self._folds(list(self._deltas), dict(self._incident))
+        return self._folds(list(self._deltas), dict(self._initial.incident))
 
     @cached_property
     def snapshots(self) -> list[GraphState]:
         deltas, self._deltas = self._deltas, []
-        incident, self._incident = self._incident, {}
-        return list(self._folds(deltas, incident))
+        return list(self._folds(deltas, dict(self._initial.incident)))
 
     @property
     def final(self) -> GraphState:
@@ -191,10 +188,10 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
                source: dict | None = None) -> PhaseHistory:
     """Settle the initial state, then apply the events in order.
 
-    The events fold in place into one working copy of ``initial``; the
-    returned history keeps phase 0's incidence index and each phase's
-    delta, and folds them into states (phase 0 included) only when they
-    are read. ``initial`` must be a state a script can hold, which
+    The events fold in place into one working copy of ``initial``, which
+    keeps its own incidence index; the returned history keeps ``initial``
+    and each phase's delta, and folds them into states only when they are
+    read. ``initial`` must be a state a script can hold, which
     :func:`~massgraph.graph.initial_inputs` decides; it raises
     :class:`InputError` before settlement for any other. Any transition
     failure aborts the run with the phase index and offending event
@@ -207,7 +204,6 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     except MassGraphError as err:
         raise SimulationError(f"settlement failed: {err}", phase=1) from err
     state = working_copy(initial)
-    incident = dict(state.incident)  # phase 0's, for building the snapshots
     advance(state, deltas[0])
     for event in events:
         try:
@@ -220,7 +216,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
         advance(state, delta)
         deltas.append(delta)
     reports = [delta.report for delta in deltas if delta.report is not None]
-    return PhaseHistory(source, initial, incident, deltas, state, events, reports)
+    return PhaseHistory(source, initial, deltas, state, events, reports)
 
 
 def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:

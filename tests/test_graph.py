@@ -18,6 +18,7 @@ from massgraph import (
     KernelParams,
     NodeLookupError,
     NodeRecord,
+    ParameterError,
     new_graph,
     run_script,
     validate_state,
@@ -58,6 +59,11 @@ class TestConstruction:
     def test_out_of_range_endpoint(self):
         with pytest.raises(NodeLookupError):
             new_graph([2, 2], [(1, 3, 2)])
+
+    @pytest.mark.parametrize("params", ["x", {"mu": 0}, (0.0, 1.0)], ids=["str", "dict", "tuple"])
+    def test_params_must_be_kernel_params(self, params):
+        with pytest.raises(ParameterError, match="params"):
+            new_graph([2, 2], [(1, 2, 2)], params=params)
 
     @pytest.mark.parametrize("bad_id", [1.0, True])
     def test_edge_ids_must_be_int(self, bad_id):
@@ -182,6 +188,16 @@ class TestValidate:
         assert len(problems) == 2 and all(">= 1" in p for p in problems)
         with pytest.raises(InputError):
             run_script(state, [])
+
+    @pytest.mark.parametrize("params", ["x", {"mu": 0}, None], ids=["str", "dict", "none"])
+    def test_params_that_are_not_kernel_params_are_caught(self, params):
+        # the kernel reads params.mu and params.sigma: refused before the run
+        for edges in ({}, {(1, 2): EdgeRecord(2.0)}):
+            state = GraphState(0, {1: NodeRecord(2.0), 2: NodeRecord(3.0)}, edges, params)
+            problems = validate_state(state)
+            assert len(problems) == 1 and problems[0].startswith("params must be")
+            with pytest.raises(InputError, match="params"):
+                run_script(state, [])
 
     @pytest.mark.parametrize("phase", [-1, 0.0, True, None, "x"])
     def test_phase_is_an_integer_from_zero(self, phase):

@@ -23,6 +23,7 @@ from massgraph import (
     InputError,
     KernelParams,
     NodeRecord,
+    PhaseHistory,
     Prune,
     ScenarioConfig,
     ScriptError,
@@ -402,9 +403,18 @@ class TestHistoryExport:
 
     @pytest.mark.parametrize("corrupt,path", [
         (lambda doc: doc.update(script=None), "script"),
-        (lambda doc: doc["snapshots"].pop(), "snapshots"),
+        (lambda doc: doc["snapshots"].pop(), "snapshots[4]"),
         (lambda doc: doc["snapshots"][0]["nodes"][0].update(mass=2.5), "snapshots[0]"),
-        (lambda doc: doc["prune_reports"].clear(), "prune_reports"),
+        (lambda doc: doc["prune_reports"].clear(), "prune_reports[0]"),
+        # an extra entry: the array's tail is not where the run ends it
+        pytest.param(lambda doc: doc["snapshots"].append(doc["snapshots"][-1]), "snapshots",
+                     id="snapshot-appended"),
+        pytest.param(lambda doc: doc["prune_reports"].append(doc["prune_reports"][0]),
+                     "prune_reports", id="report-appended"),
+        # the first entry that differs in file order
+        pytest.param(lambda doc: (doc["snapshots"][1].update(phase=5),
+                                  doc["prune_reports"][0].update(threshold=99.0)),
+                     "prune_reports[0]", id="report-and-snapshot-changed"),
         pytest.param(lambda doc: doc["snapshots"][3]["nodes"][0].update(
             mass=doc["snapshots"][3]["nodes"][0]["mass"] + 1), "snapshots[3]", id="mass-raised"),
         pytest.param(lambda doc: doc["prune_reports"][0].update(threshold=99.0, removed_nodes=[1]),
@@ -431,12 +441,32 @@ class TestHistoryExport:
             load_history(canonical_json_bytes(doc))
         assert excinfo.value.path == path
 
-    def test_load_names_the_first_differing_field_in_phase_nodes_edges_order(self):
-        state, events, _ = parse_script(doc_bytes(MINIMAL))
+    def test_a_failing_load_folds_the_run_once_per_compare(self, monkeypatch):
+        # the compare that fails names the path: no further pass over the states
+        state, _, _ = parse_script(doc_bytes(MINIMAL))
+        events = [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)]
         doc = json.loads(export_history_json(run_script(state, events)))
-        doc["snapshots"][1].update(nodes=[], edges=[])
-        with pytest.raises(ScriptError, match=r"^snapshots\[1\]: nodes differs"):
-            load_history(canonical_json_bytes(doc))
+        doc["snapshots"][3]["nodes"][0]["mass"] += 1
+        tampered = canonical_json_bytes(doc)
+        real = PhaseHistory.states
+        calls = []
+
+        def counted(history):
+            calls.append(history)
+            return real(history)
+
+        monkeypatch.setattr(PhaseHistory, "states", counted)
+        files = {  # each with its count of folds: one per compare
+            "canonical": (tampered, 1),
+            "indented": (json.dumps(doc, indent=1).encode(), 1),
+            "spaced": (tampered[:-2] + b" }\n", 2),  # its bytes, then its re-encoding
+        }
+        for name, (text, folds) in files.items():
+            calls.clear()
+            with pytest.raises(ScriptError) as excinfo:
+                load_history(text)
+            assert excinfo.value.path == "snapshots[3]", name
+            assert len(calls) == folds, name
 
     def test_load_rejects_structurally_broken_snapshots(self):
         state, events, _ = parse_script(doc_bytes(MINIMAL))
@@ -446,7 +476,6 @@ class TestHistoryExport:
         with pytest.raises(ScriptError) as excinfo:
             load_history(canonical_json_bytes(doc))
         assert excinfo.value.path == "snapshots[1]"
-        assert "nodes" in str(excinfo.value)
 
 
 class TestDotExport:

@@ -1,15 +1,16 @@
 """The incidence index (node id -> keys of its edges): derived from the
-edges, handed from each state to its successor and dropped by the
-predecessor; only a run's working state updates its own in place. The
-degree histogram, the other derived cache, follows the same rule: a folded
-state derives its own from its predecessor's, and the working state drops
-its own as it advances."""
+edges, copied from each state to its successor, which updates the copy,
+while the predecessor keeps its own; only a run's working state updates
+its own in place. The degree histogram, the other derived cache, is
+derived the same way: a folded state derives its own from its
+predecessor's, and the working state drops its own as it advances."""
 
 from __future__ import annotations
 
 import copy
 import sys
 from collections import Counter
+from dataclasses import replace
 from unittest.mock import patch
 
 from hypothesis import given, settings
@@ -66,7 +67,10 @@ def test_runs_hand_on_an_exact_index_and_keep_none_behind(config):
     final = history.final
     assert history.snapshots[-1] is final
     assert history.final is final
-    assert not any(holds_index(s) for s in history.snapshots[:-1])
+    # phase 0 keeps its own index; the folded states hold none
+    assert holds_index(history.snapshots[0])
+    assert_index_matches_edges(history.snapshots[0])
+    assert not any(holds_index(s) for s in history.snapshots[1:-1])
     # a snapshot without an index builds one and gives the same successor
     for p, event in enumerate(events, start=1):
         assert apply_event(history.snapshots[p], event)[0] == history.snapshots[p + 1]
@@ -118,10 +122,12 @@ def test_a_run_builds_the_index_once():
         return build(state)
 
     with patch.object(GraphState.incident, "func", counted):
-        history = run_script(initial, events)
+        history = run_script(initial, events)  # reuses the index generation left
         assert_index_matches_edges(history.final)  # the working index
         assert len(history.snapshots) == len(events) + 2  # built without one
-    assert built == [0]
+        assert built == []
+        run_script(replace(initial), events)  # an equal initial without an index
+        assert built == [0]
 
 
 def test_a_run_builds_edge_keys_only_for_its_edge_events():
@@ -150,7 +156,7 @@ def test_a_copy_keeps_a_correct_index_after_the_original_advances():
     assert state.incident == {1: ((1, 2),), 2: ((1, 2),), 3: ()}
     twin = copy.copy(state)
     apply_event(state, AddEdge(1, 3, 2.0))[0]
-    assert not holds_index(state)
+    assert holds_index(state) and state.incident == {1: ((1, 2),), 2: ((1, 2),), 3: ()}
     assert twin.incident == {1: ((1, 2),), 2: ((1, 2),), 3: ()}
     assert apply_event(twin, AddEdge(2, 3, 2.0))[0].incident == \
         {1: ((1, 2),), 2: ((1, 2), (2, 3)), 3: ((2, 3),)}

@@ -133,9 +133,10 @@ def test_history_loads_only_as_its_script_made_it(config, data):
                                         lambda v: math.nextafter(v, -math.inf),
                                         lambda v: v + 1.0]))
     container[key] = change(container[key])
-    with pytest.raises(ScriptError) as excinfo:
-        load_history(canonical_json_bytes(doc))
-    assert excinfo.value.path == path
+    for text in (canonical_json_bytes(doc), json.dumps(doc, indent=1).encode()):
+        with pytest.raises(ScriptError) as excinfo:
+            load_history(text)
+        assert excinfo.value.path == path
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,11 +229,13 @@ def hand_built_states(draw):
     pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(nodes, 2))),
                           unique=True)) if n > 1 else []
     edges = {pair: draw(st.one_of(near_one, st.builds(EdgeRecord, near_one))) for pair in pairs}
-    phase = 0
-    for flaw in draw(st.sets(st.sampled_from(["id", "label", "dead", "alive", "key", "phase"]),
-                             max_size=2)):
+    phase, params = 0, KernelParams()
+    for flaw in draw(st.sets(st.sampled_from(["id", "label", "dead", "alive", "key", "phase",
+                                              "params"]), max_size=2)):
         if flaw == "phase":
             phase = 1
+        elif flaw == "params":
+            params = draw(st.sampled_from(["x", {"mu": 0}, None]))
         elif flaw == "key" and edges:
             (a, b), w = edges.popitem()
             edges[b, a] = w
@@ -245,7 +248,7 @@ def hand_built_states(draw):
                 nodes[i] = NodeRecord(nodes[i].mass, label="x")
             else:
                 nodes[i] = NodeRecord(nodes[i].mass, alive=False if flaw == "dead" else 1)
-    return GraphState(phase, nodes, edges)
+    return GraphState(phase, nodes, edges, params)
 
 
 def refuses(call, *args) -> bool:
