@@ -1,8 +1,15 @@
 """Phase transitions: settlement, edge and node arrivals, threshold pruning.
 
+An event checks its own fields where it is built: :class:`AddEdge`,
+:class:`AddNode` and :class:`Prune` apply the model's number rules from
+graph and kernel (ids >= 1 that differ, masses and weights > 1, a finite
+threshold, a string label) and store each number as the float they
+return, so every event that exists is one the model defines. Valid fields
+of the exact type cost one check.
+
 Each transition first computes its :class:`PhaseDelta` from a state it only
 reads (:func:`settle_delta`, :func:`edge_delta`, :func:`node_delta`,
-:func:`prune_delta`); every check runs there, before anything changes, and
+:func:`prune_delta`); a state's checks run there, before anything changes, and
 the model's rules are documented there. A run owns one :func:`working_copy`
 of its phase-0 state and folds each delta into it with :func:`advance`, so
 an event costs what it touches (its endpoints and their incident edges),
@@ -38,8 +45,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DuplicateEdgeError, InputError, NodeLookupError, SequencingError
-from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, node_id,
-                    node_label)
+from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, initial_inputs,
+                    node_id, node_label)
 from .kernel import as_float, reinforcement
 
 
@@ -51,6 +58,14 @@ class AddEdge:
     l: int
     initial_weight: float
 
+    def __post_init__(self):
+        k, l, w = self.k, self.l, self.initial_weight
+        if type(k) is int and type(l) is int and type(w) is float and 0 < k != l > 0 \
+                and 1 < w < math.inf:
+            return  # the rules below would take these unchanged
+        edge_key(node_id(k), node_id(l))
+        object.__setattr__(self, "initial_weight", above_one(w, "edge weight"))
+
 
 @dataclass(frozen=True, slots=True)
 class AddNode:
@@ -59,12 +74,24 @@ class AddNode:
     initial_mass: float
     label: str | None = None
 
+    def __post_init__(self):
+        m, label = self.initial_mass, self.label
+        if type(m) is float and 1 < m < math.inf and (label is None or type(label) is str):
+            return
+        object.__setattr__(self, "initial_mass", above_one(m, "node mass"))
+        node_label(label)
+
 
 @dataclass(frozen=True, slots=True)
 class Prune:
     """Forgetting: drop edges below the threshold, then delete isolated nodes."""
 
     threshold: float
+
+    def __post_init__(self):
+        t = self.threshold
+        if type(t) is not float or not -math.inf < t < math.inf:
+            object.__setattr__(self, "threshold", as_float(t, "prune threshold"))
 
 
 Event = AddEdge | AddNode | Prune
@@ -226,14 +253,17 @@ def settle_delta(state: GraphState) -> PhaseDelta:
 
 def settle_phase_one(state: GraphState) -> GraphState:
     """The settled phase-1 state (see :func:`settle_delta`); ``state``
-    keeps its fields."""
+    keeps its fields. A phase-0 state must be one a run may start from,
+    which :func:`~massgraph.graph.initial_inputs` decides."""
+    if state.phase == 0:
+        initial_inputs(state)
     delta = settle_delta(state)
     successor = working_copy(state)
     advance(successor, delta)
     return successor
 
 
-def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> PhaseDelta:
+def edge_delta(state: GraphState, event: AddEdge) -> PhaseDelta:
     """A dynamic edge input, in this fixed order.
 
     1. Both endpoint masses grow by the reinforcement of the initial
@@ -253,13 +283,10 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
     The delta holds two node records, the new edge's weight and the shift
     of step 3, whatever deg(k) + deg(l) is; it reads no incidence index.
     """
-    if state.phase < 1:
-        raise SequencingError(
-            f"edge events require a settled state (phase >= 1), got phase {state.phase}"
-        )
+    k, l, w = event.k, event.l, event.initial_weight
     nodes = state.nodes
     for i in (k, l):
-        rec = nodes.get(node_id(i))
+        rec = nodes.get(i)
         if rec is None:
             raise NodeLookupError(f"unknown node id {i}")
         if not rec.alive:
@@ -269,8 +296,6 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
         raise DuplicateEdgeError(
             f"nodes {k} and {l} are already connected; only one edge per pair"
         )
-    w = above_one(initial_weight, "dynamic edge weight")
-
     gain = reinforcement(w, state.params)
     mass_k = nodes[k].mass + gain
     mass_l = nodes[l].mass + gain
@@ -280,24 +305,21 @@ def edge_delta(state: GraphState, k: int, l: int, initial_weight: float) -> Phas
     return PhaseDelta(grown, added, None, shift)
 
 
-def node_delta(state: GraphState, initial_mass: float,
-               label: str | None = None) -> PhaseDelta:
+def node_delta(state: GraphState, event: AddNode) -> PhaseDelta:
     """A static expansion: a fresh node with the next id; no existing mass
     or weight changes. The delta holds one node record."""
-    m = above_one(initial_mass, "initial mass of a new node")
-    return PhaseDelta({state.next_id: NodeRecord(m, node_label(label))}, {})
+    return PhaseDelta({state.next_id: NodeRecord(event.initial_mass, event.label)}, {})
 
 
-def prune_delta(state: GraphState, threshold: float) -> PhaseDelta:
+def prune_delta(state: GraphState, event: Prune) -> PhaseDelta:
     """Forgetting: remove every edge weighing less than the threshold, then
     every isolated alive node (including nodes that were already isolated).
 
     Deleted nodes keep their id and last mass but are marked dead; they
-    never reappear and their masses stop counting toward totals. A
-    threshold that is not a finite number raises :class:`InputError`. The
+    never reappear and their masses stop counting toward totals. The
     delta holds a dead record per removed node and the report.
     """
-    thr = as_float(threshold, "prune threshold")
+    thr = event.threshold
     removed_edges = sorted((key, float(w)) for key, w in state.edges.items() if w < thr)
     lost: dict[int, int] = {}
     for pair, _ in removed_edges:
@@ -316,13 +338,17 @@ def prune_delta(state: GraphState, threshold: float) -> PhaseDelta:
 
 
 def event_delta(state: GraphState, event: Event) -> PhaseDelta:
-    """Dispatch one event to its delta."""
+    """Dispatch one event to its delta; every event needs a settled state."""
+    if state.phase < 1:
+        raise SequencingError(
+            f"events require a settled state (phase >= 1), got phase {state.phase}"
+        )
     if isinstance(event, AddEdge):
-        return edge_delta(state, event.k, event.l, event.initial_weight)
+        return edge_delta(state, event)
     if isinstance(event, AddNode):
-        return node_delta(state, event.initial_mass, event.label)
+        return node_delta(state, event)
     if isinstance(event, Prune):
-        return prune_delta(state, event.threshold)
+        return prune_delta(state, event)
     raise TypeError(f"not an event: {event!r}")
 
 

@@ -16,17 +16,15 @@ Script documents (version 1) look like::
 Parsing is strict: unknown fields are rejected so typos fail loudly. The
 parser checks only the JSON's shape; every number rule (integer ids >= 1,
 finite numbers, masses and weights > 1) is the model's own, from graph and
-kernel, and reports the JSON path of the element that breaks it. The
-parser alone has a shortcut: an event whose values already have the exact
-type and range those rules take unchanged (an int id, not a bool; a float
-mass, weight or threshold in range) and whose keys are exactly its kind's
-is built in one check, with no path string; the shortcut never accepts a
-value the checked path refuses, and everything else, every error
-included, takes that path. :func:`script_document` applies the model's
-rules to each event and :func:`~massgraph.graph.initial_inputs`, the rule
-``run_script`` applies too, to the phase-0 state, so it refuses with
-:class:`InputError` what :func:`parse_script` would refuse, and writes
-each value as parsing reads it back. Exports are canonical --
+kernel, and reports the JSON path of the element that breaks it. An
+object whose keys are exactly its event kind's is built as it is, with no
+path string: the event types check their own fields, with the same rules,
+and take valid values of the exact type in one check. An event they
+refuse, and every other object, takes the checked path, which names the
+JSON path. :func:`script_document` writes each event's fields as the event
+holds them, which is as parsing reads them back, and refuses a phase-0
+state by :func:`~massgraph.graph.initial_inputs`, the rule ``run_script``
+applies too, with :class:`InputError`. Exports are canonical --
 keys sorted, floats rendered as their shortest round-trip decimals -- so
 identical inputs always yield byte-identical files.
 
@@ -63,7 +61,7 @@ from typing import NoReturn
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport
 from .errors import InputError, MassGraphError, ScriptError
 from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, initial_inputs,
-                    new_graph, node_id, node_label)
+                    new_graph, node_id)
 from .kernel import KernelParams, as_float, as_int
 from .scenario import PhaseHistory, run_script
 
@@ -148,43 +146,24 @@ def _decode(data: bytes) -> object:
         raise ScriptError(f"invalid JSON: {err}") from err
 
 
-def _plain_edge(k, l, w) -> bool:
-    """Whether the model's rules take ``k``, ``l`` and ``w`` as an edge's ids
-    and weight unchanged: ints (not bools) >= 1 that differ, and a float
-    in (1, inf). The parser's shortcut, which admits an event in one
-    check; every other event goes through the rules themselves."""
-    return type(k) is int and type(l) is int and type(w) is float and 0 < k != l > 0 \
-        and 1 < w < math.inf
-
-
-def _plain_node(mass, label) -> bool:
-    """:func:`_plain_edge` for a node's mass and label: a float in (1, inf)
-    and None or a string."""
-    return type(mass) is float and 1 < mass < math.inf and (label is None or type(label) is str)
-
-
-def _plain_threshold(threshold) -> bool:
-    """:func:`_plain_edge` for a prune threshold: a finite float."""
-    return type(threshold) is float and -math.inf < threshold < math.inf
-
-
 def _parse_event(raw, idx: int) -> Event:
-    # the shortcut: exactly its kind's keys, with values that the checked path
-    # below would take unchanged; it builds no path string
+    # the shortcut: an object with exactly its kind's keys is built as it is
+    # (a missing id, number or threshold reads as None, which the event
+    # refuses); an event that refuses its fields is left to the checked path
+    # below, for the JSON path and message
     if type(raw) is dict:
         kind = raw.get("type")
-        if kind == "add_edge":
-            if len(raw) == 4 and _plain_edge(k := raw.get("k"), l := raw.get("l"),
-                                             w := raw.get("w")):
-                return AddEdge(k, l, w)
-        elif kind == "add_node":
-            label = raw.get("label")
-            if len(raw) == (2 if label is None else 3) and \
-                    _plain_node(mass := raw.get("mass"), label):
-                return AddNode(mass, label)
-        elif kind == "prune":
-            if len(raw) == 2 and _plain_threshold(threshold := raw.get("threshold")):
-                return Prune(threshold)
+        try:
+            if kind == "add_edge" and len(raw) == 4:
+                return AddEdge(raw.get("k"), raw.get("l"), raw.get("w"))
+            if kind == "add_node":
+                label = raw.get("label")
+                if len(raw) == (2 if label is None else 3):
+                    return AddNode(raw.get("mass"), label)
+            if kind == "prune" and len(raw) == 2:
+                return Prune(raw.get("threshold"))
+        except MassGraphError:
+            pass
     path = f"events[{idx}]"
     if not isinstance(raw, dict):
         _fail(path, f"expected an object, got {type(raw).__name__}")
@@ -244,21 +223,18 @@ def _script_values(doc) -> tuple[GraphState, list[Event], KernelParams]:
 
 
 def _event_to_json(event: Event) -> dict:
-    """One event as its tagged script-document record, each field as the
-    model's rules take it, so that :func:`parse_script` reads the same
-    event back; a field they refuse raises their error."""
+    """One event as its tagged script-document record, which
+    :func:`parse_script` reads back as the same event: an event holds its
+    fields as the model's rules take them."""
     if isinstance(event, AddEdge):
-        k, l = node_id(event.k), node_id(event.l)
-        edge_key(k, l)
-        return {"type": "add_edge", "k": k, "l": l,
-                "w": above_one(event.initial_weight, "edge weight")}
+        return {"type": "add_edge", "k": event.k, "l": event.l, "w": event.initial_weight}
     if isinstance(event, AddNode):
-        record = {"type": "add_node", "mass": above_one(event.initial_mass, "node mass")}
-        if node_label(event.label) is not None:
+        record = {"type": "add_node", "mass": event.initial_mass}
+        if event.label is not None:
             record["label"] = event.label
         return record
     if isinstance(event, Prune):
-        return {"type": "prune", "threshold": as_float(event.threshold, "prune threshold")}
+        return {"type": "prune", "threshold": event.threshold}
     raise TypeError(f"not an event: {event!r}")
 
 
@@ -266,20 +242,13 @@ def script_document(initial: GraphState, events: list[Event]) -> dict:
     """Render a phase-0 state and event list as a script document, which
     :func:`parse_script` reads back as equal values. The phase-0 state is
     refused as :func:`~massgraph.graph.initial_inputs` refuses it, as
-    ``run_script`` does; an event field the model's rules refuse raises
-    :class:`InputError` naming ``events[i]``."""
+    ``run_script`` does; an event refused its fields when it was built."""
     masses, weights = initial_inputs(initial)
-    records = []
-    try:
-        for event in events:
-            records.append(_event_to_json(event))
-    except MassGraphError as err:
-        raise InputError(f"events[{len(records)}]: {err}") from err
     return {
         "version": SCRIPT_VERSION,
         "kernel": {"mu": float(initial.params.mu), "sigma": float(initial.params.sigma)},
         "initial": {"masses": masses, "edges": [[a, b, w] for a, b, w in weights]},
-        "events": records,
+        "events": [_event_to_json(event) for event in events],
     }
 
 

@@ -20,6 +20,7 @@ from massgraph import (
     AddNode,
     DiagonalError,
     DuplicateEdgeError,
+    GraphState,
     InputError,
     KernelParams,
     NodeLookupError,
@@ -86,6 +87,16 @@ class TestSettle:
     def test_requires_phase_zero(self, settled):
         with pytest.raises(SequencingError):
             settle_phase_one(settled)
+
+    def test_refuses_a_phase_zero_state_a_run_refuses(self, settled):
+        hand_built = GraphState(0, {1: NodeRecord(0.5),
+                                    3: NodeRecord(3.0, label="x", alive=False)})
+        with pytest.raises(InputError, match="invalid phase-0 state") as excinfo:
+            settle_phase_one(hand_built)
+        assert "node 1: mass must be > 1" in str(excinfo.value)
+        # the phase is checked first: a settled state is out of sequence, not invalid
+        with pytest.raises(SequencingError):
+            settle_phase_one(dataclasses.replace(settled, nodes={1: NodeRecord(0.5)}))
 
 
 class TestEdgeEvent:
@@ -181,6 +192,10 @@ class TestNodeEvent:
         with pytest.raises(InputError):
             apply_event(settled, AddNode(1.0))[0]
 
+    def test_requires_settled_state(self, phase0):
+        with pytest.raises(SequencingError):
+            apply_event(phase0, AddNode(4.0))
+
     def test_on_empty_graph(self):
         state = settle_phase_one(new_graph([], []))
         state = apply_event(state, AddNode(2.5))[0]
@@ -241,10 +256,10 @@ class TestPrune:
         assert twice.nodes == once.nodes
         assert twice.phase == once.phase + 1
 
-    def test_allowed_at_any_phase(self, phase0):
-        state, report = apply_event(phase0, Prune(0.0))
-        assert state.phase == 1
-        assert report.removed_nodes == ()
+    def test_requires_settled_state(self):
+        # a prune at phase 0 would skip settlement and delete unsettled nodes
+        with pytest.raises(SequencingError):
+            apply_event(new_graph([2.0, 3.0], [(1, 2, 2.5)]), Prune(3.0))
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, settled, threshold):

@@ -165,7 +165,7 @@ def test_a_copy_keeps_a_correct_index_after_the_original_advances():
 def test_a_working_state_drops_its_histogram_as_it_advances():
     state = working_copy(settle_phase_one(new_graph([2, 2, 3], [(1, 2, 2)])))
     assert state.degree_histogram == (1, 2)
-    advance(state, edge_delta(state, 1, 3, 2.0))
+    advance(state, edge_delta(state, AddEdge(1, 3, 2.0)))
     assert state.degree_histogram == (0, 2, 1)  # counted afresh, not the stale (1, 2)
 
 
@@ -174,5 +174,5 @@ def test_a_fold_derives_its_histogram_from_its_predecessors():
     hist = initial.degree_histogram
     settled = folded(initial, settle_delta(initial), dict(initial.incident))
     assert settled.degree_histogram is hist  # settling changes no degree
-    grown = folded(settled, node_delta(settled, 4.0), dict(settled.incident))
+    grown = folded(settled, node_delta(settled, AddNode(4.0)), dict(settled.incident))
     assert vars(grown)["degree_histogram"] == (2, 2)

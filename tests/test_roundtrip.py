@@ -9,6 +9,7 @@ whose edges sit in another insertion order reads the same to every reader.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -159,32 +160,71 @@ fields = st.one_of(
                      True, False, None, "5"]),
     st.floats(),
 )
-any_events = st.lists(st.one_of(
-    st.builds(AddEdge, fields, fields, fields),
-    st.builds(AddNode, fields, st.one_of(st.none(), st.text(max_size=2), fields)),
-    st.builds(Prune, fields),
-), max_size=4)
+# an event kind and the fields a caller may build it from
+any_fields = st.one_of(
+    st.tuples(st.just(AddEdge), st.tuples(fields, fields, fields)),
+    st.tuples(st.just(AddNode), st.tuples(fields, st.one_of(st.none(), st.text(max_size=2),
+                                                            fields))),
+    st.tuples(st.just(Prune), st.tuples(fields)),
+)
+any_events = st.lists(any_fields, max_size=4)
 
 
-def as_the_model_takes(event):
-    """``event`` with each field as the model's rules take it; raises what
-    they raise for a field they refuse."""
-    if isinstance(event, AddEdge):
-        k, l = node_id(event.k), node_id(event.l)
+def as_the_model_takes(kind, *values):
+    """An event of ``kind`` with ``values`` as the model's rules take them;
+    raises what they raise for a value they refuse."""
+    if kind is AddEdge:
+        k, l, w = values
+        k, l = node_id(k), node_id(l)
         edge_key(k, l)
-        return AddEdge(k, l, above_one(event.initial_weight, "edge weight"))
-    if isinstance(event, AddNode):
-        return AddNode(above_one(event.initial_mass, "node mass"), node_label(event.label))
-    return Prune(as_float(event.threshold, "prune threshold"))
+        return AddEdge(k, l, above_one(w, "edge weight"))
+    if kind is AddNode:
+        mass, label = values
+        return AddNode(above_one(mass, "node mass"), node_label(label))
+    (threshold,) = values
+    return Prune(as_float(threshold, "prune threshold"))
+
+
+VALID = {AddEdge: AddEdge(1, 2, 2.0), AddNode: AddNode(2.0), Prune: Prune(2.0)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_fields)
+def test_an_event_checks_its_fields_where_it_is_built(drawn):
+    # built directly or by replacing a valid event's fields, an event
+    # refuses what the rules refuse, with their error, and holds what they
+    # return
+    kind, values = drawn
+    changes = {field.name: value for field, value in zip(dataclasses.fields(kind), values)}
+    builds = (lambda: kind(*values), lambda: dataclasses.replace(VALID[kind], **changes))
+    try:
+        expected = as_the_model_takes(kind, *values)
+    except MassGraphError as err:
+        for build in builds:
+            with pytest.raises(MassGraphError) as excinfo:
+                build()
+            assert (type(excinfo.value), str(excinfo.value)) == (type(err), str(err))
+        return
+    for build in builds:
+        assert repr(build()) == repr(expected)  # so 5 and 5.0, or 0.0 and -0.0, differ
 
 
 @settings(max_examples=200, deadline=None)
 @given(fields, fields, fields, any_events)
-def test_a_script_document_reads_back_exactly_or_is_refused(mass1, mass2, weight, events):
+def test_a_script_document_reads_back_exactly_or_is_refused(mass1, mass2, weight, drawn):
     initial = GraphState(0, {1: NodeRecord(mass1), 2: NodeRecord(mass2)}, {(1, 2): weight})
+    # the events that build; the rest are refused where they are built
+    events, expected = [], []
+    for kind, values in drawn:
+        try:
+            expected.append(as_the_model_takes(kind, *values))
+        except MassGraphError as err:
+            with pytest.raises(type(err)):
+                kind(*values)
+        else:
+            events.append(kind(*values))
     try:
         expected_initial = new_graph([mass1, mass2], [(1, 2, weight)])
-        expected = [as_the_model_takes(event) for event in events]
     except MassGraphError:
         with pytest.raises(InputError):
             script_document(initial, events)
@@ -197,21 +237,46 @@ def test_a_script_document_reads_back_exactly_or_is_refused(mass1, mass2, weight
     assert repr(parsed) == repr(expected)  # so 5 and 5.0, or 0.0 and -0.0, differ
 
 
+# each event kind's class and its fields' names in a script document
+KINDS = {"add_edge": (AddEdge, "k", "l", "w"), "add_node": (AddNode, "mass", "label"),
+         "prune": (Prune, "threshold")}
+
+
+def built(record: dict):
+    """The event a script document's ``record`` names, built from its fields
+    as they are."""
+    kind, *names = KINDS[record["type"]]
+    return kind(*(record.get(name) for name in names))
+
+
 @pytest.mark.parametrize("initial,events,where", [
-    (new_graph([2, 2], []), [AddNode(3.0, label=5)], "events[0]"),
-    (new_graph([2, 2], []), [AddEdge(True, 2, 5.0)], "events[0]"),
-    (new_graph([2, 2], []), [AddEdge(1, 1, 5.0)], "events[0]"),
-    (new_graph([2, 2], []), [AddEdge(1, 2, 0.5)], "events[0]"),
-    (new_graph([2, 2], []), [AddNode(3.0), AddEdge(1, 2, math.nan)], "events[1]"),
-    (new_graph([2, 2], []), [Prune(math.inf)], "events[0]"),
-    (new_graph([2, 2], []), [AddEdge(1, 2, "5")], "events[0]"),
+    (new_graph([2, 2], []), [{"type": "add_node", "mass": 3.0, "label": 5}], "events[0]"),
+    (new_graph([2, 2], []), [{"type": "add_edge", "k": True, "l": 2, "w": 5.0}], "events[0]"),
+    (new_graph([2, 2], []), [{"type": "add_edge", "k": 1, "l": 1, "w": 5.0}], "events[0]"),
+    (new_graph([2, 2], []), [{"type": "add_edge", "k": 1, "l": 2, "w": 0.5}], "events[0]"),
+    (new_graph([2, 2], []), [{"type": "add_node", "mass": 3.0},
+                             {"type": "add_edge", "k": 1, "l": 2, "w": math.nan}], "events[1]"),
+    (new_graph([2, 2], []), [{"type": "prune", "threshold": math.inf}], "events[0]"),
+    (new_graph([2, 2], []), [{"type": "add_edge", "k": 1, "l": 2, "w": "5"}], "events[0]"),
     (GraphState(0, {1: NodeRecord(0.5), 2: NodeRecord(3.0)}), [], "phase-0 state"),
     (GraphState(0, {1: NodeRecord(2.0), 2: NodeRecord(3.0)}, {(2, 1): 2.0}), [],
      "phase-0 state: edge keyed (2, 1) is not stored in canonical (low, high) form"),
 ])
 def test_a_script_document_refuses_what_parse_script_refuses(initial, events, where):
-    with pytest.raises(InputError, match=re.escape(where)):
-        script_document(initial, events)
+    # an event refuses a field where it is built, and script_document a
+    # phase-0 state; parse_script refuses each at the same place
+    made = []
+    with pytest.raises(MassGraphError) as excinfo:
+        for record in events:
+            made.append(built(record))
+        script_document(initial, made)
+    if not events:
+        assert isinstance(excinfo.value, InputError) and where in str(excinfo.value)
+        return
+    assert where == f"events[{len(made)}]"
+    with pytest.raises(ScriptError) as parsed:
+        parse_script(json.dumps({**script_document(initial, []), "events": events}).encode())
+    assert re.match(re.escape(where) + r"(\.|$)", parsed.value.path)
 
 
 # phase-0 states as a caller may build them by hand: masses and weights near
@@ -318,7 +383,7 @@ def test_no_reader_depends_on_the_order_of_the_edge_dict(config):
     # a prune leaves its survivors in place, unsorted: every reader that
     # needs ascending pairs must sort for itself
     history = run_script(*generate_scenario(config))
-    threshold = config.prune_threshold
+    prune = Prune(config.prune_threshold)
     for state in history.snapshots:
         flipped = GraphState(state.phase, state.nodes, dict(reversed(state.edges.items())),
                              state.params)
@@ -326,7 +391,7 @@ def test_no_reader_depends_on_the_order_of_the_edge_dict(config):
         assert export_dot(flipped) == export_dot(state)
         assert metrics(flipped, 3) == metrics(state, 3)
         assert validate_state(flipped) == validate_state(state) == []
-        assert prune_delta(flipped, threshold) == prune_delta(state, threshold)
+        assert prune_delta(flipped, prune) == prune_delta(state, prune)
         free = [pair for pair in itertools.combinations(state.alive_ids(), 2)
                 if pair not in state.edges]
         if state.phase >= 1 and free:

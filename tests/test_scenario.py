@@ -23,6 +23,8 @@ from massgraph import (
     InputError,
     KernelDraw,
     KernelParams,
+    MassGraphError,
+    NodeLookupError,
     NodeRecord,
     ParameterError,
     Prune,
@@ -103,14 +105,18 @@ class TestRunScript:
         assert excinfo.value.phase == phase
 
     @pytest.mark.parametrize("event", [
-        AddNode("x"), AddNode(3.0, label=5), AddEdge(1.0, 2, 3.0),
-        AddEdge(True, 2, 3.0), AddEdge(1, 2, "x"), Prune("x"), Prune(math.nan), Prune(math.inf),
+        (AddNode, ("x",), InputError), (AddNode, (3.0, 5), InputError),
+        (AddEdge, (1.0, 2, 3.0), NodeLookupError), (AddEdge, (True, 2, 3.0), NodeLookupError),
+        (AddEdge, (1, 2, "x"), InputError), (Prune, ("x",), InputError),
+        (Prune, (math.nan,), InputError), (Prune, (math.inf,), InputError),
     ])
     def test_undefined_event_input_fails_at_its_phase(self, event):
-        with pytest.raises(SimulationError) as excinfo:
-            run_script(new_graph([2, 2], []), [event])
-        assert excinfo.value.phase == 2
-        assert excinfo.value.event == event
+        # input the model does not define fails where the event is built,
+        # with its rule's error, so no run reaches the event's phase
+        kind, values, error = event
+        with pytest.raises(MassGraphError) as excinfo:
+            kind(*values)
+        assert type(excinfo.value) is error
 
     def test_an_event_builds_only_the_records_it_touches(self):
         config = ScenarioConfig(seed=3, n_initial=10, n_phases=80,
