@@ -17,7 +17,6 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import MassGraphError, ParameterError
-from .graph import GraphState
 from .io import (
     _checked_run,
     _history_pieces,
@@ -125,13 +124,13 @@ def _cmd_run(args) -> int:
             return 2
     initial, events, _ = parse_script(args.script.read_bytes())
     history = run_script(initial, events)
-    states = history.states()
+    steps = history._steps()
     written: list[Path] = []
     if args.dot_every is not None:
-        states = _with_dot_files(states, args.out, args.dot_every, written)
+        steps = _with_dot_files(steps, args.out, args.dot_every, written)
     try:
         # and the DOT files, in one fold
-        _emit((piece for _, piece in _history_pieces(history, states)), args.out)
+        _emit((piece for _, piece in _history_pieces(history, steps)), args.out)
     except BaseException:
         for path in written:  # as _emit deletes the history
             path.unlink(missing_ok=True)
@@ -139,17 +138,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _with_dot_files(states: Iterator[GraphState], out: Path, every: int,
-                    written: list[Path]) -> Iterator[GraphState]:
-    """``states``, writing each one whose phase ``every`` divides to a DOT
-    file beside ``out`` as it passes, and appending its path to ``written``
-    once written."""
-    for state in states:
+def _with_dot_files(steps: Iterator[tuple], out: Path, every: int,
+                    written: list[Path]) -> Iterator[tuple]:
+    """``steps``, as ``PhaseHistory._steps`` yields them, writing each state
+    whose phase ``every`` divides to a DOT file beside ``out`` as it
+    passes, and appending its path to ``written`` once written."""
+    for step in steps:
+        state = step[0]
         if state.phase % every == 0:
             dot_path = out.with_name(f"{out.stem}.phase{state.phase:04d}.dot")
             dot_path.write_bytes(export_dot(state))
             written.append(dot_path)
-        yield state
+        yield step
 
 
 def _cmd_gen(args) -> int:

@@ -204,9 +204,13 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
     """Fold ``delta`` into ``state``'s own dicts and index and move its phase
     on by one. ``state`` must be a :func:`working_copy`, which no other state
     shares a dict with; an index entry that changes gets a new tuple.
-    ``state`` drops its degree histogram, so ``metrics`` of a working state
-    counts its edges afresh, in O(E)."""
+    ``state`` moves its cached ``next_id`` past a node the delta adds and
+    drops its degree histogram, so ``metrics`` of a working state counts its
+    edges afresh, in O(E)."""
+    known = len(state.nodes)
     fold(delta, state.nodes, state.edges, state.incident)
+    if len(state.nodes) != known and "next_id" in vars(state):  # a node was added
+        vars(state)["next_id"] = max(state.next_id, max(delta.nodes) + 1)
     vars(state).pop("degree_histogram", None)
     object.__setattr__(state, "phase", state.phase + 1)
 

@@ -4,7 +4,7 @@ phase counter.
 A state holds only what the model defines: per node its mass, optional
 label and liveness; per connected pair its weight, a float; the phase;
 and the kernel parameters. Ids live only in the dict keys -- records never
-copy them -- and the next node id is derived, not stored.
+copy them -- and the next node id is derived and cached, not stored.
 
 States are values: every transition in :mod:`massgraph.engine` folds its
 change into a working copy of its predecessor and never changes an old
@@ -89,17 +89,18 @@ class GraphState:
     the zero diagonal hold by construction; an absent pair reads as
     weight 0.
 
-    :attr:`incident` (node id -> keys of its edges) and
-    :attr:`degree_histogram` are caches derived from ``nodes`` and ``edges``,
-    not part of the value: they take no part in equality. One rule keeps
-    both: a state gets a cache only from its predecessor's, updated for what
-    the delta touched, and a state that got none builds its own on first
-    use. :func:`~massgraph.engine.working_copy`
+    :attr:`incident` (node id -> keys of its edges),
+    :attr:`degree_histogram` and :attr:`next_id` are caches derived from
+    ``nodes`` and ``edges``, not part of the value: they take no part in
+    equality. One rule keeps them: a state gets a cache only from its
+    predecessor's, updated for what the delta touched, and a state that got
+    none builds its own on first use. :func:`~massgraph.engine.working_copy`
     copies the index of the state it copies, which keeps its own, and
     :func:`~massgraph.engine.advance` updates the copy in place.
     :func:`~massgraph.engine.folded`
     derives each successor's histogram from its predecessor's, and
-    :func:`~massgraph.engine.advance` drops the working state's.
+    :func:`~massgraph.engine.advance` drops the working state's and moves
+    its ``next_id`` past a node its delta adds.
     """
 
     phase: int
@@ -129,7 +130,7 @@ class GraphState:
             hist[d] += 1
         return tuple(hist)
 
-    @property
+    @cached_property
     def next_id(self) -> int:
         """The id the next added node will receive; dead nodes keep theirs."""
         return max(self.nodes, default=0) + 1

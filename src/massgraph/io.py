@@ -29,23 +29,24 @@ keys sorted, floats rendered as their shortest round-trip decimals -- so
 identical inputs always yield byte-identical files.
 
 A history's snapshots are written as text, not built as dicts first: the
-text of each node and edge record is kept and reused while later
-snapshots hold the same record, so export pays for what each phase
-changed, plus the copying of the output. A history loads if and only if
-its canonical encoding equals the export of its script's one replay,
-byte for byte; a file whose own bytes differ is decoded whole and its
-re-encoding compared. The export is compared piece by piece, and a load
-that fails names the JSON path of the first piece that differs. The
-same snapshot text, with the kernel parameters, is what
-:func:`state_digest` hashes.
+writer keeps each array's keys in ascending order beside their texts,
+and each phase rewrites only what its delta wrote (the delta's node ids,
+and the edge keys in the delta or at those nodes), so export pays for
+what each phase changed, plus the join and copying of the output. A
+history loads if and only if its canonical encoding equals the export of
+its script's one replay, byte for byte; a file whose own bytes differ is
+decoded whole and its re-encoding compared. The export is compared piece
+by piece, and a load that fails names the JSON path of the first piece
+that differs. The same snapshot text, with the kernel parameters, is
+what :func:`state_digest` hashes.
 
-Each of these readers takes the states from
-:meth:`~massgraph.scenario.PhaseHistory.states`, one phase at a time, and
-never builds the ``snapshots`` list: export, load, and the command
-line's ``run`` (which streams the text to its output and writes each DOT
-file as the state passes) and ``stats`` (which makes its rows in the pass
-that checks the file) fold the run once for a file in canonical bytes,
-and hold one state and its text beside their input or output.
+Each of these readers takes the states, each with its delta and index,
+from the history's one fold loop, one phase at a time, and never builds
+the ``snapshots`` list: export, load, and the command line's ``run``
+(which streams the text to its output and writes each DOT file as the
+state passes) and ``stats`` (which makes its rows in the pass that
+checks the file) fold the run once for a file in canonical bytes, and
+hold one state and its text beside their input or output.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from itertools import chain, compress
 from operator import is_not
@@ -265,21 +267,21 @@ def canonical_json_bytes(obj) -> bytes:
 class _SnapshotWriter:
     """The canonical JSON text of snapshots, written in phase order.
 
-    The text of each node and edge record is kept by id or pair and reused
-    while a snapshot holds the same record object, as a snapshot does for
-    every record its delta leaves alone; a ``nodes`` or ``edges`` dict that
-    is the last one written reuses its whole array. A number that is not
-    finite is written as ``json.dumps`` writes it (``NaN``, ``Infinity``)
-    and turns ``finite`` false, so a caller that needs JSON can refuse it.
+    Per array it keeps the dict last written, its keys in ascending order,
+    their texts in that order, and their join. Only changed keys are
+    rendered: with the state's delta and index, the delta's ids and each key
+    in its edges or at its nodes, which is all a fold writes (settlement
+    lifts every edge, an edge event shifts only the edges at its endpoints);
+    without, each key whose record is not the one last written. A new key
+    goes in at its place by bisection and keys a prune removed are filtered
+    out, so no phase sorts. A number that is not finite is written as
+    ``json.dumps`` writes it (``NaN``, ``Infinity``) and turns ``finite``
+    false, so a caller that needs JSON can refuse it.
     """
 
     def __init__(self):
         self.finite = True
-        # for "nodes" and "edges": each id's or pair's record when last
-        # written and its text; the dict last written and its array's text
-        self._written = {"nodes": {}, "edges": {}}
-        self._texts = {"nodes": {}, "edges": {}}
-        self._arrays = {}
+        self._arrays = {"nodes": ({}, [], [], b""), "edges": ({}, [], [], b"")}
 
     def _number(self, value) -> str:
         x = float(value)
@@ -296,26 +298,36 @@ class _SnapshotWriter:
     def _edge(self, pair: tuple[int, int], weight: EdgeRecord) -> bytes:
         return f"[{pair[0]},{pair[1]},{self._number(weight)}]".encode()
 
-    def _array(self, name: str, records: dict, render) -> bytes:
-        """The comma-joined texts of ``records`` in ascending key order."""
-        last, text = self._arrays.get(name, (None, b""))
+    def _array(self, name: str, records: dict, render, changed=None) -> bytes:
+        """The comma-joined texts of ``records`` in ascending key order, with
+        the keys in ``changed`` (by default, as above) rendered afresh."""
+        last, keys, texts, text = self._arrays[name]
         if records is last:
             return text
-        written, texts = self._written[name], self._texts[name]
-        # the keys whose record is not the one last written, found without
-        # a Python-level step per record
-        for key in compress(records, map(is_not, map(written.get, records), records.values())):
-            rec = written[key] = records[key]
-            texts[key] = render(key, rec)
-        text = b",".join(map(texts.__getitem__, sorted(records)))
-        self._arrays[name] = (records, text)
+        if not keys:  # every key is new: in ascending order, each one goes last
+            changed = sorted(records)
+        elif changed is None:  # found without a Python-level step per record
+            changed = compress(records, map(is_not, map(last.get, records), records.values()))
+        for key in changed:
+            at = bisect_left(keys, key)
+            if at == len(keys) or keys[at] != key:  # a new key
+                keys.insert(at, key)
+                texts.insert(at, b"")
+            texts[at] = render(key, records[key])
+        if len(keys) != len(records):  # keys that are gone
+            kept = list(map(records.__contains__, keys))
+            keys, texts = list(compress(keys, kept)), list(compress(texts, kept))
+        text = b",".join(texts)
+        self._arrays[name] = (records, keys, texts, text)
         return text
 
-    def text(self, state: GraphState, lead: bytes = b"") -> bytes:
-        """``state``'s snapshot text, after ``lead``."""
+    def text(self, state: GraphState, lead: bytes = b"", delta=None, incident=None) -> bytes:
+        """``state``'s snapshot text, after ``lead``; ``delta`` and
+        ``incident``, when given, are its phase's delta and its index."""
+        edges = delta and {*delta.edges, *chain(*map(incident.__getitem__, delta.nodes))}
         return b'%b{"edges":[%b],"nodes":[%b],"phase":%d}' % (
-            lead, self._array("edges", state.edges, self._edge),
-            self._array("nodes", state.nodes, self._node), state.phase)
+            lead, self._array("edges", state.edges, self._edge, edges),
+            self._array("nodes", state.nodes, self._node, delta and delta.nodes), state.phase)
 
 
 def _report_to_json(report: PruneReport) -> dict:
@@ -337,9 +349,10 @@ def state_digest(state: GraphState) -> str:
 
 
 def _history_pieces(history: PhaseHistory,
-                    states: Iterator[GraphState]) -> Iterator[tuple[str, bytes]]:
-    """The canonical bytes of ``history``, whose states ``states`` yields in
-    phase order, in pieces that join to them, each with its JSON path: the
+                    steps: Iterator[tuple]) -> Iterator[tuple[str, bytes]]:
+    """The canonical bytes of ``history``, whose states ``steps`` yields in
+    phase order, as ``PhaseHistory._steps`` does, in pieces that join to
+    them, each with its JSON path: the
     head and the closing ``]`` as ``prune_reports``, each report as
     ``prune_reports[i]``, the script as ``script``, each snapshot as
     ``snapshots[p]``, and the head and tail around them as ``snapshots``.
@@ -347,7 +360,7 @@ def _history_pieces(history: PhaseHistory,
     ``snapshots``, and the compact JSON of an array is its elements' joined
     by commas. A number that is not finite raises ValueError before its
     snapshot's piece is yielded."""
-    initial = next(states)
+    initial = next(steps)[0]
     script = script_document(initial, history.events)
     if history.source is not None and history.source != script:
         raise InputError("history.source is not the script of this run")
@@ -361,8 +374,8 @@ def _history_pieces(history: PhaseHistory,
     yield "snapshots", b',"snapshots":['
     writer = _SnapshotWriter()
     lead = b""
-    for state in chain((initial,), states):
-        text = writer.text(state, lead)
+    for state, delta, incident in chain(((initial, None, None),), steps):
+        text = writer.text(state, lead, delta, incident)
         if not writer.finite:
             raise ValueError("Out of range float values are not JSON compliant")
         yield f"snapshots[{state.phase}]", text
@@ -375,7 +388,7 @@ def export_history_json(history: PhaseHistory) -> bytes:
     a ``history.source`` that is set must equal. A number that is not
     finite raises ValueError."""
     out = io.BytesIO()  # grows in place, where a join would hold every piece too
-    out.writelines(piece for _, piece in _history_pieces(history, history.states()))
+    out.writelines(piece for _, piece in _history_pieces(history, history._steps()))
     return out.getvalue()
 
 
@@ -396,16 +409,16 @@ def _checked_run(data: bytes,
     _require_bytes(data)
     rows = []
 
-    def states() -> Iterator[GraphState]:
+    def steps() -> Iterator[tuple]:
         rows.clear()
-        for state in history.states():
+        for step in history._steps():
             if row is not None:
-                rows.append(row(state))
-            yield state
+                rows.append(row(step[0]))
+            yield step
 
     def difference(target: bytes) -> str | None:
         offset = 0
-        for path, piece in _history_pieces(history, states()):
+        for path, piece in _history_pieces(history, steps()):
             if not target.startswith(piece, offset):
                 return path
             offset += len(piece)

@@ -122,7 +122,9 @@ class PhaseHistory:
     histogram from its edges on first use.
 
     :meth:`states` yields the states in phase order and keeps none of
-    them, so a reader that takes one phase at a time holds one state.
+    them, so a reader that takes one phase at a time holds one state; the
+    history's writer takes each from the same fold with its delta and
+    index, and rewrites only what the delta wrote.
     ``snapshots`` is the list of them, ``snapshots[i]`` the state at phase
     i, for callers that index or keep states: it is built on first read,
     frees each delta once folded, and is then a plain, writable list.
@@ -146,18 +148,26 @@ class PhaseHistory:
         self._deltas = deltas
         self._final = final
 
-    def _folds(self, deltas: list, incident: dict) -> Iterator[GraphState]:
-        """Every state in phase order, each delta folded onto copies of its
-        predecessor's changed dicts and then dropped from ``deltas``;
-        ``incident`` is a copy of phase 0's index, which the folds update.
-        Each fold derives its state's degree histogram from phase 0's."""
+    def _folds(self, deltas: list, incident: dict) -> Iterator[tuple]:
+        """Every state in phase order with its phase's delta (None at phase
+        0) and its index, valid until the next is drawn: each delta folded
+        onto copies of its predecessor's changed dicts and onto ``incident``,
+        a copy of phase 0's index, then dropped from ``deltas``; last comes
+        ``final`` with its own index."""
         state = self._initial
-        yield state
+        yield state, None, incident
         for p in range(len(deltas) - 1):
-            state = folded(state, deltas[p], incident)
-            deltas[p] = None  # released once folded
-            yield state
-        yield self._final
+            delta, deltas[p] = deltas[p], None  # released once folded
+            state = folded(state, delta, incident)
+            yield state, delta, incident
+        yield self._final, deltas[-1], self._final.incident
+
+    def _steps(self) -> Iterator[tuple]:
+        """:meth:`_folds` afresh, or the built ``snapshots`` with no deltas."""
+        built = vars(self).get("snapshots")
+        if built is not None:
+            return ((state, None, None) for state in built)
+        return self._folds(list(self._deltas), dict(self._initial.incident))
 
     def states(self) -> Iterator[GraphState]:
         """The states at phases 0 to the last, in order, as ``snapshots``
@@ -168,15 +178,12 @@ class PhaseHistory:
         independent of each other and of ``snapshots``; once ``snapshots``
         is built, it yields that list's entries instead.
         """
-        built = vars(self).get("snapshots")
-        if built is not None:
-            return iter(built)
-        return self._folds(list(self._deltas), dict(self._initial.incident))
+        return (state for state, _, _ in self._steps())
 
     @cached_property
     def snapshots(self) -> list[GraphState]:
         deltas, self._deltas = self._deltas, []
-        return list(self._folds(deltas, dict(self._initial.incident)))
+        return [state for state, _, _ in self._folds(deltas, dict(self._initial.incident))]
 
     @property
     def final(self) -> GraphState:

@@ -40,7 +40,7 @@ from massgraph import (
     settle_phase_one,
     state_digest,
 )
-from massgraph.io import _parse_event
+from massgraph.io import _history_pieces, _parse_event, _SnapshotWriter
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -448,14 +448,14 @@ class TestHistoryExport:
         doc = json.loads(export_history_json(run_script(state, events)))
         doc["snapshots"][3]["nodes"][0]["mass"] += 1
         tampered = canonical_json_bytes(doc)
-        real = PhaseHistory.states
+        real = PhaseHistory._folds
         calls = []
 
-        def counted(history):
+        def counted(history, *args):
             calls.append(history)
-            return real(history)
+            return real(history, *args)
 
-        monkeypatch.setattr(PhaseHistory, "states", counted)
+        monkeypatch.setattr(PhaseHistory, "_folds", counted)
         files = {  # each with its count of folds: one per compare
             "canonical": (tampered, 1),
             "indented": (json.dumps(doc, indent=1).encode(), 1),
@@ -467,6 +467,48 @@ class TestHistoryExport:
                 load_history(text)
             assert excinfo.value.path == "snapshots[3]", name
             assert len(calls) == folds, name
+
+    def test_each_phase_renders_only_what_its_delta_wrote(self, monkeypatch):
+        # a count, not a time: after phase 0, a phase renders its delta's
+        # node ids and the distinct edge keys in its delta or at those
+        # nodes (found here from the state's own edges, not the index the
+        # fold hands on), never the other N + E records
+        config = ScenarioConfig(seed=5, n_initial=20, mass_range=(1.5, 4.0),
+                                weight_range=(1.5, 4.0), initial_edge_density=0.3,
+                                n_phases=300, event_mix=(0.6, 0.25, 0.15), prune_threshold=5.0)
+        history = run_script(*generate_scenario(config))
+        assert any(report.removed_edges for report in history.prune_reports)
+        rendered = []
+
+        def counted(real):
+            def render(writer, key, rec):
+                rendered.append(key)
+                return real(writer, key, rec)
+            return render
+
+        for name in ("_node", "_edge"):
+            monkeypatch.setattr(_SnapshotWriter, name, counted(getattr(_SnapshotWriter, name)))
+        expected, sizes = [], []
+
+        def steps():
+            for state, delta, incident in history._steps():
+                sizes.append(len(state.nodes) + len(state.edges))
+                if delta is None:
+                    expected.append(sizes[-1])
+                else:
+                    own = GraphState(state.phase, state.nodes, state.edges).incident
+                    edges = {*delta.edges, *(key for i in delta.nodes for key in own[i])}
+                    expected.append(len(delta.nodes) + len(edges))
+                yield state, delta, incident
+
+        counts = []
+        for path, _ in _history_pieces(history, steps()):
+            if path.startswith("snapshots["):
+                counts.append(len(rendered))
+                rendered.clear()
+        assert len(counts) == 301
+        assert counts == expected
+        assert sum(counts[2:]) * 10 < sum(sizes[2:])
 
     def test_load_rejects_structurally_broken_snapshots(self):
         state, events, _ = parse_script(doc_bytes(MINIMAL))

@@ -3,11 +3,13 @@ edges, copied from each state to its successor, which updates the copy,
 while the predecessor keeps its own; only a run's working state updates
 its own in place. The degree histogram, the other derived cache, is
 derived the same way: a folded state derives its own from its
-predecessor's, and the working state drops its own as it advances."""
+predecessor's, and the working state drops its own as it advances. The
+next node id is cached too, and the working state moves it on."""
 
 from __future__ import annotations
 
 import copy
+import itertools
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -160,6 +162,35 @@ def test_a_copy_keeps_a_correct_index_after_the_original_advances():
     assert twin.incident == {1: ((1, 2),), 2: ((1, 2),), 3: ()}
     assert apply_event(twin, AddEdge(2, 3, 2.0))[0].incident == \
         {1: ((1, 2),), 2: ((1, 2), (2, 3)), 3: ((2, 3),)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs)
+def test_every_state_holds_the_next_id_after_its_nodes(config):
+    # a run's and the generator's working state read next_id once and move
+    # it on as they advance; a stale one would give two nodes one id
+    real = scenario.advance
+    advanced = []
+
+    def checked(state, delta):
+        real(state, delta)
+        assert "next_id" not in vars(state) or vars(state)["next_id"] == max(state.nodes) + 1
+        advanced.append(state.phase)
+
+    with patch.object(scenario, "advance", checked):
+        initial, events = generate_scenario(config)
+        history = run_script(initial, events)
+    assert len(advanced) == 2 * (len(events) + 1)
+    state = settle_phase_one(initial)
+    applied = [initial, state]
+    for event in events:
+        state.next_id  # cached on the predecessor, then read by a node event
+        state = apply_event(state, event)[0]
+        applied.append(state)
+    states = list(history.states())
+    assert states == applied
+    for state in itertools.chain(states, applied):
+        assert state.next_id == max(state.nodes, default=0) + 1
 
 
 def test_a_working_state_drops_its_histogram_as_it_advances():

@@ -10,13 +10,14 @@ whose edges sit in another insertion order reads the same to every reader.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from massgraph import (
@@ -48,6 +49,7 @@ from massgraph import (
 )
 from massgraph.engine import prune_delta
 from massgraph.graph import above_one, edge_key, initial_inputs, node_id, node_label
+from massgraph.io import _compact, _history_pieces, _SnapshotWriter
 from massgraph.kernel import as_float
 
 # light masses and weights, so that most prunes remove edges and isolate nodes
@@ -410,23 +412,25 @@ def labelled(draw):
                      if isinstance(event, AddNode) else event for event in events]
 
 
+def snapshot_dict(state) -> dict:
+    """A snapshot as the dict whose compact encoding its text must be."""
+    nodes = []
+    for i in sorted(state.nodes):
+        rec = state.nodes[i]
+        entry = {"id": i, "mass": float(rec.mass), "alive": rec.alive}
+        if rec.label is not None:
+            entry["label"] = rec.label
+        nodes.append(entry)
+    edges = [[a, b, float(edge.weight)] for (a, b), edge in sorted(state.edges.items())]
+    return {"phase": state.phase, "nodes": nodes, "edges": edges}
+
+
 def dict_layout(history) -> bytes:
     """The history document built as dicts, then encoded whole: the layout
     the text writer must reproduce byte for byte."""
-    def snapshot(state):
-        nodes = []
-        for i in sorted(state.nodes):
-            rec = state.nodes[i]
-            entry = {"id": i, "mass": float(rec.mass), "alive": rec.alive}
-            if rec.label is not None:
-                entry["label"] = rec.label
-            nodes.append(entry)
-        edges = [[a, b, float(edge.weight)] for (a, b), edge in sorted(state.edges.items())]
-        return {"phase": state.phase, "nodes": nodes, "edges": edges}
-
     return canonical_json_bytes({
         "script": script_document(history.snapshots[0], history.events),
-        "snapshots": [snapshot(state) for state in history.snapshots],
+        "snapshots": [snapshot_dict(state) for state in history.snapshots],
         "prune_reports": [{"threshold": float(report.threshold),
                            "removed_edges": [[a, b, float(w)]
                                              for (a, b), w in report.removed_edges],
@@ -465,6 +469,64 @@ def test_the_text_writer_reproduces_the_dict_layout(scenario, data):
     with pytest.raises(ScriptError) as excinfo:
         load_history(canonical_json_bytes(doc))
     assert excinfo.value.path == path
+
+
+# forgetting runs with room to connect a pruned pair again: fewer nodes and
+# more phases than biting
+reconnecting = st.builds(
+    ScenarioConfig,
+    seed=st.integers(min_value=0, max_value=2**32),
+    n_initial=st.integers(min_value=3, max_value=6),
+    mass_range=st.just((1.5, 4.0)),
+    weight_range=st.just((1.5, 4.0)),
+    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
+    n_phases=st.integers(min_value=15, max_value=40),
+    event_mix=st.just((0.5, 0.2, 0.3)),
+    prune_threshold=st.floats(min_value=3.0, max_value=7.0),
+)
+
+
+def reconnects_a_pruned_pair(history) -> bool:
+    """Whether an edge event connects a pair that an earlier prune removed."""
+    pruned, reports = set(), iter(history.prune_reports)
+    for event in history.events:
+        if isinstance(event, Prune):
+            pruned.update(key for key, _ in next(reports).removed_edges)
+        elif isinstance(event, AddEdge) and edge_key(event.k, event.l) in pruned:
+            return True
+    return False
+
+
+def written_snapshots(history) -> list[bytes]:
+    """Each snapshot's text as the history's own writer gives it."""
+    return [piece.lstrip(b",") for path, piece in _history_pieces(history, history._steps())
+            if path.startswith("snapshots[")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(reconnecting)
+def test_the_writer_rewrites_what_each_phase_wrote_through_prunes_and_reconnections(config):
+    # the writer keeps each array's keys in order across phases: a pair a
+    # prune removed must leave it, and rejoin it in its place when it is
+    # connected again; the run starts from a phase-0 state whose dicts run
+    # in descending order, which must still write ascending arrays
+    initial, events = generate_scenario(config)
+    descending = GraphState(0, dict(reversed(initial.nodes.items())),
+                            dict(reversed(initial.edges.items())), initial.params)
+    assert list(descending.nodes) == sorted(initial.nodes, reverse=True)
+    history = run_script(descending, events)
+    assume(reconnects_a_pruned_pair(history))
+    states = list(history.states())
+    texts = written_snapshots(history)
+    assert texts == [_compact(snapshot_dict(state)) for state in states]
+    assert texts == [_SnapshotWriter().text(state) for state in states]  # each alone
+    params = f"[{initial.params.mu!r},{initial.params.sigma!r}]".encode()
+    digests = [hashlib.sha256(text + params).hexdigest() for text in texts]
+    assert [state_digest(state) for state in states] == digests
+    exported = export_history_json(history)
+    assert exported == export_history_json(run_script(initial, events))
+    assert [state_digest(state) for state in history.snapshots] == digests
+    assert export_history_json(history) == exported  # by the records, once the list is built
 
 
 def test_a_number_that_is_not_finite_hashes_but_does_not_export():
