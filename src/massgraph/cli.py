@@ -72,11 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="LO,HI", help="initial weight range (default 2,100)")
     gen.add_argument("--prune-threshold", type=float, default=0.0,
                      help="threshold used by generated prune events (default 0)")
-    gen.add_argument("--mu", type=float, default=0.0, help="kernel location (default 0)")
-    gen.add_argument("--sigma", type=float, default=1.0, help="kernel scale (default 1)")
+    # absent unless given: KernelParams' defaults apply, and --draw-kernel refuses them
+    gen.add_argument("--mu", type=float, default=argparse.SUPPRESS,
+                     help="kernel location (default 0)")
+    gen.add_argument("--sigma", type=float, default=argparse.SUPPRESS,
+                     help="kernel scale (default 1)")
     gen.add_argument("--draw-kernel", type=_floats(4, "--draw-kernel"),
                      metavar="MULO,MUHI,SIGLO,SIGHI",
-                     help="draw mu and sigma from these ranges instead of --mu/--sigma")
+                     help="draw mu and sigma from these ranges (excludes --mu and --sigma)")
     gen.add_argument("--out", type=Path, help="script JSON output (default: stdout)")
 
     val = sub.add_parser("validate", help="check a script without running it")
@@ -153,11 +156,16 @@ def _with_dot_files(steps: Iterator[tuple], out: Path, every: int,
 
 
 def _cmd_gen(args) -> int:
+    given = {name: value for name, value in vars(args).items() if name in ("mu", "sigma")}
     if args.draw_kernel is not None:
+        if given:
+            print("error: --draw-kernel draws mu and sigma, so it excludes --mu and --sigma",
+                  file=sys.stderr)
+            return 2
         mu_lo, mu_hi, sig_lo, sig_hi = args.draw_kernel
         kernel = KernelDraw(mu_range=(mu_lo, mu_hi), sigma_range=(sig_lo, sig_hi))
     else:
-        kernel = KernelParams(mu=args.mu, sigma=args.sigma)
+        kernel = KernelParams(**given)
     config = ScenarioConfig(
         seed=args.seed,
         n_initial=args.nodes,
@@ -223,10 +231,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except MassGraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (MassGraphError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -29,13 +29,10 @@ edge event, whatever the endpoints' degrees.
 The incidence index (:attr:`GraphState.incident`, node id -> keys of its
 edges) is derived from a state's edges; :func:`fold` reads it to find the
 edges at an edge event's endpoints, so the event's cost follows their
-degrees, not the edge count, and it builds no key to reach them. One rule
-keeps it: :func:`working_copy` copies its source's index, and
-:func:`advance` updates the copy. A state no transition produced builds
-its own, on first use. The alive nodes' degree histogram
-(:attr:`GraphState.degree_histogram`) follows the same rule:
-:func:`folded` derives a successor's from its predecessor's, and
-:func:`advance` drops a working state's.
+degrees, not the edge count, and it builds no key to reach them. It and
+the degree histogram are kept by :class:`GraphState`'s rule for derived
+caches. A node event costs O(1): ids run 1 to n, so the new node's id is
+n + 1.
 """
 
 from __future__ import annotations
@@ -201,16 +198,12 @@ def working_copy(state: GraphState) -> GraphState:
 
 
 def advance(state: GraphState, delta: PhaseDelta) -> None:
-    """Fold ``delta`` into ``state``'s own dicts and index and move its phase
-    on by one. ``state`` must be a :func:`working_copy`, which no other state
-    shares a dict with; an index entry that changes gets a new tuple.
-    ``state`` moves its cached ``next_id`` past a node the delta adds and
-    drops its degree histogram, so ``metrics`` of a working state counts its
-    edges afresh, in O(E)."""
-    known = len(state.nodes)
+    """Fold ``delta`` into ``state``'s own dicts and index, drop its degree
+    histogram and move its phase on by one. ``state`` must be a
+    :func:`working_copy`, which no other state shares a dict with; an index
+    entry that changes gets a new tuple. ``metrics`` of a working state
+    counts its edges afresh, in O(E)."""
     fold(delta, state.nodes, state.edges, state.incident)
-    if len(state.nodes) != known and "next_id" in vars(state):  # a node was added
-        vars(state)["next_id"] = max(state.next_id, max(delta.nodes) + 1)
     vars(state).pop("degree_histogram", None)
     object.__setattr__(state, "phase", state.phase + 1)
 
@@ -311,8 +304,13 @@ def edge_delta(state: GraphState, event: AddEdge) -> PhaseDelta:
 
 def node_delta(state: GraphState, event: AddNode) -> PhaseDelta:
     """A static expansion: a fresh node with the next id; no existing mass
-    or weight changes. The delta holds one node record."""
-    return PhaseDelta({state.next_id: NodeRecord(event.initial_mass, event.label)}, {})
+    or weight changes. The delta holds one node record. A state whose ids
+    do not run 1 to n, which :func:`~massgraph.graph.validate_state`
+    refuses, may already hold that id, and raises :class:`InputError`."""
+    i = state.next_id
+    if i in state.nodes:
+        raise InputError(f"nodes must be numbered 1 to {i - 1}, but node {i} exists")
+    return PhaseDelta({i: NodeRecord(event.initial_mass, event.label)}, {})
 
 
 def prune_delta(state: GraphState, event: Prune) -> PhaseDelta:

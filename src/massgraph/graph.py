@@ -4,7 +4,7 @@ phase counter.
 A state holds only what the model defines: per node its mass, optional
 label and liveness; per connected pair its weight, a float; the phase;
 and the kernel parameters. Ids live only in the dict keys -- records never
-copy them -- and the next node id is derived and cached, not stored.
+copy them -- and the next node id is derived from them, not stored.
 
 States are values: every transition in :mod:`massgraph.engine` folds its
 change into a working copy of its predecessor and never changes an old
@@ -12,8 +12,9 @@ state's fields, so snapshots can be kept and compared across phases. The one
 state that changes is a run's working state: ``run_script`` and
 ``generate_scenario`` fold each event into one copy they own, which shares
 no dict with any other state and is handed out only when the run is over.
-Node ids are 1-based and permanent; deletion marks a node dead instead of
-renumbering, and ids are never reused.
+Node ids run 1 to n and are permanent: deletion marks a node dead instead
+of renumbering, ids are never reused, and :func:`validate_state` reports
+any other numbering.
 
 A run and a script both start from a phase-0 state, and
 :func:`initial_inputs` is the one rule for which states those are: the
@@ -89,18 +90,17 @@ class GraphState:
     the zero diagonal hold by construction; an absent pair reads as
     weight 0.
 
-    :attr:`incident` (node id -> keys of its edges),
-    :attr:`degree_histogram` and :attr:`next_id` are caches derived from
-    ``nodes`` and ``edges``, not part of the value: they take no part in
-    equality. One rule keeps them: a state gets a cache only from its
-    predecessor's, updated for what the delta touched, and a state that got
-    none builds its own on first use. :func:`~massgraph.engine.working_copy`
-    copies the index of the state it copies, which keeps its own, and
-    :func:`~massgraph.engine.advance` updates the copy in place.
-    :func:`~massgraph.engine.folded`
-    derives each successor's histogram from its predecessor's, and
-    :func:`~massgraph.engine.advance` drops the working state's and moves
-    its ``next_id`` past a node its delta adds.
+    :attr:`incident` (node id -> keys of its edges) and
+    :attr:`degree_histogram` are caches derived from ``nodes`` and
+    ``edges``, not part of the value: they take no part in equality. One
+    rule keeps them: a state gets a cache only from its predecessor's,
+    updated for what the delta touched, and a state that got none builds its
+    own on first use. :func:`~massgraph.engine.working_copy` copies the index
+    of the state it copies, which keeps its own, and
+    :func:`~massgraph.engine.advance` updates the copy in place;
+    :func:`~massgraph.engine.folded` derives each successor's histogram from
+    its predecessor's, and :func:`~massgraph.engine.advance` drops the
+    working state's.
     """
 
     phase: int
@@ -130,10 +130,10 @@ class GraphState:
             hist[d] += 1
         return tuple(hist)
 
-    @cached_property
+    @property
     def next_id(self) -> int:
-        """The id the next added node will receive; dead nodes keep theirs."""
-        return max(self.nodes, default=0) + 1
+        """The id the next added node will receive: ids run 1 to n."""
+        return len(self.nodes) + 1
 
     def _record(self, i: int) -> NodeRecord:
         try:
@@ -213,6 +213,7 @@ def validate_state(state: GraphState) -> list[str]:
     to see them named here.
     """
     problems: list[str] = []
+    ids = True
     try:
         as_int(state.phase, "phase", InputError, 0)
     except InputError as err:
@@ -224,6 +225,7 @@ def validate_state(state: GraphState) -> list[str]:
             node_id(i)
         except NodeLookupError as err:
             problems.append(f"node key {i!r}: {err}")
+            ids = False
         if rec.label is not None:
             try:
                 node_label(rec.label)
@@ -236,6 +238,9 @@ def validate_state(state: GraphState) -> list[str]:
                 above_one(rec.mass, "mass")
             except InputError as err:
                 problems.append(f"node {i}: {err}")
+    n = len(state.nodes)
+    if ids and max(state.nodes, default=0) != n:  # only ids: a bad key is named once
+        problems.append(f"nodes must be numbered 1 to {n}")
     for key, weight in state.edges.items():
         a, b = key
         try:
@@ -267,21 +272,17 @@ def initial_inputs(state: GraphState) -> tuple[list[float], list[tuple[int, int,
     """The masses and ``(low, high, weight)`` triples, as floats, from which
     :func:`new_graph` rebuilds ``state``, if ``state`` is one a run may
     start from and a script can hold: :func:`validate_state` finds nothing,
-    the phase is 0, the nodes are numbered 1..n, alive and unlabelled, and
-    every weight is > 1. Otherwise one :class:`InputError` lists every
-    problem.
+    the phase is 0, the nodes are alive and unlabelled, and each weight is
+    above 1. Otherwise one :class:`InputError` lists every problem.
     """
     problems = validate_state(state)
     if state.phase != 0:
         problems.append(f"a run starts at phase 0, got phase {state.phase!r}")
-    n = len(state.nodes)
-    if state.nodes.keys() != set(range(1, n + 1)):
-        problems.append(f"phase-0 nodes must be numbered 1 to {n}")
     problems += [f"node {i}: phase-0 nodes are alive and unlabelled"
                  for i, rec in state.nodes.items() if not rec.alive or rec.label is not None]
     problems += [f"initial weight of edge {key} must be > 1, got {w}"
                  for key, w in state.edges.items() if isinstance(w, (int, float)) and w <= 1]
     if problems:
         raise InputError("invalid phase-0 state: " + "; ".join(problems))
-    return ([float(state.nodes[i].mass) for i in range(1, n + 1)],
+    return ([float(state.nodes[i].mass) for i in range(1, len(state.nodes) + 1)],
             [(a, b, float(w)) for (a, b), w in sorted(state.edges.items())])

@@ -61,7 +61,7 @@ from operator import is_not
 from typing import NoReturn
 
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport
-from .errors import InputError, MassGraphError, ScriptError
+from .errors import MassGraphError, ScriptError
 from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, initial_inputs,
                     new_graph, node_id)
 from .kernel import KernelParams, as_float, as_int
@@ -107,9 +107,9 @@ def _as_str(value, path: str) -> str:
     return value
 
 
-def _as_triples(value, path: str) -> list[tuple[int, int, float]]:
+def _as_triples(value, path: str, n: int) -> list[tuple[int, int, float]]:
     """A list of ``[i, j, w]`` edge triples as canonical ``(low, high, w)``,
-    no pair listed twice."""
+    between nodes 1..n, no pair listed twice."""
     triples: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
     for idx, raw in enumerate(_as_list(value, path)):
@@ -120,6 +120,10 @@ def _as_triples(value, path: str) -> list[tuple[int, int, float]]:
         i = _at(f"{entry_path}[0]", node_id, entry[0])
         j = _at(f"{entry_path}[1]", node_id, entry[1])
         key = _at(entry_path, edge_key, i, j)
+        for at, endpoint in enumerate((i, j)):
+            if endpoint > n:  # new_graph's message, at the element
+                _fail(f"{entry_path}[{at}]",
+                      f"edge ({i}, {j}) references node {endpoint}, but only 1..{n} exist")
         if key in seen:
             _fail(entry_path, f"duplicate edge for pair {key}")
         seen.add(key)
@@ -217,8 +221,8 @@ def _script_values(doc) -> tuple[GraphState, list[Event], KernelParams]:
         _at(f"initial.masses[{idx}]", above_one, raw, "initial mass")
         for idx, raw in enumerate(_as_list(initial["masses"], "initial.masses"))
     ]
-    triples = _as_triples(initial["edges"], "initial.edges")
-    state = _at("initial.edges", new_graph, masses, triples, params)
+    triples = _as_triples(initial["edges"], "initial.edges", len(masses))
+    state = new_graph(masses, triples, params)  # every rule it applies is checked above
 
     events = [_parse_event(raw, idx) for idx, raw in enumerate(_as_list(root["events"], "events"))]
     return state, events, params
@@ -362,8 +366,6 @@ def _history_pieces(history: PhaseHistory,
     snapshot's piece is yielded."""
     initial = next(steps)[0]
     script = script_document(initial, history.events)
-    if history.source is not None and history.source != script:
-        raise InputError("history.source is not the script of this run")
     yield "prune_reports", b'{"prune_reports":['
     lead = b""
     for i, report in enumerate(history.prune_reports):
@@ -384,9 +386,8 @@ def _history_pieces(history: PhaseHistory,
 
 
 def export_history_json(history: PhaseHistory) -> bytes:
-    """Canonical JSON bytes of a full-state history and of its script, which
-    a ``history.source`` that is set must equal. A number that is not
-    finite raises ValueError."""
+    """Canonical JSON bytes of a full-state history and of its script. A
+    number that is not finite raises ValueError."""
     out = io.BytesIO()  # grows in place, where a join would hold every piece too
     out.writelines(piece for _, piece in _history_pieces(history, history._steps()))
     return out.getvalue()

@@ -28,7 +28,8 @@ from .engine import (
     settle_delta,
     working_copy,
 )
-from .errors import GenerationError, MassGraphError, ParameterError, SimulationError
+from .errors import (GenerationError, InputError, MassGraphError, ParameterError,
+                     SimulationError)
 from .graph import GraphState, initial_inputs, new_graph
 from .kernel import KernelParams, as_float, as_int
 
@@ -116,10 +117,10 @@ class PhaseHistory:
     0's index standing in for each state's: a folded state shares each
     dict its delta leaves alone with its predecessor (the edges, after a
     node event or a prune that removes no edge), and holds no incidence
-    index. Each folded state gets its degree histogram from its
-    predecessor's, starting from phase 0's, so :func:`metrics` of it reads
-    no edge. The last state is the final state itself, which counts its
-    histogram from its edges on first use.
+    index. By :class:`~massgraph.graph.GraphState`'s rule for derived
+    caches, each folded state gets its degree histogram from its
+    predecessor's, so :func:`metrics` of it reads no edge; the last state
+    is the final state itself, which counts its own on first use.
 
     :meth:`states` yields the states in phase order and keeps none of
     them, so a reader that takes one phase at a time holds one state; the
@@ -134,14 +135,10 @@ class PhaseHistory:
     ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so what is
     assigned there is what ``final`` returns. Reading only ``final`` never
     folds a delta.
-
-    ``source``, when set, must be the script of the phase-0 state and
-    ``events``; export checks it.
     """
 
-    def __init__(self, source: dict | None, initial: GraphState, deltas: list[PhaseDelta],
-                 final: GraphState, events: list[Event], prune_reports: list[PruneReport]):
-        self.source = source
+    def __init__(self, initial: GraphState, deltas: list[PhaseDelta], final: GraphState,
+                 events: list[Event], prune_reports: list[PruneReport]):
         self.events = events
         self.prune_reports = prune_reports
         self._initial = initial
@@ -199,13 +196,17 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     keeps its own incidence index; the returned history keeps ``initial``
     and each phase's delta, and folds them into states only when they are
     read. ``initial`` must be a state a script can hold, which
-    :func:`~massgraph.graph.initial_inputs` decides; it raises
-    :class:`InputError` before settlement for any other. Any transition
-    failure aborts the run with the phase index and offending event
-    attached.
+    :func:`~massgraph.graph.initial_inputs` decides, and ``source``, when
+    given, its script with ``events``; either failing raises
+    :class:`InputError` before settlement. Any transition failure aborts the
+    run with the phase index and offending event attached.
     """
     events = list(events)  # an iterator is read once, here
     initial_inputs(initial)
+    if source is not None:
+        from .io import script_document  # here: io imports this module
+        if source != script_document(initial, events):
+            raise InputError("source is not the script of this run")
     try:
         deltas = [settle_delta(initial)]
     except MassGraphError as err:
@@ -223,7 +224,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
         advance(state, delta)
         deltas.append(delta)
     reports = [delta.report for delta in deltas if delta.report is not None]
-    return PhaseHistory(source, initial, deltas, state, events, reports)
+    return PhaseHistory(initial, deltas, state, events, reports)
 
 
 def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:

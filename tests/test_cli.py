@@ -175,6 +175,24 @@ class TestGen:
         assert -1 <= doc["kernel"]["mu"] <= 1
         assert 0.5 <= doc["kernel"]["sigma"] <= 2
 
+    @pytest.mark.parametrize("given", [["--mu", "5"], ["--sigma", "3"],
+                                       ["--mu", "0", "--sigma", "1"]])
+    def test_drawn_kernel_refuses_mu_and_sigma(self, given, capsysbinary):
+        # the drawn kernel would silently replace what was given
+        assert cli_main(["gen", "--seed", "1", "--nodes", "3", "--phases", "2",
+                         "--draw-kernel", "0,1,1,2", *given]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b"" and b"--draw-kernel" in captured.err
+
+    @pytest.mark.parametrize("given,kernel", [
+        ([], {"mu": 0.0, "sigma": 1.0}),
+        (["--mu", "5"], {"mu": 5.0, "sigma": 1.0}),
+        (["--sigma", "3"], {"mu": 0.0, "sigma": 3.0}),
+    ])
+    def test_mu_and_sigma_default_to_zero_and_one(self, given, kernel, capsysbinary):
+        assert cli_main(["gen", "--seed", "1", "--nodes", "3", "--phases", "2", *given]) == 0
+        assert json.loads(capsysbinary.readouterr().out)["kernel"] == kernel
+
     def test_infeasible_mix_is_domain_error(self, capsys):
         # the only pair is connected at density 1; edge-only mix cannot proceed
         assert cli_main(["gen", "--seed", "3", "--nodes", "2", "--phases", "2",

@@ -211,6 +211,14 @@ class TestNodeEvent:
         assert not state.alive(2)
         assert state.next_id == 5
 
+    def test_a_taken_next_id_is_refused(self):
+        # ids 2 and 3, which validate_state refuses: the next id, 3, is a node
+        state = GraphState(1, {2: NodeRecord(2.0), 3: NodeRecord(2.0)})
+        before = dict(state.nodes)
+        with pytest.raises(InputError, match="node 3 exists"):
+            apply_event(state, AddNode(2.0))
+        assert state.nodes == before
+
 
 class TestPrune:
     @pytest.fixture

@@ -179,6 +179,14 @@ class TestValidate:
         problems = validate_state(GraphState(phase=1, nodes=nodes, edges=edges))
         assert len(problems) == 1 and "integer" in problems[0]
 
+    def test_ids_that_skip_a_number_are_caught_once(self):
+        # every state a transition makes numbers its nodes 1 to n, so a gap
+        # would let a node event reuse an id
+        state = GraphState(phase=1, nodes={1: NodeRecord(2.0), 3: NodeRecord(2.0)},
+                           edges={(1, 3): EdgeRecord(2.0)})
+        problems = validate_state(state)
+        assert len(problems) == 1 and "1 to 2" in problems[0]
+
     def test_id_below_one_is_caught(self):
         # ids start at 1: a hand-built state holding node 0 must not run,
         # only to be refused when its script is exported

@@ -180,7 +180,7 @@ class TestParseScript:
     @pytest.mark.parametrize("initial,events,path", [
         ({"masses": [2, 10**400], "edges": []}, [], "initial.masses[1]"),
         ({"masses": [2, 2], "edges": [[1, 2, 1]]}, [], "initial.edges[0][2]"),
-        ({"masses": [2, 2], "edges": [[1, 3, 2]]}, [], "initial.edges"),
+        ({"masses": [2, 2], "edges": [[1, 3, 2]]}, [], "initial.edges[0][1]"),
         ({"masses": [2, 2], "edges": []},
          [{"type": "add_edge", "k": 2, "l": 2, "w": 2}], "events[0]"),
         ({"masses": [2, 2], "edges": []},
@@ -389,10 +389,11 @@ class TestHistoryExport:
         assert excinfo.value.line == 2
 
     def test_export_rejects_a_foreign_source(self):
+        # refused by the run, before settlement, not later by the export
         state, events, _ = parse_script(doc_bytes(MINIMAL))
         other = {**MINIMAL, "kernel": {"mu": 0.5, "sigma": 1}}
-        with pytest.raises(InputError):
-            export_history_json(run_script(state, events, source=other))
+        with pytest.raises(InputError, match="source"):
+            run_script(state, events, source=other)
 
     def test_digest_covers_non_finite_states(self):
         nodes = {1: NodeRecord(2.0), 2: NodeRecord(2.0)}

@@ -4,7 +4,8 @@ while the predecessor keeps its own; only a run's working state updates
 its own in place. The degree histogram, the other derived cache, is
 derived the same way: a folded state derives its own from its
 predecessor's, and the working state drops its own as it advances. The
-next node id is cached too, and the working state moves it on."""
+next node id is no cache: every state numbers its nodes 1 to n, so it is
+n + 1."""
 
 from __future__ import annotations
 
@@ -24,7 +25,9 @@ from massgraph import (
     Prune,
     ScenarioConfig,
     apply_event,
+    export_history_json,
     generate_scenario,
+    load_history,
     new_graph,
     run_script,
     settle_phase_one,
@@ -164,17 +167,24 @@ def test_a_copy_keeps_a_correct_index_after_the_original_advances():
         {1: ((1, 2),), 2: ((1, 2), (2, 3)), 3: ((2, 3),)}
 
 
+def assert_numbered_one_to_n(state):
+    assert sorted(state.nodes) == list(range(1, len(state.nodes) + 1))
+    assert state.next_id == max(state.nodes, default=0) + 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(configs)
 def test_every_state_holds_the_next_id_after_its_nodes(config):
-    # a run's and the generator's working state read next_id once and move
-    # it on as they advance; a stale one would give two nodes one id
+    # ids run 1 to n in every state, so n + 1 is the id after the highest
+    # and a node event never finds it taken. Checked on the generator's and
+    # the run's working state after each step, on the folded, the applied
+    # and the loaded states, and on final
     real = scenario.advance
     advanced = []
 
     def checked(state, delta):
         real(state, delta)
-        assert "next_id" not in vars(state) or vars(state)["next_id"] == max(state.nodes) + 1
+        assert_numbered_one_to_n(state)
         advanced.append(state.phase)
 
     with patch.object(scenario, "advance", checked):
@@ -184,13 +194,14 @@ def test_every_state_holds_the_next_id_after_its_nodes(config):
     state = settle_phase_one(initial)
     applied = [initial, state]
     for event in events:
-        state.next_id  # cached on the predecessor, then read by a node event
         state = apply_event(state, event)[0]
         applied.append(state)
     states = list(history.states())
     assert states == applied
-    for state in itertools.chain(states, applied):
-        assert state.next_id == max(state.nodes, default=0) + 1
+    loaded = load_history(export_history_json(history))
+    for state in itertools.chain(states, applied, loaded.states(), history.snapshots,
+                                 [history.final]):
+        assert_numbered_one_to_n(state)
 
 
 def test_a_working_state_drops_its_histogram_as_it_advances():
