@@ -5,7 +5,7 @@ An event checks its own fields where it is built: :class:`AddEdge`,
 graph and kernel (ids >= 1 that differ, masses and weights > 1, a finite
 threshold, a string label) and store each number as the float they
 return, so every event that exists is one the model defines. Valid fields
-of the exact type cost one check.
+of the exact type cost one check; a refusal names its field in ``path``.
 
 Each transition first computes its :class:`PhaseDelta` from a state it only
 reads (:func:`settle_delta`, :func:`edge_delta`, :func:`node_delta`,
@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DuplicateEdgeError, InputError, NodeLookupError, SequencingError
+from .errors import DuplicateEdgeError, InputError, NodeLookupError, SequencingError, named
 from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, initial_inputs,
                     node_id, node_label)
 from .kernel import as_float, reinforcement
@@ -60,8 +60,9 @@ class AddEdge:
         if type(k) is int and type(l) is int and type(w) is float and 0 < k != l > 0 \
                 and 1 < w < math.inf:
             return  # the rules below would take these unchanged
-        edge_key(node_id(k), node_id(l))
-        object.__setattr__(self, "initial_weight", above_one(w, "edge weight"))
+        edge_key(named("k", node_id, k), named("l", node_id, l))
+        object.__setattr__(self, "initial_weight",
+                           named("initial_weight", above_one, w, "edge weight"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,8 +76,8 @@ class AddNode:
         m, label = self.initial_mass, self.label
         if type(m) is float and 1 < m < math.inf and (label is None or type(label) is str):
             return
-        object.__setattr__(self, "initial_mass", above_one(m, "node mass"))
-        node_label(label)
+        object.__setattr__(self, "initial_mass", named("initial_mass", above_one, m, "node mass"))
+        named("label", node_label, label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +89,8 @@ class Prune:
     def __post_init__(self):
         t = self.threshold
         if type(t) is not float or not -math.inf < t < math.inf:
-            object.__setattr__(self, "threshold", as_float(t, "prune threshold"))
+            object.__setattr__(self, "threshold",
+                               named("threshold", as_float, t, "prune threshold"))
 
 
 Event = AddEdge | AddNode | Prune

@@ -9,7 +9,20 @@ from __future__ import annotations
 
 
 class MassGraphError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for every error this package raises; ``path`` names the input a rule refused."""
+
+    def __init__(self, message: str, *, path: str | None = None):
+        super().__init__(message)
+        self.path = path
+
+
+def named(path: str, rule, *args):
+    """``rule(*args)``, whose :class:`MassGraphError` names ``path``."""
+    try:
+        return rule(*args)
+    except MassGraphError as err:
+        err.path = path
+        raise
 
 
 class KernelDomainError(MassGraphError):
@@ -54,8 +67,7 @@ class ScriptError(MassGraphError):
 
     def __init__(self, message: str, *, path: str | None = None,
                  line: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.path = path
+        super().__init__(message, path=path)
         self.line = line
         self.column = column
 

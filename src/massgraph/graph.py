@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import (DiagonalError, DuplicateEdgeError, InputError, NodeLookupError,
-                     ParameterError)
+from .errors import (DiagonalError, DuplicateEdgeError, InputError, MassGraphError,
+                     NodeLookupError, ParameterError, named)
 from .kernel import KernelParams, as_float, as_int
 
 
@@ -176,11 +176,12 @@ def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
               params: KernelParams | None = None) -> GraphState:
     """Build the phase-0 state from raw inputs.
 
-    ``masses[i]`` seeds node i+1; ``weights`` lists (i, j, w) triples for
-    the initially connected pairs. Every mass and weight must be strictly
-    greater than 1 (the logarithmic kernel is undefined below that), pairs
-    must be distinct and off-diagonal, and indices must be in 1..n.
-    ``params`` is None, for the default kernel, or a :class:`KernelParams`.
+    ``masses[i]`` seeds node i+1; ``weights`` lists (i, j, w) lists or
+    tuples for the initially connected pairs. Every mass and weight must be
+    strictly greater than 1 (the logarithmic kernel is undefined below
+    that), pairs must be distinct and off-diagonal, and indices must be in
+    1..n. ``params`` is None or a :class:`KernelParams`. An error's ``path``
+    is ``masses[i]``, or ``edges[i]`` and the element at fault (``[2]``).
     """
     if params is None:
         params = KernelParams()
@@ -189,18 +190,27 @@ def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
     n = len(masses)
     nodes: dict[int, NodeRecord] = {}
     for idx, raw in enumerate(masses):
-        nodes[idx + 1] = NodeRecord(mass=above_one(raw, f"initial mass of node {idx + 1}"))
+        nodes[idx + 1] = NodeRecord(named(f"masses[{idx}]", above_one, raw,
+                                          f"initial mass of node {idx + 1}"))
     edges: dict[tuple[int, int], EdgeRecord] = {}
-    for i, j, raw_w in weights:
-        key = edge_key(node_id(i), node_id(j))
-        for endpoint in key:
-            if not 1 <= endpoint <= n:
-                raise NodeLookupError(
-                    f"edge ({i}, {j}) references node {endpoint}, but only 1..{n} exist"
-                )
-        if key in edges:
-            raise DuplicateEdgeError(f"duplicate initial edge for pair {key}")
-        edges[key] = EdgeRecord(above_one(raw_w, f"initial weight of edge {key}"))
+    for idx, entry in enumerate(weights):
+        try:  # the rules below name an element of the entry, if one is at fault
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise InputError(f"an initial edge is an (i, j, w) list or tuple, got {entry!r}")
+            i, j = named("[0]", node_id, entry[0]), named("[1]", node_id, entry[1])
+            key = edge_key(i, j)
+            for at, endpoint in enumerate((i, j)):
+                if endpoint > n:
+                    raise NodeLookupError(
+                        f"edge ({i}, {j}) references node {endpoint}, but only 1..{n} exist",
+                        path=f"[{at}]")
+            if key in edges:
+                raise DuplicateEdgeError(f"duplicate initial edge for pair {key}")
+            edges[key] = EdgeRecord(named("[2]", above_one, entry[2],
+                                          f"initial weight of edge {key}"))
+        except MassGraphError as err:
+            err.path = f"edges[{idx}]{err.path or ''}"
+            raise
     return GraphState(phase=0, nodes=nodes, edges=dict(sorted(edges.items())),
                       params=params)
 
@@ -208,9 +218,9 @@ def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
 def validate_state(state: GraphState) -> list[str]:
     """Check every structural invariant; returns one message per violation.
 
-    Violations are data, not exceptions: a freshly built or engine-produced
-    state must always come back clean, and tests corrupt states on purpose
-    to see them named here.
+    Violations are data, not exceptions, whatever the dicts hold: a freshly
+    built or engine-produced state must always come back clean, and tests
+    corrupt states on purpose to see them named here.
     """
     problems: list[str] = []
     ids = True
@@ -226,11 +236,13 @@ def validate_state(state: GraphState) -> list[str]:
         except NodeLookupError as err:
             problems.append(f"node key {i!r}: {err}")
             ids = False
-        if rec.label is not None:
-            try:
-                node_label(rec.label)
-            except InputError as err:
-                problems.append(f"node {i}: {err}")
+        if not isinstance(rec, NodeRecord):
+            problems.append(f"node {i!r}: record must be a NodeRecord, got {rec!r}")
+            continue
+        try:
+            node_label(rec.label)
+        except InputError as err:
+            problems.append(f"node {i}: {err}")
         if type(rec.alive) is not bool:  # 1 == True, but exports would differ
             problems.append(f"node {i}: alive must be a bool, got {rec.alive!r}")
         if rec.alive:
@@ -242,6 +254,9 @@ def validate_state(state: GraphState) -> list[str]:
     if ids and max(state.nodes, default=0) != n:  # only ids: a bad key is named once
         problems.append(f"nodes must be numbered 1 to {n}")
     for key, weight in state.edges.items():
+        if not isinstance(key, tuple) or len(key) != 2:
+            problems.append(f"edge key {key!r} is not an (i, j) pair")
+            continue
         a, b = key
         try:
             node_id(a), node_id(b)
@@ -259,7 +274,7 @@ def validate_state(state: GraphState) -> list[str]:
             rec = state.nodes.get(endpoint)
             if rec is None:
                 problems.append(f"edge {key} references unknown node {endpoint}")
-            elif not rec.alive:
+            elif isinstance(rec, NodeRecord) and not rec.alive:
                 problems.append(f"edge {key} touches dead node {endpoint}")
         try:
             as_float(weight, "value")
@@ -279,7 +294,8 @@ def initial_inputs(state: GraphState) -> tuple[list[float], list[tuple[int, int,
     if state.phase != 0:
         problems.append(f"a run starts at phase 0, got phase {state.phase!r}")
     problems += [f"node {i}: phase-0 nodes are alive and unlabelled"
-                 for i, rec in state.nodes.items() if not rec.alive or rec.label is not None]
+                 for i, rec in state.nodes.items()
+                 if isinstance(rec, NodeRecord) and (not rec.alive or rec.label is not None)]
     problems += [f"initial weight of edge {key} must be > 1, got {w}"
                  for key, w in state.edges.items() if isinstance(w, (int, float)) and w <= 1]
     if problems:

@@ -14,19 +14,19 @@ Script documents (version 1) look like::
     }
 
 Parsing is strict: unknown fields are rejected so typos fail loudly. The
-parser checks only the JSON's shape; every number rule (integer ids >= 1,
-finite numbers, masses and weights > 1) is the model's own, from graph and
-kernel, and reports the JSON path of the element that breaks it. An
-object whose keys are exactly its event kind's is built as it is, with no
-path string: the event types check their own fields, with the same rules,
-and take valid values of the exact type in one check. An event they
-refuse, and every other object, takes the checked path, which names the
-JSON path. :func:`script_document` writes each event's fields as the event
-holds them, which is as parsing reads them back, and refuses a phase-0
-state by :func:`~massgraph.graph.initial_inputs`, the rule ``run_script``
-applies too, with :class:`InputError`. Exports are canonical --
-keys sorted, floats rendered as their shortest round-trip decimals -- so
-identical inputs always yield byte-identical files.
+parser checks only the JSON's shape and the version; each model rule lives
+where the model takes the values (:class:`KernelParams`, ``new_graph``,
+the event types), and the parser puts the JSON element it handed over
+before the ``path`` an error names: ``kernel.sigma``,
+``initial.edges[1][2]``, ``events[3].w``. An object whose keys are exactly
+its event kind's is built as it is, with no path string; an event refused
+there, and every other object, takes the checked path, which checks the
+object's shape first. :func:`script_document` writes each event's fields
+as the event holds them, which is as parsing reads them back, and refuses
+a phase-0 state by :func:`~massgraph.graph.initial_inputs`, the rule
+``run_script`` applies too, with :class:`InputError`. Exports are
+canonical -- keys sorted, floats rendered as their shortest round-trip
+decimals -- so identical inputs always yield byte-identical files.
 
 A history's snapshots are written as text, not built as dicts first: the
 writer keeps each array's keys in ascending order beside their texts,
@@ -62,9 +62,8 @@ from typing import NoReturn
 
 from .engine import AddEdge, AddNode, Event, Prune, PruneReport
 from .errors import MassGraphError, ScriptError
-from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, initial_inputs,
-                    new_graph, node_id)
-from .kernel import KernelParams, as_float, as_int
+from .graph import EdgeRecord, GraphState, NodeRecord, initial_inputs, new_graph
+from .kernel import KernelParams, as_int
 from .scenario import PhaseHistory, run_script
 
 SCRIPT_VERSION = 1
@@ -74,11 +73,16 @@ def _fail(path: str, message: str) -> NoReturn:
     raise ScriptError(f"{path}: {message}", path=path)
 
 
+_FIELDS = {"initial_weight": "w", "initial_mass": "mass"}  # as a script names them
+
+
 def _at(path: str, rule, *args):
-    """``rule(*args)``, with a model error re-raised at the JSON ``path``."""
+    """``rule(*args)``, with a model error re-raised at ``path``, then the path it names."""
     try:
         return rule(*args)
     except MassGraphError as err:
+        if err.path is not None:
+            path = f"{path}.{_FIELDS.get(err.path, err.path)}"
         _fail(path, str(err))
 
 
@@ -99,36 +103,6 @@ def _as_list(value, path: str) -> list:
     if not isinstance(value, list):
         _fail(path, f"expected an array, got {type(value).__name__}")
     return value
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _as_triples(value, path: str, n: int) -> list[tuple[int, int, float]]:
-    """A list of ``[i, j, w]`` edge triples as canonical ``(low, high, w)``,
-    between nodes 1..n, no pair listed twice."""
-    triples: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    for idx, raw in enumerate(_as_list(value, path)):
-        entry_path = f"{path}[{idx}]"
-        entry = _as_list(raw, entry_path)
-        if len(entry) != 3:
-            _fail(entry_path, f"expected [i, j, w], got {len(entry)} elements")
-        i = _at(f"{entry_path}[0]", node_id, entry[0])
-        j = _at(f"{entry_path}[1]", node_id, entry[1])
-        key = _at(entry_path, edge_key, i, j)
-        for at, endpoint in enumerate((i, j)):
-            if endpoint > n:  # new_graph's message, at the element
-                _fail(f"{entry_path}[{at}]",
-                      f"edge ({i}, {j}) references node {endpoint}, but only 1..{n} exist")
-        if key in seen:
-            _fail(entry_path, f"duplicate edge for pair {key}")
-        seen.add(key)
-        triples.append((*key, _at(f"{entry_path}[2]", above_one, entry[2], "initial weight")))
-    return triples
 
 
 def _require_bytes(data) -> None:
@@ -156,7 +130,7 @@ def _parse_event(raw, idx: int) -> Event:
     # the shortcut: an object with exactly its kind's keys is built as it is
     # (a missing id, number or threshold reads as None, which the event
     # refuses); an event that refuses its fields is left to the checked path
-    # below, for the JSON path and message
+    # below, which checks the JSON's shape and names the refused field
     if type(raw) is dict:
         kind = raw.get("type")
         try:
@@ -176,20 +150,17 @@ def _parse_event(raw, idx: int) -> Event:
     kind = raw.get("type")
     if kind == "add_edge":
         _as_object(raw, path, required=("type", "k", "l", "w"))
-        k = _at(f"{path}.k", node_id, raw["k"])
-        l = _at(f"{path}.l", node_id, raw["l"])
-        _at(path, edge_key, k, l)
-        w = _at(f"{path}.w", above_one, raw["w"], "edge weight")
-        return AddEdge(k=k, l=l, initial_weight=w)
+        return _at(path, AddEdge, raw["k"], raw["l"], raw["w"])
     if kind == "add_node":
         _as_object(raw, path, required=("type", "mass"), optional=("label",))
-        mass = _at(f"{path}.mass", above_one, raw["mass"], "node mass")
-        label = _as_str(raw["label"], f"{path}.label") if "label" in raw else None
-        return AddNode(initial_mass=mass, label=label)
+        # the mass first, as AddNode checks it; a label is a string, never null
+        mass = _at(path, AddNode, raw["mass"]).initial_mass
+        if not isinstance(label := raw.get("label", ""), str):
+            _fail(f"{path}.label", f"expected a string, got {type(label).__name__}")
+        return AddNode(mass, raw.get("label"))
     if kind == "prune":
         _as_object(raw, path, required=("type", "threshold"))
-        return Prune(threshold=_at(f"{path}.threshold", as_float, raw["threshold"],
-                                   "prune threshold"))
+        return _at(path, Prune, raw["threshold"])
     _fail(f"{path}.type", f"unknown event type {kind!r}")
 
 
@@ -210,19 +181,12 @@ def _script_values(doc) -> tuple[GraphState, list[Event], KernelParams]:
     if version != SCRIPT_VERSION:
         _fail("version", f"unsupported script version {version}, expected {SCRIPT_VERSION}")
 
-    kernel_obj = _as_object(root["kernel"], "kernel", required=("mu", "sigma"))
-    mu = _at("kernel.mu", as_float, kernel_obj["mu"], "mu")
-    sigma = _at("kernel.sigma", as_float, kernel_obj["sigma"], "sigma")
-    # with mu and sigma finite, only sigma's sign can still break KernelParams
-    params = _at("kernel.sigma", KernelParams, mu, sigma)
+    kernel = _as_object(root["kernel"], "kernel", required=("mu", "sigma"))
+    params = _at("kernel", KernelParams, kernel["mu"], kernel["sigma"])
 
     initial = _as_object(root["initial"], "initial", required=("masses", "edges"))
-    masses = [
-        _at(f"initial.masses[{idx}]", above_one, raw, "initial mass")
-        for idx, raw in enumerate(_as_list(initial["masses"], "initial.masses"))
-    ]
-    triples = _as_triples(initial["edges"], "initial.edges", len(masses))
-    state = new_graph(masses, triples, params)  # every rule it applies is checked above
+    state = _at("initial", new_graph, _as_list(initial["masses"], "initial.masses"),
+                _as_list(initial["edges"], "initial.edges"), params)
 
     events = [_parse_event(raw, idx) for idx, raw in enumerate(_as_list(root["events"], "events"))]
     return state, events, params
@@ -434,9 +398,12 @@ def _checked_run(data: bytes,
         script = json.loads(data[start:data.index(snapshots_key, start)])
     except (ValueError, RecursionError):  # no such slice, or one that does not decode
         script = (root := _root(data))["script"]
-    initial, events, _ = _at("script", _script_values, script)
-    del script  # before the run and the compare: the run holds what it needs of it
-    history = _at("script", run_script, initial, events)
+    try:  # at the script, whatever the error names within it
+        initial, events, _ = _script_values(script)
+        del script  # before the run and the compare: the run holds what it needs of it
+        history = run_script(initial, events)
+    except MassGraphError as err:
+        _fail("script", str(err))
     if root is None:  # the script was sliced: the bytes as they are first
         if (path := difference(data)) is None:
             return history, rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, KernelDomainError, ParameterError
+from .errors import InputError, KernelDomainError, ParameterError, named
 
 
 def as_float(value, what: str, error: type[Exception] = InputError) -> float:
@@ -49,16 +49,18 @@ class KernelParams:
     """Location and scale of the log-Cauchy perturbation.
 
     One (mu, sigma) pair is fixed per simulated agent; sigma must be
-    strictly positive and both values finite.
+    strictly positive and both values finite, held as floats.
     """
 
     mu: float = 0.0
     sigma: float = 1.0
 
     def __post_init__(self):
-        as_float(self.mu, "mu", ParameterError)
-        if as_float(self.sigma, "sigma", ParameterError) <= 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
+        object.__setattr__(self, "mu", named("mu", as_float, self.mu, "mu", ParameterError))
+        sigma = named("sigma", as_float, self.sigma, "sigma", ParameterError)
+        if sigma <= 0:
+            raise ParameterError(f"sigma must be > 0, got {self.sigma}", path="sigma")
+        object.__setattr__(self, "sigma", sigma)
 
 
 def log_cauchy_pdf(x: float, params: KernelParams) -> float:

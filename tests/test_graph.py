@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from massgraph import (
+    AddEdge,
+    AddNode,
     DiagonalError,
     DuplicateEdgeError,
     EdgeRecord,
@@ -19,8 +22,11 @@ from massgraph import (
     NodeLookupError,
     NodeRecord,
     ParameterError,
+    Prune,
     new_graph,
     run_script,
+    script_document,
+    settle_phase_one,
     validate_state,
 )
 
@@ -214,6 +220,51 @@ class TestValidate:
         assert len(problems) == 1 and problems[0].startswith("phase must be")
         with pytest.raises(InputError):
             run_script(state, [])
+
+    @pytest.mark.parametrize("nodes,edges,named", [
+        ({1: 2.0, 2: NodeRecord(3.0)}, {}, "node 1: record must be a NodeRecord, got 2.0"),
+        ({1: NodeRecord(2.0), 2: NodeRecord(3.0)}, {5: EdgeRecord(2.0)},
+         "edge key 5 is not an (i, j) pair"),
+        ({1: NodeRecord(2.0), 2: NodeRecord(3.0)}, {(1, 2, 3): EdgeRecord(2.0)},
+         "edge key (1, 2, 3) is not an (i, j) pair"),
+    ], ids=["node-value-not-a-record", "edge-key-not-a-tuple", "edge-key-of-three"])
+    def test_malformed_entries_are_reported_not_raised(self, nodes, edges, named):
+        state = GraphState(0, nodes, edges)
+        assert validate_state(state) == [named]
+        for refuses in (lambda: run_script(state, []), lambda: settle_phase_one(state),
+                        lambda: script_document(state, [])):
+            with pytest.raises(InputError, match=re.escape(named)):
+                refuses()
+
+
+class TestRefusalsNameTheirInput:
+    """A model rule's error names what it refuses in ``path``."""
+
+    @pytest.mark.parametrize("build,error,path", [
+        (lambda: AddEdge(1, 1.5, 2.0), NodeLookupError, "l"),
+        (lambda: AddEdge(0, 2, 2.0), NodeLookupError, "k"),
+        (lambda: AddEdge(1, 1, 2.0), DiagonalError, None),
+        (lambda: AddEdge(1, 2, 1), InputError, "initial_weight"),
+        (lambda: AddNode(0.5), InputError, "initial_mass"),
+        (lambda: AddNode(2.0, label=3), InputError, "label"),
+        (lambda: Prune(math.nan), InputError, "threshold"),
+        (lambda: new_graph([2.0, 1.0], []), InputError, "masses[1]"),
+        (lambda: new_graph([2.0, 2.0], [(1, 2, 3.0), (2, 1, 4.0)]), DuplicateEdgeError,
+         "edges[1]"),
+        (lambda: new_graph([2.0, 2.0], [(1, 2)]), InputError, "edges[0]"),
+        (lambda: new_graph([2.0, 2.0], [5]), InputError, "edges[0]"),
+        (lambda: new_graph([2.0, 2.0], [(2, 2, 3.0)]), DiagonalError, "edges[0]"),
+        (lambda: new_graph([2.0, 2.0], [(1, 2.0, 3.0)]), NodeLookupError, "edges[0][1]"),
+        (lambda: new_graph([2.0, 2.0], [(3, 1, 3.0)]), NodeLookupError, "edges[0][0]"),
+        (lambda: new_graph([2.0, 2.0], [(1, 2, 1.0)]), InputError, "edges[0][2]"),
+        (lambda: KernelParams(0, -1), ParameterError, "sigma"),
+        (lambda: KernelParams(math.inf), ParameterError, "mu"),
+    ])
+    def test_the_error_names_the_refused_input(self, build, error, path):
+        with pytest.raises(error) as excinfo:
+            build()
+        assert excinfo.value.path == path
+
 
 @st.composite
 def graph_inputs(draw):

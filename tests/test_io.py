@@ -22,6 +22,7 @@ from massgraph import (
     GraphState,
     InputError,
     KernelParams,
+    MassGraphError,
     NodeRecord,
     PhaseHistory,
     Prune,
@@ -287,6 +288,37 @@ def test_the_shortcut_agrees_with_the_checked_path(raw):
         _, events, _ = parse_script(data)
         assert events == [checked]
         assert repr(events) == repr([checked])  # so 5 and 5.0, or 0.0 and -0.0, differ
+
+
+@st.composite
+def initial_objects(draw):
+    """An ``initial`` object whose masses and edges are arrays of JSON values,
+    mostly near the model's: masses that are all valid half the time, and
+    edge entries of two ids and a weight, of another length, or of another
+    shape."""
+    masses = st.one_of(st.lists(st.floats(min_value=1.5, max_value=4.0), max_size=4),
+                       st.lists(numbers, max_size=4))
+    entries = field_values(st.tuples(ids, ids, numbers).map(list),
+                           st.lists(st.one_of(ids, numbers), max_size=4))
+    return {"masses": draw(masses), "edges": draw(st.lists(entries, max_size=4))}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(initial_objects())
+def test_the_initial_state_is_refused_where_new_graph_refuses_it(initial):
+    data = doc_bytes({**MINIMAL, "initial": initial})
+    decoded = json.loads(data)["initial"]  # as parsing decodes it
+    try:
+        built = new_graph(decoded["masses"], decoded["edges"])
+    except MassGraphError as err:
+        with pytest.raises(ScriptError) as excinfo:
+            parse_script(data)
+        path = f"initial.{err.path}"
+        assert (excinfo.value.path, str(excinfo.value)) == (path, f"{path}: {err}")
+    else:
+        state, _, _ = parse_script(data)
+        assert state == built
+        assert repr(state) == repr(built)
 
 
 class TestRenderRoundTrip:
