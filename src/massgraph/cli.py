@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import MassGraphError, ParameterError
@@ -127,32 +127,22 @@ def _cmd_run(args) -> int:
             return 2
     initial, events, _ = parse_script(args.script.read_bytes())
     history = run_script(initial, events)
-    steps = history._steps()
     written: list[Path] = []
-    if args.dot_every is not None:
-        steps = _with_dot_files(steps, args.out, args.dot_every, written)
-    try:
-        # and the DOT files, in one fold
-        _emit((piece for _, piece in _history_pieces(history, steps)), args.out)
+
+    def write_dot(state) -> None:
+        if state.phase % args.dot_every == 0:
+            dot_path = args.out.with_name(f"{args.out.stem}.phase{state.phase:04d}.dot")
+            dot_path.write_bytes(export_dot(state))
+            written.append(dot_path)
+
+    each = None if args.dot_every is None else write_dot
+    try:  # the history and the DOT files, in one fold
+        _emit((piece for _, piece in _history_pieces(history, each)), args.out)
     except BaseException:
         for path in written:  # as _emit deletes the history
             path.unlink(missing_ok=True)
         raise
     return 0
-
-
-def _with_dot_files(steps: Iterator[tuple], out: Path, every: int,
-                    written: list[Path]) -> Iterator[tuple]:
-    """``steps``, as ``PhaseHistory._steps`` yields them, writing each state
-    whose phase ``every`` divides to a DOT file beside ``out`` as it
-    passes, and appending its path to ``written`` once written."""
-    for step in steps:
-        state = step[0]
-        if state.phase % every == 0:
-            dot_path = out.with_name(f"{out.stem}.phase{state.phase:04d}.dot")
-            dot_path.write_bytes(export_dot(state))
-            written.append(dot_path)
-        yield step
 
 
 def _cmd_gen(args) -> int:

@@ -245,11 +245,10 @@ def validate_state(state: GraphState) -> list[str]:
             problems.append(f"node {i}: {err}")
         if type(rec.alive) is not bool:  # 1 == True, but exports would differ
             problems.append(f"node {i}: alive must be a bool, got {rec.alive!r}")
-        if rec.alive:
-            try:
-                above_one(rec.mass, "mass")
-            except InputError as err:
-                problems.append(f"node {i}: {err}")
+        try:  # a dead node keeps its last mass, which obeys the rule too
+            above_one(rec.mass, "mass")
+        except InputError as err:
+            problems.append(f"node {i}: {err}")
     n = len(state.nodes)
     if ids and max(state.nodes, default=0) != n:  # only ids: a bad key is named once
         problems.append(f"nodes must be numbered 1 to {n}")

@@ -40,13 +40,12 @@ by piece, and a load that fails names the JSON path of the first piece
 that differs. The same snapshot text, with the kernel parameters, is
 what :func:`state_digest` hashes.
 
-Each of these readers takes the states, each with its delta and index,
-from the history's one fold loop, one phase at a time, and never builds
-the ``snapshots`` list: export, load, and the command line's ``run``
-(which streams the text to its output and writes each DOT file as the
-state passes) and ``stats`` (which makes its rows in the pass that
-checks the file) fold the run once for a file in canonical bytes, and
-hold one state and its text beside their input or output.
+Export and load write the snapshots from the history's one fold, one
+phase at a time, and never build the ``snapshots`` list. The writer hands
+each state to a per-state hook as it passes, through which the command
+line's ``run`` writes its DOT files and ``stats`` makes its rows, so each
+folds the run once for a file in canonical bytes and holds one state and
+its text beside its input or output.
 """
 
 from __future__ import annotations
@@ -317,17 +316,19 @@ def state_digest(state: GraphState) -> str:
 
 
 def _history_pieces(history: PhaseHistory,
-                    steps: Iterator[tuple]) -> Iterator[tuple[str, bytes]]:
-    """The canonical bytes of ``history``, whose states ``steps`` yields in
-    phase order, as ``PhaseHistory._steps`` does, in pieces that join to
-    them, each with its JSON path: the
-    head and the closing ``]`` as ``prune_reports``, each report as
-    ``prune_reports[i]``, the script as ``script``, each snapshot as
-    ``snapshots[p]``, and the head and tail around them as ``snapshots``.
-    The top-level keys sort as ``prune_reports``, ``script``,
-    ``snapshots``, and the compact JSON of an array is its elements' joined
-    by commas. A number that is not finite raises ValueError before its
-    snapshot's piece is yielded."""
+                    each: Callable[[GraphState], object] | None = None
+                    ) -> Iterator[tuple[str, bytes]]:
+    """The canonical bytes of ``history`` in pieces that join to them, each
+    with its JSON path: the head and the closing ``]`` as
+    ``prune_reports``, each report as ``prune_reports[i]``, the script as
+    ``script``, each snapshot as ``snapshots[p]``, and the head and tail
+    around them as ``snapshots``. The top-level keys sort as
+    ``prune_reports``, ``script``, ``snapshots``, and the compact JSON of
+    an array is its elements' joined by commas. ``each(state)``, when
+    given, is called on each state of the history's one fold, in phase
+    order, before its snapshot is written. A number that is not finite
+    raises ValueError before its snapshot's piece is yielded."""
+    steps = history._steps()
     initial = next(steps)[0]
     script = script_document(initial, history.events)
     yield "prune_reports", b'{"prune_reports":['
@@ -341,6 +342,8 @@ def _history_pieces(history: PhaseHistory,
     writer = _SnapshotWriter()
     lead = b""
     for state, delta, incident in chain(((initial, None, None),), steps):
+        if each is not None:
+            each(state)
         text = writer.text(state, lead, delta, incident)
         if not writer.finite:
             raise ValueError("Out of range float values are not JSON compliant")
@@ -353,7 +356,7 @@ def export_history_json(history: PhaseHistory) -> bytes:
     """Canonical JSON bytes of a full-state history and of its script. A
     number that is not finite raises ValueError."""
     out = io.BytesIO()  # grows in place, where a join would hold every piece too
-    out.writelines(piece for _, piece in _history_pieces(history, history._steps()))
+    out.writelines(piece for _, piece in _history_pieces(history))
     return out.getvalue()
 
 
@@ -373,17 +376,12 @@ def _checked_run(data: bytes,
     place, with no other pass over the states."""
     _require_bytes(data)
     rows = []
-
-    def steps() -> Iterator[tuple]:
-        rows.clear()
-        for step in history._steps():
-            if row is not None:
-                rows.append(row(step[0]))
-            yield step
+    each = None if row is None else (lambda state: rows.append(row(state)))
 
     def difference(target: bytes) -> str | None:
+        rows.clear()
         offset = 0
-        for path, piece in _history_pieces(history, steps()):
+        for path, piece in _history_pieces(history, each):
             if not target.startswith(piece, offset):
                 return path
             offset += len(piece)

@@ -21,7 +21,6 @@ from .engine import (
     Event,
     PhaseDelta,
     Prune,
-    PruneReport,
     advance,
     event_delta,
     folded,
@@ -123,9 +122,11 @@ class PhaseHistory:
     is the final state itself, which counts its own on first use.
 
     :meth:`states` yields the states in phase order and keeps none of
-    them, so a reader that takes one phase at a time holds one state; the
+    them, so a reader that takes one phase at a time holds one state. The
     history's writer takes each from the same fold with its delta and
-    index, and rewrites only what the delta wrote.
+    index, rewrites only what the delta wrote, and hands the state to a
+    per-state hook, through which a reader observes it in that pass.
+    ``prune_reports`` are the reports the deltas carry, in order.
     ``snapshots`` is the list of them, ``snapshots[i]`` the state at phase
     i, for callers that index or keep states: it is built on first read,
     frees each delta once folded, and is then a plain, writable list.
@@ -138,20 +139,20 @@ class PhaseHistory:
     """
 
     def __init__(self, initial: GraphState, deltas: list[PhaseDelta], final: GraphState,
-                 events: list[Event], prune_reports: list[PruneReport]):
+                 events: list[Event]):
         self.events = events
-        self.prune_reports = prune_reports
+        self.prune_reports = [delta.report for delta in deltas if delta.report is not None]
         self._initial = initial
         self._deltas = deltas
         self._final = final
 
-    def _folds(self, deltas: list, incident: dict) -> Iterator[tuple]:
+    def _folds(self, deltas: list) -> Iterator[tuple]:
         """Every state in phase order with its phase's delta (None at phase
         0) and its index, valid until the next is drawn: each delta folded
-        onto copies of its predecessor's changed dicts and onto ``incident``,
-        a copy of phase 0's index, then dropped from ``deltas``; last comes
-        ``final`` with its own index."""
-        state = self._initial
+        onto copies of its predecessor's changed dicts and onto a copy of
+        phase 0's index, then dropped from ``deltas``; last comes ``final``
+        with its own index."""
+        state, incident = self._initial, dict(self._initial.incident)
         yield state, None, incident
         for p in range(len(deltas) - 1):
             delta, deltas[p] = deltas[p], None  # released once folded
@@ -164,7 +165,7 @@ class PhaseHistory:
         built = vars(self).get("snapshots")
         if built is not None:
             return ((state, None, None) for state in built)
-        return self._folds(list(self._deltas), dict(self._initial.incident))
+        return self._folds(list(self._deltas))
 
     def states(self) -> Iterator[GraphState]:
         """The states at phases 0 to the last, in order, as ``snapshots``
@@ -180,7 +181,7 @@ class PhaseHistory:
     @cached_property
     def snapshots(self) -> list[GraphState]:
         deltas, self._deltas = self._deltas, []
-        return [state for state, _, _ in self._folds(deltas, dict(self._initial.incident))]
+        return [state for state, _, _ in self._folds(deltas)]
 
     @property
     def final(self) -> GraphState:
@@ -223,8 +224,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
             ) from err
         advance(state, delta)
         deltas.append(delta)
-    reports = [delta.report for delta in deltas if delta.report is not None]
-    return PhaseHistory(initial, deltas, state, events, reports)
+    return PhaseHistory(initial, deltas, state, events)
 
 
 def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:

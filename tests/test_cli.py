@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -347,6 +348,28 @@ class TestStreamedReaders:
         assert captured.out == ""
         assert f"snapshots[{len(doc['snapshots']) - 1}]" in captured.err
 
+    def test_run_and_stats_each_fold_the_run_once(self, tmp_path, capsys, monkeypatch):
+        # the DOT files and the rows come from the pass that writes or
+        # checks the history, not from a second fold
+        real = PhaseHistory._folds
+        calls = []
+
+        def counted(history, *args):
+            calls.append(history)
+            return real(history, *args)
+
+        monkeypatch.setattr(PhaseHistory, "_folds", counted)
+        out = tmp_path / "h.json"
+        assert cli_main(["run", "--script", str(self.SCRIPT), "--out", str(out),
+                         "--dot-every", "7"]) == 0
+        assert out.read_bytes() == self.HISTORY.read_bytes()
+        assert len(list(tmp_path.glob("h.phase*.dot"))) == 9
+        assert len(calls) == 1
+        calls.clear()
+        assert cli_main(["stats", "--history", str(self.HISTORY)]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 61
+        assert len(calls) == 1
+
     def test_each_load_replays_the_script_once(self, tmp_path, capsys, monkeypatch):
         calls = []
 
@@ -457,3 +480,21 @@ def test_every_public_name_resolves_and_star_imports():
     for name in massgraph.__all__:
         assert namespace[name] is getattr(massgraph, name)
     assert namespace["cli_main"] is cli_main  # bound through the lazy __getattr__
+
+
+def test_the_package_imports_only_the_standard_library():
+    # massgraph is stdlib-only: pyproject.toml declares no dependency
+    sources = sorted((Path(__file__).parents[1] / "src" / "massgraph").glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative one
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

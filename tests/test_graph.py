@@ -121,6 +121,14 @@ class TestValidate:
         assert len(violations) == 1
         assert "node 2" in violations[0]
 
+    @pytest.mark.parametrize("mass", [math.nan, 0.5, "2.5"], ids=["nan", "half", "str"])
+    def test_dead_node_mass_obeys_the_mass_rule(self, mass):
+        # a dead node keeps its last mass, which is > 1; held as "2.5", it
+        # would digest like the float 2.5 of an unequal state
+        state = GraphState(0, {1: NodeRecord(2.0), 2: NodeRecord(mass, alive=False)}, {})
+        problems = validate_state(state)
+        assert len(problems) == 1 and "node 2" in problems[0] and "mass" in problems[0]
+
     def test_edge_to_dead_node_is_named(self, two_nodes):
         bad_nodes = dict(two_nodes.nodes)
         bad_nodes[2] = replace(bad_nodes[2], alive=False)

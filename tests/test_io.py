@@ -522,20 +522,17 @@ class TestHistoryExport:
         for name in ("_node", "_edge"):
             monkeypatch.setattr(_SnapshotWriter, name, counted(getattr(_SnapshotWriter, name)))
         expected, sizes = [], []
-
-        def steps():
-            for state, delta, incident in history._steps():
-                sizes.append(len(state.nodes) + len(state.edges))
-                if delta is None:
-                    expected.append(sizes[-1])
-                else:
-                    own = GraphState(state.phase, state.nodes, state.edges).incident
-                    edges = {*delta.edges, *(key for i in delta.nodes for key in own[i])}
-                    expected.append(len(delta.nodes) + len(edges))
-                yield state, delta, incident
+        for state, delta, _ in history._steps():
+            sizes.append(len(state.nodes) + len(state.edges))
+            if delta is None:
+                expected.append(sizes[-1])
+            else:
+                own = GraphState(state.phase, state.nodes, state.edges).incident
+                edges = {*delta.edges, *(key for i in delta.nodes for key in own[i])}
+                expected.append(len(delta.nodes) + len(edges))
 
         counts = []
-        for path, _ in _history_pieces(history, steps()):
+        for path, _ in _history_pieces(history):
             if path.startswith("snapshots["):
                 counts.append(len(rendered))
                 rendered.clear()

@@ -499,7 +499,7 @@ def reconnects_a_pruned_pair(history) -> bool:
 
 def written_snapshots(history) -> list[bytes]:
     """Each snapshot's text as the history's own writer gives it."""
-    return [piece.lstrip(b",") for path, piece in _history_pieces(history, history._steps())
+    return [piece.lstrip(b",") for path, piece in _history_pieces(history)
             if path.startswith("snapshots[")]
 
 
