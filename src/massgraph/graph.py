@@ -11,7 +11,9 @@ change into a working copy of its predecessor and never changes an old
 state's fields, so snapshots can be kept and compared across phases. The one
 state that changes is a run's working state: ``run_script`` and
 ``generate_scenario`` fold each event into one copy they own, which shares
-no dict with any other state and is handed out only when the run is over.
+no dict with any other state and is handed out only when the run is over
+(the generator's, through its phase-0 state, to the first ``run_script``
+of the scenario it generated).
 Node ids run 1 to n and are permanent: deletion marks a node dead instead
 of renumbering, ids are never reused, and :func:`validate_state` reports
 any other numbering.

@@ -5,11 +5,14 @@ deterministic: the generator owns a single seeded RNG and consumes it in a
 fixed order, and every transition computes the same delta from the same
 state, so the same config always produces the same history byte for byte.
 Both a run and the generator fold their events into one working state each
-(see :mod:`massgraph.engine`), so an event costs what it touches.
+(see :mod:`massgraph.engine`), so an event costs what it touches; a run of
+a scenario exactly as the generator returned it takes the generator's run
+instead of folding the same events again.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -132,7 +135,10 @@ class PhaseHistory:
     frees each delta once folded, and is then a plain, writable list.
 
     ``final`` is the state at the last phase, the run's working state,
-    which nothing mutates after :func:`run_script` returns. Once
+    which nothing mutates after :func:`run_script` returns. For a scenario
+    from :func:`generate_scenario`, whose phase-0 state holds the
+    generator's run until ``run_script`` takes it or the state is dropped,
+    the deltas and ``final`` can be the generator's own. Once
     ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so what is
     assigned there is what ``final`` returns. Reading only ``final`` never
     folds a delta.
@@ -199,15 +205,33 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     read. ``initial`` must be a state a script can hold, which
     :func:`~massgraph.graph.initial_inputs` decides, and ``source``, when
     given, its script with ``events``; either failing raises
-    :class:`InputError` before settlement. Any transition failure aborts the
-    run with the phase index and offending event attached.
+    :class:`InputError`, and an entry of ``events`` that is no event raises
+    :class:`TypeError` naming its index, all before settlement. Any
+    transition failure aborts the run with the phase index and offending
+    event attached.
+
+    A phase-0 state from :func:`generate_scenario` holds the generator's
+    run until the first ``run_script`` of it takes it: if ``events`` and
+    the state's nodes and edges are still the generated ones, that run's
+    deltas and working state are the history's, computed once, by the same
+    transitions this function would run. Otherwise, and on every later
+    call, the events fold afresh.
     """
     events = list(events)  # an iterator is read once, here
     initial_inputs(initial)
+    for i, event in enumerate(events):
+        if not isinstance(event, Event):
+            raise TypeError(f"events[{i}] is not an event: {event!r}")
     if source is not None:
         from .io import script_document  # here: io imports this module
         if source != script_document(initial, events):
             raise InputError("source is not the script of this run")
+    kept = vars(initial).pop("_run", {}).pop("run", None)
+    if kept is not None:
+        kept_events, nodes, edges, deltas, final = kept
+        if events == kept_events and _holds(initial.nodes, nodes) \
+                and _holds(initial.edges, edges):
+            return PhaseHistory(initial, deltas, final, events)
     try:
         deltas = [settle_delta(initial)]
     except MassGraphError as err:
@@ -227,8 +251,24 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     return PhaseHistory(initial, deltas, state, events)
 
 
-def _draw_kind(rng: random.Random, mix: tuple[float, float, float]) -> str:
-    kinds = [(p, kind) for p, kind in zip(mix, ("add_edge", "add_node", "prune")) if p > 0]
+def _holds(d: dict, kept: dict) -> bool:
+    """Whether ``d`` holds the very records of ``kept``, in its order."""
+    return list(d) == list(kept) and all(map(operator.is_, d.values(), kept.values()))
+
+
+class _Handoff(dict):
+    """The box in which a generated phase-0 state keeps its run, under
+    ``"run"``, for :func:`run_script` to take once. A shallow copy of the
+    state shares the box, so only one of them takes the run; a pickle or a
+    deep copy of the state holds an empty box, not the run."""
+
+    def __reduce__(self):
+        return _Handoff, ()
+
+
+def _draw_kind(rng: random.Random, kinds: list[tuple[float, str]]) -> str:
+    """One kind from the mix's (probability, kind) pairs with p > 0, by one
+    ``rng.random()`` draw."""
     u = rng.random()
     acc = 0.0
     for p, kind in kinds[:-1]:
@@ -260,6 +300,12 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
     ascending order, then the events. Edge events pick uniformly among the
     currently unconnected alive pairs; when none exist the event kind is
     redrawn, and generation fails after a bounded number of redraws.
+
+    Drawing each event needs the state it follows, so the generator
+    settles and folds every event into a working state, keeping each
+    phase's delta. The returned phase-0 state holds that run, with its own
+    copy of the events and of the state's nodes and edges, until
+    :func:`run_script` takes it or the state is dropped.
     """
     rng = random.Random(config.seed)
     if isinstance(config.kernel, KernelDraw):
@@ -276,9 +322,12 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
                 edges.append((i, j, rng.uniform(*config.weight_range)))
     initial = new_graph(masses, edges, params)
 
+    kinds = [(p, kind) for p, kind in zip(config.event_mix, ("add_edge", "add_node", "prune"))
+             if p > 0]
     events: list[Event] = []
+    deltas = [settle_delta(initial)]
     state = working_copy(initial)
-    advance(state, settle_delta(initial))
+    advance(state, deltas[0])
     # beside the working state: the alive ids, ascending, and each node's
     # count of neighbours above it
     alive = state.alive_ids()
@@ -288,7 +337,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
     for _ in range(config.n_phases - 1):
         event: Event | None = None
         for _attempt in range(_MAX_REDRAWS):
-            kind = _draw_kind(rng, config.event_mix)
+            kind = _draw_kind(rng, kinds)
             if kind == "add_edge":
                 n = len(alive)
                 free = n * (n - 1) // 2 - len(state.edges)
@@ -308,6 +357,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
             )
         delta = event_delta(state, event)
         advance(state, delta)
+        deltas.append(delta)
         if isinstance(event, AddEdge):
             later[event.k] += 1  # _free_pair gives k < l
         elif isinstance(event, AddNode):
@@ -320,6 +370,8 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
             dead = set(delta.report.removed_nodes)
             alive = [i for i in alive if i not in dead]
         events.append(event)
+    run = (list(events), dict(initial.nodes), dict(initial.edges), deltas, state)
+    vars(initial)["_run"] = _Handoff(run=run)
     return initial, events
 
 

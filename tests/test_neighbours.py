@@ -34,7 +34,7 @@ from massgraph import (
 )
 from massgraph import engine, scenario
 from massgraph.engine import advance, edge_delta, folded, node_delta, settle_delta, working_copy
-from test_roundtrip import biting, configs
+from test_roundtrip import biting, configs, rebuilt
 
 
 def holds_index(state) -> bool:
@@ -56,6 +56,7 @@ def assert_index_matches_edges(state):
 @given(configs)
 def test_runs_hand_on_an_exact_index_and_keep_none_behind(config):
     initial, events = generate_scenario(config)
+    initial = rebuilt(initial)
     real = scenario.advance
     folded_phases = []
 
@@ -142,6 +143,7 @@ def test_a_run_builds_edge_keys_only_for_its_edge_events():
                             weight_range=(1.5, 4.0), initial_edge_density=0.5, n_phases=30,
                             event_mix=(0.5, 0.2, 0.3), prune_threshold=5.0)
     initial, events = generate_scenario(config)
+    initial = rebuilt(initial)
     real = engine.edge_key
     callers = []
 
@@ -189,7 +191,7 @@ def test_every_state_holds_the_next_id_after_its_nodes(config):
 
     with patch.object(scenario, "advance", checked):
         initial, events = generate_scenario(config)
-        history = run_script(initial, events)
+        history = run_script(rebuilt(initial), events)
     assert len(advanced) == 2 * (len(events) + 1)
     state = settle_phase_one(initial)
     applied = [initial, state]

@@ -81,6 +81,12 @@ configs = st.one_of(st.builds(
 ), biting)
 
 
+def rebuilt(initial):
+    """A phase-0 state equal to ``initial`` that holds no generated run, so
+    ``run_script`` of it settles and folds every event."""
+    return new_graph(*initial_inputs(initial), initial.params)
+
+
 def assert_history_round_trips(initial, events, with_source=True):
     source = script_document(initial, events) if with_source else None
     history = run_script(initial, events, source=source)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -33,6 +36,7 @@ from massgraph import (
     apply_event,
     canonical_json_bytes,
     edge_key,
+    export_history_json,
     generate_scenario,
     metrics,
     new_graph,
@@ -44,8 +48,9 @@ from massgraph import (
     validate_state,
 )
 from massgraph import engine, scenario
-from test_roundtrip import configs
+from test_roundtrip import configs, rebuilt
 
+GOLDEN = Path(__file__).parent / "golden"
 TRACE_EVENTS = [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)]
 BIG = sys.float_info.max
 
@@ -122,6 +127,7 @@ class TestRunScript:
         config = ScenarioConfig(seed=3, n_initial=10, n_phases=80,
                                 event_mix=(0.6, 0.2, 0.2), prune_threshold=20.0)
         initial, events = generate_scenario(config)
+        initial = rebuilt(initial)
         built = Counter()
 
         def counted(record):
@@ -213,6 +219,125 @@ class TestRunScript:
                 assert after.edges is before.edges
         assert (shared, biting) == (7, 6)
         assert unsorted > 0  # survivors a sort would have moved
+
+
+# CI's forgetting config: about half of its prunes remove edges
+FORGETTING = ScenarioConfig(seed=7, n_initial=10, n_phases=60, event_mix=(0.6, 0.2, 0.2),
+                            prune_threshold=20.0, initial_edge_density=0.3)
+
+
+def folds_of(call):
+    """``call()``'s result and how many deltas it folded into a working state."""
+    real, folds = scenario.advance, []
+
+    def counted(state, delta):
+        folds.append(state.phase)
+        real(state, delta)
+
+    with patch.object(scenario, "advance", counted):
+        result = call()
+    return result, len(folds)
+
+
+def assert_same_history(history, fresh):
+    assert export_history_json(history) == export_history_json(fresh)
+    assert history.prune_reports == fresh.prune_reports
+    assert list(history.states()) == list(fresh.states())
+    final, other = history.final, fresh.final
+    assert (final.phase, final.params) == (other.phase, other.params)
+    assert list(final.nodes.items()) == list(other.nodes.items())
+    assert list(final.edges.items()) == list(other.edges.items())
+    assert history.snapshots == fresh.snapshots
+
+
+class TestHandoff:
+    """``run_script`` of a scenario exactly as ``generate_scenario`` returned
+    it takes the generator's run, once; any other run folds every event."""
+
+    def test_a_non_event_is_refused_before_settlement(self):
+        def settle(state):
+            raise AssertionError("settled before refusing")
+
+        with patch.object(scenario, "settle_delta", settle), \
+                pytest.raises(TypeError, match=r"events\[1\]"):
+            run_script(new_graph([2.0, 3.0], [(1, 2, 2.5)]), [AddNode(2.0), 42])
+
+    def test_a_non_event_is_refused_before_the_handoff(self):
+        initial, events = generate_scenario(FORGETTING)
+        with pytest.raises(TypeError, match=r"events\[3\]"):
+            run_script(initial, events[:3] + ["prune"] + events[3:])
+        history, folds = folds_of(lambda: run_script(initial, events))
+        assert folds == 0  # the refusal left the run for the next call
+
+    @settings(max_examples=60, deadline=None)
+    @given(configs)
+    def test_the_handed_off_history_is_a_fresh_runs(self, config):
+        initial, events = generate_scenario(config)
+        history, folds = folds_of(lambda: run_script(initial, events))
+        assert folds == 0
+        assert_same_history(history, run_script(rebuilt(initial), events))
+
+    def test_forgetting_config_runs_to_its_golden_history(self):
+        history = run_script(*generate_scenario(FORGETTING))
+        assert any(report.removed_edges for report in history.prune_reports)
+        assert export_history_json(history) == (GOLDEN / "history_forgetting.json").read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda events: events.append(AddNode(5.0)),
+        lambda events: events.pop(),
+        lambda events: events.__setitem__(-1, AddNode(5.0)),
+    ], ids=["appended", "truncated", "replaced"])
+    def test_an_edited_event_list_folds_afresh(self, edit):
+        initial, events = generate_scenario(FORGETTING)
+        edit(events)
+        history, folds = folds_of(lambda: run_script(initial, events))
+        assert folds == len(events) + 1
+        assert_same_history(history, run_script(rebuilt(initial), events))
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s.nodes.__setitem__(2, NodeRecord(s.nodes[2].mass + 1.0)),
+        lambda s: s.nodes.__setitem__(2, NodeRecord(s.nodes[2].mass)),  # equal, not the same
+        lambda s: s.edges.__setitem__(next(iter(s.edges)), EdgeRecord(50.0)),
+    ], ids=["node-mass", "node-record", "edge-weight"])
+    def test_an_edited_initial_folds_afresh(self, edit):
+        initial, events = generate_scenario(FORGETTING)
+        edit(initial)
+        history, folds = folds_of(lambda: run_script(initial, events))
+        assert folds == len(events) + 1
+        assert_same_history(history, run_script(rebuilt(initial), events))
+
+    def test_only_the_first_run_takes_the_generated_one(self):
+        initial, events = generate_scenario(FORGETTING)
+        first, folds = folds_of(lambda: run_script(initial, events))
+        assert folds == 0
+        second, folds = folds_of(lambda: run_script(initial, events))
+        assert folds == len(events) + 1
+        assert_same_history(first, second)
+        assert second.final is not first.final
+        assert second._deltas is not first._deltas
+        assert not any(a is b for a, b in zip(first._deltas, second._deltas))
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copied_initial_runs_to_an_equal_history(self, duplicate):
+        initial, events = generate_scenario(FORGETTING)
+        twin = duplicate(initial)
+        fresh = run_script(rebuilt(initial), events)
+        from_twin = run_script(twin, events)
+        from_initial = run_script(initial, events)
+        assert_same_history(from_twin, fresh)
+        assert_same_history(from_initial, fresh)
+        assert from_twin.final is not from_initial.final  # taken once between them
+
+    def test_a_wrong_source_is_refused_before_the_handoff(self):
+        initial, events = generate_scenario(FORGETTING)
+        with pytest.raises(InputError, match="source"):
+            run_script(initial, events, source=script_document(initial, events[:-1]))
+        history, folds = folds_of(
+            lambda: run_script(initial, events, source=script_document(initial, events)))
+        assert folds == 0
+        assert_same_history(history, run_script(rebuilt(initial), events))
 
 
 class TestConfig:
