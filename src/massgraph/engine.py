@@ -29,10 +29,9 @@ edge event, whatever the endpoints' degrees.
 The incidence index (:attr:`GraphState.incident`, node id -> keys of its
 edges) is derived from a state's edges; :func:`fold` reads it to find the
 edges at an edge event's endpoints, so the event's cost follows their
-degrees, not the edge count, and it builds no key to reach them. It and
-the degree histogram are kept by :class:`GraphState`'s rule for derived
-caches. A node event costs O(1): ids run 1 to n, so the new node's id is
-n + 1.
+degrees, not the edge count, and it builds no key to reach them; a fold
+keeps the index exact, and :func:`folded` moves it on to the successor. A
+node event costs O(1): ids run 1 to n, so the new node's id is n + 1.
 """
 
 from __future__ import annotations
@@ -121,13 +120,14 @@ class PhaseDelta(NamedTuple):
     shift: float | None = None
 
 
-def fold(delta: PhaseDelta, nodes: dict, edges: dict, incident: dict) -> None:
-    """Apply ``delta`` to ``nodes``, ``edges`` and their index (node id ->
-    keys of its edges), in place. A changed record keeps its key's place,
-    an added one goes last, and a prune's survivors keep theirs.
+def fold(delta: PhaseDelta, state: GraphState) -> None:
+    """Apply ``delta`` to ``state``'s dicts and index, in place. A changed
+    record keeps its key's place, an added one goes last, a prune's
+    survivors keep theirs, and a changed index entry gets a new tuple.
 
     An edge event's shift reaches the edges at its endpoints through the
     index, before the new key joins it, so the new edge is not shifted."""
+    nodes, edges, incident = state.nodes, state.edges, state.incident
     for i in delta.nodes:
         if i not in incident:
             incident[i] = ()
@@ -150,11 +150,11 @@ def fold(delta: PhaseDelta, nodes: dict, edges: dict, incident: dict) -> None:
         incident[i] = tuple(key for key in incident[i] if key in edges)
 
 
-def folded(state: GraphState, delta: PhaseDelta, incident: dict) -> GraphState:
+def folded(state: GraphState, delta: PhaseDelta) -> GraphState:
     """``state``'s successor, with ``delta`` folded onto copies of the dicts
     it changes; a dict it leaves alone (the edges, for a node event or a
-    prune that removes no edge) is shared. ``incident`` is ``state``'s
-    index, which the fold updates in place; the successor holds no index.
+    prune that removes no edge) is shared. ``state``'s index moves on to
+    the successor, and ``state`` builds another if it is read again.
 
     The successor gets its :attr:`~GraphState.degree_histogram` from
     ``state``'s in O(touched): each node the delta touches leaves its old
@@ -165,7 +165,7 @@ def folded(state: GraphState, delta: PhaseDelta, incident: dict) -> GraphState:
     nodes = dict(state.nodes) if delta.nodes else state.nodes
     changes_edges = delta.edges or (delta.report and delta.report.removed_edges)
     edges = dict(state.edges) if changes_edges else state.edges
-    hist = state.degree_histogram
+    hist, incident = state.degree_histogram, state.incident
     touched = {*delta.nodes, *(i for pair in delta.edges for i in pair)}
     if delta.report is not None:
         touched.update(i for pair, _ in delta.report.removed_edges for i in pair)
@@ -174,7 +174,9 @@ def folded(state: GraphState, delta: PhaseDelta, incident: dict) -> GraphState:
         rec = state.nodes.get(i)
         if rec is not None and rec.alive:
             counts[len(incident[i])] -= 1
-    fold(delta, nodes, edges, incident)
+    successor = GraphState(state.phase + 1, nodes, edges, state.params)
+    successor._derived.incident, state._derived.incident = incident, None
+    fold(delta, successor)
     for i in touched:
         if nodes[i].alive:
             d = len(incident[i])
@@ -183,30 +185,28 @@ def folded(state: GraphState, delta: PhaseDelta, incident: dict) -> GraphState:
             counts[d] += 1
     while counts and not counts[-1]:
         counts.pop()
-    successor = GraphState(state.phase + 1, nodes, edges, state.params)
     counted = tuple(counts)
-    vars(successor)["degree_histogram"] = hist if counted == hist else counted
+    successor._derived.histogram = hist if counted == hist else counted
     return successor
 
 
 def working_copy(state: GraphState) -> GraphState:
     """A copy of ``state`` that owns its dicts and a copy of its incidence
     index, for :func:`advance`; ``state`` keeps its own. The index's tuples
-    are shared, and :func:`advance` replaces an entry's tuple rather than
-    changing it, so ``state``'s index stays correct."""
+    are shared, and a fold replaces an entry's tuple rather than changing
+    it, so ``state``'s index stays exact."""
     copy = GraphState(state.phase, dict(state.nodes), dict(state.edges), state.params)
-    vars(copy)["incident"] = dict(state.incident)
+    copy._derived.incident = dict(state.incident)
     return copy
 
 
 def advance(state: GraphState, delta: PhaseDelta) -> None:
     """Fold ``delta`` into ``state``'s own dicts and index, drop its degree
     histogram and move its phase on by one. ``state`` must be a
-    :func:`working_copy`, which no other state shares a dict with; an index
-    entry that changes gets a new tuple. ``metrics`` of a working state
-    counts its edges afresh, in O(E)."""
-    fold(delta, state.nodes, state.edges, state.incident)
-    vars(state).pop("degree_histogram", None)
+    :func:`working_copy`, which no other state shares a dict with.
+    ``metrics`` of a working state counts its edges afresh, in O(E)."""
+    fold(delta, state)
+    state._derived.histogram = None
     object.__setattr__(state, "phase", state.phase + 1)
 
 

@@ -11,9 +11,8 @@ change into a working copy of its predecessor and never changes an old
 state's fields, so snapshots can be kept and compared across phases. The one
 state that changes is a run's working state: ``run_script`` and
 ``generate_scenario`` fold each event into one copy they own, which shares
-no dict with any other state and is handed out only when the run is over
-(the generator's, through its phase-0 state, to the first ``run_script``
-of the scenario it generated).
+no dict with any other state and is handed out only when the run is over.
+Derived data and a generated run are held beside the value (see :class:`GraphState`).
 Node ids run 1 to n and are permanent: deletion marks a node dead instead
 of renumbering, ids are never reused, and :func:`validate_state` reports
 any other numbering.
@@ -26,7 +25,6 @@ ones :func:`new_graph` builds, with masses and weights > 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (DiagonalError, DuplicateEdgeError, InputError, MassGraphError,
                      NodeLookupError, ParameterError, named)
@@ -84,6 +82,19 @@ def edge_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+class _Derived:
+    """What a :class:`GraphState` holds beside its value; a pickle or deep
+    copy of it is an empty one."""
+
+    __slots__ = ("incident", "histogram", "run")
+
+    def __init__(self):
+        self.incident = self.histogram = self.run = None
+
+    def __reduce__(self):
+        return _Derived, ()
+
+
 @dataclass(frozen=True)
 class GraphState:
     """Immutable snapshot of the graph at one phase.
@@ -93,44 +104,46 @@ class GraphState:
     weight 0.
 
     :attr:`incident` (node id -> keys of its edges) and
-    :attr:`degree_histogram` are caches derived from ``nodes`` and
-    ``edges``, not part of the value: they take no part in equality. One
-    rule keeps them: a state gets a cache only from its predecessor's,
-    updated for what the delta touched, and a state that got none builds its
-    own on first use. :func:`~massgraph.engine.working_copy` copies the index
-    of the state it copies, which keeps its own, and
-    :func:`~massgraph.engine.advance` updates the copy in place;
-    :func:`~massgraph.engine.folded` derives each successor's histogram from
-    its predecessor's, and :func:`~massgraph.engine.advance` drops the
-    working state's.
+    :attr:`degree_histogram` are derived from ``nodes`` and ``edges``, and a
+    generated phase-0 state holds its run for the first ``run_script`` of
+    it. They sit in one private holder beside the value: it takes no part
+    in equality, a pickle or deep copy holds an empty one, and a shallow
+    copy shares it. A held index or histogram is exact, since the engine
+    hands a state only one kept up to date with its delta; a state that
+    holds none builds its own on first read.
     """
 
     phase: int
     nodes: dict[int, NodeRecord] = field(default_factory=dict)
     edges: dict[tuple[int, int], EdgeRecord] = field(default_factory=dict)
     params: KernelParams = field(default_factory=KernelParams)
+    _derived: _Derived = field(default_factory=_Derived, init=False, compare=False, repr=False)
 
-    @cached_property
+    @property
     def incident(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Every node id mapped to the keys of its edges, as ``edges`` holds them."""
-        index: dict[int, list[tuple[int, int]]] = {i: [] for i in self.nodes}
-        for key in self.edges:
-            for i in key:
-                index.setdefault(i, []).append(key)
-        return {i: tuple(keys) for i, keys in index.items()}
+        if self._derived.incident is None:
+            index: dict[int, list[tuple[int, int]]] = {i: [] for i in self.nodes}
+            for key in self.edges:
+                for i in key:
+                    index.setdefault(i, []).append(key)
+            self._derived.incident = {i: tuple(keys) for i, keys in index.items()}
+        return self._derived.incident
 
-    @cached_property
+    @property
     def degree_histogram(self) -> tuple[int, ...]:
         """``h[d]`` is the number of alive nodes of degree ``d``, up to the
         highest degree; ``()`` when no node is alive."""
-        degrees = {i: 0 for i, rec in self.nodes.items() if rec.alive}
-        for a, b in self.edges:
-            degrees[a] += 1
-            degrees[b] += 1
-        hist = [0] * (max(degrees.values(), default=-1) + 1)
-        for d in degrees.values():
-            hist[d] += 1
-        return tuple(hist)
+        if self._derived.histogram is None:
+            degrees = {i: 0 for i, rec in self.nodes.items() if rec.alive}
+            for a, b in self.edges:
+                degrees[a] += 1
+                degrees[b] += 1
+            hist = [0] * (max(degrees.values(), default=-1) + 1)
+            for d in degrees.values():
+                hist[d] += 1
+            self._derived.histogram = tuple(hist)
+        return self._derived.histogram
 
     @property
     def next_id(self) -> int:
@@ -139,7 +152,7 @@ class GraphState:
 
     def _record(self, i: int) -> NodeRecord:
         try:
-            return self.nodes[i]
+            return self.nodes[node_id(i)]
         except KeyError:
             raise NodeLookupError(f"unknown node id {i}") from None
 
@@ -161,6 +174,8 @@ class GraphState:
         return float(self.edges.get(edge_key(i, j), 0.0))
 
     def has_edge(self, i: int, j: int) -> bool:
+        self._record(i)
+        self._record(j)
         return i != j and edge_key(i, j) in self.edges
 
     def node_ids(self) -> list[int]:

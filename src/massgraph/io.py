@@ -236,9 +236,9 @@ class _SnapshotWriter:
 
     Per array it keeps the dict last written, its keys in ascending order,
     their texts in that order, and their join. Only changed keys are
-    rendered: with the state's delta and index, the delta's ids and each key
-    in its edges or at its nodes, which is all a fold writes (settlement
-    lifts every edge, an edge event shifts only the edges at its endpoints);
+    rendered: with the state's delta, the delta's ids and each key in its
+    edges or at its nodes, which is all a fold writes (settlement lifts
+    every edge, an edge event shifts only the edges at its endpoints);
     without, each key whose record is not the one last written. A new key
     goes in at its place by bisection and keys a prune removed are filtered
     out, so no phase sorts. A number that is not finite is written as
@@ -288,10 +288,10 @@ class _SnapshotWriter:
         self._arrays[name] = (records, keys, texts, text)
         return text
 
-    def text(self, state: GraphState, lead: bytes = b"", delta=None, incident=None) -> bytes:
-        """``state``'s snapshot text, after ``lead``; ``delta`` and
-        ``incident``, when given, are its phase's delta and its index."""
-        edges = delta and {*delta.edges, *chain(*map(incident.__getitem__, delta.nodes))}
+    def text(self, state: GraphState, lead: bytes = b"", delta=None) -> bytes:
+        """``state``'s snapshot text, after ``lead``; ``delta``, when given,
+        is its phase's delta."""
+        edges = delta and {*delta.edges, *chain(*map(state.incident.__getitem__, delta.nodes))}
         return b'%b{"edges":[%b],"nodes":[%b],"phase":%d}' % (
             lead, self._array("edges", state.edges, self._edge, edges),
             self._array("nodes", state.nodes, self._node, delta and delta.nodes), state.phase)
@@ -341,10 +341,10 @@ def _history_pieces(history: PhaseHistory,
     yield "snapshots", b',"snapshots":['
     writer = _SnapshotWriter()
     lead = b""
-    for state, delta, incident in chain(((initial, None, None),), steps):
+    for state, delta in chain(((initial, None),), steps):
         if each is not None:
             each(state)
-        text = writer.text(state, lead, delta, incident)
+        text = writer.text(state, lead, delta)
         if not writer.finite:
             raise ValueError("Out of range float values are not JSON compliant")
         yield f"snapshots[{state.phase}]", text

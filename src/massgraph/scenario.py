@@ -5,9 +5,9 @@ deterministic: the generator owns a single seeded RNG and consumes it in a
 fixed order, and every transition computes the same delta from the same
 state, so the same config always produces the same history byte for byte.
 Both a run and the generator fold their events into one working state each
-(see :mod:`massgraph.engine`), so an event costs what it touches; a run of
-a scenario exactly as the generator returned it takes the generator's run
-instead of folding the same events again.
+(see :mod:`massgraph.engine`), so an event costs what it touches; the
+generator's phase-0 state holds its run, which a run of that scenario
+exactly as generated takes instead of folding the same events again.
 """
 
 from __future__ import annotations
@@ -111,23 +111,22 @@ class PhaseHistory:
     """Ordered record of one run: its states, the events that made them,
     and every prune's report.
 
-    A run keeps only the phase-0 state, which holds its incidence index,
-    one :class:`~massgraph.engine.PhaseDelta` per phase and its working
-    final state; an edge event's delta holds one edge weight and its
-    shift, not the weights the shift changes. The state at each phase is
-    made by folding the deltas onto copies in order, with a copy of phase
-    0's index standing in for each state's: a folded state shares each
-    dict its delta leaves alone with its predecessor (the edges, after a
-    node event or a prune that removes no edge), and holds no incidence
-    index. By :class:`~massgraph.graph.GraphState`'s rule for derived
-    caches, each folded state gets its degree histogram from its
-    predecessor's, so :func:`metrics` of it reads no edge; the last state
-    is the final state itself, which counts its own on first use.
+    A run keeps only the phase-0 state, one
+    :class:`~massgraph.engine.PhaseDelta` per phase and its working final
+    state; an edge event's delta holds one edge weight and its shift, not
+    the weights the shift changes. The state at each phase is made by
+    folding the deltas onto copies in order
+    (:func:`~massgraph.engine.folded`): a folded state shares each dict its
+    delta leaves alone with its predecessor (the edges, after a node event
+    or a prune that removes no edge), takes its predecessor's incidence
+    index and gets its degree histogram from its predecessor's, so
+    :func:`metrics` of it reads no edge; the last state is the final state
+    itself, which counts its own on first use.
 
     :meth:`states` yields the states in phase order and keeps none of
     them, so a reader that takes one phase at a time holds one state. The
-    history's writer takes each from the same fold with its delta and
-    index, rewrites only what the delta wrote, and hands the state to a
+    history's writer takes each from the same fold with its delta,
+    rewrites only what the delta wrote, and hands the state to a
     per-state hook, through which a reader observes it in that pass.
     ``prune_reports`` are the reports the deltas carry, in order.
     ``snapshots`` is the list of them, ``snapshots[i]`` the state at phase
@@ -154,40 +153,38 @@ class PhaseHistory:
 
     def _folds(self, deltas: list) -> Iterator[tuple]:
         """Every state in phase order with its phase's delta (None at phase
-        0) and its index, valid until the next is drawn: each delta folded
-        onto copies of its predecessor's changed dicts and onto a copy of
-        phase 0's index, then dropped from ``deltas``; last comes ``final``
-        with its own index."""
-        state, incident = self._initial, dict(self._initial.incident)
-        yield state, None, incident
+        0): each delta folded onto its predecessor, then dropped from
+        ``deltas``; last comes ``final``."""
+        state = self._initial
+        yield state, None
         for p in range(len(deltas) - 1):
             delta, deltas[p] = deltas[p], None  # released once folded
-            state = folded(state, delta, incident)
-            yield state, delta, incident
-        yield self._final, deltas[-1], self._final.incident
+            state = folded(state, delta)
+            yield state, delta
+        yield self._final, deltas[-1]
 
     def _steps(self) -> Iterator[tuple]:
         """:meth:`_folds` afresh, or the built ``snapshots`` with no deltas."""
         built = vars(self).get("snapshots")
         if built is not None:
-            return ((state, None, None) for state in built)
+            return ((state, None) for state in built)
         return self._folds(list(self._deltas))
 
     def states(self) -> Iterator[GraphState]:
         """The states at phases 0 to the last, in order, as ``snapshots``
         holds them.
 
-        Each call folds the kept deltas afresh onto its own copy of the
-        index and keeps no state it has yielded, so the calls are
-        independent of each other and of ``snapshots``; once ``snapshots``
-        is built, it yields that list's entries instead.
+        Each call folds the kept deltas afresh and keeps no state it has
+        yielded, so the calls are independent of each other and of
+        ``snapshots``; once ``snapshots`` is built, it yields that list's
+        entries instead.
         """
-        return (state for state, _, _ in self._steps())
+        return (state for state, _ in self._steps())
 
     @cached_property
     def snapshots(self) -> list[GraphState]:
         deltas, self._deltas = self._deltas, []
-        return [state for state, _, _ in self._folds(deltas)]
+        return [state for state, _ in self._folds(deltas)]
 
     @property
     def final(self) -> GraphState:
@@ -199,16 +196,15 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
                source: dict | None = None) -> PhaseHistory:
     """Settle the initial state, then apply the events in order.
 
-    The events fold in place into one working copy of ``initial``, which
-    keeps its own incidence index; the returned history keeps ``initial``
-    and each phase's delta, and folds them into states only when they are
-    read. ``initial`` must be a state a script can hold, which
-    :func:`~massgraph.graph.initial_inputs` decides, and ``source``, when
-    given, its script with ``events``; either failing raises
-    :class:`InputError`, and an entry of ``events`` that is no event raises
-    :class:`TypeError` naming its index, all before settlement. Any
-    transition failure aborts the run with the phase index and offending
-    event attached.
+    The events fold in place into one working copy of ``initial``; the
+    returned history keeps ``initial`` and each phase's delta, and folds
+    them into states only when they are read. ``initial`` must be a state
+    a script can hold, which :func:`~massgraph.graph.initial_inputs`
+    decides, and ``source``, when given, its script with ``events``; either
+    failing raises :class:`InputError`, and an entry of ``events`` that is
+    no event raises :class:`TypeError` naming its index, all before
+    settlement. Any transition failure aborts the run with the phase index
+    and offending event attached.
 
     A phase-0 state from :func:`generate_scenario` holds the generator's
     run until the first ``run_script`` of it takes it: if ``events`` and
@@ -226,7 +222,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
         from .io import script_document  # here: io imports this module
         if source != script_document(initial, events):
             raise InputError("source is not the script of this run")
-    kept = vars(initial).pop("_run", {}).pop("run", None)
+    kept, initial._derived.run = initial._derived.run, None
     if kept is not None:
         kept_events, nodes, edges, deltas, final = kept
         if events == kept_events and _holds(initial.nodes, nodes) \
@@ -254,16 +250,6 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
 def _holds(d: dict, kept: dict) -> bool:
     """Whether ``d`` holds the very records of ``kept``, in its order."""
     return list(d) == list(kept) and all(map(operator.is_, d.values(), kept.values()))
-
-
-class _Handoff(dict):
-    """The box in which a generated phase-0 state keeps its run, under
-    ``"run"``, for :func:`run_script` to take once. A shallow copy of the
-    state shares the box, so only one of them takes the run; a pickle or a
-    deep copy of the state holds an empty box, not the run."""
-
-    def __reduce__(self):
-        return _Handoff, ()
 
 
 def _draw_kind(rng: random.Random, kinds: list[tuple[float, str]]) -> str:
@@ -370,8 +356,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
             dead = set(delta.report.removed_nodes)
             alive = [i for i in alive if i not in dead]
         events.append(event)
-    run = (list(events), dict(initial.nodes), dict(initial.edges), deltas, state)
-    vars(initial)["_run"] = _Handoff(run=run)
+    initial._derived.run = (list(events), dict(initial.nodes), dict(initial.edges), deltas, state)
     return initial, events
 
 

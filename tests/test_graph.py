@@ -96,11 +96,17 @@ class TestQueries:
         assert state.weight(1, 3) == 0.0
         assert not state.has_edge(1, 3)
 
-    def test_unknown_id_raises(self, two_nodes):
+    @pytest.mark.parametrize("bad", [1.0, True, "a", 0, 7],
+                             ids=["float", "bool", "str", "zero", "unknown"])
+    @pytest.mark.parametrize("read", [
+        lambda s, i: s.mass(i), lambda s, i: s.alive(i), lambda s, i: s.label(i),
+        lambda s, i: s.weight(i, 2), lambda s, i: s.weight(1, i),
+        lambda s, i: s.has_edge(i, 2), lambda s, i: s.has_edge(1, i),
+    ], ids=["mass", "alive", "label", "weight-i", "weight-j", "has_edge-i", "has_edge-j"])
+    def test_accessors_refuse_what_is_no_node_id(self, two_nodes, read, bad):
+        # 1.0 and True hash like node 1, so a bare dict lookup would take them
         with pytest.raises(NodeLookupError):
-            two_nodes.mass(7)
-        with pytest.raises(NodeLookupError):
-            two_nodes.weight(1, 7)
+            read(two_nodes, bad)
 
     def test_edges_are_sorted(self):
         state = new_graph([2, 2, 2], [(2, 3, 4), (1, 3, 3), (1, 2, 2)])

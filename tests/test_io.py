@@ -504,8 +504,8 @@ class TestHistoryExport:
     def test_each_phase_renders_only_what_its_delta_wrote(self, monkeypatch):
         # a count, not a time: after phase 0, a phase renders its delta's
         # node ids and the distinct edge keys in its delta or at those
-        # nodes (found here from the state's own edges, not the index the
-        # fold hands on), never the other N + E records
+        # nodes (found here from the state's own edges, not the index it
+        # holds), never the other N + E records
         config = ScenarioConfig(seed=5, n_initial=20, mass_range=(1.5, 4.0),
                                 weight_range=(1.5, 4.0), initial_edge_density=0.3,
                                 n_phases=300, event_mix=(0.6, 0.25, 0.15), prune_threshold=5.0)
@@ -522,7 +522,7 @@ class TestHistoryExport:
         for name in ("_node", "_edge"):
             monkeypatch.setattr(_SnapshotWriter, name, counted(getattr(_SnapshotWriter, name)))
         expected, sizes = [], []
-        for state, delta, _ in history._steps():
+        for state, delta in history._steps():
             sizes.append(len(state.nodes) + len(state.edges))
             if delta is None:
                 expected.append(sizes[-1])

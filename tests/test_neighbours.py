@@ -1,11 +1,10 @@
-"""The incidence index (node id -> keys of its edges): derived from the
-edges, copied from each state to its successor, which updates the copy,
-while the predecessor keeps its own; only a run's working state updates
-its own in place. The degree histogram, the other derived cache, is
-derived the same way: a folded state derives its own from its
-predecessor's, and the working state drops its own as it advances. The
-next node id is no cache: every state numbers its nodes 1 to n, so it is
-n + 1."""
+"""The incidence index (node id -> keys of its edges) and the degree
+histogram: derived from a state's edges and held beside its value, under
+one rule, that a held one is exact. A working state folds its own index
+in place and drops its histogram as it advances; a folded state takes its
+predecessor's index, which then holds none and builds another if read,
+and derives its histogram from its predecessor's. The next node id is
+not held: every state numbers its nodes 1 to n, so it is n + 1."""
 
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ from test_roundtrip import biting, configs, rebuilt
 
 
 def holds_index(state) -> bool:
-    return "incident" in vars(state)
+    return state._derived.incident is not None
 
 
 def assert_index_matches_edges(state):
@@ -71,18 +70,54 @@ def test_runs_hand_on_an_exact_index_and_keep_none_behind(config):
     assert folded_phases == list(range(1, len(events) + 2))
     assert_index_matches_edges(history.final)
     final = history.final
-    assert history.snapshots[-1] is final
+    snapshots = history.snapshots
+    assert snapshots[-1] is final
     assert history.final is final
-    # phase 0 keeps its own index; the folded states hold none
-    assert holds_index(history.snapshots[0])
-    assert_index_matches_edges(history.snapshots[0])
-    assert not any(holds_index(s) for s in history.snapshots[1:-1])
+    # each fold moves its predecessor's index on, phase 0's included: only
+    # the state final follows still holds one
+    assert not any(holds_index(s) for s in snapshots[:-2])
+    assert holds_index(snapshots[-2])
+    assert_index_matches_edges(snapshots[-2])
     # a snapshot without an index builds one and gives the same successor
     for p, event in enumerate(events, start=1):
         assert apply_event(history.snapshots[p], event)[0] == history.snapshots[p + 1]
     replacement = copy.copy(final)
     history.snapshots[-1] = replacement
     assert history.final is replacement
+
+
+def assert_held_is_exact(state):
+    if holds_index(state):
+        assert_index_matches_edges(state)
+    held = state._derived.histogram
+    assert held is None or held == replace(state).degree_histogram  # counted afresh
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs)
+def test_every_held_index_and_histogram_is_exact(config):
+    # checked on each state as its pass yields it and again after every
+    # pass, over two interleaved passes of states(), snapshots, final, the
+    # settled and applied chain and a loaded history
+    initial, events = generate_scenario(config)
+    history = run_script(initial, events)
+    passes = ([], [])
+    for pair in zip(history.states(), history.states()):
+        for states, state in zip(passes, pair):
+            assert_held_is_exact(state)
+            states.append(state)
+            state.degree_histogram  # so that final, too, holds one
+    assert passes[0] == passes[1]
+    state = settle_phase_one(initial)
+    applied = [state]
+    for event in events:
+        assert_held_is_exact(state)
+        state = apply_event(state, event)[0]
+        applied.append(state)
+    loaded = load_history(export_history_json(history))
+    for state in itertools.chain(*passes, history.snapshots, [history.final], applied,
+                                 loaded.states(), [loaded.final]):
+        assert_held_is_exact(state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,14 +155,15 @@ def test_a_run_builds_the_index_once():
                             prune_threshold=20.0)
     initial, events = generate_scenario(config)
     assert sum(isinstance(event, Prune) for event in events) == 21
-    build = GraphState.incident.func
+    read = GraphState.incident.fget
     built = []
 
     def counted(state):
-        built.append(state.phase)
-        return build(state)
+        if not holds_index(state):
+            built.append(state.phase)
+        return read(state)
 
-    with patch.object(GraphState.incident, "func", counted):
+    with patch.object(GraphState, "incident", property(counted)):
         history = run_script(initial, events)  # reuses the index generation left
         assert_index_matches_edges(history.final)  # the working index
         assert len(history.snapshots) == len(events) + 2  # built without one
@@ -216,7 +252,8 @@ def test_a_working_state_drops_its_histogram_as_it_advances():
 def test_a_fold_derives_its_histogram_from_its_predecessors():
     initial = new_graph([2, 2, 3], [(1, 2, 2)])
     hist = initial.degree_histogram
-    settled = folded(initial, settle_delta(initial), dict(initial.incident))
+    settled = folded(initial, settle_delta(initial))
     assert settled.degree_histogram is hist  # settling changes no degree
-    grown = folded(settled, node_delta(settled, AddNode(4.0)), dict(settled.incident))
-    assert vars(grown)["degree_histogram"] == (2, 2)
+    grown = folded(settled, node_delta(settled, AddNode(4.0)))
+    assert grown._derived.histogram == (2, 2)  # held, not counted on read
+    assert grown.degree_histogram == replace(grown).degree_histogram

@@ -317,6 +317,40 @@ class TestHandoff:
         assert second._deltas is not first._deltas
         assert not any(a is b for a, b in zip(first._deltas, second._deltas))
 
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_duplicate_holds_nothing_beside_its_value(self, duplicate):
+        # a generated phase-0 state, a folded state and final, each copied
+        # while it holds an index and a histogram (read here, if need be),
+        # and the generated state its run too
+        initial, events = generate_scenario(FORGETTING)
+        initial.degree_histogram
+        twin = duplicate(initial)
+        history = run_script(rebuilt(initial), events)
+        states = history.states()  # phase 5 holds its index until 6 is drawn
+        middle = next(itertools.islice(states, 5, None))
+        final = history.final
+        final.degree_histogram
+        for state, copied in [(initial, twin), (middle, duplicate(middle)),
+                              (final, duplicate(final))]:
+            held = state._derived
+            assert held.incident is not None and held.histogram is not None
+            assert copied == state
+            assert (copied._derived.incident, copied._derived.histogram,
+                    copied._derived.run) == (None, None, None)
+        assert initial._derived.run is not None
+        assert export_history_json(run_script(twin, events)) == \
+            (GOLDEN / "history_forgetting.json").read_bytes()
+
+    def test_a_shallow_copy_shares_the_run(self):
+        initial, events = generate_scenario(FORGETTING)
+        twin = copy.copy(initial)
+        assert twin._derived is initial._derived
+        _, folds = folds_of(lambda: run_script(twin, events))
+        assert folds == 0
+        _, folds = folds_of(lambda: run_script(initial, events))
+        assert folds == len(events) + 1
+
     @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
                                            lambda s: pickle.loads(pickle.dumps(s))],
                              ids=["copy", "deepcopy", "pickle"])
