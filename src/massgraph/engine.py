@@ -22,16 +22,18 @@ each added pair last, survivors of a prune in their places), so identical
 inputs reproduce bit-identical states.
 
 An edge event's delta keeps the rule, not its result: the two grown node
-records, the new edge's weight and ``shift = ln(gain)``, which :func:`fold`
-adds to every weight at the two endpoints. So a kept delta costs O(1) per
-edge event, whatever the endpoints' degrees.
+records, the new edge's weight and ``shift = ln(gain)``, which
+:func:`advance` adds to every weight at the two endpoints. So a kept delta
+costs O(1) per edge event, whatever the endpoints' degrees.
 
-The incidence index (:attr:`GraphState.incident`, node id -> keys of its
-edges) is derived from a state's edges; :func:`fold` reads it to find the
-edges at an edge event's endpoints, so the event's cost follows their
-degrees, not the edge count, and it builds no key to reach them; a fold
-keeps the index exact, and :func:`folded` moves it on to the successor. A
-node event costs O(1): ids run 1 to n, so the new node's id is n + 1.
+:func:`advance` is the one step that changes a state: its dicts, and the
+incidence index (:attr:`GraphState.incident`, node id -> keys of its
+edges) and degree histogram it holds beside them, both kept exact. It
+reads the index to find the edges at an edge event's endpoints, so the
+event's cost follows their degrees, not the edge count, and it builds no
+key to reach them. :func:`folded` hands both on to the successor it
+steps. A node event costs O(1): ids run 1 to n, so the new node's id is
+n + 1.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class PhaseDelta(NamedTuple):
     edges it removes.
 
     An edge event's delta holds its one new edge weight and ``shift``,
-    ln(gain): the endpoints are that edge's key, and :func:`fold` adds
+    ln(gain): the endpoints are that edge's key, and :func:`advance` adds
     ``shift`` to the weight of every edge at them that existed before.
     ``shift`` is None for every other transition."""
 
@@ -120,14 +122,53 @@ class PhaseDelta(NamedTuple):
     shift: float | None = None
 
 
-def fold(delta: PhaseDelta, state: GraphState) -> None:
-    """Apply ``delta`` to ``state``'s dicts and index, in place. A changed
-    record keeps its key's place, an added one goes last, a prune's
-    survivors keep theirs, and a changed index entry gets a new tuple.
+def folded(state: GraphState, delta: PhaseDelta) -> GraphState:
+    """``state``'s successor, with ``delta`` folded onto copies of the dicts
+    it changes; a dict it leaves alone (the edges, for a node event or a
+    prune that removes no edge) is shared. The successor takes ``state``'s
+    index, so ``state`` builds another if it is read again, and shares its
+    degree histogram, and :func:`advance` steps both."""
+    nodes = dict(state.nodes) if delta.nodes else state.nodes
+    changes_edges = delta.edges or (delta.report and delta.report.removed_edges)
+    edges = dict(state.edges) if changes_edges else state.edges
+    successor = GraphState(state.phase, nodes, edges, state.params)
+    successor._derived.incident, state._derived.incident = state.incident, None
+    successor._derived.histogram = state._derived.histogram
+    advance(successor, delta)
+    return successor
 
-    An edge event's shift reaches the edges at its endpoints through the
-    index, before the new key joins it, so the new edge is not shifted."""
+
+def working_copy(state: GraphState) -> GraphState:
+    """A copy of ``state`` that owns its dicts and a copy of its incidence
+    index, for :func:`advance`; ``state`` keeps its own. The index's tuples
+    are shared, and :func:`advance` replaces an entry's tuple rather than
+    changing it, so ``state``'s index stays exact."""
+    copy = GraphState(state.phase, dict(state.nodes), dict(state.edges), state.params)
+    copy._derived.incident = dict(state.incident)
+    return copy
+
+
+def advance(state: GraphState, delta: PhaseDelta) -> None:
+    """Fold ``delta`` into ``state``'s dicts, held index and held degree
+    histogram, in place, and move its phase on by one; ``state`` shares no
+    dict with another state. A changed record keeps its key's place, an
+    added one goes last, a prune's survivors keep theirs, and a changed
+    index entry gets a new tuple. An edge event's shift reaches the edges
+    at its endpoints through the index, before the new key joins it. A held
+    histogram stays exact in O(touched), and is kept if no count changes:
+    each touched node leaves its old degree's count if it was alive and
+    joins its new one if it is alive now."""
     nodes, edges, incident = state.nodes, state.edges, state.incident
+    hist = state._derived.histogram
+    if hist is not None:
+        touched = {*delta.nodes, *(i for key in delta.edges for i in key)}
+        if delta.report is not None:
+            touched.update(i for key, _ in delta.report.removed_edges for i in key)
+        counts = list(hist)
+        for i in touched:
+            rec = nodes.get(i)
+            if rec is not None and rec.alive:
+                counts[len(incident[i])] -= 1
     for i in delta.nodes:
         if i not in incident:
             incident[i] = ()
@@ -141,72 +182,23 @@ def fold(delta: PhaseDelta, state: GraphState) -> None:
             edges[key] = EdgeRecord(edges[key] + shift)
         incident[a] += (new,)
         incident[b] += (new,)
-    if delta.report is None:
-        return
-    removed = [key for key, _ in delta.report.removed_edges]
-    for key in removed:
-        del edges[key]
-    for i in {i for key in removed for i in key}:
-        incident[i] = tuple(key for key in incident[i] if key in edges)
-
-
-def folded(state: GraphState, delta: PhaseDelta) -> GraphState:
-    """``state``'s successor, with ``delta`` folded onto copies of the dicts
-    it changes; a dict it leaves alone (the edges, for a node event or a
-    prune that removes no edge) is shared. ``state``'s index moves on to
-    the successor, and ``state`` builds another if it is read again.
-
-    The successor gets its :attr:`~GraphState.degree_histogram` from
-    ``state``'s in O(touched): each node the delta touches leaves its old
-    degree's count if it was alive and joins its new one if it is alive
-    now. A delta that changes no count shares the tuple. So ``metrics`` of
-    the successor counts no edges; only a ``state`` that holds no histogram
-    counts its own, once."""
-    nodes = dict(state.nodes) if delta.nodes else state.nodes
-    changes_edges = delta.edges or (delta.report and delta.report.removed_edges)
-    edges = dict(state.edges) if changes_edges else state.edges
-    hist, incident = state.degree_histogram, state.incident
-    touched = {*delta.nodes, *(i for pair in delta.edges for i in pair)}
     if delta.report is not None:
-        touched.update(i for pair, _ in delta.report.removed_edges for i in pair)
-    counts = list(hist)
-    for i in touched:
-        rec = state.nodes.get(i)
-        if rec is not None and rec.alive:
-            counts[len(incident[i])] -= 1
-    successor = GraphState(state.phase + 1, nodes, edges, state.params)
-    successor._derived.incident, state._derived.incident = incident, None
-    fold(delta, successor)
-    for i in touched:
-        if nodes[i].alive:
-            d = len(incident[i])
-            if d >= len(counts):
-                counts += [0] * (d + 1 - len(counts))
-            counts[d] += 1
-    while counts and not counts[-1]:
-        counts.pop()
-    counted = tuple(counts)
-    successor._derived.histogram = hist if counted == hist else counted
-    return successor
-
-
-def working_copy(state: GraphState) -> GraphState:
-    """A copy of ``state`` that owns its dicts and a copy of its incidence
-    index, for :func:`advance`; ``state`` keeps its own. The index's tuples
-    are shared, and a fold replaces an entry's tuple rather than changing
-    it, so ``state``'s index stays exact."""
-    copy = GraphState(state.phase, dict(state.nodes), dict(state.edges), state.params)
-    copy._derived.incident = dict(state.incident)
-    return copy
-
-
-def advance(state: GraphState, delta: PhaseDelta) -> None:
-    """Fold ``delta`` into ``state``'s own dicts and index, drop its degree
-    histogram and move its phase on by one. ``state`` must be a
-    :func:`working_copy`, which no other state shares a dict with.
-    ``metrics`` of a working state counts its edges afresh, in O(E)."""
-    fold(delta, state)
-    state._derived.histogram = None
+        removed = [key for key, _ in delta.report.removed_edges]
+        for key in removed:
+            del edges[key]
+        for i in {i for key in removed for i in key}:
+            incident[i] = tuple(key for key in incident[i] if key in edges)
+    if hist is not None:
+        for i in touched:
+            if nodes[i].alive:
+                d = len(incident[i])
+                if d >= len(counts):
+                    counts += [0] * (d + 1 - len(counts))
+                counts[d] += 1
+        while counts and not counts[-1]:
+            counts.pop()
+        counted = tuple(counts)
+        state._derived.histogram = hist if counted == hist else counted
     object.__setattr__(state, "phase", state.phase + 1)
 
 
@@ -273,7 +265,7 @@ def edge_delta(state: GraphState, event: AddEdge) -> PhaseDelta:
        ln(mass increase) -- which is negative whenever the increase is
        below 1, so incident weights can shrink. Edges between other
        nodes are untouched. Each shift is independent of the others, so
-       the visiting order does not matter; :func:`fold` finds the edges
+       the visiting order does not matter; :func:`advance` finds the edges
        through the incidence index, never by scanning all edges.
     4. The phase advances by one.
 

@@ -6,16 +6,16 @@ label and liveness; per connected pair its weight, a float; the phase;
 and the kernel parameters. Ids live only in the dict keys -- records never
 copy them -- and the next node id is derived from them, not stored.
 
-States are values: every transition in :mod:`massgraph.engine` folds its
-change into a working copy of its predecessor and never changes an old
-state's fields, so snapshots can be kept and compared across phases. The one
-state that changes is a run's working state: ``run_script`` and
-``generate_scenario`` fold each event into one copy they own, which shares
-no dict with any other state and is handed out only when the run is over.
-Derived data and a generated run are held beside the value (see :class:`GraphState`).
-Node ids run 1 to n and are permanent: deletion marks a node dead instead
-of renumbering, ids are never reused, and :func:`validate_state` reports
-any other numbering.
+Every transition in :mod:`massgraph.engine` folds its change into a
+working copy of its predecessor and never changes an old state's fields,
+so snapshots can be kept and compared across phases; the dicts are not
+write-protected (see :class:`GraphState`). The one state that changes is a
+run's working state: ``run_script`` and ``generate_scenario`` fold each
+event into one copy they own, which shares no dict with any other state
+and is handed out only when the run is over. Derived data and a generated
+run are held beside the value. Node ids run 1 to n and are permanent:
+deletion marks a node dead instead of renumbering, ids are never reused,
+and :func:`validate_state` reports any other numbering.
 
 A run and a script both start from a phase-0 state, and
 :func:`initial_inputs` is the one rule for which states those are: the
@@ -97,7 +97,10 @@ class _Derived:
 
 @dataclass(frozen=True)
 class GraphState:
-    """Immutable snapshot of the graph at one phase.
+    """Snapshot of the graph at one phase. The package never changes a
+    state it has handed out, but ``nodes`` and ``edges`` are plain dicts,
+    not write-protected: a caller's write reaches every state that shares
+    the dict and leaves their derived data stale.
 
     ``edges`` is keyed by the canonical (low, high) pair, so symmetry and
     the zero diagonal hold by construction; an absent pair reads as
@@ -108,9 +111,9 @@ class GraphState:
     generated phase-0 state holds its run for the first ``run_script`` of
     it. They sit in one private holder beside the value: it takes no part
     in equality, a pickle or deep copy holds an empty one, and a shallow
-    copy shares it. A held index or histogram is exact, since the engine
-    hands a state only one kept up to date with its delta; a state that
-    holds none builds its own on first read.
+    copy shares it. A held index or histogram is exact, since only
+    :func:`~massgraph.engine.advance` changes one, with the dicts; a state
+    that holds none builds its own on first read.
     """
 
     phase: int

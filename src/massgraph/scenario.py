@@ -118,10 +118,10 @@ class PhaseHistory:
     folding the deltas onto copies in order
     (:func:`~massgraph.engine.folded`): a folded state shares each dict its
     delta leaves alone with its predecessor (the edges, after a node event
-    or a prune that removes no edge), takes its predecessor's incidence
-    index and gets its degree histogram from its predecessor's, so
-    :func:`metrics` of it reads no edge; the last state is the final state
-    itself, which counts its own on first use.
+    or a prune that removes no edge), and takes its predecessor's incidence
+    index and degree histogram, which :func:`~massgraph.engine.advance`
+    keeps exact, so :func:`metrics` of it reads no edge; the last state is
+    the final state itself, which counts its own on first use.
 
     :meth:`states` yields the states in phase order and keeps none of
     them, so a reader that takes one phase at a time holds one state. The
@@ -133,14 +133,14 @@ class PhaseHistory:
     i, for callers that index or keep states: it is built on first read,
     frees each delta once folded, and is then a plain, writable list.
 
-    ``final`` is the state at the last phase, the run's working state,
-    which nothing mutates after :func:`run_script` returns. For a scenario
-    from :func:`generate_scenario`, whose phase-0 state holds the
-    generator's run until ``run_script`` takes it or the state is dropped,
-    the deltas and ``final`` can be the generator's own. Once
-    ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so what is
-    assigned there is what ``final`` returns. Reading only ``final`` never
-    folds a delta.
+    ``final`` is the state at the last phase, the run's working state, which
+    the package never changes after :func:`run_script` returns (nor any
+    other state). For a scenario from :func:`generate_scenario`, whose
+    phase-0 state holds the generator's run until ``run_script`` takes it or
+    the state is dropped, the deltas and ``final`` can be the generator's
+    own. Once ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so
+    what is assigned there is what ``final`` returns. Reading only ``final``
+    never folds a delta.
     """
 
     def __init__(self, initial: GraphState, deltas: list[PhaseDelta], final: GraphState,
@@ -154,8 +154,10 @@ class PhaseHistory:
     def _folds(self, deltas: list) -> Iterator[tuple]:
         """Every state in phase order with its phase's delta (None at phase
         0): each delta folded onto its predecessor, then dropped from
-        ``deltas``; last comes ``final``."""
+        ``deltas``; last comes ``final``. Phase 0's degree histogram is
+        read here, so each fold hands one on."""
         state = self._initial
+        state.degree_histogram
         yield state, None
         for p in range(len(deltas) - 1):
             delta, deltas[p] = deltas[p], None  # released once folded

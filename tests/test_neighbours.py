@@ -1,10 +1,11 @@
 """The incidence index (node id -> keys of its edges) and the degree
 histogram: derived from a state's edges and held beside its value, under
-one rule, that a held one is exact. A working state folds its own index
-in place and drops its histogram as it advances; a folded state takes its
-predecessor's index, which then holds none and builds another if read,
-and derives its histogram from its predecessor's. The next node id is
-not held: every state numbers its nodes 1 to n, so it is n + 1."""
+one rule, that a held one is exact. ``advance`` is the one step that keeps
+both: it folds a delta into a state's index in place and steps a held
+histogram in O(touched). A run's working state holds a histogram only once
+it is read; a folded state takes its predecessor's index, which then holds
+none and builds another if read, and its predecessor's histogram. The next
+node id is not held: every state numbers its nodes 1 to n, so it is n + 1."""
 
 from __future__ import annotations
 
@@ -27,12 +28,13 @@ from massgraph import (
     export_history_json,
     generate_scenario,
     load_history,
+    metrics,
     new_graph,
     run_script,
     settle_phase_one,
 )
 from massgraph import engine, scenario
-from massgraph.engine import advance, edge_delta, folded, node_delta, settle_delta, working_copy
+from massgraph.engine import advance, event_delta, folded, node_delta, settle_delta, working_copy
 from test_roundtrip import biting, configs, rebuilt
 
 
@@ -98,9 +100,11 @@ def assert_held_is_exact(state):
 def test_every_held_index_and_histogram_is_exact(config):
     # checked on each state as its pass yields it and again after every
     # pass, over two interleaved passes of states(), snapshots, final, the
-    # settled and applied chain and a loaded history
+    # settled and applied chain, a working state stepped through the run's
+    # deltas with its histogram held, and a loaded history
     initial, events = generate_scenario(config)
     history = run_script(initial, events)
+    deltas = list(history._deltas)  # building snapshots frees them
     passes = ([], [])
     for pair in zip(history.states(), history.states()):
         for states, state in zip(passes, pair):
@@ -114,6 +118,13 @@ def test_every_held_index_and_histogram_is_exact(config):
         assert_held_is_exact(state)
         state = apply_event(state, event)[0]
         applied.append(state)
+    working = working_copy(applied[0])
+    working.degree_histogram
+    for delta in deltas[1:]:
+        advance(working, delta)
+        assert working._derived.histogram is not None
+        assert_held_is_exact(working)
+    assert working == history.final
     loaded = load_history(export_history_json(history))
     for state in itertools.chain(*passes, history.snapshots, [history.final], applied,
                                  loaded.states(), [loaded.final]):
@@ -242,11 +253,46 @@ def test_every_state_holds_the_next_id_after_its_nodes(config):
         assert_numbered_one_to_n(state)
 
 
-def test_a_working_state_drops_its_histogram_as_it_advances():
+def test_a_working_state_keeps_its_histogram_as_it_advances():
+    # once read, a working state's histogram is stepped with each delta and
+    # never counted again: the property that counts it fails on every read
     state = working_copy(settle_phase_one(new_graph([2, 2, 3], [(1, 2, 2)])))
     assert state.degree_histogram == (1, 2)
-    advance(state, edge_delta(state, AddEdge(1, 3, 2.0)))
-    assert state.degree_histogram == (0, 2, 1)  # counted afresh, not the stale (1, 2)
+    steps = [(AddEdge(1, 3, 2.0), (0, 2, 1)), (AddNode(4.0), (1, 2, 1)),
+             (Prune(3.75), (0, 2))]  # edge (1, 2) weighs 3.50: 2 and 4 die
+
+    def no_count(state):
+        raise AssertionError("the histogram was counted again")
+
+    with patch.object(GraphState, "degree_histogram", property(no_count)):
+        for event, hist in steps:
+            advance(state, event_delta(state, event))
+            assert state._derived.histogram == hist
+    assert hist == replace(state).degree_histogram
+
+
+def test_a_run_holds_no_histogram_until_metrics_reads_one():
+    # the generator's and the run's working states step no histogram, and
+    # neither final holds one: only a read counts it
+    config = ScenarioConfig(seed=3, n_initial=10, n_phases=80, event_mix=(0.6, 0.2, 0.2),
+                            prune_threshold=20.0)
+    real = scenario.advance
+    held = []
+
+    def checked(state, delta):
+        real(state, delta)
+        held.append(state._derived.histogram)
+
+    with patch.object(scenario, "advance", checked):
+        initial, events = generate_scenario(config)
+        generated = initial._derived.run[-1]
+        history = run_script(rebuilt(initial), events)
+    assert held == [None] * 2 * (len(events) + 1)
+    for final in (generated, history.final):
+        assert final._derived.histogram is None
+        report = metrics(final)
+        assert final._derived.histogram is not None
+        assert report.degree_histogram == final._derived.histogram
 
 
 def test_a_fold_derives_its_histogram_from_its_predecessors():

@@ -36,6 +36,7 @@ from massgraph import (
     apply_event,
     canonical_json_bytes,
     edge_key,
+    export_dot,
     export_history_json,
     generate_scenario,
     metrics,
@@ -651,3 +652,16 @@ class TestConservation:
     def test_degree_histogram_counts_alive_only(self, phase0):
         final = run_script(phase0, TRACE_EVENTS).final
         assert sum(metrics(final, 1).degree_histogram) == len(final.alive_ids())
+
+
+def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # README's "Library use" block, run as a reader would paste it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(block, scope)
+    final = run_script(new_graph([2, 2], [(1, 2, 2)]), TRACE_EVENTS).final
+    assert capsys.readouterr().out == f"{metrics(final, k=1)}\n"
+    assert (tmp_path / "final.dot").read_bytes() == export_dot(final)
+    assert scope["pruned"].phase == 2 and scope["report"].threshold == 3.0
