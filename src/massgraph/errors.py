@@ -73,7 +73,7 @@ class ScriptError(MassGraphError):
 
 
 class SimulationError(MassGraphError):
-    """A scripted run aborted; carries the phase index and offending event."""
+    """A run aborted; carries the phase index and offending event."""
 
     def __init__(self, message: str, *, phase: int, event: object = None):
         super().__init__(message)

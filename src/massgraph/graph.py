@@ -10,9 +10,9 @@ Every transition in :mod:`massgraph.engine` folds its change into a
 working copy of its predecessor and never changes an old state's fields,
 so snapshots can be kept and compared across phases; the dicts are not
 write-protected (see :class:`GraphState`). The one state that changes is a
-run's working state: ``run_script`` and ``generate_scenario`` fold each
-event into one copy they own, which shares no dict with any other state
-and is handed out only when the run is over. Derived data and a generated
+run's working state: the one loop of ``run_script`` and
+``generate_scenario`` folds each event into one copy it owns, which shares
+no dict with any other state and is handed out only when the run is over. Derived data and a generated
 run are held beside the value. Node ids run 1 to n and are permanent:
 deletion marks a node dead instead of renumbering, ids are never reused,
 and :func:`validate_state` reports any other numbering.

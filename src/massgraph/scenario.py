@@ -4,17 +4,17 @@ A scenario is a phase-0 state plus an ordered event list. Replay is fully
 deterministic: the generator owns a single seeded RNG and consumes it in a
 fixed order, and every transition computes the same delta from the same
 state, so the same config always produces the same history byte for byte.
-Both a run and the generator fold their events into one working state each
-(see :mod:`massgraph.engine`), so an event costs what it touches; the
-generator's phase-0 state holds its run, which a run of that scenario
-exactly as generated takes instead of folding the same events again.
+A run and the generator share one loop, which folds each event into one
+working state (see :mod:`massgraph.engine`), so an event costs what it
+touches; the generator draws each event there, and its phase-0 state holds
+that run, which a run of the scenario exactly as generated takes instead.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -119,15 +119,15 @@ class PhaseHistory:
     (:func:`~massgraph.engine.folded`): a folded state shares each dict its
     delta leaves alone with its predecessor (the edges, after a node event
     or a prune that removes no edge), and takes its predecessor's incidence
-    index and degree histogram, which :func:`~massgraph.engine.advance`
-    keeps exact, so :func:`metrics` of it reads no edge; the last state is
-    the final state itself, which counts its own on first use.
+    index and any degree histogram it holds, which
+    :func:`~massgraph.engine.advance` keeps exact; the last state is the
+    final state itself, which counts its own on first use.
 
     :meth:`states` yields the states in phase order and keeps none of
-    them, so a reader that takes one phase at a time holds one state. The
-    history's writer takes each from the same fold with its delta,
-    rewrites only what the delta wrote, and hands the state to a
-    per-state hook, through which a reader observes it in that pass.
+    them, so a reader that takes one phase at a time holds one state; it
+    reads phase 0's histogram, so :func:`metrics` of each reads no edge.
+    The history's writer takes each from the same fold with its delta,
+    rewrites only what the delta wrote, and hands the state to a hook.
     ``prune_reports`` are the reports the deltas carry, in order.
     ``snapshots`` is the list of them, ``snapshots[i]`` the state at phase
     i, for callers that index or keep states: it is built on first read,
@@ -137,10 +137,10 @@ class PhaseHistory:
     the package never changes after :func:`run_script` returns (nor any
     other state). For a scenario from :func:`generate_scenario`, whose
     phase-0 state holds the generator's run until ``run_script`` takes it or
-    the state is dropped, the deltas and ``final`` can be the generator's
-    own. Once ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so
-    what is assigned there is what ``final`` returns. Reading only ``final``
-    never folds a delta.
+    the state is dropped, the deltas and ``final`` can be that run's. Once
+    ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so what is
+    assigned there is what ``final`` returns. Reading only ``final`` never
+    folds a delta.
     """
 
     def __init__(self, initial: GraphState, deltas: list[PhaseDelta], final: GraphState,
@@ -154,10 +154,8 @@ class PhaseHistory:
     def _folds(self, deltas: list) -> Iterator[tuple]:
         """Every state in phase order with its phase's delta (None at phase
         0): each delta folded onto its predecessor, then dropped from
-        ``deltas``; last comes ``final``. Phase 0's degree histogram is
-        read here, so each fold hands one on."""
+        ``deltas``; last comes ``final``."""
         state = self._initial
-        state.degree_histogram
         yield state, None
         for p in range(len(deltas) - 1):
             delta, deltas[p] = deltas[p], None  # released once folded
@@ -181,11 +179,13 @@ class PhaseHistory:
         ``snapshots``; once ``snapshots`` is built, it yields that list's
         entries instead.
         """
+        self._initial.degree_histogram  # so that each fold hands one on
         return (state for state, _ in self._steps())
 
     @cached_property
     def snapshots(self) -> list[GraphState]:
         deltas, self._deltas = self._deltas, []
+        self._initial.degree_histogram  # as states() reads it
         return [state for state, _ in self._folds(deltas)]
 
     @property
@@ -211,9 +211,9 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     A phase-0 state from :func:`generate_scenario` holds the generator's
     run until the first ``run_script`` of it takes it: if ``events`` and
     the state's nodes and edges are still the generated ones, that run's
-    deltas and working state are the history's, computed once, by the same
-    transitions this function would run. Otherwise, and on every later
-    call, the events fold afresh.
+    deltas and working state are the history's, computed once, in the loop
+    this function runs. Otherwise, and on every later call, the events
+    fold afresh.
     """
     events = list(events)  # an iterator is read once, here
     initial_inputs(initial)
@@ -230,13 +230,22 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
         if events == kept_events and _holds(initial.nodes, nodes) \
                 and _holds(initial.edges, edges):
             return PhaseHistory(initial, deltas, final, events)
+    return PhaseHistory(initial, *_run(initial, lambda state, deltas: events))
+
+
+def _run(initial: GraphState, draw: Callable[[GraphState, list], Iterable[Event]]) -> tuple:
+    """The one loop of a run: settle ``initial`` and fold each event of
+    ``draw(state, deltas)``, read once the one before is folded, into one
+    working copy, ``state``. Returns the deltas, ``state`` and the events;
+    a failing transition raises :class:`SimulationError` with its phase."""
     try:
         deltas = [settle_delta(initial)]
     except MassGraphError as err:
         raise SimulationError(f"settlement failed: {err}", phase=1) from err
     state = working_copy(initial)
     advance(state, deltas[0])
-    for event in events:
+    events = []
+    for event in draw(state, deltas):
         try:
             delta = event_delta(state, event)
         except MassGraphError as err:
@@ -246,7 +255,8 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
             ) from err
         advance(state, delta)
         deltas.append(delta)
-    return PhaseHistory(initial, deltas, state, events)
+        events.append(event)
+    return deltas, state, events
 
 
 def _holds(d: dict, kept: dict) -> bool:
@@ -289,11 +299,12 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
     currently unconnected alive pairs; when none exist the event kind is
     redrawn, and generation fails after a bounded number of redraws.
 
-    Drawing each event needs the state it follows, so the generator
-    settles and folds every event into a working state, keeping each
-    phase's delta. The returned phase-0 state holds that run, with its own
-    copy of the events and of the state's nodes and edges, until
-    :func:`run_script` takes it or the state is dropped.
+    Drawing each event needs the state it follows, so the events are drawn
+    inside :func:`run_script`'s loop, from its working state, and a failing
+    transition raises :class:`SimulationError` with its phase, as there.
+    The returned phase-0 state holds that run, with its own copy of the
+    events and of the state's nodes and edges, until :func:`run_script`
+    takes it or the state is dropped.
     """
     rng = random.Random(config.seed)
     if isinstance(config.kernel, KernelDraw):
@@ -312,52 +323,49 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
 
     kinds = [(p, kind) for p, kind in zip(config.event_mix, ("add_edge", "add_node", "prune"))
              if p > 0]
-    events: list[Event] = []
-    deltas = [settle_delta(initial)]
-    state = working_copy(initial)
-    advance(state, deltas[0])
-    # beside the working state: the alive ids, ascending, and each node's
-    # count of neighbours above it
-    alive = state.alive_ids()
-    later = dict.fromkeys(state.nodes, 0)
-    for a, _ in state.edges:
-        later[a] += 1
-    for _ in range(config.n_phases - 1):
-        event: Event | None = None
-        for _attempt in range(_MAX_REDRAWS):
-            kind = _draw_kind(rng, kinds)
-            if kind == "add_edge":
-                n = len(alive)
-                free = n * (n - 1) // 2 - len(state.edges)
-                if not free:
-                    continue
-                k, l = _free_pair(alive, later, state.edges, rng.randrange(free))
-                event = AddEdge(k=k, l=l, initial_weight=rng.uniform(*config.weight_range))
-            elif kind == "add_node":
-                event = AddNode(initial_mass=rng.uniform(*config.mass_range))
+
+    def draw(state: GraphState, deltas: list[PhaseDelta]) -> Iterator[Event]:
+        # beside the working state: the alive ids, ascending, and each
+        # node's count of neighbours above it, kept from the last delta
+        alive = state.alive_ids()
+        later = dict.fromkeys(state.nodes, 0)
+        for a, _ in state.edges:
+            later[a] += 1
+        for _ in range(config.n_phases - 1):
+            for _attempt in range(_MAX_REDRAWS):
+                kind = _draw_kind(rng, kinds)
+                if kind == "add_edge":
+                    n = len(alive)
+                    free = n * (n - 1) // 2 - len(state.edges)
+                    if not free:
+                        continue
+                    k, l = _free_pair(alive, later, state.edges, rng.randrange(free))
+                    event = AddEdge(k=k, l=l, initial_weight=rng.uniform(*config.weight_range))
+                elif kind == "add_node":
+                    event = AddNode(initial_mass=rng.uniform(*config.mass_range))
+                else:
+                    event = Prune(threshold=config.prune_threshold)
+                break
             else:
-                event = Prune(threshold=config.prune_threshold)
-            break
-        if event is None:
-            raise GenerationError(
-                f"phase {state.phase + 1}: no unconnected alive pair is available "
-                f"and the event mix offers no alternative"
-            )
-        delta = event_delta(state, event)
-        advance(state, delta)
-        deltas.append(delta)
-        if isinstance(event, AddEdge):
-            later[event.k] += 1  # _free_pair gives k < l
-        elif isinstance(event, AddNode):
-            (new_id,) = delta.nodes
-            alive.append(new_id)
-            later[new_id] = 0
-        else:
-            for (a, _), _ in delta.report.removed_edges:
-                later[a] -= 1
-            dead = set(delta.report.removed_nodes)
-            alive = [i for i in alive if i not in dead]
-        events.append(event)
+                raise GenerationError(
+                    f"phase {state.phase + 1}: no unconnected alive pair is available "
+                    f"and the event mix offers no alternative"
+                )
+            yield event
+            if isinstance(event, AddEdge):
+                later[event.k] += 1  # _free_pair gives k < l
+            elif isinstance(event, AddNode):
+                (new_id,) = deltas[-1].nodes
+                alive.append(new_id)
+                later[new_id] = 0
+            else:
+                report = deltas[-1].report
+                for (a, _), _ in report.removed_edges:
+                    later[a] -= 1
+                dead = set(report.removed_nodes)
+                alive = [i for i in alive if i not in dead]
+
+    deltas, state, events = _run(initial, draw)
     initial._derived.run = (list(events), dict(initial.nodes), dict(initial.edges), deltas, state)
     return initial, events
 

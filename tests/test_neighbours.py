@@ -35,6 +35,7 @@ from massgraph import (
 )
 from massgraph import engine, scenario
 from massgraph.engine import advance, event_delta, folded, node_delta, settle_delta, working_copy
+from massgraph.io import _history_pieces
 from test_roundtrip import biting, configs, rebuilt
 
 
@@ -293,6 +294,27 @@ def test_a_run_holds_no_histogram_until_metrics_reads_one():
         report = metrics(final)
         assert final._derived.histogram is not None
         assert report.degree_histogram == final._derived.histogram
+
+
+def test_the_writers_pass_counts_a_histogram_only_if_its_hook_reads_one():
+    # export's pass folds every state and reads no histogram, so none is
+    # held; a hook that reads metrics, as stats does, counts phase 0's and
+    # each fold hands it on
+    config = ScenarioConfig(seed=3, n_initial=10, n_phases=80, event_mix=(0.6, 0.2, 0.2),
+                            prune_threshold=20.0)
+    history = run_script(*generate_scenario(config))
+    n = len(history.events)
+    held = []
+    list(_history_pieces(history, lambda state: held.append(state._derived.histogram)))
+    assert held == [None] * (n + 2)
+
+    def read(state):
+        held.append(state._derived.histogram is not None)
+        metrics(state)
+
+    held.clear()
+    list(_history_pieces(history, read))
+    assert held == [False] + [True] * n + [False]  # final counts its own
 
 
 def test_a_fold_derives_its_histogram_from_its_predecessors():

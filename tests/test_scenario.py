@@ -110,6 +110,20 @@ class TestRunScript:
             run_script(new_graph([BIG / 2, BIG * 0.75], edges), events)
         assert excinfo.value.phase == phase
 
+    @pytest.mark.parametrize("density,mix,phase,kind", [
+        (1.0, (1.0, 0.0, 0.0), 1, type(None)),  # settlement
+        (0.0, (1.0, 0.0, 0.0), 2, AddEdge),     # the first drawn event
+    ])
+    def test_generated_overflow_fails_at_its_phase(self, density, mix, phase, kind):
+        # the generator folds its events in run_script's loop, so it fails
+        # as a run of the same scenario would
+        config = ScenarioConfig(seed=1, n_initial=3, n_phases=3, mass_range=(1e308, 1.5e308),
+                                initial_edge_density=density, event_mix=mix)
+        with pytest.raises(SimulationError) as excinfo:
+            generate_scenario(config)
+        assert excinfo.value.phase == phase
+        assert type(excinfo.value.event) is kind
+
     @pytest.mark.parametrize("event", [
         (AddNode, ("x",), InputError), (AddNode, (3.0, 5), InputError),
         (AddEdge, (1.0, 2, 3.0), NodeLookupError), (AddEdge, (True, 2, 3.0), NodeLookupError),
