@@ -28,12 +28,14 @@ costs O(1) per edge event, whatever the endpoints' degrees.
 
 :func:`advance` is the one step that changes a state: its dicts, and the
 incidence index (:attr:`GraphState.incident`, node id -> keys of its
-edges) and degree histogram it holds beside them, both kept exact. It
-reads the index to find the edges at an edge event's endpoints, so the
-event's cost follows their degrees, not the edge count, and it builds no
-key to reach them. :func:`folded` hands both on to the successor it
-steps. A node event costs O(1): ids run 1 to n, so the new node's id is
-n + 1.
+edges), degree histogram, alive ids and weight floor it holds beside
+them, each kept exact (the floor: at most every weight). It reads the
+index to find the edges at an edge event's endpoints, so the event's cost
+follows their degrees, not the edge count, and it builds no key to reach
+them. :func:`folded` hands each on to the successor it steps. A node
+event costs O(1): ids run 1 to n, so the new node's id is n + 1. A prune
+whose threshold is at most the floor reads no weight, and every prune
+reads the alive ids, not the dead ones.
 """
 
 from __future__ import annotations
@@ -127,24 +129,29 @@ def folded(state: GraphState, delta: PhaseDelta) -> GraphState:
     it changes; a dict it leaves alone (the edges, for a node event or a
     prune that removes no edge) is shared. The successor takes ``state``'s
     index, so ``state`` builds another if it is read again, and shares its
-    degree histogram, and :func:`advance` steps both."""
+    degree histogram, alive tuple and floor, and :func:`advance` steps
+    each."""
     nodes = dict(state.nodes) if delta.nodes else state.nodes
     changes_edges = delta.edges or (delta.report and delta.report.removed_edges)
     edges = dict(state.edges) if changes_edges else state.edges
     successor = GraphState(state.phase, nodes, edges, state.params)
-    successor._derived.incident, state._derived.incident = state.incident, None
-    successor._derived.histogram = state._derived.histogram
+    derived, held = successor._derived, state._derived
+    derived.incident, held.incident = state.incident, None
+    derived.histogram, derived.alive, derived.floor = held.histogram, held.alive, held.floor
     advance(successor, delta)
     return successor
 
 
 def working_copy(state: GraphState) -> GraphState:
     """A copy of ``state`` that owns its dicts and a copy of its incidence
-    index, for :func:`advance`; ``state`` keeps its own. The index's tuples
-    are shared, and :func:`advance` replaces an entry's tuple rather than
-    changing it, so ``state``'s index stays exact."""
+    index, for :func:`advance`, and shares any alive tuple and floor it
+    holds; ``state`` keeps its own. The index's tuples are shared, and
+    :func:`advance` replaces an entry's tuple rather than changing it, so
+    ``state``'s index stays exact."""
     copy = GraphState(state.phase, dict(state.nodes), dict(state.edges), state.params)
-    copy._derived.incident = dict(state.incident)
+    derived, held = copy._derived, state._derived
+    derived.incident = dict(state.incident)
+    derived.alive, derived.floor = held.alive, held.floor
     return copy
 
 
@@ -157,37 +164,58 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
     at its endpoints through the index, before the new key joins it. A held
     histogram stays exact in O(touched), and is kept if no count changes:
     each touched node leaves its old degree's count if it was alive and
-    joins its new one if it is alive now."""
+    joins its new one if it is alive now. A held alive tuple changes only
+    when a node is added (it goes last, as ids grow) or a prune removes
+    nodes. A held floor drops to the new weight of an edge event, and to
+    its shifted weights only when the shift is negative; settlement only
+    raises weights, by ln of a mass sum above 2, so it keeps the floor;
+    after a prune every weight is at least its threshold, so the floor
+    rises to it."""
     nodes, edges, incident = state.nodes, state.edges, state.incident
-    hist = state._derived.histogram
+    derived, report = state._derived, delta.report
+    hist, alive, floor = derived.histogram, derived.alive, derived.floor
     if hist is not None:
         touched = {*delta.nodes, *(i for key in delta.edges for i in key)}
-        if delta.report is not None:
-            touched.update(i for key, _ in delta.report.removed_edges for i in key)
+        if report is not None:
+            touched.update(i for key, _ in report.removed_edges for i in key)
         counts = list(hist)
         for i in touched:
             rec = nodes.get(i)
             if rec is not None and rec.alive:
                 counts[len(incident[i])] -= 1
-    for i in delta.nodes:
+    for i, rec in delta.nodes.items():
         if i not in incident:
             incident[i] = ()
+            if alive is not None and rec.alive:
+                alive += (i,)
     nodes.update(delta.nodes)
     edges.update(delta.edges)
     shift = delta.shift
     if shift is not None:
         (new,) = delta.edges
         a, b = new
-        for key in incident[a] + incident[b]:
+        shifted = incident[a] + incident[b]
+        for key in shifted:
             edges[key] = EdgeRecord(edges[key] + shift)
         incident[a] += (new,)
         incident[b] += (new,)
-    if delta.report is not None:
-        removed = [key for key, _ in delta.report.removed_edges]
+        if floor is not None:
+            if edges[new] < floor:
+                floor = edges[new]
+            if shift < 0 and shifted:
+                floor = min(floor, min(map(edges.__getitem__, shifted)))
+    if report is not None:
+        removed = [key for key, _ in report.removed_edges]
         for key in removed:
             del edges[key]
         for i in {i for key in removed for i in key}:
             incident[i] = tuple(key for key in incident[i] if key in edges)
+        if floor is not None and floor < report.threshold:
+            floor = report.threshold
+        if alive is not None and report.removed_nodes:
+            dead = set(report.removed_nodes)
+            alive = tuple(i for i in alive if i not in dead)
+    derived.alive, derived.floor = alive, floor
     if hist is not None:
         for i in touched:
             if nodes[i].alive:
@@ -198,7 +226,7 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
         while counts and not counts[-1]:
             counts.pop()
         counted = tuple(counts)
-        state._derived.histogram = hist if counted == hist else counted
+        derived.histogram = hist if counted == hist else counted
     object.__setattr__(state, "phase", state.phase + 1)
 
 
@@ -313,21 +341,23 @@ def prune_delta(state: GraphState, event: Prune) -> PhaseDelta:
 
     Deleted nodes keep their id and last mass but are marked dead; they
     never reappear and their masses stop counting toward totals. The
-    delta holds a dead record per removed node and the report.
+    delta holds a dead record per removed node and the report. A
+    threshold at or below the state's floor reads no weight, and the scan
+    for isolated nodes reads only the alive ids.
     """
     thr = event.threshold
-    removed_edges = sorted((key, float(w)) for key, w in state.edges.items() if w < thr)
+    removed_edges = [] if thr <= state._floor else \
+        sorted((key, float(w)) for key, w in state.edges.items() if w < thr)
     lost: dict[int, int] = {}
     for pair, _ in removed_edges:
         for i in pair:
             lost[i] = lost.get(i, 0) + 1
-    incident = state.incident
-    # the nodes that were isolated, and those that lose every edge
-    isolated = [i for i, keys in incident.items() if not keys]
-    isolated += [i for i, n in lost.items() if len(incident[i]) == n]
-    removed_nodes = tuple(sorted(i for i in isolated if state.nodes[i].alive))
-    dead = {i: NodeRecord(state.nodes[i].mass, state.nodes[i].label, alive=False)
-            for i in removed_nodes}
+    nodes, incident = state.nodes, state.incident
+    # the alive nodes that were isolated, and those that lose every edge
+    isolated = [i for i in state._alive if not incident[i]]
+    isolated += [i for i, n in lost.items() if len(incident[i]) == n and nodes[i].alive]
+    removed_nodes = tuple(sorted(isolated))
+    dead = {i: NodeRecord(nodes[i].mass, nodes[i].label, alive=False) for i in removed_nodes}
     report = PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
                          removed_nodes=removed_nodes)
     return PhaseDelta(dead, {}, report)

@@ -24,6 +24,7 @@ ones :func:`new_graph` builds, with masses and weights > 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (DiagonalError, DuplicateEdgeError, InputError, MassGraphError,
@@ -86,10 +87,10 @@ class _Derived:
     """What a :class:`GraphState` holds beside its value; a pickle or deep
     copy of it is an empty one."""
 
-    __slots__ = ("incident", "histogram", "run")
+    __slots__ = ("incident", "histogram", "alive", "floor", "run")
 
     def __init__(self):
-        self.incident = self.histogram = self.run = None
+        self.incident = self.histogram = self.alive = self.floor = self.run = None
 
     def __reduce__(self):
         return _Derived, ()
@@ -106,12 +107,15 @@ class GraphState:
     the zero diagonal hold by construction; an absent pair reads as
     weight 0.
 
-    :attr:`incident` (node id -> keys of its edges) and
-    :attr:`degree_histogram` are derived from ``nodes`` and ``edges``, and a
-    generated phase-0 state holds its run for the first ``run_script`` of
-    it. They sit in one private holder beside the value: it takes no part
-    in equality, a pickle or deep copy holds an empty one, and a shallow
-    copy shares it. A held index or histogram is exact, since only
+    :attr:`incident` (node id -> keys of its edges),
+    :attr:`degree_histogram`, the alive ids in ascending order (a tuple,
+    which :meth:`alive_ids` lists) and a floor, a lower bound on every edge
+    weight, are derived from ``nodes`` and ``edges``, and a generated
+    phase-0 state holds its run for the first ``run_script`` of it. They
+    sit in one private holder beside the value: it takes no part in
+    equality, a pickle or deep copy holds an empty one, and a shallow copy
+    shares it. A held index, histogram or alive tuple is exact, and a held
+    floor is at most every weight, since only
     :func:`~massgraph.engine.advance` changes one, with the dicts; a state
     that holds none builds its own on first read.
     """
@@ -147,6 +151,21 @@ class GraphState:
                 hist[d] += 1
             self._derived.histogram = tuple(hist)
         return self._derived.histogram
+
+    @property
+    def _alive(self) -> tuple[int, ...]:
+        """The alive ids, ascending."""
+        if self._derived.alive is None:
+            self._derived.alive = tuple(sorted(i for i, rec in self.nodes.items() if rec.alive))
+        return self._derived.alive
+
+    @property
+    def _floor(self) -> float:
+        """A lower bound on every edge weight: their least when first read,
+        ``inf`` with no edge."""
+        if self._derived.floor is None:
+            self._derived.floor = min(self.edges.values(), default=math.inf)
+        return self._derived.floor
 
     @property
     def next_id(self) -> int:
@@ -185,11 +204,11 @@ class GraphState:
         return sorted(self.nodes)
 
     def alive_ids(self) -> list[int]:
-        return sorted(i for i, rec in self.nodes.items() if rec.alive)
+        return list(self._alive)
 
     def total_mass(self) -> float:
         """Sum of the masses of alive nodes, in ascending id order."""
-        return sum(self.nodes[i].mass for i in self.alive_ids())
+        return sum(self.nodes[i].mass for i in self._alive)
 
 
 def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
@@ -202,6 +221,8 @@ def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
     that), pairs must be distinct and off-diagonal, and indices must be in
     1..n. ``params`` is None or a :class:`KernelParams`. An error's ``path``
     is ``masses[i]``, or ``edges[i]`` and the element at fault (``[2]``).
+    A float mass, and an entry of two int ids, low then high, and a float
+    weight, that the rules would take unchanged cost one check.
     """
     if params is None:
         params = KernelParams()
@@ -210,10 +231,17 @@ def new_graph(masses: list[float], weights: list[tuple[int, int, float]],
     n = len(masses)
     nodes: dict[int, NodeRecord] = {}
     for idx, raw in enumerate(masses):
-        nodes[idx + 1] = NodeRecord(named(f"masses[{idx}]", above_one, raw,
-                                          f"initial mass of node {idx + 1}"))
+        if type(raw) is not float or not 1 < raw < math.inf:
+            raw = named(f"masses[{idx}]", above_one, raw, f"initial mass of node {idx + 1}")
+        nodes[idx + 1] = NodeRecord(raw)
     edges: dict[tuple[int, int], EdgeRecord] = {}
     for idx, entry in enumerate(weights):
+        if (type(entry) is tuple or type(entry) is list) and len(entry) == 3:
+            i, j, w = entry
+            if type(i) is int and type(j) is int and type(w) is float and 0 < i < j <= n \
+                    and 1 < w < math.inf and (i, j) not in edges:
+                edges[i, j] = EdgeRecord(w)
+                continue
         try:  # the rules below name an element of the entry, if one is at fault
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise InputError(f"an initial edge is an (i, j, w) list or tuple, got {entry!r}")

@@ -442,7 +442,7 @@ def export_dot(state: GraphState) -> bytes:
     dead nodes are omitted; ordering is ascending ids."""
     lines = ["graph memory {",
              "  node [shape=circle fixedsize=true];"]
-    for i in state.alive_ids():
+    for i in state._alive:
         rec = state.nodes[i]
         width = 0.3 + 0.15 * math.log(rec.mass)
         label = _dot_escape(rec.label) if rec.label is not None else str(i)

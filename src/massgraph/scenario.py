@@ -12,6 +12,7 @@ that run, which a run of the scenario exactly as generated takes instead.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from collections.abc import Callable, Iterable, Iterator
@@ -119,13 +120,14 @@ class PhaseHistory:
     (:func:`~massgraph.engine.folded`): a folded state shares each dict its
     delta leaves alone with its predecessor (the edges, after a node event
     or a prune that removes no edge), and takes its predecessor's incidence
-    index and any degree histogram it holds, which
+    index and any degree histogram, alive ids and floor it holds, which
     :func:`~massgraph.engine.advance` keeps exact; the last state is the
     final state itself, which counts its own on first use.
 
     :meth:`states` yields the states in phase order and keeps none of
     them, so a reader that takes one phase at a time holds one state; it
-    reads phase 0's histogram, so :func:`metrics` of each reads no edge.
+    reads phase 0's histogram and alive ids, so :func:`metrics` of each
+    reads no edge and no dead id.
     The history's writer takes each from the same fold with its delta,
     rewrites only what the delta wrote, and hands the state to a hook.
     ``prune_reports`` are the reports the deltas carry, in order.
@@ -179,13 +181,13 @@ class PhaseHistory:
         ``snapshots``; once ``snapshots`` is built, it yields that list's
         entries instead.
         """
-        self._initial.degree_histogram  # so that each fold hands one on
+        self._initial.degree_histogram, self._initial._alive  # so that each fold hands them on
         return (state for state, _ in self._steps())
 
     @cached_property
     def snapshots(self) -> list[GraphState]:
         deltas, self._deltas = self._deltas, []
-        self._initial.degree_histogram  # as states() reads it
+        self._initial.degree_histogram, self._initial._alive  # as states() reads them
         return [state for state, _ in self._folds(deltas)]
 
     @property
@@ -276,7 +278,7 @@ def _draw_kind(rng: random.Random, kinds: list[tuple[float, str]]) -> str:
     return kinds[-1][1]
 
 
-def _free_pair(alive: list[int], later: dict[int, int], edges: dict,
+def _free_pair(alive: tuple[int, ...], later: dict[int, int], edges: dict,
                r: int) -> tuple[int, int]:
     """The r-th (from 0) unconnected pair of the ascending ``alive`` ids, in
     ascending (low, high) order, found by counting each node's free later
@@ -325,9 +327,8 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
              if p > 0]
 
     def draw(state: GraphState, deltas: list[PhaseDelta]) -> Iterator[Event]:
-        # beside the working state: the alive ids, ascending, and each
-        # node's count of neighbours above it, kept from the last delta
-        alive = state.alive_ids()
+        # beside the working state, which holds its alive ids: each node's
+        # count of neighbours above it, kept from the last delta
         later = dict.fromkeys(state.nodes, 0)
         for a, _ in state.edges:
             later[a] += 1
@@ -335,6 +336,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
             for _attempt in range(_MAX_REDRAWS):
                 kind = _draw_kind(rng, kinds)
                 if kind == "add_edge":
+                    alive = state._alive
                     n = len(alive)
                     free = n * (n - 1) // 2 - len(state.edges)
                     if not free:
@@ -355,15 +357,10 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
             if isinstance(event, AddEdge):
                 later[event.k] += 1  # _free_pair gives k < l
             elif isinstance(event, AddNode):
-                (new_id,) = deltas[-1].nodes
-                alive.append(new_id)
-                later[new_id] = 0
+                later[state.next_id - 1] = 0
             else:
-                report = deltas[-1].report
-                for (a, _), _ in report.removed_edges:
+                for (a, _), _ in deltas[-1].report.removed_edges:
                     later[a] -= 1
-                dead = set(report.removed_nodes)
-                alive = [i for i in alive if i not in dead]
 
     deltas, state, events = _run(initial, draw)
     initial._derived.run = (list(events), dict(initial.nodes), dict(initial.edges), deltas, state)
@@ -387,14 +384,20 @@ def metrics(state: GraphState, k: int = 1) -> MetricsReport:
     """Mass and degree summary; the top-k share is 1 for graphs with at
     most k alive nodes (and for the empty graph, by convention).
 
-    The degree histogram is :attr:`GraphState.degree_histogram`: a state
-    that :class:`PhaseHistory` folds carries it, so its metrics cost
-    O(N log N) and read no edge; any other state (phase 0, ``final``, a
-    hand-built one) counts its edges once, in O(E)."""
+    The alive ids and the degree histogram are those the state holds: a
+    state that :class:`PhaseHistory` folds carries both, so its metrics
+    cost O(A log A) in its A alive nodes and read no dead id and no edge;
+    any other state (phase 0, ``final``, a hand-built one) scans its nodes
+    and counts its edges once, in O(N + E). A total mass beyond the float
+    range raises :class:`InputError` naming the phase."""
     as_int(k, "k", ParameterError, 1)
-    alive = state.alive_ids()
-    masses = [state.nodes[i].mass for i in alive]
+    alive = state._alive
+    nodes = state.nodes
+    masses = [nodes[i].mass for i in alive]
     total = sum(masses)
+    if not math.isfinite(total):
+        raise InputError(f"phase {state.phase}: the total mass of the alive nodes "
+                         f"overflows the float range")
     if not alive:
         return MetricsReport(phase=state.phase, total_mass=0.0, alive_nodes=0,
                              alive_edges=0, max_mass_node=None,

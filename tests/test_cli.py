@@ -264,6 +264,19 @@ class TestStats:
         assert cli_main(["stats", "--history", str(missing), "--top-k", "0"]) == 1
         assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
 
+    def test_a_total_mass_beyond_the_float_range_is_a_domain_error(self, tmp_path, capsys):
+        # the history holds finite masses, but no row can hold their sum
+        script, history = tmp_path / "s.json", tmp_path / "h.json"
+        assert cli_main(["gen", "--seed", "1", "--nodes", "3", "--phases", "3",
+                         "--mass-range", "1e308,1.5e308", "--density", "0", "--mix", "0,1,0",
+                         "--out", str(script)]) == 0
+        assert cli_main(["run", "--script", str(script), "--out", str(history)]) == 0
+        capsys.readouterr()
+        assert cli_main(["stats", "--history", str(history)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: phase 0: the total mass")
+
     def test_bad_history_is_domain_error(self, tmp_path):
         history = tmp_path / "h.json"
         history.write_text("{}")

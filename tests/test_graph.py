@@ -19,6 +19,7 @@ from massgraph import (
     GraphState,
     InputError,
     KernelParams,
+    MassGraphError,
     NodeLookupError,
     NodeRecord,
     ParameterError,
@@ -278,6 +279,79 @@ class TestRefusalsNameTheirInput:
         with pytest.raises(error) as excinfo:
             build()
         assert excinfo.value.path == path
+
+
+class TestFastPathBoundary:
+    """``new_graph`` takes a float mass, and an entry of int ids, low then
+    high, and a float weight, with one check; every other input takes the
+    rules' path, and either gives what the rules give."""
+
+    def test_an_int_mass_is_stored_as_a_float(self):
+        state = new_graph([2, 2.5], [])
+        assert [type(state.mass(i)) for i in (1, 2)] == [float, float]
+        assert state.mass(1) == 2.0
+
+    @pytest.mark.parametrize("masses,weights,error,path", [
+        ([2.0, 2.0], [(1, 2, 1.0)], InputError, "edges[0][2]"),
+        ([2.0, 2.0], [(1, 2, math.inf)], InputError, "edges[0][2]"),
+        ([1.0, 2.0], [], InputError, "masses[0]"),
+        ([2.0, math.inf], [], InputError, "masses[1]"),
+        ([2.0, True], [], InputError, "masses[1]"),
+        ([2.0, 2.0], [(True, 2, 3.0)], NodeLookupError, "edges[0][0]"),
+        ([2.0, 2.0], [(1, True, 3.0)], NodeLookupError, "edges[0][1]"),
+        ([2.0, 2.0], [(0, 2, 3.0)], NodeLookupError, "edges[0][0]"),
+        ([2.0, 2.0], [(1, 3, 3.0)], NodeLookupError, "edges[0][1]"),
+        ([2.0, 2.0], [(2, 1, 3.0), (1, 2, 4.0)], DuplicateEdgeError, "edges[1]"),
+        ([2.0, 2.0], [(1, 2, 3.0), (2, 1, 4.0)], DuplicateEdgeError, "edges[1]"),
+        ([2.0, 2.0], [(1, 2, 3.0), [1, 2, 4.0]], DuplicateEdgeError, "edges[1]"),
+        ([2.0, 2.0], [(1, 2, 3.0, 4.0)], InputError, "edges[0]"),
+    ])
+    def test_refusals_keep_their_errors_and_paths(self, masses, weights, error, path):
+        with pytest.raises(error) as excinfo:
+            new_graph(masses, weights)
+        assert type(excinfo.value) is error and excinfo.value.path == path
+
+    def test_a_reversed_pair_is_stored_by_its_canonical_key(self):
+        state = new_graph([2.0, 2.0, 2.0], [(3, 1, 3.0), [1, 2, 4.0]])
+        assert list(state.edges) == [(1, 2), (1, 3)]
+        assert state.weight(1, 3) == 3.0 and state.weight(1, 2) == 4.0
+
+    def test_a_weight_of_one_is_refused_and_just_above_is_taken(self):
+        above = math.nextafter(1.0, 2.0)
+        assert new_graph([2.0, 2.0], [(1, 2, above)]).weight(1, 2) == above
+        assert new_graph([above], []).mass(1) == above
+        with pytest.raises(InputError, match=r"\(1, 2\) must be > 1"):
+            new_graph([2.0, 2.0], [(1, 2, 1.0)])
+
+    @given(st.lists(st.sampled_from([2.0, 2, 1.0, 1.5, math.inf, math.nan, True, "2"]),
+                    max_size=4),
+           st.lists(st.tuples(st.sampled_from([1, 2, 3, 0, True, 1.0]),
+                              st.sampled_from([1, 2, 3, 0, True, 2.0]),
+                              st.sampled_from([3.0, 3, 1.0, 2.5, math.inf, None])),
+                    max_size=5),
+           st.booleans())
+    def test_the_fast_path_gives_what_the_rules_give(self, masses, entries, as_lists):
+        # a float subclass, and a tuple subclass, take the rules' path
+        class Slow(tuple):
+            pass
+
+        class Real(float):
+            pass
+
+        weights = [list(e) if as_lists else e for e in entries]
+        slow = ([Real(m) if type(m) is float else m for m in masses],
+                [Slow((i, j, Real(w) if type(w) is float else w)) for i, j, w in entries])
+        outcomes = []
+        for args in ((masses, weights), slow):
+            try:
+                state = new_graph(*args)
+            except MassGraphError as err:
+                outcomes.append((type(err), str(err), err.path))
+            else:
+                nodes = [(i, type(rec.mass), rec) for i, rec in state.nodes.items()]
+                edges = [(key, type(w), float(w)) for key, w in state.edges.items()]
+                outcomes.append((nodes, edges))
+        assert outcomes[0] == outcomes[1]
 
 
 @st.composite

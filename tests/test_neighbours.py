@@ -1,11 +1,14 @@
-"""The incidence index (node id -> keys of its edges) and the degree
-histogram: derived from a state's edges and held beside its value, under
-one rule, that a held one is exact. ``advance`` is the one step that keeps
-both: it folds a delta into a state's index in place and steps a held
-histogram in O(touched). A run's working state holds a histogram only once
-it is read; a folded state takes its predecessor's index, which then holds
-none and builds another if read, and its predecessor's histogram. The next
-node id is not held: every state numbers its nodes 1 to n, so it is n + 1."""
+"""The incidence index (node id -> keys of its edges), the degree
+histogram, the alive ids and the weight floor: derived from a state's
+nodes and edges and held beside its value, under one rule, that a held one
+is exact (a floor: at most every weight). ``advance`` is the one step that
+keeps them: it folds a delta into a state's index in place and steps a
+held histogram in O(touched), a held alive tuple on node events and node
+removals, and a held floor by one compare. A run's working state holds a
+histogram only once it is read; a folded state takes its predecessor's
+index, which then holds none and builds another if read, and its
+predecessor's histogram, alive tuple and floor. The next node id is not
+held: every state numbers its nodes 1 to n, so it is n + 1."""
 
 from __future__ import annotations
 
@@ -21,7 +24,9 @@ from hypothesis import given, settings
 from massgraph import (
     AddEdge,
     AddNode,
+    EdgeRecord,
     GraphState,
+    NodeRecord,
     Prune,
     ScenarioConfig,
     apply_event,
@@ -34,7 +39,8 @@ from massgraph import (
     settle_phase_one,
 )
 from massgraph import engine, scenario
-from massgraph.engine import advance, event_delta, folded, node_delta, settle_delta, working_copy
+from massgraph.engine import (advance, event_delta, folded, node_delta, prune_delta, settle_delta,
+                             working_copy)
 from massgraph.io import _history_pieces
 from test_roundtrip import biting, configs, rebuilt
 
@@ -92,24 +98,44 @@ def test_runs_hand_on_an_exact_index_and_keep_none_behind(config):
 def assert_held_is_exact(state):
     if holds_index(state):
         assert_index_matches_edges(state)
-    held = state._derived.histogram
-    assert held is None or held == replace(state).degree_histogram  # counted afresh
+    derived = state._derived
+    assert derived.histogram in (None, replace(state).degree_histogram)  # counted afresh
+    assert derived.alive in (None, tuple(sorted(i for i, rec in state.nodes.items()
+                                                if rec.alive)))
+    assert derived.floor is None or all(derived.floor <= w for w in state.edges.values())
 
 
 @settings(max_examples=60, deadline=None)
 @given(configs)
 def test_every_held_index_and_histogram_is_exact(config):
-    # checked on each state as its pass yields it and again after every
-    # pass, over two interleaved passes of states(), snapshots, final, the
+    # and every held alive tuple and floor: checked on each state as its
+    # pass yields it and again after every pass, over the generator's and
+    # the run's working states after each step, two interleaved passes of
+    # states() from a phase 0 that holds a floor, snapshots, final, the
     # settled and applied chain, a working state stepped through the run's
-    # deltas with its histogram held, and a loaded history
-    initial, events = generate_scenario(config)
-    history = run_script(initial, events)
+    # deltas with all of them held, a loaded history, and a hand-built state
+    # whose dict order is not ascending
+    real = scenario.advance
+
+    def checked(state, delta):
+        real(state, delta)
+        assert_held_is_exact(state)
+
+    with patch.object(scenario, "advance", checked):
+        initial, events = generate_scenario(config)
+        generated = initial._derived.run[-1]
+        fresh = rebuilt(initial)
+        fresh._floor  # the run's working state shares it, and every fold hands it on
+        history = run_script(fresh, events)
+    if any(isinstance(event, AddEdge) for event in events):
+        assert generated._derived.alive is not None  # the draw reads it
     deltas = list(history._deltas)  # building snapshots frees them
     passes = ([], [])
     for pair in zip(history.states(), history.states()):
         for states, state in zip(passes, pair):
             assert_held_is_exact(state)
+            assert state is history.final or \
+                None not in (state._derived.alive, state._derived.floor)
             states.append(state)
             state.degree_histogram  # so that final, too, holds one
     assert passes[0] == passes[1]
@@ -117,18 +143,33 @@ def test_every_held_index_and_histogram_is_exact(config):
     applied = [state]
     for event in events:
         assert_held_is_exact(state)
-        state = apply_event(state, event)[0]
+        state = apply_event(state, event)[0]  # a prune reads its input's floor
         applied.append(state)
     working = working_copy(applied[0])
-    working.degree_histogram
+    working.degree_histogram, working._alive, working._floor
     for delta in deltas[1:]:
         advance(working, delta)
-        assert working._derived.histogram is not None
+        assert None not in (working._derived.histogram, working._derived.alive,
+                            working._derived.floor)
         assert_held_is_exact(working)
     assert working == history.final
     loaded = load_history(export_history_json(history))
-    for state in itertools.chain(*passes, history.snapshots, [history.final], applied,
-                                 loaded.states(), [loaded.final]):
+    for state in itertools.chain(*passes, history.snapshots, [history.final, generated],
+                                 applied, loaded.states(), [loaded.final]):
+        assert_held_is_exact(state)
+    # ids out of ascending order in the dict, and a dead one among them
+    state = GraphState(1, {3: NodeRecord(4.0), 1: NodeRecord(3.0), 2: NodeRecord(2.0, None, False),
+                           4: NodeRecord(5.0)},
+                       {(3, 4): EdgeRecord(3.1), (1, 3): EdgeRecord(2.5)})
+    assert state._alive == (1, 3, 4) and state._floor == 2.5
+    steps = [(AddNode(2.0), (1, 3, 4, 5), 2.5),
+             (Prune(3.0), (3, 4), 3.0),  # (1, 3) goes, so 1 and 5 die
+             (AddNode(3.0), (3, 4, 6), 3.0),
+             (AddEdge(4, 6, 1.5), (3, 4, 6), None)]  # its shift takes (3, 4) below 3
+    for event, alive, floor in steps:
+        state = apply_event(state, event)[0]
+        assert state._derived.alive == alive
+        assert state._derived.floor == (state.edges[3, 4] if floor is None else floor)
         assert_held_is_exact(state)
 
 
@@ -141,6 +182,63 @@ def test_prunes_hand_on_an_exact_index(config):
         state, _ = apply_event(state, event)
         assert holds_index(state)
         assert_index_matches_edges(state)
+
+
+class Watched(dict):
+    """A dict that records each key read through it, and ``all`` for a scan."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.append(key)
+        return super().__contains__(key)
+
+    def _scan(name):
+        def scan(self):
+            self.read.append(all)
+            return getattr(super(Watched, self), name)()
+        return scan
+
+    __iter__, keys, values, items = map(_scan, ("__iter__", "keys", "values", "items"))
+
+
+def test_a_prune_at_or_below_every_weight_reads_no_weight_and_no_dead_id():
+    # sweep's forgetting regime, where most prunes find nothing below the
+    # threshold: given the floor a run's working state holds, such a prune
+    # reads no edge and of the nodes only the ones it kills, and its delta
+    # is the one a state that holds nothing scans for
+    config = ScenarioConfig(seed=1, n_initial=30, n_phases=200, event_mix=(0.6, 0.2, 0.2),
+                            prune_threshold=20.0, initial_edge_density=0.2)
+    initial, events = generate_scenario(config)
+    state = settle_phase_one(initial)
+    below = cheap = 0
+    for event in events:
+        if isinstance(event, Prune) and event.threshold <= min(state.edges.values()):
+            below += 1
+            if event.threshold <= state._floor:  # held from the first prune on
+                nodes, edges = Watched(state.nodes), Watched(state.edges)
+                watched = GraphState(state.phase, nodes, edges, state.params)
+                derived = watched._derived
+                derived.incident, derived.alive, derived.floor = \
+                    state.incident, state._alive, state._floor
+                delta = prune_delta(watched, event)
+                assert edges.read == []
+                assert set(nodes.read) == set(delta.report.removed_nodes)  # no dead id
+                assert delta == prune_delta(replace(state), event)
+                cheap += 1
+        state = apply_event(state, event)[0]
+    assert cheap == below == 44
+    assert sum(isinstance(event, Prune) for event in events) == 53  # 9 remove edges
 
 
 def test_edge_and_node_events_hand_on_the_index():

@@ -642,6 +642,15 @@ class TestMetrics:
         with pytest.raises(ParameterError):
             metrics(new_graph([2], []), k=0)
 
+    def test_a_total_mass_beyond_the_float_range_names_the_phase(self):
+        # each mass is finite, their sum is not: no total or share to report
+        state = new_graph([1e308, 1.5e308], [])
+        with pytest.raises(InputError, match="phase 0: the total mass of the alive nodes"):
+            metrics(state)
+        history = run_script(state, [AddNode(2.0)])
+        with pytest.raises(InputError, match="phase 2: the total mass"):
+            metrics(history.final)
+
 
 class TestConservation:
     def test_along_a_generated_run(self):
