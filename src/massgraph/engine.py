@@ -23,8 +23,13 @@ inputs reproduce bit-identical states.
 
 An edge event's delta keeps the rule, not its result: the two grown node
 records, the new edge's weight and ``shift = ln(gain)``, which
-:func:`advance` adds to every weight at the two endpoints. So a kept delta
-costs O(1) per edge event, whatever the endpoints' degrees.
+:func:`advance` adds to every weight at the two endpoints. So a delta
+costs O(1) per edge event, whatever the endpoints' degrees. A run keeps
+less: its log (see :class:`~massgraph.scenario.PhaseHistory`) holds an
+edge event's four numbers and its new pair's key, from which
+:func:`_edge_change` rebuilds the delta, and a prune's report, from which
+:func:`_prune_change` does; a node event's delta is :func:`node_delta`'s,
+which reads only the next id.
 
 :func:`advance` is the one step that changes a state: its dicts, and the
 incidence index (:attr:`GraphState.incident`, node id -> keys of its
@@ -175,9 +180,12 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
     derived, report = state._derived, delta.report
     hist, alive, floor = derived.histogram, derived.alive, derived.floor
     if hist is not None:
-        touched = {*delta.nodes, *(i for key in delta.edges for i in key)}
+        touched = set(delta.nodes)
+        for key in delta.edges:
+            touched.update(key)
         if report is not None:
-            touched.update(i for key, _ in report.removed_edges for i in key)
+            for key, _ in report.removed_edges:
+                touched.update(key)
         counts = list(hist)
         for i in touched:
             rec = nodes.get(i)
@@ -230,11 +238,11 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
     object.__setattr__(state, "phase", state.phase + 1)
 
 
-def _new_edge(key: tuple[int, int], weight: float) -> EdgeRecord:
+def _finite(key: tuple[int, int], weight: float) -> float:
     """A weight built from ln(mass sum), which is inf if the sum overflows."""
     if not math.isfinite(weight):
         raise InputError(f"weight of edge {key} overflows the float range: {weight}")
-    return EdgeRecord(weight)
+    return weight
 
 
 def settle_delta(state: GraphState) -> PhaseDelta:
@@ -266,7 +274,7 @@ def settle_delta(state: GraphState) -> PhaseDelta:
     lifted: dict[tuple[int, int], EdgeRecord] = {}
     for key, weight in edges:
         a, b = key
-        lifted[key] = _new_edge(key, weight + math.log(nodes[a].mass + nodes[b].mass))
+        lifted[key] = EdgeRecord(_finite(key, weight + math.log(nodes[a].mass + nodes[b].mass)))
     return PhaseDelta(grown, lifted)
 
 
@@ -318,10 +326,21 @@ def edge_delta(state: GraphState, event: AddEdge) -> PhaseDelta:
     gain = reinforcement(w, state.params)
     mass_k = nodes[k].mass + gain
     mass_l = nodes[l].mass + gain
-    grown = {k: NodeRecord(mass_k, nodes[k].label), l: NodeRecord(mass_l, nodes[l].label)}
     shift = math.log(gain)
-    added = {key: _new_edge(key, w + math.log(mass_k + mass_l))}
-    return PhaseDelta(grown, added, None, shift)
+    weight = _finite(key, w + math.log(mass_k + mass_l))
+    return _edge_change(state, event, key, (mass_k, mass_l, weight, shift))
+
+
+def _edge_change(state: GraphState, event: AddEdge, key: tuple[int, int],
+                 numbers: tuple) -> PhaseDelta:
+    """The delta of an edge event on ``state`` from its new pair's key and
+    its four numbers: k's and l's grown masses, the new weight and the
+    shift. The endpoints' labels are ``state``'s."""
+    k, l = event.k, event.l
+    mass_k, mass_l, weight, shift = numbers
+    nodes = state.nodes
+    grown = {k: NodeRecord(mass_k, nodes[k].label), l: NodeRecord(mass_l, nodes[l].label)}
+    return PhaseDelta(grown, {key: EdgeRecord(weight)}, None, shift)
 
 
 def node_delta(state: GraphState, event: AddNode) -> PhaseDelta:
@@ -357,9 +376,16 @@ def prune_delta(state: GraphState, event: Prune) -> PhaseDelta:
     isolated = [i for i in state._alive if not incident[i]]
     isolated += [i for i, n in lost.items() if len(incident[i]) == n and nodes[i].alive]
     removed_nodes = tuple(sorted(isolated))
-    dead = {i: NodeRecord(nodes[i].mass, nodes[i].label, alive=False) for i in removed_nodes}
-    report = PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
-                         removed_nodes=removed_nodes)
+    return _prune_change(state, PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
+                                            removed_nodes=removed_nodes))
+
+
+def _prune_change(state: GraphState, report: PruneReport) -> PhaseDelta:
+    """The delta of a prune on ``state`` from its report: a dead record per
+    removed node."""
+    nodes = state.nodes
+    dead = {i: NodeRecord(nodes[i].mass, nodes[i].label, alive=False)
+            for i in report.removed_nodes}
     return PhaseDelta(dead, {}, report)
 
 

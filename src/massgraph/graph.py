@@ -270,8 +270,20 @@ def validate_state(state: GraphState) -> list[str]:
     built or engine-produced state must always come back clean, and tests
     corrupt states on purpose to see them named here.
     """
+    return _problems(state)[0]
+
+
+def _problems(state: GraphState) -> tuple[list[str], bool]:
+    """:func:`validate_state`'s problems, and whether every record is one
+    that :func:`new_graph` builds, which then cost one check each: a node
+    keyed by an int id > 0, a :class:`NodeRecord` of a float mass in (1,
+    inf) with no label and ``alive`` True, and, once such nodes are
+    numbered 1 to n, an edge keyed by ints ``0 < a < b <= n`` with a float
+    or :class:`EdgeRecord` weight in (1, inf). The rules would find nothing
+    in such a record, nor :func:`initial_inputs`' own checks; every other
+    record takes the rules."""
     problems: list[str] = []
-    ids = True
+    ids = plain = True
     try:
         as_int(state.phase, "phase", InputError, 0)
     except InputError as err:
@@ -279,6 +291,10 @@ def validate_state(state: GraphState) -> list[str]:
     if not isinstance(state.params, KernelParams):  # the kernel reads its fields
         problems.append(f"params must be KernelParams, got {state.params!r}")
     for i, rec in state.nodes.items():
+        if type(i) is int and i > 0 and type(rec) is NodeRecord and type(rec.mass) is float \
+                and 1 < rec.mass < math.inf and rec.label is None and rec.alive is True:
+            continue
+        plain = False
         try:
             node_id(i)
         except NodeLookupError as err:
@@ -300,7 +316,16 @@ def validate_state(state: GraphState) -> list[str]:
     n = len(state.nodes)
     if ids and max(state.nodes, default=0) != n:  # only ids: a bad key is named once
         problems.append(f"nodes must be numbered 1 to {n}")
+        plain = False
+    numbered = plain  # every id from 1 to n is an alive node's
     for key, weight in state.edges.items():
+        if numbered and type(key) is tuple and len(key) == 2:
+            a, b = key
+            if type(a) is int and type(b) is int and 0 < a < b <= n \
+                    and (type(weight) is float or type(weight) is EdgeRecord) \
+                    and 1 < weight < math.inf:
+                continue
+        plain = False
         if not isinstance(key, tuple) or len(key) != 2:
             problems.append(f"edge key {key!r} is not an (i, j) pair")
             continue
@@ -327,7 +352,7 @@ def validate_state(state: GraphState) -> list[str]:
             as_float(weight, "value")
         except InputError as err:
             problems.append(f"weight of edge {key}: {err}")
-    return problems
+    return problems, plain
 
 
 def initial_inputs(state: GraphState) -> tuple[list[float], list[tuple[int, int, float]]]:
@@ -335,16 +360,18 @@ def initial_inputs(state: GraphState) -> tuple[list[float], list[tuple[int, int,
     :func:`new_graph` rebuilds ``state``, if ``state`` is one a run may
     start from and a script can hold: :func:`validate_state` finds nothing,
     the phase is 0, the nodes are alive and unlabelled, and each weight is
-    above 1. Otherwise one :class:`InputError` lists every problem.
+    above 1. Otherwise one :class:`InputError` lists every problem. A state
+    that :func:`new_graph` builds costs one check per record.
     """
-    problems = validate_state(state)
+    problems, plain = _problems(state)
     if state.phase != 0:
         problems.append(f"a run starts at phase 0, got phase {state.phase!r}")
-    problems += [f"node {i}: phase-0 nodes are alive and unlabelled"
-                 for i, rec in state.nodes.items()
-                 if isinstance(rec, NodeRecord) and (not rec.alive or rec.label is not None)]
-    problems += [f"initial weight of edge {key} must be > 1, got {w}"
-                 for key, w in state.edges.items() if isinstance(w, (int, float)) and w <= 1]
+    if not plain:
+        problems += [f"node {i}: phase-0 nodes are alive and unlabelled"
+                     for i, rec in state.nodes.items()
+                     if isinstance(rec, NodeRecord) and (not rec.alive or rec.label is not None)]
+        problems += [f"initial weight of edge {key} must be > 1, got {w}"
+                     for key, w in state.edges.items() if isinstance(w, (int, float)) and w <= 1]
     if problems:
         raise InputError("invalid phase-0 state: " + "; ".join(problems))
     return ([float(state.nodes[i].mass) for i in range(1, len(state.nodes) + 1)],

@@ -6,8 +6,10 @@ fixed order, and every transition computes the same delta from the same
 state, so the same config always produces the same history byte for byte.
 A run and the generator share one loop, which folds each event into one
 working state (see :mod:`massgraph.engine`), so an event costs what it
-touches; the generator draws each event there, and its phase-0 state holds
-that run, which a run of the scenario exactly as generated takes instead.
+touches, and keeps a log of numbers from which each phase's delta is
+rebuilt when the states are read (see :class:`PhaseHistory`); the
+generator draws each event there, and its phase-0 state holds that run,
+which a run of the scenario exactly as generated takes instead.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import struct
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,11 +26,14 @@ from .engine import (
     AddEdge,
     AddNode,
     Event,
-    PhaseDelta,
     Prune,
+    PruneReport,
+    _edge_change,
+    _prune_change,
     advance,
     event_delta,
     folded,
+    node_delta,
     settle_delta,
     working_copy,
 )
@@ -37,6 +43,7 @@ from .graph import GraphState, initial_inputs, new_graph
 from .kernel import KernelParams, as_float, as_int
 
 _MAX_REDRAWS = 1000
+_FOUR = struct.Struct("4d")  # an edge event's numbers, as a run's log holds them
 
 
 def _numbers(name: str, values, count: int) -> list[float]:
@@ -112,17 +119,27 @@ class PhaseHistory:
     """Ordered record of one run: its states, the events that made them,
     and every prune's report.
 
-    A run keeps only the phase-0 state, one
-    :class:`~massgraph.engine.PhaseDelta` per phase and its working final
-    state; an edge event's delta holds one edge weight and its shift, not
-    the weights the shift changes. The state at each phase is made by
-    folding the deltas onto copies in order
-    (:func:`~massgraph.engine.folded`): a folded state shares each dict its
-    delta leaves alone with its predecessor (the edges, after a node event
-    or a prune that removes no edge), and takes its predecessor's incidence
-    index and any degree histogram, alive ids and floor it holds, which
-    :func:`~massgraph.engine.advance` keeps exact; the last state is the
-    final state itself, which counts its own on first use.
+    A run keeps only the phase-0 state, its events, a log of numbers and
+    its working final state. The log holds settlement's delta; for each
+    edge event, four doubles packed in one bytearray (its endpoints' grown
+    masses, its new weight and ``shift``, the ln(gain) that
+    :func:`~massgraph.engine.advance` adds to every weight at the
+    endpoints) and the key of its new pair; and each prune's report. A node
+    event needs nothing beyond itself: its id is the next one. So the log
+    grows with the changes, not with the weights a shift changes. The state
+    at each phase is made by rebuilding its
+    :class:`~massgraph.engine.PhaseDelta` from its event, the log and the
+    state before it (the endpoints' labels, a prune's dead records), and
+    folding it onto copies (:func:`~massgraph.engine.folded`): a folded
+    state shares each dict its delta leaves alone with its predecessor (the
+    edges, after a node event or a prune that removes no edge), and takes
+    its predecessor's incidence index and any degree histogram, alive ids
+    and floor it holds, which :func:`~massgraph.engine.advance` keeps exact;
+    the last state is the final state itself, which counts its own on first
+    use. The numbers are the ones the run computed, so each rebuilt record
+    equals the run's. Each fold reads ``events``, the run's own list, which
+    the package never changes; a caller that changes it changes what the
+    folds rebuild.
 
     :meth:`states` yields the states in phase order and keeps none of
     them, so a reader that takes one phase at a time holds one state; it
@@ -130,54 +147,60 @@ class PhaseHistory:
     reads no edge and no dead id.
     The history's writer takes each from the same fold with its delta,
     rewrites only what the delta wrote, and hands the state to a hook.
-    ``prune_reports`` are the reports the deltas carry, in order.
-    ``snapshots`` is the list of them, ``snapshots[i]`` the state at phase
-    i, for callers that index or keep states: it is built on first read,
-    frees each delta once folded, and is then a plain, writable list.
+    ``prune_reports`` are the log's reports, in order. ``snapshots`` is the
+    list of the states, ``snapshots[i]`` the state at phase i, for callers
+    that index or keep states: it is built on first read, and is then a
+    plain, writable list.
 
     ``final`` is the state at the last phase, the run's working state, which
     the package never changes after :func:`run_script` returns (nor any
     other state). For a scenario from :func:`generate_scenario`, whose
     phase-0 state holds the generator's run until ``run_script`` takes it or
-    the state is dropped, the deltas and ``final`` can be that run's. Once
+    the state is dropped, the log and ``final`` can be that run's. Once
     ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so what is
     assigned there is what ``final`` returns. Reading only ``final`` never
     folds a delta.
     """
 
-    def __init__(self, initial: GraphState, deltas: list[PhaseDelta], final: GraphState,
-                 events: list[Event]):
+    def __init__(self, initial: GraphState, log: tuple, final: GraphState, events: list[Event]):
         self.events = events
-        self.prune_reports = [delta.report for delta in deltas if delta.report is not None]
+        self.prune_reports = list(log[-1])
         self._initial = initial
-        self._deltas = deltas
+        self._log = log
         self._final = final
 
-    def _folds(self, deltas: list) -> Iterator[tuple]:
+    def _folds(self) -> Iterator[tuple]:
         """Every state in phase order with its phase's delta (None at phase
-        0): each delta folded onto its predecessor, then dropped from
-        ``deltas``; last comes ``final``."""
-        state = self._initial
+        0): each delta rebuilt from its event, the log and the state before
+        it, and folded onto that state; last comes ``final``."""
+        settled, numbers, keys, reports = self._log
+        edges, reports = zip(keys, _FOUR.iter_unpack(numbers)), iter(reports)
+        state, delta = self._initial, settled
         yield state, None
-        for p in range(len(deltas) - 1):
-            delta, deltas[p] = deltas[p], None  # released once folded
+        for event in self.events:
             state = folded(state, delta)
             yield state, delta
-        yield self._final, deltas[-1]
+            if isinstance(event, AddEdge):
+                delta = _edge_change(state, event, *next(edges))
+            elif isinstance(event, AddNode):
+                delta = node_delta(state, event)
+            else:
+                delta = _prune_change(state, next(reports))
+        yield self._final, delta
 
     def _steps(self) -> Iterator[tuple]:
         """:meth:`_folds` afresh, or the built ``snapshots`` with no deltas."""
         built = vars(self).get("snapshots")
         if built is not None:
             return ((state, None) for state in built)
-        return self._folds(list(self._deltas))
+        return self._folds()
 
     def states(self) -> Iterator[GraphState]:
         """The states at phases 0 to the last, in order, as ``snapshots``
         holds them.
 
-        Each call folds the kept deltas afresh and keeps no state it has
-        yielded, so the calls are independent of each other and of
+        Each call rebuilds and folds the deltas afresh and keeps no state it
+        has yielded, so the calls are independent of each other and of
         ``snapshots``; once ``snapshots`` is built, it yields that list's
         entries instead.
         """
@@ -186,9 +209,8 @@ class PhaseHistory:
 
     @cached_property
     def snapshots(self) -> list[GraphState]:
-        deltas, self._deltas = self._deltas, []
         self._initial.degree_histogram, self._initial._alive  # as states() reads them
-        return [state for state, _ in self._folds(deltas)]
+        return [state for state, _ in self._folds()]
 
     @property
     def final(self) -> GraphState:
@@ -201,8 +223,9 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     """Settle the initial state, then apply the events in order.
 
     The events fold in place into one working copy of ``initial``; the
-    returned history keeps ``initial`` and each phase's delta, and folds
-    them into states only when they are read. ``initial`` must be a state
+    returned history keeps ``initial``, the events and the run's log of
+    numbers (see :class:`PhaseHistory`), and rebuilds and folds each
+    phase's delta only when the states are read. ``initial`` must be a state
     a script can hold, which :func:`~massgraph.graph.initial_inputs`
     decides, and ``source``, when given, its script with ``events``; either
     failing raises :class:`InputError`, and an entry of ``events`` that is
@@ -213,7 +236,7 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
     A phase-0 state from :func:`generate_scenario` holds the generator's
     run until the first ``run_script`` of it takes it: if ``events`` and
     the state's nodes and edges are still the generated ones, that run's
-    deltas and working state are the history's, computed once, in the loop
+    log and working state are the history's, computed once, in the loop
     this function runs. Otherwise, and on every later call, the events
     fold afresh.
     """
@@ -228,26 +251,30 @@ def run_script(initial: GraphState, events: Iterable[Event], *,
             raise InputError("source is not the script of this run")
     kept, initial._derived.run = initial._derived.run, None
     if kept is not None:
-        kept_events, nodes, edges, deltas, final = kept
+        kept_events, nodes, edges, log, final = kept
         if events == kept_events and _holds(initial.nodes, nodes) \
                 and _holds(initial.edges, edges):
-            return PhaseHistory(initial, deltas, final, events)
-    return PhaseHistory(initial, *_run(initial, lambda state, deltas: events))
+            return PhaseHistory(initial, log, final, events)
+    return PhaseHistory(initial, *_run(initial, lambda state, reports: events))
 
 
-def _run(initial: GraphState, draw: Callable[[GraphState, list], Iterable[Event]]) -> tuple:
+def _run(initial: GraphState,
+         draw: Callable[[GraphState, list[PruneReport]], Iterable[Event]]) -> tuple:
     """The one loop of a run: settle ``initial`` and fold each event of
-    ``draw(state, deltas)``, read once the one before is folded, into one
-    working copy, ``state``. Returns the deltas, ``state`` and the events;
-    a failing transition raises :class:`SimulationError` with its phase."""
+    ``draw(state, reports)``, read once the one before is folded, into one
+    working copy, ``state``; ``reports`` are the prunes' reports so far.
+    Returns the run's log (settlement's delta, the edge events' numbers,
+    their keys and the reports; see :class:`PhaseHistory`), ``state`` and
+    the events; a failing transition raises :class:`SimulationError` with
+    its phase."""
     try:
-        deltas = [settle_delta(initial)]
+        settled = settle_delta(initial)
     except MassGraphError as err:
         raise SimulationError(f"settlement failed: {err}", phase=1) from err
     state = working_copy(initial)
-    advance(state, deltas[0])
-    events = []
-    for event in draw(state, deltas):
+    advance(state, settled)
+    numbers, keys, reports, events = bytearray(), [], [], []
+    for event in draw(state, reports):
         try:
             delta = event_delta(state, event)
         except MassGraphError as err:
@@ -256,9 +283,16 @@ def _run(initial: GraphState, draw: Callable[[GraphState, list], Iterable[Event]
                 phase=state.phase + 1, event=event,
             ) from err
         advance(state, delta)
-        deltas.append(delta)
+        nodes, edges, report, shift = delta
+        if shift is not None:  # an edge event: its key and numbers, not its records
+            (key, weight), = edges.items()
+            grown_k, grown_l = nodes.values()
+            keys.append(key)
+            numbers += _FOUR.pack(grown_k.mass, grown_l.mass, weight, shift)
+        elif report is not None:
+            reports.append(report)
         events.append(event)
-    return deltas, state, events
+    return (settled, numbers, keys, reports), state, events
 
 
 def _holds(d: dict, kept: dict) -> bool:
@@ -326,9 +360,9 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
     kinds = [(p, kind) for p, kind in zip(config.event_mix, ("add_edge", "add_node", "prune"))
              if p > 0]
 
-    def draw(state: GraphState, deltas: list[PhaseDelta]) -> Iterator[Event]:
+    def draw(state: GraphState, reports: list[PruneReport]) -> Iterator[Event]:
         # beside the working state, which holds its alive ids: each node's
-        # count of neighbours above it, kept from the last delta
+        # count of neighbours above it, kept from each event and report
         later = dict.fromkeys(state.nodes, 0)
         for a, _ in state.edges:
             later[a] += 1
@@ -359,11 +393,11 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
             elif isinstance(event, AddNode):
                 later[state.next_id - 1] = 0
             else:
-                for (a, _), _ in deltas[-1].report.removed_edges:
+                for (a, _), _ in reports[-1].removed_edges:
                     later[a] -= 1
 
-    deltas, state, events = _run(initial, draw)
-    initial._derived.run = (list(events), dict(initial.nodes), dict(initial.edges), deltas, state)
+    log, state, events = _run(initial, draw)
+    initial._derived.run = (list(events), dict(initial.nodes), dict(initial.edges), log, state)
     return initial, events
 
 

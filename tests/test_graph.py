@@ -7,7 +7,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from massgraph import (
@@ -30,6 +30,8 @@ from massgraph import (
     settle_phase_one,
     validate_state,
 )
+from massgraph.graph import above_one, initial_inputs, node_id, node_label
+from massgraph.kernel import as_float, as_int
 
 
 @pytest.fixture
@@ -354,6 +356,128 @@ class TestFastPathBoundary:
         assert outcomes[0] == outcomes[1]
 
 
+def full_validate_state(state):
+    """``validate_state`` with every record through the rules: the oracle
+    for its one-check path."""
+    problems = []
+    ids = True
+    try:
+        as_int(state.phase, "phase", InputError, 0)
+    except InputError as err:
+        problems.append(str(err))
+    if not isinstance(state.params, KernelParams):
+        problems.append(f"params must be KernelParams, got {state.params!r}")
+    for i, rec in state.nodes.items():
+        try:
+            node_id(i)
+        except NodeLookupError as err:
+            problems.append(f"node key {i!r}: {err}")
+            ids = False
+        if not isinstance(rec, NodeRecord):
+            problems.append(f"node {i!r}: record must be a NodeRecord, got {rec!r}")
+            continue
+        try:
+            node_label(rec.label)
+        except InputError as err:
+            problems.append(f"node {i}: {err}")
+        if type(rec.alive) is not bool:
+            problems.append(f"node {i}: alive must be a bool, got {rec.alive!r}")
+        try:
+            above_one(rec.mass, "mass")
+        except InputError as err:
+            problems.append(f"node {i}: {err}")
+    n = len(state.nodes)
+    if ids and max(state.nodes, default=0) != n:
+        problems.append(f"nodes must be numbered 1 to {n}")
+    for key, weight in state.edges.items():
+        if not isinstance(key, tuple) or len(key) != 2:
+            problems.append(f"edge key {key!r} is not an (i, j) pair")
+            continue
+        a, b = key
+        try:
+            node_id(a), node_id(b)
+        except NodeLookupError as err:
+            problems.append(f"edge key {key!r}: {err}")
+            continue
+        if a == b:
+            problems.append(f"edge {key} sits on the diagonal")
+            continue
+        if a > b:
+            problems.append(f"edge keyed {key} is not stored in canonical (low, high) form")
+        for endpoint in (a, b):
+            rec = state.nodes.get(endpoint)
+            if rec is None:
+                problems.append(f"edge {key} references unknown node {endpoint}")
+            elif isinstance(rec, NodeRecord) and not rec.alive:
+                problems.append(f"edge {key} touches dead node {endpoint}")
+        try:
+            as_float(weight, "value")
+        except InputError as err:
+            problems.append(f"weight of edge {key}: {err}")
+    return problems
+
+
+def full_initial_inputs(state):
+    """``initial_inputs`` on :func:`full_validate_state`, with its own
+    checks of every record."""
+    problems = full_validate_state(state)
+    if state.phase != 0:
+        problems.append(f"a run starts at phase 0, got phase {state.phase!r}")
+    problems += [f"node {i}: phase-0 nodes are alive and unlabelled"
+                 for i, rec in state.nodes.items()
+                 if isinstance(rec, NodeRecord) and (not rec.alive or rec.label is not None)]
+    problems += [f"initial weight of edge {key} must be > 1, got {w}"
+                 for key, w in state.edges.items() if isinstance(w, (int, float)) and w <= 1]
+    if problems:
+        raise InputError("invalid phase-0 state: " + "; ".join(problems))
+    return ([float(state.nodes[i].mass) for i in range(1, len(state.nodes) + 1)],
+            [(a, b, float(w)) for (a, b), w in sorted(state.edges.items())])
+
+
+class Real(float):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+class Record(NodeRecord):
+    __slots__ = ()
+
+
+def node_change(change):
+    return lambda nodes, edges, at: nodes and change(nodes, edges, list(nodes)[at % len(nodes)])
+
+
+def edge_change(change):
+    return lambda nodes, edges, at: edges and change(nodes, edges, list(edges)[at % len(edges)])
+
+
+# each changes, adds or removes one record of a phase-0 state's dicts: the
+# node i, or the edge key, that the index ``at`` picks
+CORRUPTIONS = [
+    *(node_change(lambda nodes, edges, i, m=m: nodes.__setitem__(i, NodeRecord(m)))
+      for m in (1.0, 2, math.nan, math.inf, True, Real(2.0), math.nextafter(1.0, 2.0))),
+    *(node_change(lambda nodes, edges, i, rec=rec: nodes.__setitem__(i, rec))
+      for rec in (NodeRecord(2.0, "x"), NodeRecord(2.0, 5), NodeRecord(2.0, None, False),
+                  NodeRecord(2.0, None, 1), Record(2.0), 2.0)),
+    *(node_change(lambda nodes, edges, i, k=k: nodes.__setitem__(k, nodes.pop(i)))
+      for k in (0, True, 1.0, -1, "a", 99)),
+    node_change(lambda nodes, edges, i: nodes.pop(i)),
+    node_change(lambda nodes, edges, i: edges.__setitem__((i, len(nodes) + 1), 3.0)),
+    lambda nodes, edges, at: nodes.__setitem__(len(nodes) + 2, NodeRecord(2.0)),
+    *(edge_change(lambda nodes, edges, key, w=w: edges.__setitem__(key, w))
+      for w in (1.0, 0.5, 3, math.nan, math.inf, True, "w", Real(3.0), EdgeRecord(1.0),
+                EdgeRecord(math.nan), math.nextafter(1.0, 2.0))),
+    *(edge_change(lambda nodes, edges, key, k=k: type(key) is tuple and len(key) == 2
+                  and edges.__setitem__(k(*key), edges.pop(key)))
+      for k in (lambda a, b: (b, a), lambda a, b: (a, a), lambda a, b: (a, 99),
+                lambda a, b: (0, b), lambda a, b: (True, b), lambda a, b: (float(a), b),
+                lambda a, b: (a, b, 1), lambda a, b: f"{a}-{b}", lambda a, b: Pair((a, b)))),
+]
+
+
 @st.composite
 def graph_inputs(draw):
     n = draw(st.integers(min_value=0, max_value=6))
@@ -366,6 +490,30 @@ def graph_inputs(draw):
         for i, j in chosen
     ]
     return masses, weights
+
+
+@settings(max_examples=400)
+@given(graph_inputs(),
+       st.lists(st.tuples(st.sampled_from(CORRUPTIONS), st.integers(0, 20)), max_size=3),
+       st.sampled_from([0, 0, 1]), st.booleans())
+def test_validation_gives_what_the_full_rules_give(inputs, corruptions, phase, records):
+    # valid phase-0 states, with EdgeRecord or float weights, and the same
+    # with up to three records corrupted, at phase 0 or 1
+    masses, weights = inputs
+    state = new_graph(masses, weights)
+    nodes = dict(state.nodes)
+    edges = {key: w if records else float(w) for key, w in state.edges.items()}
+    for change, at in corruptions:
+        change(nodes, edges, at)
+    state = GraphState(phase, nodes, edges, state.params)
+    assert validate_state(state) == full_validate_state(state)
+    outcomes = []
+    for check in (initial_inputs, full_initial_inputs):
+        try:
+            outcomes.append(check(state))
+        except InputError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
 
 
 @given(graph_inputs())

@@ -9,7 +9,9 @@ import itertools
 import math
 import pickle
 import random
+import struct
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
@@ -191,7 +193,7 @@ class TestRunScript:
         initial = new_graph([3.0] * 40, [(1, j, 3.0) for j in range(2, 11)])
         events = [AddEdge(hub, j, 3.0) for hub in (1, 2) for j in range(11, 41)]
         history = run_script(initial, events)
-        kinds = (dict, list, tuple, GraphState, NodeRecord, EdgeRecord)
+        kinds = (dict, list, tuple, bytearray, GraphState, NodeRecord, EdgeRecord)
         seen, todo = {}, [history]
         while todo:  # what the run keeps before its snapshots are read
             obj = todo.pop()
@@ -199,18 +201,65 @@ class TestRunScript:
                 seen[id(obj)] = obj
                 todo += [o for o in gc.get_referents(obj) if isinstance(o, kinds)]
         kept = list(seen.values())
-        deltas = [o for o in kept if isinstance(o, engine.PhaseDelta)]
+        # settlement's delta, and four doubles per edge event: no event's delta
+        (settled,) = [o for o in kept if isinstance(o, engine.PhaseDelta)]
+        assert set(settled.edges) == set(initial.edges)
+        (packed,) = [o for o in kept if isinstance(o, bytearray)]
+        numbers = struct.unpack(f"{4 * len(events)}d", packed)
+        steps = history._folds()
+        next(steps), next(steps)  # phases 0 and 1
         before = history.snapshots[1]
         touched = 0
-        for p, event in enumerate(events, start=2):
+        for (p, event), (state, delta) in zip(enumerate(events, start=2), steps):
             key = edge_key(event.k, event.l)
-            (delta,) = [d for d in deltas if key in d.edges and set(d.nodes) == set(key)]
-            assert list(delta.edges) == [key]
+            assert list(delta.edges) == [key] and set(delta.nodes) == set(key)
+            assert [delta.nodes[event.k].mass, delta.nodes[event.l].mass, delta.edges[key],
+                    delta.shift] == list(numbers[4 * (p - 2):4 * (p - 1)])
+            assert state == history.snapshots[p]
             touched += len(before.incident[event.k]) + len(before.incident[event.l])
             before = history.snapshots[p]
         assert touched > 15 * len(events)
         records = sum(isinstance(o, EdgeRecord) for o in kept)
-        assert records <= 2 * len(initial.edges) + len(history.final.edges) + len(events)
+        assert records <= 2 * len(initial.edges) + len(history.final.edges)
+        records = sum(isinstance(o, NodeRecord) for o in kept)
+        assert records <= 2 * len(initial.nodes) + len(history.final.nodes)
+
+    def test_a_run_keeps_at_most_64_bytes_per_edge_event(self):
+        # preferential attachment, as in the benchmark's growth scripts: each
+        # new node links to two partners drawn in proportion to degree, so
+        # hubs form; weights >= 3 keep every shift positive and every prune
+        # at 3.0 removes nothing. Net of its events list and the final state,
+        # the history keeps a run's log: four floats and a key per edge event
+        rng = random.Random(1)
+        initial = new_graph([rng.uniform(2.0, 50.0) for _ in range(3)],
+                            [(1, 2, 3.0), (1, 3, 3.0), (2, 3, 3.0)])
+        ends, events = [1, 2, 1, 3, 2, 3], []
+        for i in range(4, 304):
+            events.append(AddNode(rng.uniform(2.0, 50.0)))
+            partners = set()
+            while len(partners) < 2:
+                partners.add(ends[rng.randrange(len(ends))])
+            for j in sorted(partners):
+                events.append(AddEdge(j, i, rng.uniform(3.0, 30.0)))
+                ends += [i, j]
+            if i % 50 == 0:
+                events.append(Prune(3.0))
+        n_edge_events = sum(isinstance(event, AddEdge) for event in events)
+        assert n_edge_events >= 500
+        gc.collect()
+        tracemalloc.start()
+        try:
+            history = run_script(initial, events)
+            gc.collect()  # as below, which also empties the free lists
+            with_history = tracemalloc.get_traced_memory()[0]
+            final, listed = history.final, sys.getsizeof(history.events)
+            del history
+            gc.collect()
+            with_final = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert max(len(final.incident[i]) for i in final.nodes) > 30  # a hub
+        assert with_history - with_final - listed <= 64 * n_edge_events
 
     def test_a_prune_neither_copies_nor_sorts_the_edges(self):
         # the forgetting regime: prunes follow edge events, which add pairs
@@ -329,8 +378,9 @@ class TestHandoff:
         assert folds == len(events) + 1
         assert_same_history(first, second)
         assert second.final is not first.final
-        assert second._deltas is not first._deltas
-        assert not any(a is b for a, b in zip(first._deltas, second._deltas))
+        assert second._log is not first._log
+        assert not any(a is b for a, b in zip(first._log, second._log))
+        assert not any(a is b for a, b in zip(first.prune_reports, second.prune_reports))
 
     @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
                              ids=["deepcopy", "pickle"])
