@@ -23,13 +23,14 @@ inputs reproduce bit-identical states.
 
 An edge event's delta keeps the rule, not its result: the two grown node
 records, the new edge's weight and ``shift = ln(gain)``, which
-:func:`advance` adds to every weight at the two endpoints. So a delta
-costs O(1) per edge event, whatever the endpoints' degrees. A run keeps
-less: its log (see :class:`~massgraph.scenario.PhaseHistory`) holds an
-edge event's four numbers and its new pair's key, from which
-:func:`_edge_change` rebuilds the delta, and a prune's report, from which
-:func:`_prune_change` does; a node event's delta is :func:`node_delta`'s,
-which reads only the next id.
+:func:`advance` adds to every weight at the two endpoints as a bare float;
+only a run's working state keeps those until it ends, and no state handed
+out holds one. So a delta costs O(1) per edge event, whatever the
+endpoints' degrees. A run keeps less: its log (see
+:class:`~massgraph.scenario.PhaseHistory`) holds an edge event's four
+numbers and its new pair's key, from which :func:`_edge_change` rebuilds
+the delta, and a prune's report, from which :func:`_prune_change` does; a
+node event's delta is :func:`node_delta`'s, which reads only the next id.
 
 :func:`advance` is the one step that changes a state: its dicts, and the
 incidence index (:attr:`GraphState.incident`, node id -> keys of its
@@ -135,7 +136,7 @@ def folded(state: GraphState, delta: PhaseDelta) -> GraphState:
     prune that removes no edge) is shared. The successor takes ``state``'s
     index, so ``state`` builds another if it is read again, and shares its
     degree histogram, alive tuple and floor, and :func:`advance` steps
-    each."""
+    each; the weights its shift leaves as floats become records."""
     nodes = dict(state.nodes) if delta.nodes else state.nodes
     changes_edges = delta.edges or (delta.report and delta.report.removed_edges)
     edges = dict(state.edges) if changes_edges else state.edges
@@ -144,6 +145,9 @@ def folded(state: GraphState, delta: PhaseDelta) -> GraphState:
     derived.incident, held.incident = state.incident, None
     derived.histogram, derived.alive, derived.floor = held.histogram, held.alive, held.floor
     advance(successor, delta)
+    if delta.shift is not None:  # the shift left bare floats at the endpoints
+        ((a, b),) = delta.edges
+        _records(successor.edges, successor.incident[a] + successor.incident[b])
     return successor
 
 
@@ -165,17 +169,17 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
     histogram, in place, and move its phase on by one; ``state`` shares no
     dict with another state. A changed record keeps its key's place, an
     added one goes last, a prune's survivors keep theirs, and a changed
-    index entry gets a new tuple. An edge event's shift reaches the edges
-    at its endpoints through the index, before the new key joins it. A held
+    index entry gets a new tuple. An edge event's shift reaches the edges at
+    its endpoints through the index, before the new key joins it, and leaves
+    each a bare float, which only a run's working state keeps. A held
     histogram stays exact in O(touched), and is kept if no count changes:
     each touched node leaves its old degree's count if it was alive and
     joins its new one if it is alive now. A held alive tuple changes only
     when a node is added (it goes last, as ids grow) or a prune removes
-    nodes. A held floor drops to the new weight of an edge event, and to
-    its shifted weights only when the shift is negative; settlement only
-    raises weights, by ln of a mass sum above 2, so it keeps the floor;
-    after a prune every weight is at least its threshold, so the floor
-    rises to it."""
+    nodes. A held floor drops to the new weight of an edge event, and to its
+    shifted weights only when the shift is negative; settlement only raises
+    weights, by ln of a mass sum above 2, so it keeps the floor; after a
+    prune every weight is at least its threshold, so the floor rises to it."""
     nodes, edges, incident = state.nodes, state.edges, state.incident
     derived, report = state._derived, delta.report
     hist, alive, floor = derived.histogram, derived.alive, derived.floor
@@ -204,7 +208,7 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
         a, b = new
         shifted = incident[a] + incident[b]
         for key in shifted:
-            edges[key] = EdgeRecord(edges[key] + shift)
+            edges[key] = edges[key] + shift
         incident[a] += (new,)
         incident[b] += (new,)
         if floor is not None:
@@ -236,6 +240,14 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
         counted = tuple(counts)
         derived.histogram = hist if counted == hist else counted
     object.__setattr__(state, "phase", state.phase + 1)
+
+
+def _records(edges: dict, keys) -> None:
+    """Make each value of ``edges`` among ``keys`` that is a bare float, as
+    :func:`advance`'s shift leaves it, an :class:`EdgeRecord`."""
+    for key in keys:
+        if type(w := edges[key]) is float:
+            edges[key] = EdgeRecord(w)
 
 
 def _finite(key: tuple[int, int], weight: float) -> float:
@@ -406,8 +418,11 @@ def event_delta(state: GraphState, event: Event) -> PhaseDelta:
 
 def apply_event(state: GraphState, event: Event) -> tuple[GraphState, PruneReport | None]:
     """The state after one event, and a prune's report; ``state`` keeps its
-    fields."""
+    fields. The successor holds records, never a shifted bare float."""
     delta = event_delta(state, event)
     successor = working_copy(state)
     advance(successor, delta)
+    if delta.shift is not None:  # as in folded
+        ((a, b),) = delta.edges
+        _records(successor.edges, successor.incident[a] + successor.incident[b])
     return successor, delta.report

@@ -44,7 +44,8 @@ class NodeRecord:
 class EdgeRecord(float):
     """One undirected edge's weight, as its value (``weight`` is the exact
     float); its endpoints are the dict key. ``EdgeRecord(x)`` converts like
-    ``float(x)``: the model's number rule applies where weights enter."""
+    ``float(x)``: the model's number rule applies where weights enter. Only
+    a run's working state holds bare floats instead, until the run ends."""
 
     __slots__ = ()
     weight = property(float.__float__)
@@ -105,7 +106,8 @@ class GraphState:
 
     ``edges`` is keyed by the canonical (low, high) pair, so symmetry and
     the zero diagonal hold by construction; an absent pair reads as
-    weight 0.
+    weight 0. Its values are :class:`EdgeRecord` objects in every state but
+    a run's working state, which no caller sees before the run ends.
 
     :attr:`incident` (node id -> keys of its edges),
     :attr:`degree_histogram`, the alive ids in ascending order (a tuple,

@@ -30,6 +30,7 @@ from .engine import (
     PruneReport,
     _edge_change,
     _prune_change,
+    _records,
     advance,
     event_delta,
     folded,
@@ -154,12 +155,13 @@ class PhaseHistory:
 
     ``final`` is the state at the last phase, the run's working state, which
     the package never changes after :func:`run_script` returns (nor any
-    other state). For a scenario from :func:`generate_scenario`, whose
-    phase-0 state holds the generator's run until ``run_script`` takes it or
-    the state is dropped, the log and ``final`` can be that run's. Once
-    ``snapshots`` is built, ``final`` is ``snapshots[-1]``, so what is
-    assigned there is what ``final`` returns. Reading only ``final`` never
-    folds a delta.
+    other state); the run made the bare floats its shifts left records when
+    it ended, so ``final``, like every state here, holds only records. For a
+    scenario from :func:`generate_scenario`, whose phase-0 state holds the
+    generator's run until ``run_script`` takes it or the state is dropped,
+    the log and ``final`` can be that run's. Once ``snapshots`` is built,
+    ``final`` is ``snapshots[-1]``, so what is assigned there is what
+    ``final`` returns. Reading only ``final`` never folds a delta.
     """
 
     def __init__(self, initial: GraphState, log: tuple, final: GraphState, events: list[Event]):
@@ -264,9 +266,10 @@ def _run(initial: GraphState,
     ``draw(state, reports)``, read once the one before is folded, into one
     working copy, ``state``; ``reports`` are the prunes' reports so far.
     Returns the run's log (settlement's delta, the edge events' numbers,
-    their keys and the reports; see :class:`PhaseHistory`), ``state`` and
-    the events; a failing transition raises :class:`SimulationError` with
-    its phase."""
+    their keys and the reports; see :class:`PhaseHistory`), ``state``, whose
+    shifted weights stay bare floats until the loop's end makes them records,
+    and the events; a failing transition raises :class:`SimulationError`
+    with its phase."""
     try:
         settled = settle_delta(initial)
     except MassGraphError as err:
@@ -292,6 +295,7 @@ def _run(initial: GraphState,
         elif report is not None:
             reports.append(report)
         events.append(event)
+    _records(state.edges, state.edges)  # once per run, O(E): the shifts left floats
     return (settled, numbers, keys, reports), state, events
 
 

@@ -44,6 +44,7 @@ from massgraph import (
     parse_script,
     run_script,
     script_document,
+    settle_phase_one,
     state_digest,
     validate_state,
 )
@@ -51,6 +52,9 @@ from massgraph.engine import prune_delta
 from massgraph.graph import above_one, edge_key, initial_inputs, node_id, node_label
 from massgraph.io import _compact, _history_pieces, _SnapshotWriter
 from massgraph.kernel import as_float
+
+from dense_oracle import DenseOracle
+from support import assert_state_matches, replay_oracle
 
 # light masses and weights, so that most prunes remove edges and isolate nodes
 biting = st.builds(
@@ -565,21 +569,52 @@ def test_states_yields_the_snapshots_and_keeps_what_it_yielded(config, stop):
     assert all(a is b for a, b in zip(history.states(), history.snapshots))
 
 
-@settings(max_examples=60, deadline=None)
-@given(biting)
+# masses and weights near 1, so that most gains are below 1 and most shifts
+# negative, and thresholds inside the settled weights' range, so that many
+# prunes forget edges
+shrinking = st.builds(
+    ScenarioConfig,
+    seed=st.integers(min_value=0, max_value=2**32),
+    n_initial=st.integers(min_value=2, max_value=8),
+    mass_range=st.just((1.1, 3.0)),
+    weight_range=st.just((1.1, 3.0)),
+    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
+    n_phases=st.integers(min_value=2, max_value=30),
+    event_mix=st.just((0.6, 0.2, 0.2)),
+    prune_threshold=st.floats(min_value=2.0, max_value=4.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(biting, shrinking))
 def test_every_state_holds_each_weight_as_an_edge_record(config):
-    # a shift or a prune that leaves a plain float, or a record whose
-    # weight is not an exact float, fails here, whichever way it is read
-    history = run_script(*generate_scenario(config))
+    # a run's working state shifts weights as bare floats and makes them
+    # records when the run ends, and a fold and the pure API make records
+    # of the weights their shift touched; a state handed out that holds a
+    # bare float, or a record whose weight is not an exact float, fails
+    # here, whichever way it is read
+    initial, events = generate_scenario(config)
+    generated = initial._derived.run[-1]  # the run the scenario keeps
+    history = run_script(initial, events)
     folded = list(history.states())  # before the list is built: folded afresh
+    pure = [settle_phase_one(initial)]
+    for event in events:
+        pure.append(apply_event(pure[-1], event)[0])
+    assert pure == folded[1:]
     loaded = load_history(export_history_json(history))
-    for state in itertools.chain(folded, history.snapshots, [history.final], loaded.states()):
+    for state in itertools.chain(folded, history.snapshots, [history.final, generated],
+                                 loaded.states(), pure):
         for (a, b), edge in state.edges.items():
             assert type(edge) is EdgeRecord
             assert type(edge.weight) is float and edge.weight == edge
             assert type(state.weight(a, b)) is float
     for report in history.prune_reports + loaded.prune_reports:
         assert all(type(w) is float for _, w in report.removed_edges)
+    oracle = DenseOracle(*initial_inputs(initial), initial.params.mu, initial.params.sigma)
+    oracle.settle()
+    for event in events:
+        replay_oracle(oracle, event)
+    assert_state_matches(history.final, oracle, atol=1e-9)
 
 
 def counted_metrics(state: GraphState, k: int) -> MetricsReport:

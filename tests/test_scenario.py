@@ -140,11 +140,11 @@ class TestRunScript:
             kind(*values)
         assert type(excinfo.value) is error
 
-    def test_an_event_builds_only_the_records_it_touches(self):
-        config = ScenarioConfig(seed=3, n_initial=10, n_phases=80,
-                                event_mix=(0.6, 0.2, 0.2), prune_threshold=20.0)
-        initial, events = generate_scenario(config)
-        initial = rebuilt(initial)
+    @staticmethod
+    def counted_run(initial, events):
+        """``run_script(initial, events)`` with the engine's record builds
+        counted: the history, after each fold the records built so far,
+        and the edge records built once the last fold is done."""
         built = Counter()
 
         def counted(record):
@@ -172,20 +172,46 @@ class TestRunScript:
             final = history.final
         assert all(nodes is final.nodes and edges is final.edges
                    for _, _, nodes, edges in steps)
+        return history, steps, built[EdgeRecord] - steps[-1][0]
+
+    def test_an_event_builds_only_the_records_it_touches(self):
+        # an edge event builds its new edge's record, whatever deg(k) + deg(l)
+        # is: the shift leaves floats, which the run's end makes records
+        config = ScenarioConfig(seed=3, n_initial=10, n_phases=80,
+                                event_mix=(0.6, 0.2, 0.2), prune_threshold=20.0)
+        initial, events = generate_scenario(config)
+        history, steps, at_end = self.counted_run(rebuilt(initial), events)
         kinds = Counter(type(event) for event in events)
         assert kinds[AddEdge] > 20 and kinds[AddNode] > 5 and kinds[Prune] > 5
+        shifted = 0
         for p, event in enumerate(events, start=1):
             before = history.snapshots[p]
             edge_records = steps[p][0] - steps[p - 1][0]
             node_records = steps[p][1] - steps[p - 1][1]
             if isinstance(event, AddEdge):
-                degrees = sum(event.k in pair or event.l in pair for pair in before.edges)
-                assert (edge_records, node_records) == (degrees + 1, 2)
+                shifted += len(before.incident[event.k]) + len(before.incident[event.l])
+                assert (edge_records, node_records) == (1, 2)
             elif isinstance(event, AddNode):
                 assert (edge_records, node_records) == (0, 1)
             else:
                 dead = len(before.alive_ids()) - len(history.snapshots[p + 1].alive_ids())
                 assert (edge_records, node_records) == (0, dead)
+        assert shifted > 0
+        assert at_end <= len(history.final.edges)
+
+    def test_an_edge_event_builds_one_record_whatever_its_degrees(self):
+        # two hubs, of degree 9 -> 39 and 1 -> 31: each event shifts every
+        # edge at its endpoints, and builds one record, its new edge's
+        initial = new_graph([3.0] * 40, [(1, j, 3.0) for j in range(2, 11)])
+        events = [AddEdge(hub, j, 3.0) for hub in (1, 2) for j in range(11, 41)]
+        history, steps, at_end = self.counted_run(initial, events)
+        before = history.snapshots[1]
+        assert len(before.incident[1]) == 9
+        assert [len(history.final.incident[hub]) for hub in (1, 2)] == [39, 31]
+        assert [after[0] - prior[0] for prior, after in zip(steps, steps[1:])] == \
+               [1] * len(events)
+        assert 0 < at_end <= len(history.final.edges)
+        assert all(type(edge) is EdgeRecord for edge in history.final.edges.values())
 
     def test_a_run_keeps_one_edge_record_per_edge_event(self):
         # two hubs, of degree 9 -> 39 and 1 -> 31: an event shifts every edge
