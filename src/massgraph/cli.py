@@ -26,7 +26,8 @@ from .io import (
     script_document,
 )
 from .kernel import KernelParams, as_int, validate_kernel_params
-from .scenario import KernelDraw, ScenarioConfig, generate_scenario, metrics, run_script
+from .scenario import (KernelDraw, MetricsReport, ScenarioConfig, generate_scenario, metrics,
+                       run_script)
 
 
 def _floats(count: int, flag: str):
@@ -179,14 +180,36 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+# a report's fields, in sorted order, as json.dumps(indent=2) nests them in a list
+_ROW = ('  {{\n    "alive_edges": {!r},\n    "alive_nodes": {!r},\n    "degree_histogram": {},\n'
+        '    "max_mass_node": {},\n    "phase": {!r},\n    "top_k_mass_share": {!r},\n'
+        '    "total_mass": {!r}\n  }}')
+
+
+def _numbers_json(values) -> str:
+    """A tuple of numbers as a field of :data:`_ROW` holds it."""
+    return "[\n      " + ",\n      ".join(map(repr, values)) + "\n    ]" if values else "[]"
+
+
+def _rows_json(rows: list[MetricsReport]) -> str:
+    """``json.dumps([vars(r) for r in rows], indent=2, sort_keys=True)``,
+    written in the one layout a report's seven fields take: ints, floats,
+    tuples of them and None, each number as json writes it (``repr``).
+    Every number is finite, since :func:`metrics` refuses a total mass that
+    overflows, so no row holds ``NaN`` or ``Infinity``."""
+    return "[\n" + ",\n".join(
+        _ROW.format(r.alive_edges, r.alive_nodes, _numbers_json(r.degree_histogram),
+                    "null" if r.max_mass_node is None else _numbers_json(r.max_mass_node),
+                    r.phase, r.top_k_mass_share, r.total_mass)
+        for r in rows) + "\n]" if rows else "[]"
+
+
 def _cmd_stats(args) -> int:
     as_int(args.top_k, "k", ParameterError, 1)  # metrics' rule, checked before the read
-    # a report's fields hold numbers and tuples, which json writes as arrays;
     # the rows are made in the pass that checks the history, and printed
     # only once the whole file is checked
-    _, rows = _checked_run(args.history.read_bytes(),
-                           lambda state: vars(metrics(state, args.top_k)))
-    print(json.dumps(rows, indent=2, sort_keys=True))
+    _, rows = _checked_run(args.history.read_bytes(), lambda state: metrics(state, args.top_k))
+    print(_rows_json(rows))
     return 0
 
 

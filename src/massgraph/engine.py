@@ -24,9 +24,9 @@ inputs reproduce bit-identical states.
 An edge event's delta keeps the rule, not its result: the two grown node
 records, the new edge's weight and ``shift = ln(gain)``, which
 :func:`advance` adds to every weight at the two endpoints as a bare float;
-only a run's working state keeps those until it ends, and no state handed
-out holds one. So a delta costs O(1) per edge event, whatever the
-endpoints' degrees. A run keeps less: its log (see
+only a working state keeps those (a run's, until it ends, and the history
+writer's), and no state handed out holds one. So a delta costs O(1) per
+edge event, whatever the endpoints' degrees. A run keeps less: its log (see
 :class:`~massgraph.scenario.PhaseHistory`) holds an edge event's four
 numbers and its new pair's key, from which :func:`_edge_change` rebuilds
 the delta, and a prune's report, from which :func:`_prune_change` does; a
@@ -171,7 +171,7 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
     added one goes last, a prune's survivors keep theirs, and a changed
     index entry gets a new tuple. An edge event's shift reaches the edges at
     its endpoints through the index, before the new key joins it, and leaves
-    each a bare float, which only a run's working state keeps. A held
+    each a bare float, which only a working state keeps. A held
     histogram stays exact in O(touched), and is kept if no count changes:
     each touched node leaves its old degree's count if it was alive and
     joins its new one if it is alive now. A held alive tuple changes only

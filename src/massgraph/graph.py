@@ -9,13 +9,14 @@ copy them -- and the next node id is derived from them, not stored.
 Every transition in :mod:`massgraph.engine` folds its change into a
 working copy of its predecessor and never changes an old state's fields,
 so snapshots can be kept and compared across phases; the dicts are not
-write-protected (see :class:`GraphState`). The one state that changes is a
-run's working state: the one loop of ``run_script`` and
-``generate_scenario`` folds each event into one copy it owns, which shares
-no dict with any other state and is handed out only when the run is over. Derived data and a generated
-run are held beside the value. Node ids run 1 to n and are permanent:
-deletion marks a node dead instead of renumbering, ids are never reused,
-and :func:`validate_state` reports any other numbering.
+write-protected (see :class:`GraphState`). The states that change are
+working states: the one loop of ``run_script`` and ``generate_scenario``
+folds each event into one copy it owns, which shares no dict with any
+other state and is handed out only when the run is over, and the history
+writer steps one likewise, which only the package's own hooks see. Derived
+data and a generated run are held beside the value. Node ids run 1 to n
+and are permanent: deletion marks a node dead instead of renumbering, ids
+are never reused, and :func:`validate_state` reports any other numbering.
 
 A run and a script both start from a phase-0 state, and
 :func:`initial_inputs` is the one rule for which states those are: the
@@ -45,7 +46,7 @@ class EdgeRecord(float):
     """One undirected edge's weight, as its value (``weight`` is the exact
     float); its endpoints are the dict key. ``EdgeRecord(x)`` converts like
     ``float(x)``: the model's number rule applies where weights enter. Only
-    a run's working state holds bare floats instead, until the run ends."""
+    a working state holds bare floats instead (see :class:`GraphState`)."""
 
     __slots__ = ()
     weight = property(float.__float__)
@@ -107,7 +108,10 @@ class GraphState:
     ``edges`` is keyed by the canonical (low, high) pair, so symmetry and
     the zero diagonal hold by construction; an absent pair reads as
     weight 0. Its values are :class:`EdgeRecord` objects in every state but
-    a run's working state, which no caller sees before the run ends.
+    two working states, which hold a bare float where a shift left one: a
+    run's, which no caller sees before the run ends, and the history
+    writer's (see :mod:`massgraph.io`), which only the package's own hooks
+    see.
 
     :attr:`incident` (node id -> keys of its edges),
     :attr:`degree_histogram`, the alive ids in ascending order (a tuple,

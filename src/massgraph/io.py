@@ -40,12 +40,13 @@ by piece, and a load that fails names the JSON path of the first piece
 that differs. The same snapshot text, with the kernel parameters, is
 what :func:`state_digest` hashes.
 
-Export and load write the snapshots from the history's one fold, one
-phase at a time, and never build the ``snapshots`` list. The writer hands
-each state to a per-state hook as it passes, through which the command
-line's ``run`` writes its DOT files and ``stats`` makes its rows, so each
-folds the run once for a file in canonical bytes and holds one state and
-its text beside its input or output.
+Export and load fold each phase's delta into one working copy of phase 0,
+in place, as the run did, and build neither the ``snapshots`` list nor a
+state per phase. The writer hands that state to a private per-state hook,
+through which the command line's ``run`` writes its DOT files and
+``stats`` makes its rows, so each folds the run once for a file in
+canonical bytes and holds one state and its text beside its input or
+output.
 """
 
 from __future__ import annotations
@@ -239,11 +240,13 @@ class _SnapshotWriter:
     rendered: with the state's delta, the delta's ids and each key in its
     edges or at its nodes, which is all a fold writes (settlement lifts
     every edge, an edge event shifts only the edges at its endpoints);
-    without, each key whose record is not the one last written. A new key
-    goes in at its place by bisection and keys a prune removed are filtered
-    out, so no phase sorts. A number that is not finite is written as
-    ``json.dumps`` writes it (``NaN``, ``Infinity``) and turns ``finite``
-    false, so a caller that needs JSON can refuse it.
+    without, each key whose record is not the one last written. An array
+    the delta wrote nothing in and lost no key of keeps its join, whether
+    or not its dict is the one last written. A new key goes in at its place
+    by bisection and keys a prune removed are filtered out, so no phase
+    sorts. A number that is not finite is written as ``json.dumps`` writes
+    it (``NaN``, ``Infinity``) and turns ``finite`` false, so a caller that
+    needs JSON can refuse it.
     """
 
     def __init__(self):
@@ -269,12 +272,14 @@ class _SnapshotWriter:
         """The comma-joined texts of ``records`` in ascending key order, with
         the keys in ``changed`` (by default, as above) rendered afresh."""
         last, keys, texts, text = self._arrays[name]
-        if records is last:
-            return text
         if not keys:  # every key is new: in ascending order, each one goes last
             changed = sorted(records)
         elif changed is None:  # found without a Python-level step per record
+            if records is last:
+                return text
             changed = compress(records, map(is_not, map(last.get, records), records.values()))
+        elif not changed and len(keys) == len(records):  # the delta wrote nothing here
+            return text
         for key in changed:
             at = bisect_left(keys, key)
             if at == len(keys) or keys[at] != key:  # a new key
@@ -325,10 +330,12 @@ def _history_pieces(history: PhaseHistory,
     around them as ``snapshots``. The top-level keys sort as
     ``prune_reports``, ``script``, ``snapshots``, and the compact JSON of
     an array is its elements' joined by commas. ``each(state)``, when
-    given, is called on each state of the history's one fold, in phase
-    order, before its snapshot is written. A number that is not finite
+    given, is called on each state in phase order, before its snapshot is
+    written: phase 0, then one working copy of it, stepped in place and
+    valid until the next call, whose shifted weights are bare floats, then
+    ``final`` (or the built ``snapshots``). A number that is not finite
     raises ValueError before its snapshot's piece is yielded."""
-    steps = history._steps()
+    steps = history._steps(in_place=True)
     initial = next(steps)[0]
     script = script_document(initial, history.events)
     yield "prune_reports", b'{"prune_reports":['

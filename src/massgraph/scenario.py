@@ -146,8 +146,9 @@ class PhaseHistory:
     them, so a reader that takes one phase at a time holds one state; it
     reads phase 0's histogram and alive ids, so :func:`metrics` of each
     reads no edge and no dead id.
-    The history's writer takes each from the same fold with its delta,
-    rewrites only what the delta wrote, and hands the state to a hook.
+    The history's writer folds the same deltas into one working copy of
+    phase 0 in place instead, as the run did, rewrites only what each wrote,
+    and hands that state, whose shifted weights are bare floats, to a hook.
     ``prune_reports`` are the log's reports, in order. ``snapshots`` is the
     list of the states, ``snapshots[i]`` the state at phase i, for callers
     that index or keep states: it is built on first read, and is then a
@@ -156,7 +157,8 @@ class PhaseHistory:
     ``final`` is the state at the last phase, the run's working state, which
     the package never changes after :func:`run_script` returns (nor any
     other state); the run made the bare floats its shifts left records when
-    it ended, so ``final``, like every state here, holds only records. For a
+    it ended, so ``final``, like every state that :meth:`states` and
+    ``snapshots`` hold, holds only records. For a
     scenario from :func:`generate_scenario`, whose phase-0 state holds the
     generator's run until ``run_script`` takes it or the state is dropped,
     the log and ``final`` can be that run's. Once ``snapshots`` is built,
@@ -171,16 +173,24 @@ class PhaseHistory:
         self._log = log
         self._final = final
 
-    def _folds(self) -> Iterator[tuple]:
+    def _folds(self, in_place: bool = False) -> Iterator[tuple]:
         """Every state in phase order with its phase's delta (None at phase
         0): each delta rebuilt from its event, the log and the state before
-        it, and folded onto that state; last comes ``final``."""
+        it, and folded onto that state; last comes ``final``. ``in_place``
+        steps one working copy of phase 0 instead, with phase 0's histogram,
+        and yields it at each phase between, valid until the next."""
         settled, numbers, keys, reports = self._log
         edges, reports = zip(keys, _FOUR.iter_unpack(numbers)), iter(reports)
         state, delta = self._initial, settled
         yield state, None
+        if in_place:
+            state = working_copy(state)
+            state._derived.histogram = self._initial._derived.histogram
         for event in self.events:
-            state = folded(state, delta)
+            if in_place:
+                advance(state, delta)
+            else:
+                state = folded(state, delta)
             yield state, delta
             if isinstance(event, AddEdge):
                 delta = _edge_change(state, event, *next(edges))
@@ -190,12 +200,12 @@ class PhaseHistory:
                 delta = _prune_change(state, next(reports))
         yield self._final, delta
 
-    def _steps(self) -> Iterator[tuple]:
+    def _steps(self, in_place: bool = False) -> Iterator[tuple]:
         """:meth:`_folds` afresh, or the built ``snapshots`` with no deltas."""
         built = vars(self).get("snapshots")
         if built is not None:
             return ((state, None) for state in built)
-        return self._folds()
+        return self._folds(in_place)
 
     def states(self) -> Iterator[GraphState]:
         """The states at phases 0 to the last, in order, as ``snapshots``

@@ -11,17 +11,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from massgraph import (
     AddEdge,
     AddNode,
+    GraphState,
+    MetricsReport,
     PhaseHistory,
     Prune,
+    ScenarioConfig,
     ScriptError,
     canonical_json_bytes,
     cli_main,
     export_dot,
     export_history_json,
+    generate_scenario,
     load_history,
     metrics,
     parse_script,
@@ -29,6 +35,8 @@ from massgraph import (
     script_document,
     state_digest,
 )
+from massgraph import scenario
+from massgraph.cli import _rows_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -283,6 +291,25 @@ class TestStats:
         assert cli_main(["stats", "--history", str(history)]) == 1
 
 
+# every number json writes as it is: -0.0, subnormals and the largest finite
+# float among the floats, and ints beyond 64 bits
+numbers = st.floats(allow_nan=False, allow_infinity=False)
+counts = st.integers(min_value=0) | st.integers(min_value=2**64, max_value=2**200)
+reports = st.builds(MetricsReport, phase=counts, total_mass=numbers, alive_nodes=counts,
+                    alive_edges=counts, max_mass_node=st.none() | st.tuples(counts, numbers),
+                    top_k_mass_share=numbers,
+                    degree_histogram=st.lists(counts, max_size=5).map(tuple))
+
+
+@given(st.lists(reports, max_size=4))
+@example([])
+@example([MetricsReport(0, -0.0, 0, 0, None, 1.0, ()),
+          MetricsReport(2**70, sys.float_info.max, 1, 0, (1, 5e-324), 2.2250738585072014e-308,
+                        (1,))])
+def test_the_rows_print_as_json_writes_them(rows):
+    assert _rows_json(rows) == json.dumps([vars(r) for r in rows], indent=2, sort_keys=True)
+
+
 def refuse_snapshots(monkeypatch) -> None:
     def refuse(history):
         raise AssertionError("a streamed reader built history.snapshots")
@@ -382,6 +409,52 @@ class TestStreamedReaders:
         assert cli_main(["stats", "--history", str(self.HISTORY)]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 61
         assert len(calls) == 1
+
+    def test_export_run_and_stats_step_one_state_whatever_the_phase_count(
+            self, tmp_path, capsys, monkeypatch):
+        # a count, not a time: the writer's pass folds no copy of a state,
+        # and the states built by export, run and stats do not grow with
+        # the phases
+        folds, built = [], []
+        real_folded, real_init = scenario.folded, GraphState.__init__
+
+        def counted_folded(*args):
+            folds.append(args)
+            return real_folded(*args)
+
+        def counted_init(state, *args, **kwargs):
+            built.append(state)
+            real_init(state, *args, **kwargs)
+
+        def counts(n_phases):
+            config = ScenarioConfig(seed=5, n_initial=20, mass_range=(1.5, 4.0),
+                                    weight_range=(1.5, 4.0), initial_edge_density=0.3,
+                                    n_phases=n_phases, event_mix=(0.6, 0.25, 0.15),
+                                    prune_threshold=5.0)
+            initial, events = generate_scenario(config)
+            script, out = tmp_path / f"s{n_phases}.json", tmp_path / f"h{n_phases}.json"
+            script.write_bytes(canonical_json_bytes(script_document(initial, events)))
+            history = run_script(initial, events)
+            assert any(report.removed_edges for report in history.prune_reports)
+            with monkeypatch.context() as patched:
+                patched.setattr(scenario, "folded", counted_folded)
+                patched.setattr(GraphState, "__init__", counted_init)
+                made = []
+                for command in (lambda: export_history_json(history),
+                                lambda: cli_main(["run", "--script", str(script), "--out",
+                                                  str(out), "--dot-every", "50"]),
+                                lambda: cli_main(["stats", "--history", str(out)])):
+                    built.clear()
+                    command()
+                    made.append(len(built))
+            assert len(json.loads(capsys.readouterr().out)) == n_phases + 1
+            assert out.read_bytes() == export_history_json(history)
+            return made
+
+        few, many = counts(30), counts(300)
+        assert few == many
+        assert max(many) <= 3
+        assert folds == []
 
     def test_each_load_replays_the_script_once(self, tmp_path, capsys, monkeypatch):
         calls = []

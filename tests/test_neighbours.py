@@ -20,6 +20,7 @@ from dataclasses import replace
 from unittest.mock import patch
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massgraph import (
     AddEdge,
@@ -30,6 +31,7 @@ from massgraph import (
     Prune,
     ScenarioConfig,
     apply_event,
+    export_dot,
     export_history_json,
     generate_scenario,
     load_history,
@@ -42,7 +44,7 @@ from massgraph import engine, scenario
 from massgraph.engine import (advance, event_delta, folded, node_delta, prune_delta, settle_delta,
                              working_copy)
 from massgraph.io import _history_pieces
-from test_roundtrip import biting, configs, rebuilt
+from test_roundtrip import biting, configs, rebuilt, shrinking
 
 
 def holds_index(state) -> bool:
@@ -413,6 +415,36 @@ def test_the_writers_pass_counts_a_histogram_only_if_its_hook_reads_one():
     held.clear()
     list(_history_pieces(history, read))
     assert held == [False] + [True] * n + [False]  # final counts its own
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(biting, shrinking))
+def test_the_writers_hook_sees_each_state_that_states_yields(config):
+    # the writer's pass steps one working state in place, where prunes
+    # remove edges and shifts go negative: at each phase the state its hook
+    # sees is the fold's, weight for weight, with a histogram it holds that
+    # a recount finds too, and the same DOT text
+    history = run_script(*generate_scenario(config))
+    expected = history.states()
+    phases = []
+
+    def check(state):
+        other = next(expected)
+        phases.append(state.phase)
+        assert state.phase == other.phase
+        assert state.nodes == other.nodes
+        assert all(isinstance(w, float) for w in state.edges.values())
+        assert list(state.edges.items()) == list(other.edges.items())
+        assert state._alive == other._alive
+        if state is not history.final:  # which counts its own on first read
+            assert state._derived.histogram is not None  # phase 0's, handed on
+        recount = GraphState(state.phase, dict(state.nodes), dict(state.edges))
+        assert state.degree_histogram == recount.degree_histogram
+        assert export_dot(state) == export_dot(other)
+
+    list(_history_pieces(history, check))
+    assert phases == list(range(len(history.events) + 2))
+    assert next(expected, None) is None
 
 
 def test_a_fold_derives_its_histogram_from_its_predecessors():
