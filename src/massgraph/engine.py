@@ -7,8 +7,8 @@ threshold, a string label) and store each number as the float they
 return, so every event that exists is one the model defines. Valid fields
 of the exact type cost one check; a refusal names its field in ``path``.
 
-Each transition first computes its :class:`PhaseDelta` from a state it only
-reads (:func:`settle_delta`, :func:`edge_delta`, :func:`node_delta`,
+Each transition first computes its delta from a state it only reads
+(:func:`settle_delta`, :func:`edge_delta`, :func:`node_delta`,
 :func:`prune_delta`); a state's checks run there, before anything changes, and
 the model's rules are documented there. A run owns one :func:`working_copy`
 of its phase-0 state and folds each delta into it with :func:`advance`, so
@@ -21,16 +21,16 @@ own order is still a fixed function of the script (phase-0 pairs ascending,
 each added pair last, survivors of a prune in their places), so identical
 inputs reproduce bit-identical states.
 
-An edge event's delta keeps the rule, not its result: the two grown node
-records, the new edge's weight and ``shift = ln(gain)``, which
-:func:`advance` adds to every weight at the two endpoints as a bare float;
-only a working state keeps those (a run's, until it ends, and the history
-writer's), and no state handed out holds one. So a delta costs O(1) per
-edge event, whatever the endpoints' degrees. A run keeps less: its log (see
-:class:`~massgraph.scenario.PhaseHistory`) holds an edge event's four
-numbers and its new pair's key, from which :func:`_edge_change` rebuilds
-the delta, and a prune's report, from which :func:`_prune_change` does; a
-node event's delta is :func:`node_delta`'s, which reads only the next id.
+An edge event's delta is its step, an :class:`EdgeStep`: the rule, not its
+result, as its key, the endpoints' grown masses, the new weight and
+``shift = ln(gain)``, which :func:`advance` adds to every weight at the two
+endpoints as a bare float, as it leaves the new weight; only a working
+state keeps those (a run's, until it ends, and the history writer's), and
+no state handed out holds one. So a step costs O(1), whatever the
+endpoints' degrees, and builds no record. A run's log (see
+:class:`~massgraph.scenario.PhaseHistory`) holds each step as it is, and a
+prune's report, from which :func:`_prune_change` rebuilds the delta, a
+:class:`PhaseDelta`; a node event's is :func:`node_delta`'s, as is.
 
 :func:`advance` is the one step that changes a state: its dicts, and the
 incidence index (:attr:`GraphState.incident`, node id -> keys of its
@@ -115,38 +115,47 @@ class PruneReport:
 
 
 class PhaseDelta(NamedTuple):
-    """What one transition changes: the node records it changes or adds, the
-    edge weights it changes or adds, and, for a prune, its report, whose
-    edges it removes.
-
-    An edge event's delta holds its one new edge weight and ``shift``,
-    ln(gain): the endpoints are that edge's key, and :func:`advance` adds
-    ``shift`` to the weight of every edge at them that existed before.
-    ``shift`` is None for every other transition."""
+    """What settlement, a node event or a prune changes: the node records it
+    changes or adds, the edge weights it changes or adds, and, for a prune,
+    its report, whose edges it removes. An edge event's delta is its
+    :class:`EdgeStep`."""
 
     nodes: dict[int, NodeRecord]
     edges: dict[tuple[int, int], EdgeRecord]
     report: PruneReport | None = None
-    shift: float | None = None
 
 
-def folded(state: GraphState, delta: PhaseDelta) -> GraphState:
+class EdgeStep(NamedTuple):
+    """An edge event's delta, which is one row of a run's log: its new
+    pair's key, the grown masses of the key's low and high endpoints, the
+    new edge's weight and ``shift``, ln(gain), which :func:`advance` adds to
+    the weight of every edge at the endpoints that existed before."""
+
+    key: tuple[int, int]
+    mass_low: float
+    mass_high: float
+    weight: float
+    shift: float
+
+
+def folded(state: GraphState, delta: PhaseDelta | EdgeStep) -> GraphState:
     """``state``'s successor, with ``delta`` folded onto copies of the dicts
     it changes; a dict it leaves alone (the edges, for a node event or a
     prune that removes no edge) is shared. The successor takes ``state``'s
     index, so ``state`` builds another if it is read again, and shares its
     degree histogram, alive tuple and floor, and :func:`advance` steps
-    each; the weights its shift leaves as floats become records."""
-    nodes = dict(state.nodes) if delta.nodes else state.nodes
-    changes_edges = delta.edges or (delta.report and delta.report.removed_edges)
+    each; the weights an edge step leaves as floats become records."""
+    step = type(delta) is EdgeStep
+    nodes = dict(state.nodes) if step or delta.nodes else state.nodes
+    changes_edges = step or delta.edges or (delta.report and delta.report.removed_edges)
     edges = dict(state.edges) if changes_edges else state.edges
     successor = GraphState(state.phase, nodes, edges, state.params)
     derived, held = successor._derived, state._derived
     derived.incident, held.incident = state.incident, None
     derived.histogram, derived.alive, derived.floor = held.histogram, held.alive, held.floor
     advance(successor, delta)
-    if delta.shift is not None:  # the shift left bare floats at the endpoints
-        ((a, b),) = delta.edges
+    if step:
+        a, b = delta.key
         _records(successor.edges, successor.incident[a] + successor.incident[b])
     return successor
 
@@ -164,14 +173,15 @@ def working_copy(state: GraphState) -> GraphState:
     return copy
 
 
-def advance(state: GraphState, delta: PhaseDelta) -> None:
+def advance(state: GraphState, delta: PhaseDelta | EdgeStep) -> None:
     """Fold ``delta`` into ``state``'s dicts, held index and held degree
     histogram, in place, and move its phase on by one; ``state`` shares no
     dict with another state. A changed record keeps its key's place, an
     added one goes last, a prune's survivors keep theirs, and a changed
-    index entry gets a new tuple. An edge event's shift reaches the edges at
-    its endpoints through the index, before the new key joins it, and leaves
-    each a bare float, which only a working state keeps. A held
+    index entry gets a new tuple. An edge step writes in O(deg(k) + deg(l)):
+    its shift reaches the edges at its endpoints through the index, before
+    its key joins their entries, and leaves each, like its new weight, a
+    bare float, which only a working state keeps. A held
     histogram stays exact in O(touched), and is kept if no count changes:
     each touched node leaves its old degree's count if it was alive and
     joins its new one if it is alive now. A held alive tuple changes only
@@ -181,12 +191,33 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
     weights, by ln of a mass sum above 2, so it keeps the floor; after a
     prune every weight is at least its threshold, so the floor rises to it."""
     nodes, edges, incident = state.nodes, state.edges, state.incident
-    derived, report = state._derived, delta.report
+    derived = state._derived
     hist, alive, floor = derived.histogram, derived.alive, derived.floor
+    if type(delta) is EdgeStep:
+        new, mass_a, mass_b, weight, shift = delta
+        a, b = new
+        at_a, at_b = incident[a], incident[b]
+        nodes[a] = NodeRecord(mass_a, nodes[a].label)
+        nodes[b] = NodeRecord(mass_b, nodes[b].label)
+        shifted = at_a + at_b
+        for key in shifted:
+            edges[key] = edges[key] + shift
+        edges[new] = weight
+        incident[a], incident[b] = at_a + (new,), at_b + (new,)
+        if floor is not None:
+            low = min([weight, *map(edges.__getitem__, shifted)]) if shift < 0 else weight
+            derived.floor = low if low < floor else floor
+        if hist is not None:  # a last 0, for a new highest degree
+            counts = [*hist, 0]
+            for d in (len(at_a), len(at_b)):
+                counts[d] -= 1
+                counts[d + 1] += 1
+            derived.histogram = tuple(counts if counts[-1] else counts[:-1])
+        object.__setattr__(state, "phase", state.phase + 1)
+        return
+    report = delta.report
     if hist is not None:
-        touched = set(delta.nodes)
-        for key in delta.edges:
-            touched.update(key)
+        touched = set(delta.nodes)  # settlement's weights change no degree
         if report is not None:
             for key, _ in report.removed_edges:
                 touched.update(key)
@@ -202,20 +233,6 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
                 alive += (i,)
     nodes.update(delta.nodes)
     edges.update(delta.edges)
-    shift = delta.shift
-    if shift is not None:
-        (new,) = delta.edges
-        a, b = new
-        shifted = incident[a] + incident[b]
-        for key in shifted:
-            edges[key] = edges[key] + shift
-        incident[a] += (new,)
-        incident[b] += (new,)
-        if floor is not None:
-            if edges[new] < floor:
-                floor = edges[new]
-            if shift < 0 and shifted:
-                floor = min(floor, min(map(edges.__getitem__, shifted)))
     if report is not None:
         removed = [key for key, _ in report.removed_edges]
         for key in removed:
@@ -244,7 +261,7 @@ def advance(state: GraphState, delta: PhaseDelta) -> None:
 
 def _records(edges: dict, keys) -> None:
     """Make each value of ``edges`` among ``keys`` that is a bare float, as
-    :func:`advance`'s shift leaves it, an :class:`EdgeRecord`."""
+    :func:`advance` leaves an edge step's weights, an :class:`EdgeRecord`."""
     for key in keys:
         if type(w := edges[key]) is float:
             edges[key] = EdgeRecord(w)
@@ -302,7 +319,7 @@ def settle_phase_one(state: GraphState) -> GraphState:
     return successor
 
 
-def edge_delta(state: GraphState, event: AddEdge) -> PhaseDelta:
+def edge_delta(state: GraphState, event: AddEdge) -> EdgeStep:
     """A dynamic edge input, in this fixed order.
 
     1. Both endpoint masses grow by the reinforcement of the initial
@@ -319,8 +336,9 @@ def edge_delta(state: GraphState, event: AddEdge) -> PhaseDelta:
 
     Both endpoints must be alive nodes. The pair must not currently be
     connected; a pair whose edge was pruned earlier may be reconnected.
-    The delta holds two node records, the new edge's weight and the shift
-    of step 3, whatever deg(k) + deg(l) is; it reads no incidence index.
+    The delta is the event's :class:`EdgeStep`: its key, the grown masses,
+    the new edge's weight and the shift of step 3, whatever deg(k) + deg(l)
+    is; it builds no record and reads no incidence index.
     """
     k, l, w = event.k, event.l, event.initial_weight
     nodes = state.nodes
@@ -336,23 +354,12 @@ def edge_delta(state: GraphState, event: AddEdge) -> PhaseDelta:
             f"nodes {k} and {l} are already connected; only one edge per pair"
         )
     gain = reinforcement(w, state.params)
-    mass_k = nodes[k].mass + gain
-    mass_l = nodes[l].mass + gain
+    low, high = key
+    mass_low = nodes[low].mass + gain
+    mass_high = nodes[high].mass + gain
     shift = math.log(gain)
-    weight = _finite(key, w + math.log(mass_k + mass_l))
-    return _edge_change(state, event, key, (mass_k, mass_l, weight, shift))
-
-
-def _edge_change(state: GraphState, event: AddEdge, key: tuple[int, int],
-                 numbers: tuple) -> PhaseDelta:
-    """The delta of an edge event on ``state`` from its new pair's key and
-    its four numbers: k's and l's grown masses, the new weight and the
-    shift. The endpoints' labels are ``state``'s."""
-    k, l = event.k, event.l
-    mass_k, mass_l, weight, shift = numbers
-    nodes = state.nodes
-    grown = {k: NodeRecord(mass_k, nodes[k].label), l: NodeRecord(mass_l, nodes[l].label)}
-    return PhaseDelta(grown, {key: EdgeRecord(weight)}, None, shift)
+    weight = _finite(key, w + math.log(mass_low + mass_high))
+    return EdgeStep(key, mass_low, mass_high, weight, shift)
 
 
 def node_delta(state: GraphState, event: AddNode) -> PhaseDelta:
@@ -401,7 +408,7 @@ def _prune_change(state: GraphState, report: PruneReport) -> PhaseDelta:
     return PhaseDelta(dead, {}, report)
 
 
-def event_delta(state: GraphState, event: Event) -> PhaseDelta:
+def event_delta(state: GraphState, event: Event) -> PhaseDelta | EdgeStep:
     """Dispatch one event to its delta; every event needs a settled state."""
     if state.phase < 1:
         raise SequencingError(
@@ -418,11 +425,12 @@ def event_delta(state: GraphState, event: Event) -> PhaseDelta:
 
 def apply_event(state: GraphState, event: Event) -> tuple[GraphState, PruneReport | None]:
     """The state after one event, and a prune's report; ``state`` keeps its
-    fields. The successor holds records, never a shifted bare float."""
+    fields. The successor holds records, never an edge step's bare float."""
     delta = event_delta(state, event)
     successor = working_copy(state)
     advance(successor, delta)
-    if delta.shift is not None:  # as in folded
-        ((a, b),) = delta.edges
-        _records(successor.edges, successor.incident[a] + successor.incident[b])
-    return successor, delta.report
+    if type(delta) is not EdgeStep:
+        return successor, delta.report
+    a, b = delta.key  # as in folded
+    _records(successor.edges, successor.incident[a] + successor.incident[b])
+    return successor, None

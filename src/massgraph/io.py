@@ -60,7 +60,7 @@ from itertools import chain, compress
 from operator import is_not
 from typing import NoReturn
 
-from .engine import AddEdge, AddNode, Event, Prune, PruneReport
+from .engine import AddEdge, AddNode, EdgeStep, Event, Prune, PruneReport
 from .errors import MassGraphError, ScriptError
 from .graph import EdgeRecord, GraphState, NodeRecord, initial_inputs, new_graph
 from .kernel import KernelParams, as_int
@@ -237,9 +237,9 @@ class _SnapshotWriter:
 
     Per array it keeps the dict last written, its keys in ascending order,
     their texts in that order, and their join. Only changed keys are
-    rendered: with the state's delta, the delta's ids and each key in its
-    edges or at its nodes, which is all a fold writes (settlement lifts
-    every edge, an edge event shifts only the edges at its endpoints);
+    rendered: with the state's delta, the delta's ids (an edge step's, its
+    key's) and each key in its edges or at those ids, which is all a fold
+    writes (settlement lifts every edge, an edge step writes only at its key's);
     without, each key whose record is not the one last written. An array
     the delta wrote nothing in and lost no key of keeps its join, whether
     or not its dict is the one last written. A new key goes in at its place
@@ -296,10 +296,13 @@ class _SnapshotWriter:
     def text(self, state: GraphState, lead: bytes = b"", delta=None) -> bytes:
         """``state``'s snapshot text, after ``lead``; ``delta``, when given,
         is its phase's delta."""
-        edges = delta and {*delta.edges, *chain(*map(state.incident.__getitem__, delta.nodes))}
+        step = type(delta) is EdgeStep  # its new key is at its key's ids
+        ids = delta.key if step else delta and delta.nodes
+        edges = delta and {*chain(*map(state.incident.__getitem__, ids)),
+                           *(() if step else delta.edges)}
         return b'%b{"edges":[%b],"nodes":[%b],"phase":%d}' % (
             lead, self._array("edges", state.edges, self._edge, edges),
-            self._array("nodes", state.nodes, self._node, delta and delta.nodes), state.phase)
+            self._array("nodes", state.nodes, self._node, ids), state.phase)
 
 
 def _report_to_json(report: PruneReport) -> dict:

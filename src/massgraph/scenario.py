@@ -25,10 +25,10 @@ from functools import cached_property
 from .engine import (
     AddEdge,
     AddNode,
+    EdgeStep,
     Event,
     Prune,
     PruneReport,
-    _edge_change,
     _prune_change,
     _records,
     advance,
@@ -122,23 +122,23 @@ class PhaseHistory:
 
     A run keeps only the phase-0 state, its events, a log of numbers and
     its working final state. The log holds settlement's delta; for each
-    edge event, four doubles packed in one bytearray (its endpoints' grown
-    masses, its new weight and ``shift``, the ln(gain) that
-    :func:`~massgraph.engine.advance` adds to every weight at the
-    endpoints) and the key of its new pair; and each prune's report. A node
-    event needs nothing beyond itself: its id is the next one. So the log
-    grows with the changes, not with the weights a shift changes. The state
-    at each phase is made by rebuilding its
-    :class:`~massgraph.engine.PhaseDelta` from its event, the log and the
-    state before it (the endpoints' labels, a prune's dead records), and
+    edge event, its delta, an :class:`~massgraph.engine.EdgeStep`, as the
+    key of its new pair and four doubles packed in one bytearray (the key's
+    low and high endpoints' grown masses, its new weight and ``shift``, the
+    ln(gain) that :func:`~massgraph.engine.advance` adds to every weight at
+    the endpoints); and each prune's report. A node event needs nothing
+    beyond itself: its id is the next one. So the log grows with the
+    changes, not with the weights a shift changes. The state at each phase
+    is made by taking its delta from the log (an edge event's step as it
+    is, a prune's dead records from the state before it), and
     folding it onto copies (:func:`~massgraph.engine.folded`): a folded
     state shares each dict its delta leaves alone with its predecessor (the
     edges, after a node event or a prune that removes no edge), and takes
     its predecessor's incidence index and any degree histogram, alive ids
     and floor it holds, which :func:`~massgraph.engine.advance` keeps exact;
     the last state is the final state itself, which counts its own on first
-    use. The numbers are the ones the run computed, so each rebuilt record
-    equals the run's. Each fold reads ``events``, the run's own list, which
+    use. The numbers are the ones the run computed, so each record a fold
+    builds equals the run's. Each fold reads ``events``, the run's own list, which
     the package never changes; a caller that changes it changes what the
     folds rebuild.
 
@@ -156,7 +156,7 @@ class PhaseHistory:
 
     ``final`` is the state at the last phase, the run's working state, which
     the package never changes after :func:`run_script` returns (nor any
-    other state); the run made the bare floats its shifts left records when
+    other state); the run made the bare floats its steps left records when
     it ended, so ``final``, like every state that :meth:`states` and
     ``snapshots`` hold, holds only records. For a
     scenario from :func:`generate_scenario`, whose phase-0 state holds the
@@ -180,7 +180,7 @@ class PhaseHistory:
         steps one working copy of phase 0 instead, with phase 0's histogram,
         and yields it at each phase between, valid until the next."""
         settled, numbers, keys, reports = self._log
-        edges, reports = zip(keys, _FOUR.iter_unpack(numbers)), iter(reports)
+        keys, numbers, reports = iter(keys), _FOUR.iter_unpack(numbers), iter(reports)
         state, delta = self._initial, settled
         yield state, None
         if in_place:
@@ -193,7 +193,7 @@ class PhaseHistory:
                 state = folded(state, delta)
             yield state, delta
             if isinstance(event, AddEdge):
-                delta = _edge_change(state, event, *next(edges))
+                delta = EdgeStep(next(keys), *next(numbers))
             elif isinstance(event, AddNode):
                 delta = node_delta(state, event)
             else:
@@ -275,11 +275,11 @@ def _run(initial: GraphState,
     """The one loop of a run: settle ``initial`` and fold each event of
     ``draw(state, reports)``, read once the one before is folded, into one
     working copy, ``state``; ``reports`` are the prunes' reports so far.
-    Returns the run's log (settlement's delta, the edge events' numbers,
-    their keys and the reports; see :class:`PhaseHistory`), ``state``, whose
-    shifted weights stay bare floats until the loop's end makes them records,
-    and the events; a failing transition raises :class:`SimulationError`
-    with its phase."""
+    Returns the run's log (settlement's delta, the edge events' steps, each
+    packed as is, and the reports; see :class:`PhaseHistory`), ``state``,
+    whose weights the steps wrote stay bare floats until the loop's end
+    makes them records, and the events; a failing transition raises
+    :class:`SimulationError` with its phase."""
     try:
         settled = settle_delta(initial)
     except MassGraphError as err:
@@ -296,16 +296,13 @@ def _run(initial: GraphState,
                 phase=state.phase + 1, event=event,
             ) from err
         advance(state, delta)
-        nodes, edges, report, shift = delta
-        if shift is not None:  # an edge event: its key and numbers, not its records
-            (key, weight), = edges.items()
-            grown_k, grown_l = nodes.values()
-            keys.append(key)
-            numbers += _FOUR.pack(grown_k.mass, grown_l.mass, weight, shift)
-        elif report is not None:
-            reports.append(report)
+        if isinstance(event, AddEdge):  # its step is its key and four numbers
+            keys.append(delta.key)
+            numbers += _FOUR.pack(*delta[1:])
+        elif delta.report is not None:
+            reports.append(delta.report)
         events.append(event)
-    _records(state.edges, state.edges)  # once per run, O(E): the shifts left floats
+    _records(state.edges, state.edges)  # once per run, O(E): the steps left floats
     return (settled, numbers, keys, reports), state, events
 
 

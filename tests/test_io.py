@@ -41,6 +41,7 @@ from massgraph import (
     settle_phase_one,
     state_digest,
 )
+from massgraph.engine import EdgeStep
 from massgraph.io import _history_pieces, _parse_event, _SnapshotWriter
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -528,8 +529,13 @@ class TestHistoryExport:
                 expected.append(sizes[-1])
             else:
                 own = GraphState(state.phase, state.nodes, state.edges).incident
-                edges = {*delta.edges, *(key for i in delta.nodes for key in own[i])}
-                expected.append(len(delta.nodes) + len(edges))
+                if type(delta) is EdgeStep:  # its key's ids, at which its new key is
+                    ids, edges = delta.key, {key for i in delta.key for key in own[i]}
+                    assert delta.key in edges
+                else:
+                    ids = delta.nodes
+                    edges = {*delta.edges, *(key for i in ids for key in own[i])}
+                expected.append(len(ids) + len(edges))
 
         counts = []
         for path, _ in _history_pieces(history):

@@ -175,8 +175,9 @@ class TestRunScript:
         return history, steps, built[EdgeRecord] - steps[-1][0]
 
     def test_an_event_builds_only_the_records_it_touches(self):
-        # an edge event builds its new edge's record, whatever deg(k) + deg(l)
-        # is: the shift leaves floats, which the run's end makes records
+        # an edge event builds its endpoints' two records and no edge record,
+        # whatever deg(k) + deg(l) is: its step leaves its new weight and the
+        # shifted ones floats, which the run's end makes records
         config = ScenarioConfig(seed=3, n_initial=10, n_phases=80,
                                 event_mix=(0.6, 0.2, 0.2), prune_threshold=20.0)
         initial, events = generate_scenario(config)
@@ -190,7 +191,7 @@ class TestRunScript:
             node_records = steps[p][1] - steps[p - 1][1]
             if isinstance(event, AddEdge):
                 shifted += len(before.incident[event.k]) + len(before.incident[event.l])
-                assert (edge_records, node_records) == (1, 2)
+                assert (edge_records, node_records) == (0, 2)
             elif isinstance(event, AddNode):
                 assert (edge_records, node_records) == (0, 1)
             else:
@@ -201,15 +202,16 @@ class TestRunScript:
 
     def test_an_edge_event_builds_one_record_whatever_its_degrees(self):
         # two hubs, of degree 9 -> 39 and 1 -> 31: each event shifts every
-        # edge at its endpoints, and builds one record, its new edge's
+        # edge at its endpoints, and builds its endpoints' two records and no
+        # edge record, not even its new edge's: the run's end builds them once
         initial = new_graph([3.0] * 40, [(1, j, 3.0) for j in range(2, 11)])
         events = [AddEdge(hub, j, 3.0) for hub in (1, 2) for j in range(11, 41)]
         history, steps, at_end = self.counted_run(initial, events)
         before = history.snapshots[1]
         assert len(before.incident[1]) == 9
         assert [len(history.final.incident[hub]) for hub in (1, 2)] == [39, 31]
-        assert [after[0] - prior[0] for prior, after in zip(steps, steps[1:])] == \
-               [1] * len(events)
+        assert [(after[0] - prior[0], after[1] - prior[1])
+                for prior, after in zip(steps, steps[1:])] == [(0, 2)] * len(events)
         assert 0 < at_end <= len(history.final.edges)
         assert all(type(edge) is EdgeRecord for edge in history.final.edges.values())
 
@@ -232,15 +234,18 @@ class TestRunScript:
         assert set(settled.edges) == set(initial.edges)
         (packed,) = [o for o in kept if isinstance(o, bytearray)]
         numbers = struct.unpack(f"{4 * len(events)}d", packed)
+        keys = history._log[2]
         steps = history._folds()
         next(steps), next(steps)  # phases 0 and 1
         before = history.snapshots[1]
         touched = 0
         for (p, event), (state, delta) in zip(enumerate(events, start=2), steps):
-            key = edge_key(event.k, event.l)
-            assert list(delta.edges) == [key] and set(delta.nodes) == set(key)
-            assert [delta.nodes[event.k].mass, delta.nodes[event.l].mass, delta.edges[key],
-                    delta.shift] == list(numbers[4 * (p - 2):4 * (p - 1)])
+            # each fold's step is its log row: the run's key and four doubles
+            assert type(delta) is engine.EdgeStep and delta.key is keys[p - 2]
+            assert delta == (edge_key(event.k, event.l), *numbers[4 * (p - 2):4 * (p - 1)])
+            low, high = delta.key
+            assert (delta.mass_low, delta.mass_high, delta.weight) == \
+                (state.nodes[low].mass, state.nodes[high].mass, state.edges[delta.key])
             assert state == history.snapshots[p]
             touched += len(before.incident[event.k]) + len(before.incident[event.l])
             before = history.snapshots[p]
@@ -309,6 +314,50 @@ class TestRunScript:
                 assert after.edges is before.edges
         assert (shared, biting) == (7, 6)
         assert unsorted > 0  # survivors a sort would have moved
+
+    def test_weakening_and_hub_runs_export_their_pinned_digests(self):
+        # beyond the dense oracle's 1e-9: the sha256 of each history's export
+        # pins every float bit for bit, on a run where most edge events weaken
+        # and prunes bite, and on a run whose hubs exceed degree 30
+        runs = {"weakening": run_script(*generate_scenario(WEAKENING)),
+                "hub": run_script(*hub_script())}
+        shifts = struct.unpack(f"{len(runs['weakening']._log[1]) // 8}d",
+                               runs["weakening"]._log[1])[3::4]
+        assert (len(shifts), sum(shift < 0 for shift in shifts)) == (172, 131)
+        assert sum(len(r.removed_edges) for r in runs["weakening"].prune_reports) == 170
+        assert max(len(ids) for ids in runs["hub"].final.incident.values()) > 30
+        pinned = dict(line.split() for line in
+                      (GOLDEN / "digests_weakening.txt").read_text().splitlines())
+        assert {name: hashlib.sha256(export_history_json(history)).hexdigest()
+                for name, history in runs.items()} == pinned
+
+
+# mostly weakening edge events (weights and masses near 1 give gains below
+# 1) and prunes that remove edges
+WEAKENING = ScenarioConfig(seed=1, n_initial=30, n_phases=300, mass_range=(1.1, 3.0),
+                           weight_range=(1.1, 3.0), prune_threshold=3.0,
+                           event_mix=(0.6, 0.2, 0.2), initial_edge_density=0.2)
+
+
+def hub_script():
+    """The preferential-attachment script of
+    ``test_a_run_keeps_at_most_64_bytes_per_edge_event``: its phase-0 state
+    and events."""
+    rng = random.Random(1)
+    initial = new_graph([rng.uniform(2.0, 50.0) for _ in range(3)],
+                        [(1, 2, 3.0), (1, 3, 3.0), (2, 3, 3.0)])
+    ends, events = [1, 2, 1, 3, 2, 3], []
+    for i in range(4, 304):
+        events.append(AddNode(rng.uniform(2.0, 50.0)))
+        partners = set()
+        while len(partners) < 2:
+            partners.add(ends[rng.randrange(len(ends))])
+        for j in sorted(partners):
+            events.append(AddEdge(j, i, rng.uniform(3.0, 30.0)))
+            ends += [i, j]
+        if i % 50 == 0:
+            events.append(Prune(3.0))
+    return initial, events
 
 
 # CI's forgetting config: about half of its prunes remove edges
