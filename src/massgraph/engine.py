@@ -21,16 +21,17 @@ own order is still a fixed function of the script (phase-0 pairs ascending,
 each added pair last, survivors of a prune in their places), so identical
 inputs reproduce bit-identical states.
 
-An edge event's delta is its step, an :class:`EdgeStep`: the rule, not its
-result, as its key, the endpoints' grown masses, the new weight and
-``shift = ln(gain)``, which :func:`advance` adds to every weight at the two
-endpoints as a bare float, as it leaves the new weight; only a working
-state keeps those (a run's, until it ends, and the history writer's), and
-no state handed out holds one. So a step costs O(1), whatever the
-endpoints' degrees, and builds no record. A run's log (see
-:class:`~massgraph.scenario.PhaseHistory`) holds each step as it is, and a
-prune's report, from which :func:`_prune_change` rebuilds the delta, a
-:class:`PhaseDelta`; a node event's is :func:`node_delta`'s, as is.
+Each event's delta is the row a run's log (see
+:class:`~massgraph.scenario.PhaseHistory`) keeps of it, and settlement's is
+a :class:`PhaseDelta`. An edge event's is its step, an :class:`EdgeStep`:
+the rule, not its result, as its key, the endpoints' grown masses, the new
+weight and ``shift = ln(gain)``, which :func:`advance` adds to every weight
+at the two endpoints as a bare float, as it leaves the new weight; only a
+working state keeps those (a run's, until it ends, and the history
+writer's), and no state handed out holds one. So a step costs O(1),
+whatever the endpoints' degrees, and builds no record. A node event's delta
+is its new :class:`~massgraph.graph.NodeRecord`, and a prune's is its
+:class:`PruneReport`, from which :func:`advance` makes the dead records.
 
 :func:`advance` is the one step that changes a state: its dicts, and the
 incidence index (:attr:`GraphState.incident`, node id -> keys of its
@@ -115,14 +116,14 @@ class PruneReport:
 
 
 class PhaseDelta(NamedTuple):
-    """What settlement, a node event or a prune changes: the node records it
-    changes or adds, the edge weights it changes or adds, and, for a prune,
-    its report, whose edges it removes. An edge event's delta is its
-    :class:`EdgeStep`."""
+    """Settlement's delta: the node records it grows and every edge's
+    lifted weight. Each event's delta is its row of a run's log instead: an
+    edge event's, its :class:`EdgeStep`; a node event's, its new
+    :class:`~massgraph.graph.NodeRecord`; a prune's, its
+    :class:`PruneReport`."""
 
     nodes: dict[int, NodeRecord]
     edges: dict[tuple[int, int], EdgeRecord]
-    report: PruneReport | None = None
 
 
 class EdgeStep(NamedTuple):
@@ -138,23 +139,29 @@ class EdgeStep(NamedTuple):
     shift: float
 
 
-def folded(state: GraphState, delta: PhaseDelta | EdgeStep) -> GraphState:
+def folded(state: GraphState, delta: PhaseDelta | EdgeStep | NodeRecord | PruneReport
+           ) -> GraphState:
     """``state``'s successor, with ``delta`` folded onto copies of the dicts
-    it changes; a dict it leaves alone (the edges, for a node event or a
-    prune that removes no edge) is shared. The successor takes ``state``'s
+    its kind changes; a dict it leaves alone (the edges, for a node event or
+    a prune that removes no edge) is shared. The successor takes ``state``'s
     index, so ``state`` builds another if it is read again, and shares its
     degree histogram, alive tuple and floor, and :func:`advance` steps
     each; the weights an edge step leaves as floats become records."""
-    step = type(delta) is EdgeStep
-    nodes = dict(state.nodes) if step or delta.nodes else state.nodes
-    changes_edges = step or delta.edges or (delta.report and delta.report.removed_edges)
-    edges = dict(state.edges) if changes_edges else state.edges
+    kind = type(delta)
+    if kind is PruneReport:
+        copies = delta.removed_nodes, delta.removed_edges
+    elif kind is PhaseDelta:
+        copies = delta.nodes, delta.edges
+    else:  # an edge step writes both dicts, a node event's record the nodes
+        copies = True, kind is EdgeStep
+    nodes = dict(state.nodes) if copies[0] else state.nodes
+    edges = dict(state.edges) if copies[1] else state.edges
     successor = GraphState(state.phase, nodes, edges, state.params)
     derived, held = successor._derived, state._derived
     derived.incident, held.incident = state.incident, None
     derived.histogram, derived.alive, derived.floor = held.histogram, held.alive, held.floor
     advance(successor, delta)
-    if step:
+    if kind is EdgeStep:
         a, b = delta.key
         _records(successor.edges, successor.incident[a] + successor.incident[b])
     return successor
@@ -173,27 +180,31 @@ def working_copy(state: GraphState) -> GraphState:
     return copy
 
 
-def advance(state: GraphState, delta: PhaseDelta | EdgeStep) -> None:
+def advance(state: GraphState, delta: PhaseDelta | EdgeStep | NodeRecord | PruneReport) -> None:
     """Fold ``delta`` into ``state``'s dicts, held index and held degree
     histogram, in place, and move its phase on by one; ``state`` shares no
-    dict with another state. A changed record keeps its key's place, an
-    added one goes last, a prune's survivors keep theirs, and a changed
-    index entry gets a new tuple. An edge step writes in O(deg(k) + deg(l)):
-    its shift reaches the edges at its endpoints through the index, before
-    its key joins their entries, and leaves each, like its new weight, a
-    bare float, which only a working state keeps. A held
-    histogram stays exact in O(touched), and is kept if no count changes:
-    each touched node leaves its old degree's count if it was alive and
-    joins its new one if it is alive now. A held alive tuple changes only
-    when a node is added (it goes last, as ids grow) or a prune removes
-    nodes. A held floor drops to the new weight of an edge event, and to its
-    shifted weights only when the shift is negative; settlement only raises
-    weights, by ln of a mass sum above 2, so it keeps the floor; after a
-    prune every weight is at least its threshold, so the floor rises to it."""
+    dict with another state. Each kind takes its own branch. An edge step
+    writes in O(deg(k) + deg(l)): its shift reaches the edges at its
+    endpoints through the index, before its key joins their entries, and
+    leaves each, like its new weight, a bare float, which only a working
+    state keeps; its masses replace its endpoints' records in their places.
+    Settlement's records replace theirs in their places and change no
+    degree, no liveness and, as it only raises weights (by ln of a mass sum
+    above 2), no floor. A node event's record goes last, under the next id,
+    with an empty index entry and a count of degree 0. A prune deletes its
+    report's edges, gives their endpoints' entries new tuples, replaces
+    each removed node's record in its place by a dead one, and raises the
+    floor to its threshold, which every weight left is at least. A held
+    histogram stays exact in O(touched), and is kept if no count changes; a
+    held alive tuple changes only when a node is added (it goes last, as
+    ids grow) or a prune removes nodes; a held floor drops to the new weight
+    of an edge event, and to its shifted weights only when the shift is
+    negative."""
     nodes, edges, incident = state.nodes, state.edges, state.incident
     derived = state._derived
     hist, alive, floor = derived.histogram, derived.alive, derived.floor
-    if type(delta) is EdgeStep:
+    kind = type(delta)
+    if kind is EdgeStep:
         new, mass_a, mass_b, weight, shift = delta
         a, b = new
         at_a, at_b = incident[a], incident[b]
@@ -213,49 +224,44 @@ def advance(state: GraphState, delta: PhaseDelta | EdgeStep) -> None:
                 counts[d] -= 1
                 counts[d + 1] += 1
             derived.histogram = tuple(counts if counts[-1] else counts[:-1])
-        object.__setattr__(state, "phase", state.phase + 1)
-        return
-    report = delta.report
-    if hist is not None:
-        touched = set(delta.nodes)  # settlement's weights change no degree
-        if report is not None:
-            for key, _ in report.removed_edges:
-                touched.update(key)
-        counts = list(hist)
-        for i in touched:
-            rec = nodes.get(i)
-            if rec is not None and rec.alive:
+    elif kind is PruneReport:
+        ends = {i for key, _ in delta.removed_edges for i in key}
+        if hist is not None:  # a removed node lost its last edge here or had none
+            touched = ends.union(delta.removed_nodes)
+            counts = list(hist)
+            for i in touched:
                 counts[len(incident[i])] -= 1
-    for i, rec in delta.nodes.items():
-        if i not in incident:
-            incident[i] = ()
-            if alive is not None and rec.alive:
-                alive += (i,)
-    nodes.update(delta.nodes)
-    edges.update(delta.edges)
-    if report is not None:
-        removed = [key for key, _ in report.removed_edges]
-        for key in removed:
+        for key, _ in delta.removed_edges:
             del edges[key]
-        for i in {i for key in removed for i in key}:
+        for i in ends:
             incident[i] = tuple(key for key in incident[i] if key in edges)
-        if floor is not None and floor < report.threshold:
-            floor = report.threshold
-        if alive is not None and report.removed_nodes:
-            dead = set(report.removed_nodes)
-            alive = tuple(i for i in alive if i not in dead)
-    derived.alive, derived.floor = alive, floor
-    if hist is not None:
-        for i in touched:
-            if nodes[i].alive:
-                d = len(incident[i])
-                if d >= len(counts):
-                    counts += [0] * (d + 1 - len(counts))
-                counts[d] += 1
-        while counts and not counts[-1]:
-            counts.pop()
-        counted = tuple(counts)
-        derived.histogram = hist if counted == hist else counted
+        for i in delta.removed_nodes:
+            rec = nodes[i]
+            nodes[i] = NodeRecord(rec.mass, rec.label, alive=False)
+        if floor is not None:
+            derived.floor = max(floor, delta.threshold)
+        if alive is not None and delta.removed_nodes:
+            dead = set(delta.removed_nodes)
+            derived.alive = tuple(i for i in alive if i not in dead)
+        if hist is not None:
+            for i in touched:
+                if nodes[i].alive:
+                    counts[len(incident[i])] += 1
+            while counts and not counts[-1]:
+                counts.pop()
+            counted = tuple(counts)
+            derived.histogram = hist if counted == hist else counted
+    elif kind is PhaseDelta:
+        nodes.update(delta.nodes)
+        edges.update(delta.edges)
+    else:  # a node event's record, under the next id
+        i = len(nodes) + 1
+        nodes[i] = delta
+        incident[i] = ()
+        if alive is not None:
+            derived.alive = alive + (i,)
+        if hist is not None:
+            derived.histogram = (hist[0] + 1, *hist[1:]) if hist else (1,)
     object.__setattr__(state, "phase", state.phase + 1)
 
 
@@ -362,26 +368,28 @@ def edge_delta(state: GraphState, event: AddEdge) -> EdgeStep:
     return EdgeStep(key, mass_low, mass_high, weight, shift)
 
 
-def node_delta(state: GraphState, event: AddNode) -> PhaseDelta:
+def node_delta(state: GraphState, event: AddNode) -> NodeRecord:
     """A static expansion: a fresh node with the next id; no existing mass
-    or weight changes. The delta holds one node record. A state whose ids
-    do not run 1 to n, which :func:`~massgraph.graph.validate_state`
-    refuses, may already hold that id, and raises :class:`InputError`."""
+    or weight changes. The delta is the new node's record, which
+    :func:`advance` files under the next id. A state whose ids do not run 1
+    to n, which :func:`~massgraph.graph.validate_state` refuses, may already
+    hold that id, and raises :class:`InputError`."""
     i = state.next_id
     if i in state.nodes:
         raise InputError(f"nodes must be numbered 1 to {i - 1}, but node {i} exists")
-    return PhaseDelta({i: NodeRecord(event.initial_mass, event.label)}, {})
+    return NodeRecord(event.initial_mass, event.label)
 
 
-def prune_delta(state: GraphState, event: Prune) -> PhaseDelta:
+def prune_delta(state: GraphState, event: Prune) -> PruneReport:
     """Forgetting: remove every edge weighing less than the threshold, then
     every isolated alive node (including nodes that were already isolated).
 
     Deleted nodes keep their id and last mass but are marked dead; they
     never reappear and their masses stop counting toward totals. The
-    delta holds a dead record per removed node and the report. A
-    threshold at or below the state's floor reads no weight, and the scan
-    for isolated nodes reads only the alive ids.
+    delta is the prune's report, from which :func:`advance` makes each
+    removed node's record a dead one. A threshold at or below the state's
+    floor reads no weight and no node record, and the scan for isolated
+    nodes reads only the alive ids.
     """
     thr = event.threshold
     removed_edges = [] if thr <= state._floor else \
@@ -394,22 +402,13 @@ def prune_delta(state: GraphState, event: Prune) -> PhaseDelta:
     # the alive nodes that were isolated, and those that lose every edge
     isolated = [i for i in state._alive if not incident[i]]
     isolated += [i for i, n in lost.items() if len(incident[i]) == n and nodes[i].alive]
-    removed_nodes = tuple(sorted(isolated))
-    return _prune_change(state, PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
-                                            removed_nodes=removed_nodes))
+    return PruneReport(threshold=thr, removed_edges=tuple(removed_edges),
+                       removed_nodes=tuple(sorted(isolated)))
 
 
-def _prune_change(state: GraphState, report: PruneReport) -> PhaseDelta:
-    """The delta of a prune on ``state`` from its report: a dead record per
-    removed node."""
-    nodes = state.nodes
-    dead = {i: NodeRecord(nodes[i].mass, nodes[i].label, alive=False)
-            for i in report.removed_nodes}
-    return PhaseDelta(dead, {}, report)
-
-
-def event_delta(state: GraphState, event: Event) -> PhaseDelta | EdgeStep:
-    """Dispatch one event to its delta; every event needs a settled state."""
+def event_delta(state: GraphState, event: Event) -> EdgeStep | NodeRecord | PruneReport:
+    """Dispatch one event to its delta, the row a run's log keeps of it
+    (see :class:`PhaseDelta`); every event needs a settled state."""
     if state.phase < 1:
         raise SequencingError(
             f"events require a settled state (phase >= 1), got phase {state.phase}"
@@ -424,13 +423,29 @@ def event_delta(state: GraphState, event: Event) -> PhaseDelta | EdgeStep:
 
 
 def apply_event(state: GraphState, event: Event) -> tuple[GraphState, PruneReport | None]:
-    """The state after one event, and a prune's report; ``state`` keeps its
-    fields. The successor holds records, never an edge step's bare float."""
+    """The state after one event, and a prune's report, which is its delta;
+    ``state`` keeps its fields. The successor holds records, never an edge
+    step's bare float."""
     delta = event_delta(state, event)
     successor = working_copy(state)
     advance(successor, delta)
-    if type(delta) is not EdgeStep:
-        return successor, delta.report
-    a, b = delta.key  # as in folded
-    _records(successor.edges, successor.incident[a] + successor.incident[b])
-    return successor, None
+    if type(delta) is EdgeStep:
+        a, b = delta.key  # as in folded
+        _records(successor.edges, successor.incident[a] + successor.incident[b])
+    return successor, delta if type(delta) is PruneReport else None
+
+
+def _written(state: GraphState, delta: PhaseDelta | EdgeStep | NodeRecord | PruneReport) -> tuple:
+    """The node ids and the edge keys that ``delta`` wrote when it was
+    folded into ``state``, the state after it: an edge step's endpoints and
+    the keys at them, its own among them; settlement's records; a node
+    event's id, the last, and no key; a prune's dead ids and no key, as the
+    keys it removed are gone."""
+    kind = type(delta)
+    if kind is EdgeStep:
+        return delta.key, {key for i in delta.key for key in state.incident[i]}
+    if kind is PruneReport:
+        return delta.removed_nodes, ()
+    if kind is PhaseDelta:
+        return delta.nodes, delta.edges
+    return (len(state.nodes),), ()  # a node event's record, filed last

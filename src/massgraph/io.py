@@ -30,9 +30,9 @@ decimals -- so identical inputs always yield byte-identical files.
 
 A history's snapshots are written as text, not built as dicts first: the
 writer keeps each array's keys in ascending order beside their texts,
-and each phase rewrites only what its delta wrote (the delta's node ids,
-and the edge keys in the delta or at those nodes), so export pays for
-what each phase changed, plus the join and copying of the output. A
+and each phase rewrites only what its delta wrote (its node ids and edge
+keys, as the engine names them), so export pays for what each phase
+changed, plus the join and copying of the output. A
 history loads if and only if its canonical encoding equals the export of
 its script's one replay, byte for byte; a file whose own bytes differ is
 decoded whole and its re-encoding compared. The export is compared piece
@@ -60,7 +60,7 @@ from itertools import chain, compress
 from operator import is_not
 from typing import NoReturn
 
-from .engine import AddEdge, AddNode, EdgeStep, Event, Prune, PruneReport
+from .engine import AddEdge, AddNode, Event, Prune, PruneReport, _written
 from .errors import MassGraphError, ScriptError
 from .graph import EdgeRecord, GraphState, NodeRecord, initial_inputs, new_graph
 from .kernel import KernelParams, as_int
@@ -237,12 +237,11 @@ class _SnapshotWriter:
 
     Per array it keeps the dict last written, its keys in ascending order,
     their texts in that order, and their join. Only changed keys are
-    rendered: with the state's delta, the delta's ids (an edge step's, its
-    key's) and each key in its edges or at those ids, which is all a fold
-    writes (settlement lifts every edge, an edge step writes only at its key's);
-    without, each key whose record is not the one last written. An array
-    the delta wrote nothing in and lost no key of keeps its join, whether
-    or not its dict is the one last written. A new key goes in at its place
+    rendered: with the state's delta, the node ids and edge keys that the
+    engine names as the delta's writes; without, each key whose record is
+    not the one last written. An array the delta wrote nothing in and lost
+    no key of keeps its join, whether or not its dict is the one last
+    written. A new key goes in at its place
     by bisection and keys a prune removed are filtered out, so no phase
     sorts. A number that is not finite is written as ``json.dumps`` writes
     it (``NaN``, ``Infinity``) and turns ``finite`` false, so a caller that
@@ -296,10 +295,7 @@ class _SnapshotWriter:
     def text(self, state: GraphState, lead: bytes = b"", delta=None) -> bytes:
         """``state``'s snapshot text, after ``lead``; ``delta``, when given,
         is its phase's delta."""
-        step = type(delta) is EdgeStep  # its new key is at its key's ids
-        ids = delta.key if step else delta and delta.nodes
-        edges = delta and {*chain(*map(state.incident.__getitem__, ids)),
-                           *(() if step else delta.edges)}
+        ids, edges = (None, None) if delta is None else _written(state, delta)
         return b'%b{"edges":[%b],"nodes":[%b],"phase":%d}' % (
             lead, self._array("edges", state.edges, self._edge, edges),
             self._array("nodes", state.nodes, self._node, ids), state.phase)

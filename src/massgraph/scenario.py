@@ -29,18 +29,16 @@ from .engine import (
     Event,
     Prune,
     PruneReport,
-    _prune_change,
     _records,
     advance,
     event_delta,
     folded,
-    node_delta,
     settle_delta,
     working_copy,
 )
 from .errors import (GenerationError, InputError, MassGraphError, ParameterError,
                      SimulationError)
-from .graph import GraphState, initial_inputs, new_graph
+from .graph import GraphState, NodeRecord, initial_inputs, new_graph
 from .kernel import KernelParams, as_float, as_int
 
 _MAX_REDRAWS = 1000
@@ -129,16 +127,17 @@ class PhaseHistory:
     the endpoints); and each prune's report. A node event needs nothing
     beyond itself: its id is the next one. So the log grows with the
     changes, not with the weights a shift changes. The state at each phase
-    is made by taking its delta from the log (an edge event's step as it
-    is, a prune's dead records from the state before it), and
-    folding it onto copies (:func:`~massgraph.engine.folded`): a folded
-    state shares each dict its delta leaves alone with its predecessor (the
-    edges, after a node event or a prune that removes no edge), and takes
-    its predecessor's incidence index and any degree histogram, alive ids
-    and floor it holds, which :func:`~massgraph.engine.advance` keeps exact;
-    the last state is the final state itself, which counts its own on first
-    use. The numbers are the ones the run computed, so each record a fold
-    builds equals the run's. Each fold reads ``events``, the run's own list, which
+    is made by taking its delta from the log, where each delta is its row
+    (an edge event's step, a prune's report; a node event's record is
+    built from the event alone), and folding it onto copies
+    (:func:`~massgraph.engine.folded`): a folded state shares each dict
+    its delta leaves alone with its predecessor (the edges, after a node
+    event or a prune that removes no edge), and takes its predecessor's
+    incidence index and any degree histogram, alive ids and floor it
+    holds, which :func:`~massgraph.engine.advance` keeps exact; the last
+    state is the final state itself, which counts its own on first use.
+    The numbers are the ones the run computed, so each record a fold builds
+    equals the run's. Each fold reads ``events``, the run's own list, which
     the package never changes; a caller that changes it changes what the
     folds rebuild.
 
@@ -175,10 +174,11 @@ class PhaseHistory:
 
     def _folds(self, in_place: bool = False) -> Iterator[tuple]:
         """Every state in phase order with its phase's delta (None at phase
-        0): each delta rebuilt from its event, the log and the state before
-        it, and folded onto that state; last comes ``final``. ``in_place``
-        steps one working copy of phase 0 instead, with phase 0's histogram,
-        and yields it at each phase between, valid until the next."""
+        0): each delta taken from the log, or for a node event built from
+        the event, and folded onto the state before it, which no delta
+        reads; last comes ``final``. ``in_place`` steps one working copy of
+        phase 0 instead, with phase 0's histogram, and yields it at each
+        phase between, valid until the next."""
         settled, numbers, keys, reports = self._log
         keys, numbers, reports = iter(keys), _FOUR.iter_unpack(numbers), iter(reports)
         state, delta = self._initial, settled
@@ -195,9 +195,9 @@ class PhaseHistory:
             if isinstance(event, AddEdge):
                 delta = EdgeStep(next(keys), *next(numbers))
             elif isinstance(event, AddNode):
-                delta = node_delta(state, event)
+                delta = NodeRecord(event.initial_mass, event.label)
             else:
-                delta = _prune_change(state, next(reports))
+                delta = next(reports)
         yield self._final, delta
 
     def _steps(self, in_place: bool = False) -> Iterator[tuple]:
@@ -276,10 +276,10 @@ def _run(initial: GraphState,
     ``draw(state, reports)``, read once the one before is folded, into one
     working copy, ``state``; ``reports`` are the prunes' reports so far.
     Returns the run's log (settlement's delta, the edge events' steps, each
-    packed as is, and the reports; see :class:`PhaseHistory`), ``state``,
-    whose weights the steps wrote stay bare floats until the loop's end
-    makes them records, and the events; a failing transition raises
-    :class:`SimulationError` with its phase."""
+    packed as is, and the prunes' deltas, their reports; see
+    :class:`PhaseHistory`), ``state``, whose weights the steps wrote stay
+    bare floats until the loop's end makes them records, and the events; a
+    failing transition raises :class:`SimulationError` with its phase."""
     try:
         settled = settle_delta(initial)
     except MassGraphError as err:
@@ -299,8 +299,8 @@ def _run(initial: GraphState,
         if isinstance(event, AddEdge):  # its step is its key and four numbers
             keys.append(delta.key)
             numbers += _FOUR.pack(*delta[1:])
-        elif delta.report is not None:
-            reports.append(delta.report)
+        elif isinstance(event, Prune):  # its report is its delta
+            reports.append(delta)
         events.append(event)
     _records(state.edges, state.edges)  # once per run, O(E): the steps left floats
     return (settled, numbers, keys, reports), state, events

@@ -1,21 +1,29 @@
 """Counted work: what one event reads and writes of a state's dicts, on a
 ladder of graph sizes with the same touched set at every rung. Counts are
 exact where timings drift, so a step whose work grows with the graph
-counts more on a larger rung. This covers the edge event: its step reads
-and writes its endpoints, their incident edges and the two index entries,
-and nothing that grows with the node or edge count."""
+counts more on a larger rung. An edge event's step reads and writes its
+endpoints, their incident edges and the two index entries; a node event,
+one node and one index entry; a prune that removes two edges, those edges,
+their endpoints and their entries; none of them anything that grows with
+the node or edge count. A prune at or below the floor reads no edge and no
+node record, only the index entry of each alive id."""
 
 from __future__ import annotations
 
+import math
 from unittest.mock import patch
 
-from massgraph import (AddEdge, GraphState, KernelParams, apply_event, new_graph, reinforcement,
-                       settle_phase_one)
+from massgraph import (AddEdge, AddNode, GraphState, KernelParams, Prune, apply_event, new_graph,
+                       reinforcement, settle_phase_one)
 from massgraph import engine
 from massgraph.engine import advance, edge_delta, event_delta, folded
 
 RUNGS = (50, 200, 800)
 EVENT = AddEdge(1, 2, 1.5)  # a gain below 1: the shift weakens, and the floor reads it
+GAIN = reinforcement(1.5, KernelParams())
+# between the settled weights: the path's two end edges, of mass sum 3 + 3g,
+# fall below it, and every other edge, of 3 + 4g, stays
+CUT = Prune(1.5 + math.log(3 + 3.5 * GAIN))
 
 
 class Counted(dict):
@@ -111,3 +119,56 @@ def test_an_edge_event_touches_the_same_keys_on_every_rung():
     assert folds == [folds[0]] * len(RUNGS)
     assert all(reads + writes for reads, writes in stepped[0] + folds[0])
 
+
+def counted_runs(state: GraphState, event, report=None) -> tuple:
+    """The tallies of ``event`` on ``state``: through ``event_delta`` and
+    ``advance`` on a counted working state, and through ``folded`` of the
+    delta taken uncounted, where the copies count and a dict left alone
+    is the counted one it shares; each ends equal to ``apply_event``'s. A
+    prune's ``report``, when given, is its delta, and only the folds count."""
+    expected = apply_event(state, event)[0]
+    work = holding(state, Counted(state.nodes), Counted(state.edges))
+    advance(work, event_delta(work, event) if report is None else report)
+    delta = event_delta(state, event) if report is None else report
+    before = holding(state, Counted(state.nodes), Counted(state.edges))
+    with patch.object(engine, "dict", Counted, create=True):
+        successor = folded(before, delta)
+    counts = tally(work), tally(successor)  # before the checks below read them
+    for stepped in (work, successor):
+        assert stepped == expected
+        assert stepped._derived.histogram == expected.degree_histogram
+    return counts
+
+
+def test_a_node_event_touches_the_same_keys_on_every_rung():
+    counts = [counted_runs(settled(n), AddNode(2.0)) for n in RUNGS]
+    assert counts == [counts[0]] * len(RUNGS)
+    stepped, fold = counts[0]
+    assert stepped[1] == fold[1] == (0, 0)  # no edge
+    assert stepped[0][1] == stepped[2][1] == 1  # its record and its index entry
+
+
+def test_a_prune_that_removes_two_edges_touches_the_same_keys_on_every_rung():
+    # its report comes from a scan of every edge, as the threshold is above
+    # the floor: only advance, which folds the report, is counted here
+    counts = []
+    for n in RUNGS:
+        state = settled(n)
+        report = apply_event(state, CUT)[1]
+        assert [key for key, _ in report.removed_edges] == [(9, 10), (n - 1, n)]
+        assert report.removed_nodes == (9, n)
+        counts.append(counted_runs(state, CUT, report))
+    assert counts == [counts[0]] * len(RUNGS)
+    stepped, _ = counts[0]
+    assert stepped[1][1] == 2 and stepped[2][1] == 4  # two deletes, four entries
+
+
+def test_a_prune_at_or_below_the_floor_reads_no_edge_and_no_dead_id():
+    # after CUT, nodes 9 and n are dead and the floor is CUT's threshold
+    for n in RUNGS:
+        state = apply_event(settled(n), CUT)[0]
+        assert len(state._alive) == n - 2
+        stepped, fold = counted_runs(state, Prune(state._floor))
+        # no node record and no edge; of the index, one read per alive id
+        assert stepped == ((0, 0), (0, 0), (n - 2, 0))
+        assert fold == ((0, 0), (0, 0), (0, 0))

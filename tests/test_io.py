@@ -41,7 +41,7 @@ from massgraph import (
     settle_phase_one,
     state_digest,
 )
-from massgraph.engine import EdgeStep
+from massgraph.engine import EdgeStep, _written
 from massgraph.io import _history_pieces, _parse_event, _SnapshotWriter
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -503,10 +503,10 @@ class TestHistoryExport:
             assert len(calls) == folds, name
 
     def test_each_phase_renders_only_what_its_delta_wrote(self, monkeypatch):
-        # a count, not a time: after phase 0, a phase renders its delta's
-        # node ids and the distinct edge keys in its delta or at those
-        # nodes (found here from the state's own edges, not the index it
-        # holds), never the other N + E records
+        # a count, not a time: after phase 0, a phase renders the node ids
+        # and the distinct edge keys its delta wrote, as the engine names
+        # them (an edge step's keys checked here against the state's own
+        # edges, not the index it holds), never the other N + E records
         config = ScenarioConfig(seed=5, n_initial=20, mass_range=(1.5, 4.0),
                                 weight_range=(1.5, 4.0), initial_edge_density=0.3,
                                 n_phases=300, event_mix=(0.6, 0.25, 0.15), prune_threshold=5.0)
@@ -528,13 +528,11 @@ class TestHistoryExport:
             if delta is None:
                 expected.append(sizes[-1])
             else:
-                own = GraphState(state.phase, state.nodes, state.edges).incident
+                ids, edges = _written(state, delta)
                 if type(delta) is EdgeStep:  # its key's ids, at which its new key is
-                    ids, edges = delta.key, {key for i in delta.key for key in own[i]}
+                    own = GraphState(state.phase, state.nodes, state.edges).incident
+                    assert set(edges) == {key for i in delta.key for key in own[i]}
                     assert delta.key in edges
-                else:
-                    ids = delta.nodes
-                    edges = {*delta.edges, *(key for i in ids for key in own[i])}
                 expected.append(len(ids) + len(edges))
 
         counts = []

@@ -41,8 +41,8 @@ from massgraph import (
     settle_phase_one,
 )
 from massgraph import engine, scenario
-from massgraph.engine import (advance, event_delta, folded, node_delta, prune_delta, settle_delta,
-                             working_copy)
+from massgraph.engine import (_written, advance, event_delta, folded, node_delta, prune_delta,
+                             settle_delta, working_copy)
 from massgraph.io import _history_pieces
 from test_roundtrip import biting, configs, rebuilt, shrinking
 
@@ -217,8 +217,9 @@ class Watched(dict):
 def test_a_prune_at_or_below_every_weight_reads_no_weight_and_no_dead_id():
     # sweep's forgetting regime, where most prunes find nothing below the
     # threshold: given the floor a run's working state holds, such a prune
-    # reads no edge and of the nodes only the ones it kills, and its delta
-    # is the one a state that holds nothing scans for
+    # reads no edge and no node record (the alive ids and the index find the
+    # ones it kills), and its delta is the one a state that holds nothing
+    # scans for
     config = ScenarioConfig(seed=1, n_initial=30, n_phases=200, event_mix=(0.6, 0.2, 0.2),
                             prune_threshold=20.0, initial_edge_density=0.2)
     initial, events = generate_scenario(config)
@@ -235,7 +236,8 @@ def test_a_prune_at_or_below_every_weight_reads_no_weight_and_no_dead_id():
                     state.incident, state._alive, state._floor
                 delta = prune_delta(watched, event)
                 assert edges.read == []
-                assert set(nodes.read) == set(delta.report.removed_nodes)  # no dead id
+                assert nodes.read == []  # no dead id
+                assert set(delta.removed_nodes) <= set(state._alive)
                 assert delta == prune_delta(replace(state), event)
                 cheap += 1
         state = apply_event(state, event)[0]
@@ -445,6 +447,26 @@ def test_the_writers_hook_sees_each_state_that_states_yields(config):
     list(_history_pieces(history, check))
     assert phases == list(range(len(history.events) + 2))
     assert next(expected, None) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(biting, shrinking))
+def test_each_delta_names_every_record_its_fold_wrote(config):
+    # the writer rewrites only what _written names: a node record that
+    # differs from the phase before, or a weight that changed or is new,
+    # that it leaves out would be exported stale; what it names exists
+    history = run_script(*generate_scenario(config))
+    folds = history._folds()
+    before, _ = next(folds)
+    kinds = set()
+    for state, delta in folds:
+        kinds.add(type(delta))
+        ids, keys = _written(state, delta)
+        assert set(ids) <= state.nodes.keys() and set(keys) <= state.edges.keys()
+        assert {i for i, rec in state.nodes.items() if before.nodes.get(i) != rec} <= set(ids)
+        assert {key for key, w in state.edges.items() if before.edges.get(key) != w} <= set(keys)
+        before = state
+    assert kinds <= {engine.PhaseDelta, engine.EdgeStep, NodeRecord, engine.PruneReport}
 
 
 def test_a_fold_derives_its_histogram_from_its_predecessors():
