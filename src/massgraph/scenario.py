@@ -119,17 +119,16 @@ class PhaseHistory:
     and every prune's report.
 
     A run keeps only the phase-0 state, its events, a log of numbers and
-    its working final state. The log holds settlement's delta; for each
-    edge event, its delta, an :class:`~massgraph.engine.EdgeStep`, as the
-    key of its new pair and four doubles packed in one bytearray (the key's
-    low and high endpoints' grown masses, its new weight and ``shift``, the
-    ln(gain) that :func:`~massgraph.engine.advance` adds to every weight at
-    the endpoints); and each prune's report. A node event needs nothing
-    beyond itself: its id is the next one. So the log grows with the
-    changes, not with the weights a shift changes. The state at each phase
-    is made by taking its delta from the log, where each delta is its row
-    (an edge event's step, a prune's report; a node event's record is
-    built from the event alone), and folding it onto copies
+    its working final state. The log holds, for each edge event, its
+    delta, an :class:`~massgraph.engine.EdgeStep`, as the key of its new
+    pair and four doubles packed in one bytearray (the key's low and high
+    endpoints' grown masses, its new weight and ``shift``, the ln(gain)
+    that :func:`~massgraph.engine.advance` adds to every weight at the
+    endpoints); and each prune's report. Each walk settles the phase-0
+    state again, and a node event needs nothing beyond itself: its id is
+    the next one. So the log grows with the changes, not with the weights
+    a shift changes. Each phase's delta, its row of the log (a node
+    event's record is built from the event alone), is folded onto copies
     (:func:`~massgraph.engine.folded`): a folded state shares each dict
     its delta leaves alone with its predecessor (the edges, after a node
     event or a prune that removes no edge), and takes its predecessor's
@@ -137,9 +136,9 @@ class PhaseHistory:
     holds, which :func:`~massgraph.engine.advance` keeps exact; the last
     state is the final state itself, which counts its own on first use.
     The numbers are the ones the run computed, so each record a fold builds
-    equals the run's. Each fold reads ``events``, the run's own list, which
-    the package never changes; a caller that changes it changes what the
-    folds rebuild.
+    equals the run's. Each fold reads ``events``, the run's own list, and
+    the phase-0 state's dicts, which the package never changes; a caller
+    that changes either changes what the folds rebuild.
 
     :meth:`states` yields the states in phase order and keeps none of
     them, so a reader that takes one phase at a time holds one state; it
@@ -179,9 +178,9 @@ class PhaseHistory:
         reads; last comes ``final``. ``in_place`` steps one working copy of
         phase 0 instead, with phase 0's histogram, and yields it at each
         phase between, valid until the next."""
-        settled, numbers, keys, reports = self._log
+        numbers, keys, reports = self._log
         keys, numbers, reports = iter(keys), _FOUR.iter_unpack(numbers), iter(reports)
-        state, delta = self._initial, settled
+        state, delta = self._initial, settle_delta(self._initial)
         yield state, None
         if in_place:
             state = working_copy(state)
@@ -275,8 +274,8 @@ def _run(initial: GraphState,
     """The one loop of a run: settle ``initial`` and fold each event of
     ``draw(state, reports)``, read once the one before is folded, into one
     working copy, ``state``; ``reports`` are the prunes' reports so far.
-    Returns the run's log (settlement's delta, the edge events' steps, each
-    packed as is, and the prunes' deltas, their reports; see
+    Returns the run's log (the edge events' steps, each packed as is, and
+    the prunes' deltas, their reports; see
     :class:`PhaseHistory`), ``state``, whose weights the steps wrote stay
     bare floats until the loop's end makes them records, and the events; a
     failing transition raises :class:`SimulationError` with its phase."""
@@ -303,7 +302,7 @@ def _run(initial: GraphState,
             reports.append(delta)
         events.append(event)
     _records(state.edges, state.edges)  # once per run, O(E): the steps left floats
-    return (settled, numbers, keys, reports), state, events
+    return (numbers, keys, reports), state, events
 
 
 def _holds(d: dict, kept: dict) -> bool:

@@ -1,19 +1,81 @@
-"""Glue between engine states and the dense oracle, shared by tests."""
+"""Glue between engine states and the dense oracle, and the scenario
+strategies and helpers that several test modules share."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dense_oracle import DenseOracle
-from massgraph import AddEdge, AddNode, GraphState, Prune, apply_event, settle_phase_one
+from massgraph import (AddEdge, AddNode, GraphState, KernelParams, Prune, ScenarioConfig,
+                       apply_event, new_graph, settle_phase_one)
+from massgraph.graph import initial_inputs
+
+# light masses and weights, so that most prunes remove edges and isolate nodes
+biting = st.builds(
+    ScenarioConfig,
+    seed=st.integers(min_value=0, max_value=2**32),
+    n_initial=st.integers(min_value=2, max_value=8),
+    mass_range=st.just((1.5, 4.0)),
+    weight_range=st.just((1.5, 4.0)),
+    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
+    n_phases=st.integers(min_value=2, max_value=30),
+    event_mix=st.just((0.5, 0.2, 0.3)),
+    prune_threshold=st.floats(min_value=3.0, max_value=7.0),
+)
+
+# the default ranges keep weights far above any threshold drawn here, so
+# without biting no prune would remove an edge
+configs = st.one_of(st.builds(
+    ScenarioConfig,
+    seed=st.integers(min_value=0, max_value=2**32),
+    n_initial=st.integers(min_value=0, max_value=6),
+    initial_edge_density=st.floats(min_value=0.0, max_value=1.0),
+    n_phases=st.integers(min_value=1, max_value=15),
+    # add_node always has weight, so generation never runs out of events
+    event_mix=st.sampled_from([(0.6, 0.3, 0.1), (0.4, 0.2, 0.4), (0.0, 0.5, 0.5)]),
+    prune_threshold=st.floats(min_value=-5.0, max_value=8.0),
+    kernel=st.builds(KernelParams, mu=st.floats(min_value=-1.0, max_value=2.0),
+                     sigma=st.floats(min_value=0.2, max_value=3.0)),
+), biting)
+
+# forgetting runs with room to connect a pruned pair again: fewer nodes and
+# more phases than biting
+reconnecting = st.builds(
+    ScenarioConfig,
+    seed=st.integers(min_value=0, max_value=2**32),
+    n_initial=st.integers(min_value=3, max_value=6),
+    mass_range=st.just((1.5, 4.0)),
+    weight_range=st.just((1.5, 4.0)),
+    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
+    n_phases=st.integers(min_value=15, max_value=40),
+    event_mix=st.just((0.5, 0.2, 0.3)),
+    prune_threshold=st.floats(min_value=3.0, max_value=7.0),
+)
+
+def rebuilt(initial):
+    """A phase-0 state equal to ``initial`` that holds no generated run, so
+    ``run_script`` of it settles and folds every event."""
+    return new_graph(*initial_inputs(initial), initial.params)
 
 
 def dense_weights(state: GraphState, n: int) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.float64)
-    for (a, b), edge in state.edges.items():
-        out[a - 1, b - 1] = edge.weight
-        out[b - 1, a - 1] = edge.weight
+    for (a, b), w in state.edges.items():  # a record, or a working state's bare float
+        out[a - 1, b - 1] = out[b - 1, a - 1] = float(w)
     return out
+
+
+def assert_held_is_exact(state: GraphState) -> None:
+    """Each derived field ``state`` holds equals a recount from its dicts;
+    a held floor is at most every weight."""
+    held = state._derived
+    fresh = GraphState(state.phase, state.nodes, state.edges, state.params)
+    index = held.incident and {i: sorted(keys) for i, keys in held.incident.items()}
+    assert index in (None, {i: sorted(keys) for i, keys in fresh.incident.items()})
+    assert held.histogram in (None, fresh.degree_histogram)
+    assert held.alive in (None, fresh._alive)
+    assert held.floor is None or all(held.floor <= w for w in state.edges.values())
 
 
 def assert_state_matches(state: GraphState, oracle: DenseOracle, atol: float = 1e-9) -> None:
@@ -42,7 +104,7 @@ def run_both(initial: GraphState, events, atol: float = 1e-9) -> GraphState:
     """Replay the same scenario through engine and oracle, comparing
     every phase; returns the engine's final state."""
     masses = [initial.nodes[i].mass for i in initial.node_ids()]
-    triples = [(a, b, e.weight) for (a, b), e in sorted(initial.edges.items())]
+    triples = [(a, b, float(w)) for (a, b), w in sorted(initial.edges.items())]
     oracle = DenseOracle(masses, triples, initial.params.mu, initial.params.sigma)
     state = settle_phase_one(initial)
     oracle.settle()

@@ -6,7 +6,8 @@ endpoints, their incident edges and the two index entries; a node event,
 one node and one index entry; a prune that removes two edges, those edges,
 their endpoints and their entries; none of them anything that grows with
 the node or edge count. A prune at or below the floor reads no edge and no
-node record, only the index entry of each alive id."""
+node record, only the index entry of each alive id. At each event's
+phase, the history writer renders only the records the event wrote."""
 
 from __future__ import annotations
 
@@ -14,9 +15,10 @@ import math
 from unittest.mock import patch
 
 from massgraph import (AddEdge, AddNode, GraphState, KernelParams, Prune, apply_event, new_graph,
-                       reinforcement, settle_phase_one)
+                       reinforcement, run_script, settle_phase_one)
 from massgraph import engine
 from massgraph.engine import advance, edge_delta, event_delta, folded
+from massgraph.io import _history_pieces, _SnapshotWriter
 
 RUNGS = (50, 200, 800)
 EVENT = AddEdge(1, 2, 1.5)  # a gain below 1: the shift weakens, and the floor reads it
@@ -68,13 +70,18 @@ class Counted(dict):
     __iter__, keys, values, items = map(_scan, ("__iter__", "keys", "values", "items"))
 
 
-def settled(n: int) -> GraphState:
-    """A settled state of ``n`` alive nodes: nodes 1 and 2 have three
-    neighbours each, and nodes 9 to n lie on a path, so the edge count
-    grows with n while the event's touched set stays the same."""
+def phase_zero(n: int) -> GraphState:
+    """A phase-0 state of ``n`` nodes: nodes 1 and 2 have three neighbours
+    each, and nodes 9 to n lie on a path, so the edge count grows with n
+    while the event's touched set stays the same."""
     edges = [(1, j, 1.5) for j in (3, 4, 5)] + [(2, j, 1.5) for j in (6, 7, 8)]
     edges += [(i, i + 1, 1.5) for i in range(9, n)]
-    state = settle_phase_one(new_graph([1.5] * n, edges))
+    return new_graph([1.5] * n, edges)
+
+
+def settled(n: int) -> GraphState:
+    """:func:`phase_zero`'s settled state, with all ``n`` nodes alive."""
+    state = settle_phase_one(phase_zero(n))
     assert len(state._alive) == n and len(state.edges) == n - 3
     return state
 
@@ -172,3 +179,28 @@ def test_a_prune_at_or_below_the_floor_reads_no_edge_and_no_dead_id():
         # no node record and no edge; of the index, one read per alive id
         assert stepped == ((0, 0), (0, 0), (n - 2, 0))
         assert fold == ((0, 0), (0, 0), (0, 0))
+
+
+def rendered(n: int, event) -> tuple[int, int]:
+    """The node and edge records the history writer renders at ``event``'s
+    phase, on the in-place walk of a run of ``event`` and a node event after
+    it, so that the event's state is the walk's working copy."""
+    history = run_script(phase_zero(n), [event, AddNode(2.0)])
+    counts = []
+    with patch.object(_SnapshotWriter, "_node", autospec=True,
+                      side_effect=_SnapshotWriter._node) as node, \
+            patch.object(_SnapshotWriter, "_edge", autospec=True,
+                         side_effect=_SnapshotWriter._edge) as edge:
+        for _ in _history_pieces(history, lambda state: counts.append((node.call_count,
+                                                                       edge.call_count))):
+            pass
+    (nodes, edges), (more_nodes, more_edges) = counts[2:4]  # before phases 2 and 3
+    return more_nodes - nodes, more_edges - edges
+
+
+def test_the_writer_renders_the_same_records_on_every_rung():
+    # what _written names: an edge event's endpoints and the seven edges at
+    # them, its own among them; a node event's record; a prune's two dead
+    # nodes, and none of the edges it removed
+    for event, expected in ((EVENT, (2, 7)), (AddNode(2.0), (1, 0)), (CUT, (2, 0))):
+        assert [rendered(n, event) for n in RUNGS] == [expected] * len(RUNGS)

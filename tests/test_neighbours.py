@@ -1,26 +1,22 @@
 """The incidence index (node id -> keys of its edges), the degree
 histogram, the alive ids and the weight floor: derived from a state's
-nodes and edges and held beside its value, under one rule, that a held one
-is exact (a floor: at most every weight). ``advance`` is the one step that
-keeps them: it folds a delta into a state's index in place and steps a
-held histogram in O(touched), a held alive tuple on node events and node
+nodes and edges and held beside its value. ``advance`` is the one step
+that keeps them: it folds a delta into a state's index in place and steps
+a held histogram in O(touched), a held alive tuple on node events and node
 removals, and a held floor by one compare. A run's working state holds a
 histogram only once it is read; a folded state takes its predecessor's
 index, which then holds none and builds another if read, and its
-predecessor's histogram, alive tuple and floor. The next node id is not
-held: every state numbers its nodes 1 to n, so it is n + 1."""
+predecessor's histogram, alive tuple and floor. That every held field is
+exact on every path is checked in ``test_state_paths.py``; the tests here
+pin which state holds what, and what a step reads."""
 
 from __future__ import annotations
 
 import copy
-import itertools
 import sys
 from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from massgraph import (
     AddEdge,
@@ -31,20 +27,17 @@ from massgraph import (
     Prune,
     ScenarioConfig,
     apply_event,
-    export_dot,
-    export_history_json,
     generate_scenario,
-    load_history,
     metrics,
     new_graph,
     run_script,
     settle_phase_one,
 )
 from massgraph import engine, scenario
-from massgraph.engine import (_written, advance, event_delta, folded, node_delta, prune_delta,
-                             settle_delta, working_copy)
+from massgraph.engine import (advance, event_delta, folded, node_delta, prune_delta, settle_delta,
+                             working_copy)
 from massgraph.io import _history_pieces
-from test_roundtrip import biting, configs, rebuilt, shrinking
+from support import assert_held_is_exact, rebuilt
 
 
 def holds_index(state) -> bool:
@@ -62,33 +55,22 @@ def assert_index_matches_edges(state):
     assert all(held[key] is key for keys in index.values() for key in keys)
 
 
-@settings(max_examples=60, deadline=None)
-@given(configs)
-def test_runs_hand_on_an_exact_index_and_keep_none_behind(config):
+def test_only_the_state_before_final_keeps_an_index():
+    config = ScenarioConfig(seed=3, n_initial=10, n_phases=80, event_mix=(0.6, 0.2, 0.2),
+                            prune_threshold=20.0)
     initial, events = generate_scenario(config)
-    initial = rebuilt(initial)
-    real = scenario.advance
-    folded_phases = []
-
-    def checked(state, delta):
-        real(state, delta)
-        assert holds_index(state)  # the working index, after every phase
-        assert_index_matches_edges(state)
-        folded_phases.append(state.phase)
-
-    with patch.object(scenario, "advance", checked):
-        history = run_script(initial, events)
-    assert folded_phases == list(range(1, len(events) + 2))
-    assert_index_matches_edges(history.final)
+    history = run_script(rebuilt(initial), events)
     final = history.final
     snapshots = history.snapshots
     assert snapshots[-1] is final
     assert history.final is final
     # each fold moves its predecessor's index on, phase 0's included: only
-    # the state final follows still holds one
+    # the state final follows still holds one; each fold holds phase 0's
+    # histogram and alive ids, stepped
     assert not any(holds_index(s) for s in snapshots[:-2])
     assert holds_index(snapshots[-2])
     assert_index_matches_edges(snapshots[-2])
+    assert all(None not in (s._derived.histogram, s._derived.alive) for s in snapshots[:-1])
     # a snapshot without an index builds one and gives the same successor
     for p, event in enumerate(events, start=1):
         assert apply_event(history.snapshots[p], event)[0] == history.snapshots[p + 1]
@@ -97,68 +79,7 @@ def test_runs_hand_on_an_exact_index_and_keep_none_behind(config):
     assert history.final is replacement
 
 
-def assert_held_is_exact(state):
-    if holds_index(state):
-        assert_index_matches_edges(state)
-    derived = state._derived
-    assert derived.histogram in (None, replace(state).degree_histogram)  # counted afresh
-    assert derived.alive in (None, tuple(sorted(i for i, rec in state.nodes.items()
-                                                if rec.alive)))
-    assert derived.floor is None or all(derived.floor <= w for w in state.edges.values())
-
-
-@settings(max_examples=60, deadline=None)
-@given(configs)
-def test_every_held_index_and_histogram_is_exact(config):
-    # and every held alive tuple and floor: checked on each state as its
-    # pass yields it and again after every pass, over the generator's and
-    # the run's working states after each step, two interleaved passes of
-    # states() from a phase 0 that holds a floor, snapshots, final, the
-    # settled and applied chain, a working state stepped through the run's
-    # deltas with all of them held, a loaded history, and a hand-built state
-    # whose dict order is not ascending
-    real = scenario.advance
-
-    def checked(state, delta):
-        real(state, delta)
-        assert_held_is_exact(state)
-
-    with patch.object(scenario, "advance", checked):
-        initial, events = generate_scenario(config)
-        generated = initial._derived.run[-1]
-        fresh = rebuilt(initial)
-        fresh._floor  # the run's working state shares it, and every fold hands it on
-        history = run_script(fresh, events)
-    if any(isinstance(event, AddEdge) for event in events):
-        assert generated._derived.alive is not None  # the draw reads it
-    deltas = [delta for _, delta in history._folds()][2:]  # each event's, from the log
-    passes = ([], [])
-    for pair in zip(history.states(), history.states()):
-        for states, state in zip(passes, pair):
-            assert_held_is_exact(state)
-            assert state is history.final or \
-                None not in (state._derived.alive, state._derived.floor)
-            states.append(state)
-            state.degree_histogram  # so that final, too, holds one
-    assert passes[0] == passes[1]
-    state = settle_phase_one(initial)
-    applied = [state]
-    for event in events:
-        assert_held_is_exact(state)
-        state = apply_event(state, event)[0]  # a prune reads its input's floor
-        applied.append(state)
-    working = working_copy(applied[0])
-    working.degree_histogram, working._alive, working._floor
-    for delta in deltas:
-        advance(working, delta)
-        assert None not in (working._derived.histogram, working._derived.alive,
-                            working._derived.floor)
-        assert_held_is_exact(working)
-    assert working == history.final
-    loaded = load_history(export_history_json(history))
-    for state in itertools.chain(*passes, history.snapshots, [history.final, generated],
-                                 applied, loaded.states(), [loaded.final]):
-        assert_held_is_exact(state)
+def test_a_state_whose_ids_run_out_of_order_holds_exact_fields():
     # ids out of ascending order in the dict, and a dead one among them
     state = GraphState(1, {3: NodeRecord(4.0), 1: NodeRecord(3.0), 2: NodeRecord(2.0, None, False),
                            4: NodeRecord(5.0)},
@@ -173,17 +94,6 @@ def test_every_held_index_and_histogram_is_exact(config):
         assert state._derived.alive == alive
         assert state._derived.floor == (state.edges[3, 4] if floor is None else floor)
         assert_held_is_exact(state)
-
-
-@settings(max_examples=60, deadline=None)
-@given(biting)
-def test_prunes_hand_on_an_exact_index(config):
-    initial, events = generate_scenario(config)
-    state = settle_phase_one(initial)
-    for event in events:
-        state, _ = apply_event(state, event)
-        assert holds_index(state)
-        assert_index_matches_edges(state)
 
 
 class Watched(dict):
@@ -319,43 +229,6 @@ def test_a_copy_keeps_a_correct_index_after_the_original_advances():
         {1: ((1, 2),), 2: ((1, 2), (2, 3)), 3: ((2, 3),)}
 
 
-def assert_numbered_one_to_n(state):
-    assert sorted(state.nodes) == list(range(1, len(state.nodes) + 1))
-    assert state.next_id == max(state.nodes, default=0) + 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(configs)
-def test_every_state_holds_the_next_id_after_its_nodes(config):
-    # ids run 1 to n in every state, so n + 1 is the id after the highest
-    # and a node event never finds it taken. Checked on the generator's and
-    # the run's working state after each step, on the folded, the applied
-    # and the loaded states, and on final
-    real = scenario.advance
-    advanced = []
-
-    def checked(state, delta):
-        real(state, delta)
-        assert_numbered_one_to_n(state)
-        advanced.append(state.phase)
-
-    with patch.object(scenario, "advance", checked):
-        initial, events = generate_scenario(config)
-        history = run_script(rebuilt(initial), events)
-    assert len(advanced) == 2 * (len(events) + 1)
-    state = settle_phase_one(initial)
-    applied = [initial, state]
-    for event in events:
-        state = apply_event(state, event)[0]
-        applied.append(state)
-    states = list(history.states())
-    assert states == applied
-    loaded = load_history(export_history_json(history))
-    for state in itertools.chain(states, applied, loaded.states(), history.snapshots,
-                                 [history.final]):
-        assert_numbered_one_to_n(state)
-
-
 def test_a_working_state_keeps_its_histogram_as_it_advances():
     # once read, a working state's histogram is stepped with each delta and
     # never counted again: the property that counts it fails on every read
@@ -391,6 +264,7 @@ def test_a_run_holds_no_histogram_until_metrics_reads_one():
         generated = initial._derived.run[-1]
         history = run_script(rebuilt(initial), events)
     assert held == [None] * 2 * (len(events) + 1)
+    assert generated._derived.alive is not None  # the draw reads it, so each step keeps it
     for final in (generated, history.final):
         assert final._derived.histogram is None
         report = metrics(final)
@@ -417,56 +291,6 @@ def test_the_writers_pass_counts_a_histogram_only_if_its_hook_reads_one():
     held.clear()
     list(_history_pieces(history, read))
     assert held == [False] + [True] * n + [False]  # final counts its own
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(biting, shrinking))
-def test_the_writers_hook_sees_each_state_that_states_yields(config):
-    # the writer's pass steps one working state in place, where prunes
-    # remove edges and shifts go negative: at each phase the state its hook
-    # sees is the fold's, weight for weight, with a histogram it holds that
-    # a recount finds too, and the same DOT text
-    history = run_script(*generate_scenario(config))
-    expected = history.states()
-    phases = []
-
-    def check(state):
-        other = next(expected)
-        phases.append(state.phase)
-        assert state.phase == other.phase
-        assert state.nodes == other.nodes
-        assert all(isinstance(w, float) for w in state.edges.values())
-        assert list(state.edges.items()) == list(other.edges.items())
-        assert state._alive == other._alive
-        if state is not history.final:  # which counts its own on first read
-            assert state._derived.histogram is not None  # phase 0's, handed on
-        recount = GraphState(state.phase, dict(state.nodes), dict(state.edges))
-        assert state.degree_histogram == recount.degree_histogram
-        assert export_dot(state) == export_dot(other)
-
-    list(_history_pieces(history, check))
-    assert phases == list(range(len(history.events) + 2))
-    assert next(expected, None) is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(biting, shrinking))
-def test_each_delta_names_every_record_its_fold_wrote(config):
-    # the writer rewrites only what _written names: a node record that
-    # differs from the phase before, or a weight that changed or is new,
-    # that it leaves out would be exported stale; what it names exists
-    history = run_script(*generate_scenario(config))
-    folds = history._folds()
-    before, _ = next(folds)
-    kinds = set()
-    for state, delta in folds:
-        kinds.add(type(delta))
-        ids, keys = _written(state, delta)
-        assert set(ids) <= state.nodes.keys() and set(keys) <= state.edges.keys()
-        assert {i for i, rec in state.nodes.items() if before.nodes.get(i) != rec} <= set(ids)
-        assert {key for key, w in state.edges.items() if before.edges.get(key) != w} <= set(keys)
-        before = state
-    assert kinds <= {engine.PhaseDelta, engine.EdgeStep, NodeRecord, engine.PruneReport}
 
 
 def test_a_fold_derives_its_histogram_from_its_predecessors():

@@ -28,10 +28,8 @@ from massgraph import (
     InputError,
     KernelParams,
     MassGraphError,
-    MetricsReport,
     NodeRecord,
     Prune,
-    ScenarioConfig,
     ScriptError,
     apply_event,
     canonical_json_bytes,
@@ -44,7 +42,6 @@ from massgraph import (
     parse_script,
     run_script,
     script_document,
-    settle_phase_one,
     state_digest,
     validate_state,
 )
@@ -53,42 +50,7 @@ from massgraph.graph import above_one, edge_key, initial_inputs, node_id, node_l
 from massgraph.io import _compact, _history_pieces, _SnapshotWriter
 from massgraph.kernel import as_float
 
-from dense_oracle import DenseOracle
-from support import assert_state_matches, replay_oracle
-
-# light masses and weights, so that most prunes remove edges and isolate nodes
-biting = st.builds(
-    ScenarioConfig,
-    seed=st.integers(min_value=0, max_value=2**32),
-    n_initial=st.integers(min_value=2, max_value=8),
-    mass_range=st.just((1.5, 4.0)),
-    weight_range=st.just((1.5, 4.0)),
-    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
-    n_phases=st.integers(min_value=2, max_value=30),
-    event_mix=st.just((0.5, 0.2, 0.3)),
-    prune_threshold=st.floats(min_value=3.0, max_value=7.0),
-)
-
-# the default ranges keep weights far above any threshold drawn here, so
-# without biting no prune would remove an edge
-configs = st.one_of(st.builds(
-    ScenarioConfig,
-    seed=st.integers(min_value=0, max_value=2**32),
-    n_initial=st.integers(min_value=0, max_value=6),
-    initial_edge_density=st.floats(min_value=0.0, max_value=1.0),
-    n_phases=st.integers(min_value=1, max_value=15),
-    # add_node always has weight, so generation never runs out of events
-    event_mix=st.sampled_from([(0.6, 0.3, 0.1), (0.4, 0.2, 0.4), (0.0, 0.5, 0.5)]),
-    prune_threshold=st.floats(min_value=-5.0, max_value=8.0),
-    kernel=st.builds(KernelParams, mu=st.floats(min_value=-1.0, max_value=2.0),
-                     sigma=st.floats(min_value=0.2, max_value=3.0)),
-), biting)
-
-
-def rebuilt(initial):
-    """A phase-0 state equal to ``initial`` that holds no generated run, so
-    ``run_script`` of it settles and folds every event."""
-    return new_graph(*initial_inputs(initial), initial.params)
+from support import biting, configs, reconnecting
 
 
 def assert_history_round_trips(initial, events, with_source=True):
@@ -112,12 +74,6 @@ def test_history_without_source_round_trips_its_kernel():
     assert_history_round_trips(new_graph([2, 2], [(1, 2, 2)], KernelParams(mu=0.5, sigma=2.0)),
                                [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)],
                                with_source=False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(configs)
-def test_history_round_trips(config):
-    assert_history_round_trips(*generate_scenario(config))
 
 
 def masses_and_weights(doc) -> list[tuple[str, list | dict, int | str]]:
@@ -481,21 +437,6 @@ def test_the_text_writer_reproduces_the_dict_layout(scenario, data):
     assert excinfo.value.path == path
 
 
-# forgetting runs with room to connect a pruned pair again: fewer nodes and
-# more phases than biting
-reconnecting = st.builds(
-    ScenarioConfig,
-    seed=st.integers(min_value=0, max_value=2**32),
-    n_initial=st.integers(min_value=3, max_value=6),
-    mass_range=st.just((1.5, 4.0)),
-    weight_range=st.just((1.5, 4.0)),
-    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
-    n_phases=st.integers(min_value=15, max_value=40),
-    event_mix=st.just((0.5, 0.2, 0.3)),
-    prune_threshold=st.floats(min_value=3.0, max_value=7.0),
-)
-
-
 def reconnects_a_pruned_pair(history) -> bool:
     """Whether an edge event connects a pair that an earlier prune removed."""
     pruned, reports = set(), iter(history.prune_reports)
@@ -567,94 +508,3 @@ def test_states_yields_the_snapshots_and_keeps_what_it_yielded(config, stop):
     assert history.snapshots == yielded
     assert head + list(partway) == yielded
     assert all(a is b for a, b in zip(history.states(), history.snapshots))
-
-
-# masses and weights near 1, so that most gains are below 1 and most shifts
-# negative, and thresholds inside the settled weights' range, so that many
-# prunes forget edges
-shrinking = st.builds(
-    ScenarioConfig,
-    seed=st.integers(min_value=0, max_value=2**32),
-    n_initial=st.integers(min_value=2, max_value=8),
-    mass_range=st.just((1.1, 3.0)),
-    weight_range=st.just((1.1, 3.0)),
-    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
-    n_phases=st.integers(min_value=2, max_value=30),
-    event_mix=st.just((0.6, 0.2, 0.2)),
-    prune_threshold=st.floats(min_value=2.0, max_value=4.0),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(biting, shrinking))
-def test_every_state_holds_each_weight_as_an_edge_record(config):
-    # a run's working state shifts weights as bare floats and makes them
-    # records when the run ends, and a fold and the pure API make records
-    # of the weights their shift touched; a state handed out that holds a
-    # bare float, or a record whose weight is not an exact float, fails
-    # here, whichever way it is read
-    initial, events = generate_scenario(config)
-    generated = initial._derived.run[-1]  # the run the scenario keeps
-    history = run_script(initial, events)
-    folded = list(history.states())  # before the list is built: folded afresh
-    pure = [settle_phase_one(initial)]
-    for event in events:
-        pure.append(apply_event(pure[-1], event)[0])
-    assert pure == folded[1:]
-    loaded = load_history(export_history_json(history))
-    for state in itertools.chain(folded, history.snapshots, [history.final, generated],
-                                 loaded.states(), pure):
-        for (a, b), edge in state.edges.items():
-            assert type(edge) is EdgeRecord
-            assert type(edge.weight) is float and edge.weight == edge
-            assert type(state.weight(a, b)) is float
-    for report in history.prune_reports + loaded.prune_reports:
-        assert all(type(w) is float for _, w in report.removed_edges)
-    oracle = DenseOracle(*initial_inputs(initial), initial.params.mu, initial.params.sigma)
-    oracle.settle()
-    for event in events:
-        replay_oracle(oracle, event)
-    assert_state_matches(history.final, oracle, atol=1e-9)
-
-
-def counted_metrics(state: GraphState, k: int) -> MetricsReport:
-    """``metrics`` as it was before states carried their degree histogram,
-    which it counted over every edge: the oracle of the folds."""
-    alive = state.alive_ids()
-    masses = [state.nodes[i].mass for i in alive]
-    total = sum(masses)
-    if not alive:
-        return MetricsReport(phase=state.phase, total_mass=0.0, alive_nodes=0,
-                             alive_edges=0, max_mass_node=None,
-                             top_k_mass_share=1.0, degree_histogram=())
-    best_id = alive[0]
-    best_mass = masses[0]
-    for i, m in zip(alive[1:], masses[1:]):
-        if m > best_mass:
-            best_id, best_mass = i, m
-    share = sum(sorted(masses, reverse=True)[:k]) / total if len(alive) > k else 1.0
-    degrees = {i: 0 for i in alive}
-    for a, b in state.edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    hist = [0] * (max(degrees.values()) + 1)
-    for d in degrees.values():
-        hist[d] += 1
-    return MetricsReport(phase=state.phase, total_mass=total, alive_nodes=len(alive),
-                         alive_edges=len(state.edges),
-                         max_mass_node=(best_id, best_mass),
-                         top_k_mass_share=share, degree_histogram=tuple(hist))
-
-
-@settings(max_examples=60, deadline=None)
-@given(biting, st.integers(min_value=1, max_value=4))
-def test_every_state_carries_the_degree_histogram_of_its_edges(config, k):
-    # the folds derive each histogram from the one before: a prune that
-    # leaves its dead nodes counted, or a count of 0 left at the end, fails here
-    history = run_script(*generate_scenario(config))
-    folded = list(history.states())
-    loaded = load_history(export_history_json(history))
-    for state in itertools.chain(folded, history.snapshots, [history.final], loaded.states()):
-        fresh = GraphState(state.phase, state.nodes, state.edges, state.params)
-        assert state.degree_histogram == fresh.degree_histogram
-        assert metrics(state, k) == counted_metrics(state, k)
