@@ -3,12 +3,14 @@ strategies and helpers that several test modules share."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import strategies as st
 
 from dense_oracle import DenseOracle
-from massgraph import (AddEdge, AddNode, GraphState, KernelParams, Prune, ScenarioConfig,
-                       apply_event, new_graph, settle_phase_one)
+from massgraph import (AddEdge, AddNode, GraphState, KernelParams, MetricsReport, Prune,
+                       ScenarioConfig, apply_event, new_graph, settle_phase_one)
 from massgraph.graph import initial_inputs
 
 # light masses and weights, so that most prunes remove edges and isolate nodes
@@ -53,10 +55,41 @@ reconnecting = st.builds(
     prune_threshold=st.floats(min_value=3.0, max_value=7.0),
 )
 
+# masses and weights near 1, so that most gains are below 1 and most shifts
+# negative, and thresholds inside the settled weights' range, so that many
+# prunes forget edges
+shrinking = st.builds(
+    ScenarioConfig,
+    seed=st.integers(min_value=0, max_value=2**32),
+    n_initial=st.integers(min_value=2, max_value=8),
+    mass_range=st.just((1.1, 3.0)),
+    weight_range=st.just((1.1, 3.0)),
+    initial_edge_density=st.floats(min_value=0.2, max_value=1.0),
+    n_phases=st.integers(min_value=2, max_value=30),
+    event_mix=st.just((0.6, 0.2, 0.2)),
+    prune_threshold=st.floats(min_value=2.0, max_value=4.0),
+)
+
+
 def rebuilt(initial):
     """A phase-0 state equal to ``initial`` that holds no generated run, so
     ``run_script`` of it settles and folds every event."""
     return new_graph(*initial_inputs(initial), initial.params)
+
+
+def counted_metrics(state: GraphState, k: int) -> MetricsReport:
+    """``metrics`` counted from the dicts alone, with no held field: the
+    reference of its reads of the held alive ids and histogram."""
+    alive = sorted(i for i, rec in state.nodes.items() if rec.alive)
+    if not alive:
+        return MetricsReport(state.phase, 0.0, 0, 0, None, 1.0, ())
+    masses = [state.nodes[i].mass for i in alive]
+    best = max(zip(masses, [-i for i in alive]))  # the lowest id of equal masses
+    degrees = Counter(i for key in state.edges for i in key)
+    hist = Counter(degrees[i] for i in alive)
+    share = sum(sorted(masses, reverse=True)[:k]) / sum(masses) if len(alive) > k else 1.0
+    return MetricsReport(state.phase, sum(masses), len(alive), len(state.edges),
+                         (-best[1], best[0]), share, tuple(hist[d] for d in range(max(hist) + 1)))
 
 
 def dense_weights(state: GraphState, n: int) -> np.ndarray:

@@ -14,7 +14,6 @@ held field or path adds one invariant here."""
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 
 from hypothesis import settings
@@ -22,12 +21,13 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from dense_oracle import DenseOracle
-from massgraph import (AddEdge, AddNode, EdgeRecord, GraphState, KernelParams, MetricsReport,
-                       Prune, apply_event, export_history_json, load_history, metrics, new_graph,
-                       run_script, settle_phase_one)
+from massgraph import (AddEdge, AddNode, EdgeRecord, GraphState, KernelParams, Prune, apply_event,
+                       export_history_json, load_history, metrics, new_graph, run_script,
+                       settle_phase_one)
 from massgraph.engine import _written, advance, event_delta, folded, settle_delta, working_copy
 from massgraph.graph import initial_inputs
-from support import assert_held_is_exact, assert_state_matches, rebuilt, replay_oracle
+from support import (assert_held_is_exact, assert_state_matches, counted_metrics, rebuilt,
+                     replay_oracle)
 
 # gains below 1 for most weights here, so most shifts are negative
 weakening = st.floats(min_value=1.05, max_value=3.0)
@@ -42,21 +42,6 @@ def phase_zero(draw) -> GraphState:
                             sigma=st.floats(min_value=0.2, max_value=3.0)))
     return new_graph(draw(st.lists(weakening, min_size=n, max_size=n)),
                      [(a, b, draw(weakening)) for a, b in pairs], params)
-
-
-def counted_metrics(state: GraphState, k: int) -> MetricsReport:
-    """``metrics`` counted from the dicts alone, with no held field: the
-    reference of its reads of the held alive ids and histogram."""
-    alive = sorted(i for i, rec in state.nodes.items() if rec.alive)
-    if not alive:
-        return MetricsReport(state.phase, 0.0, 0, 0, None, 1.0, ())
-    masses = [state.nodes[i].mass for i in alive]
-    best = max(zip(masses, [-i for i in alive]))  # the lowest id of equal masses
-    degrees = Counter(i for key in state.edges for i in key)
-    hist = Counter(degrees[i] for i in alive)
-    share = sum(sorted(masses, reverse=True)[:k]) / sum(masses) if len(alive) > k else 1.0
-    return MetricsReport(state.phase, sum(masses), len(alive), len(state.edges),
-                         (-best[1], best[0]), share, tuple(hist[d] for d in range(max(hist) + 1)))
 
 
 def assert_same(state: GraphState, other: GraphState) -> None:
