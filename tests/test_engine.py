@@ -20,7 +20,6 @@ from massgraph import (
     AddNode,
     DiagonalError,
     DuplicateEdgeError,
-    EdgeRecord,
     GraphState,
     InputError,
     KernelParams,
@@ -358,15 +357,6 @@ def test_records_and_events_are_slotted_values(value):
     assert pickle.loads(pickle.dumps(value)) == value
     with pytest.raises(TypeError):
         vars(value)  # no per-instance __dict__
-
-
-def test_an_edge_record_reads_as_its_exact_float():
-    state = settle_phase_one(new_graph([2, 2, 3], [(1, 2, 2)]))
-    state = apply_event(state, AddEdge(1, 3, 2.0))[0]  # a shift and a new weight
-    for (a, b), edge in state.edges.items():
-        assert type(edge) is EdgeRecord
-        assert type(edge.weight) is float and edge.weight == edge
-        assert type(state.weight(a, b)) is float
 
 
 class TestDeterminismAndInvariants:

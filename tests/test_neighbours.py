@@ -14,13 +14,9 @@ the tests here pin which state holds what, and what a step reads."""
 from __future__ import annotations
 
 import copy
-import itertools
 import sys
-from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
-
-from hypothesis import given, settings
 
 from massgraph import (
     AddEdge,
@@ -31,9 +27,7 @@ from massgraph import (
     Prune,
     ScenarioConfig,
     apply_event,
-    export_history_json,
     generate_scenario,
-    load_history,
     metrics,
     new_graph,
     run_script,
@@ -43,22 +37,11 @@ from massgraph import engine, scenario
 from massgraph.engine import (advance, event_delta, folded, node_delta, prune_delta, settle_delta,
                              working_copy)
 from massgraph.io import _history_pieces
-from support import assert_held_is_exact, configs, rebuilt
+from support import assert_held_is_exact, assert_index_matches_edges, rebuilt
 
 
 def holds_index(state) -> bool:
     return state._derived.incident is not None
-
-
-def assert_index_matches_edges(state):
-    # every node has an entry, and each edge key sits exactly once in each
-    # of its endpoints' tuples and nowhere else, as the edge dict's own key
-    index = state.incident
-    assert index.keys() == state.nodes.keys()
-    placed = Counter((i, key) for i, keys in index.items() for key in keys)
-    assert placed == Counter((i, key) for key in state.edges for i in key)
-    held = {key: key for key in state.edges}
-    assert all(held[key] is key for keys in index.values() for key in keys)
 
 
 def test_only_the_state_before_final_keeps_an_index():
@@ -233,43 +216,6 @@ def test_a_copy_keeps_a_correct_index_after_the_original_advances():
     assert twin.incident == {1: ((1, 2),), 2: ((1, 2),), 3: ()}
     assert apply_event(twin, AddEdge(2, 3, 2.0))[0].incident == \
         {1: ((1, 2),), 2: ((1, 2), (2, 3)), 3: ((2, 3),)}
-
-
-def assert_numbered_one_to_n(state):
-    assert sorted(state.nodes) == list(range(1, len(state.nodes) + 1))
-    assert state.next_id == max(state.nodes, default=0) + 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(configs)
-def test_every_state_holds_the_next_id_after_its_nodes(config):
-    # ids run 1 to n in every state, so n + 1 is the id after the highest
-    # and a node event never finds it taken. Checked on the generator's and
-    # the run's working state after each step, on the folded, the applied
-    # and the loaded states, and on final
-    real = scenario.advance
-    advanced = []
-
-    def checked(state, delta):
-        real(state, delta)
-        assert_numbered_one_to_n(state)
-        advanced.append(state.phase)
-
-    with patch.object(scenario, "advance", checked):
-        initial, events = generate_scenario(config)
-        history = run_script(rebuilt(initial), events)
-    assert len(advanced) == 2 * (len(events) + 1)
-    state = settle_phase_one(initial)
-    applied = [initial, state]
-    for event in events:
-        state = apply_event(state, event)[0]
-        applied.append(state)
-    states = list(history.states())
-    assert states == applied
-    loaded = load_history(export_history_json(history))
-    for state in itertools.chain(states, applied, loaded.states(), history.snapshots,
-                                 [history.final]):
-        assert_numbered_one_to_n(state)
 
 
 def test_a_working_state_keeps_its_histogram_as_it_advances():

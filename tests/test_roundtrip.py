@@ -42,7 +42,6 @@ from massgraph import (
     parse_script,
     run_script,
     script_document,
-    settle_phase_one,
     state_digest,
     validate_state,
 )
@@ -51,9 +50,7 @@ from massgraph.graph import above_one, edge_key, initial_inputs, node_id, node_l
 from massgraph.io import _compact, _history_pieces, _SnapshotWriter
 from massgraph.kernel import as_float
 
-from dense_oracle import DenseOracle
-from support import (assert_state_matches, biting, configs, counted_metrics, reconnecting,
-                     replay_oracle, shrinking)
+from support import biting, configs, reconnecting
 
 
 def assert_history_round_trips(initial, events, with_source=True):
@@ -77,12 +74,6 @@ def test_history_without_source_round_trips_its_kernel():
     assert_history_round_trips(new_graph([2, 2], [(1, 2, 2)], KernelParams(mu=0.5, sigma=2.0)),
                                [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)],
                                with_source=False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(configs)
-def test_history_round_trips(config):
-    assert_history_round_trips(*generate_scenario(config))
 
 
 def masses_and_weights(doc) -> list[tuple[str, list | dict, int | str]]:
@@ -517,49 +508,3 @@ def test_states_yields_the_snapshots_and_keeps_what_it_yielded(config, stop):
     assert history.snapshots == yielded
     assert head + list(partway) == yielded
     assert all(a is b for a, b in zip(history.states(), history.snapshots))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(biting, shrinking))
-def test_every_state_holds_each_weight_as_an_edge_record(config):
-    # a run's working state shifts weights as bare floats and makes them
-    # records when the run ends, and a fold and the pure API make records
-    # of the weights their shift touched; a state handed out that holds a
-    # bare float, or a record whose weight is not an exact float, fails
-    # here, whichever way it is read
-    initial, events = generate_scenario(config)
-    generated = initial._derived.run[-1]  # the run the scenario keeps
-    history = run_script(initial, events)
-    folded = list(history.states())  # before the list is built: folded afresh
-    pure = [settle_phase_one(initial)]
-    for event in events:
-        pure.append(apply_event(pure[-1], event)[0])
-    assert pure == folded[1:]
-    loaded = load_history(export_history_json(history))
-    for state in itertools.chain(folded, history.snapshots, [history.final, generated],
-                                 loaded.states(), pure):
-        for (a, b), edge in state.edges.items():
-            assert type(edge) is EdgeRecord
-            assert type(edge.weight) is float and edge.weight == edge
-            assert type(state.weight(a, b)) is float
-    for report in history.prune_reports + loaded.prune_reports:
-        assert all(type(w) is float for _, w in report.removed_edges)
-    oracle = DenseOracle(*initial_inputs(initial), initial.params.mu, initial.params.sigma)
-    oracle.settle()
-    for event in events:
-        replay_oracle(oracle, event)
-    assert_state_matches(history.final, oracle, atol=1e-9)
-
-
-@settings(max_examples=60, deadline=None)
-@given(biting, st.integers(min_value=1, max_value=4))
-def test_every_state_carries_the_degree_histogram_of_its_edges(config, k):
-    # the folds derive each histogram from the one before: a prune that
-    # leaves its dead nodes counted, or a count of 0 left at the end, fails here
-    history = run_script(*generate_scenario(config))
-    folded = list(history.states())
-    loaded = load_history(export_history_json(history))
-    for state in itertools.chain(folded, history.snapshots, [history.final], loaded.states()):
-        fresh = GraphState(state.phase, state.nodes, state.edges, state.params)
-        assert state.degree_histogram == fresh.degree_histogram
-        assert metrics(state, k) == counted_metrics(state, k)
