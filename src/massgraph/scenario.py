@@ -295,10 +295,11 @@ def _run(initial: GraphState,
                 phase=state.phase + 1, event=event,
             ) from err
         advance(state, delta)
-        if isinstance(event, AddEdge):  # its step is its key and four numbers
+        kind = type(delta)
+        if kind is EdgeStep:  # its key and four numbers
             keys.append(delta.key)
             numbers += _FOUR.pack(*delta[1:])
-        elif isinstance(event, Prune):  # its report is its delta
+        elif kind is PruneReport:  # the prune's report
             reports.append(delta)
         events.append(event)
     _records(state.edges, state.edges)  # once per run, O(E): the steps left floats

@@ -7,16 +7,19 @@ one node and one index entry; a prune that removes two edges, those edges,
 their endpoints and their entries; none of them anything that grows with
 the node or edge count. A prune at or below the floor reads no edge and no
 node record, only the index entry of each alive id. At each event's
-phase, the history writer renders only the records the event wrote."""
+phase, the history writer renders only the records the event wrote. Drawing
+a generated edge event reads, of ``later`` and ``edges``, one key per
+alive id: linear in the alive count, pinned as the code meets it."""
 
 from __future__ import annotations
 
 import math
 from unittest.mock import patch
 
-from massgraph import (AddEdge, AddNode, GraphState, KernelParams, Prune, apply_event, new_graph,
-                       reinforcement, run_script, settle_phase_one)
-from massgraph import engine
+from massgraph import (AddEdge, AddNode, GraphState, KernelParams, Prune, ScenarioConfig,
+                       apply_event, generate_scenario, new_graph, reinforcement, run_script,
+                       settle_phase_one)
+from massgraph import engine, scenario
 from massgraph.engine import advance, edge_delta, event_delta, folded
 from massgraph.io import _history_pieces, _SnapshotWriter
 
@@ -204,3 +207,34 @@ def test_the_writer_renders_the_same_records_on_every_rung():
     # nodes, and none of the edges it removed
     for event, expected in ((EVENT, (2, 7)), (AddNode(2.0), (1, 0)), (CUT, (2, 0))):
         assert [rendered(n, event) for n in RUNGS] == [expected] * len(RUNGS)
+
+
+def drawn(n: int) -> tuple[int, int, int]:
+    """The reads of ``later`` and ``edges`` that drawing the one edge event
+    of a generated scenario of ``n`` nodes takes in ``_free_pair``, through
+    counted copies of both, and the alive count it drew from."""
+    real, calls = scenario._free_pair, []
+
+    def counting(alive, later, edges, r):
+        later, edges = Counted(later), Counted(edges)
+        pair = real(alive, later, edges, r)
+        calls.append((later.reads, edges.reads, len(alive)))
+        return pair
+
+    config = ScenarioConfig(seed=5, n_initial=n, n_phases=2, event_mix=(1.0, 0.0, 0.0),
+                            initial_edge_density=0.05)
+    with patch.object(scenario, "_free_pair", counting):
+        _, events = generate_scenario(config)
+    assert [type(event) for event in events] == [AddEdge] and len(calls) == 1
+    return calls[0]
+
+
+def test_drawing_an_edge_event_reads_each_alive_id_once():
+    # _free_pair counts each node's free later partners up to the drawn
+    # pair's low end a, then lists a's free partners above it: one read of
+    # later per id up to a, one of edges per id above a, so the draw is
+    # linear in the alive count, whatever the rank and the edge count
+    for n in RUNGS:
+        later_reads, edge_reads, alive = drawn(n)
+        assert alive == n and later_reads > 0 and edge_reads > 0
+        assert later_reads + edge_reads == n

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import sys
@@ -357,6 +358,19 @@ def test_records_and_events_are_slotted_values(value):
     assert pickle.loads(pickle.dumps(value)) == value
     with pytest.raises(TypeError):
         vars(value)  # no per-instance __dict__
+    # the hand-written __init__ takes every field, in order, with its
+    # default, and sets every slot, by keyword or by position alike
+    kind, fields = type(value), dataclasses.fields(value)
+    assert [(p.name, p.default) for p in inspect.signature(kind).parameters.values()] == \
+        [(f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+         for f in fields]
+    values = [getattr(value, f.name) for f in fields]
+    by_name, by_place = kind(**{f.name: v for f, v in zip(fields, values)}), kind(*values)
+    assert by_name == by_place == value
+    assert hash(by_name) == hash(by_place) == hash(value)
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
 
 
 class TestDeterminismAndInvariants:
