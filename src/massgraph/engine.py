@@ -7,30 +7,31 @@ threshold, a string label) and store each number as the float they
 return, so every event that exists is one the model defines. Valid fields
 of the exact type cost one check; a refusal names its field in ``path``.
 
-Each transition first computes its delta from a state it only reads
-(:func:`settle_delta`, :func:`edge_delta`, :func:`node_delta`,
-:func:`prune_delta`); a state's checks run there, before anything changes, and
-the model's rules are documented there. A run owns one :func:`working_copy`
-of its phase-0 state and folds each delta into it with :func:`advance`, so
-an event costs what it touches (its endpoints and their incident edges),
-not a copy of every node and edge. The pure API, :func:`settle_phase_one`
-and :func:`apply_event`, takes the same two steps on a fresh working copy
-and leaves the old state's fields as they were. Every reader that needs an
+Settlement (:func:`_settle`) builds the settled phase-1 state directly,
+as a :func:`working_copy` of phase 0. Each event then first computes its
+delta from a state it only reads (:func:`edge_delta`, :func:`node_delta`,
+:func:`prune_delta`); a state's checks run there, before anything
+changes, and the model's rules are documented there. A run folds each
+delta into its settled working state with :func:`advance`, so an event
+costs what it touches (its endpoints and their incident edges), not a
+copy of every node and edge. The pure API, :func:`settle_phase_one` and
+:func:`apply_event`, takes the same steps on a fresh working copy and
+leaves the old state's fields as they were. Every reader that needs an
 order sorts for itself (ascending ids / ascending endpoint pairs); a dict's
 own order is still a fixed function of the script (phase-0 pairs ascending,
 each added pair last, survivors of a prune in their places), so identical
 inputs reproduce bit-identical states.
 
 Each event's delta is the row a run's log (see
-:class:`~massgraph.scenario.PhaseHistory`) keeps of it, and settlement's is
-a :class:`PhaseDelta`. An edge event's is its step, an :class:`EdgeStep`:
-the rule, not its result, as its key, the endpoints' grown masses, the new
-weight and ``shift = ln(gain)``, which :func:`advance` adds to every weight
-at the two endpoints as a bare float, as it leaves the new weight; only a
-working state keeps those (a run's, until it ends, and the history
-writer's), and no state handed out holds one. So a step costs O(1),
-whatever the endpoints' degrees, and builds no record. A node event's delta
-is its new :class:`~massgraph.graph.NodeRecord`, and a prune's is its
+:class:`~massgraph.scenario.PhaseHistory`) keeps of it, with no exception.
+An edge event's is its step, an :class:`EdgeStep`: the rule, not its
+result, as its key, the endpoints' grown masses, the new weight and
+``shift = ln(gain)``, which :func:`advance` adds to every weight at the
+two endpoints as a bare float, as it leaves the new weight; only a working
+state keeps those (a run's, until it ends, and the history writer's), and
+no state handed out holds one. So a step costs O(1), whatever the
+endpoints' degrees, and builds no record. A node event's delta is its new
+:class:`~massgraph.graph.NodeRecord`, and a prune's is its
 :class:`PruneReport`, from which :func:`advance` makes the dead records.
 
 :func:`advance` is the one step that changes a state: its dicts, and the
@@ -123,17 +124,6 @@ class PruneReport:
     removed_nodes: tuple[int, ...]
 
 
-class PhaseDelta(NamedTuple):
-    """Settlement's delta: the node records it grows and every edge's
-    lifted weight. Each event's delta is its row of a run's log instead: an
-    edge event's, its :class:`EdgeStep`; a node event's, its new
-    :class:`~massgraph.graph.NodeRecord`; a prune's, its
-    :class:`PruneReport`."""
-
-    nodes: dict[int, NodeRecord]
-    edges: dict[tuple[int, int], EdgeRecord]
-
-
 class EdgeStep(NamedTuple):
     """An edge event's delta, which is one row of a run's log: its new
     pair's key, the grown masses of the key's low and high endpoints, the
@@ -147,8 +137,7 @@ class EdgeStep(NamedTuple):
     shift: float
 
 
-def folded(state: GraphState, delta: PhaseDelta | EdgeStep | NodeRecord | PruneReport
-           ) -> GraphState:
+def folded(state: GraphState, delta: EdgeStep | NodeRecord | PruneReport) -> GraphState:
     """``state``'s successor, with ``delta`` folded onto copies of the dicts
     its kind changes; a dict it leaves alone (the edges, for a node event or
     a prune that removes no edge) is shared. The successor takes ``state``'s
@@ -158,8 +147,6 @@ def folded(state: GraphState, delta: PhaseDelta | EdgeStep | NodeRecord | PruneR
     kind = type(delta)
     if kind is PruneReport:
         copies = delta.removed_nodes, delta.removed_edges
-    elif kind is PhaseDelta:
-        copies = delta.nodes, delta.edges
     else:  # an edge step writes both dicts, a node event's record the nodes
         copies = True, kind is EdgeStep
     nodes = dict(state.nodes) if copies[0] else state.nodes
@@ -188,7 +175,7 @@ def working_copy(state: GraphState) -> GraphState:
     return copy
 
 
-def advance(state: GraphState, delta: PhaseDelta | EdgeStep | NodeRecord | PruneReport) -> None:
+def advance(state: GraphState, delta: EdgeStep | NodeRecord | PruneReport) -> None:
     """Fold ``delta`` into ``state``'s dicts, held index and held degree
     histogram, in place, and move its phase on by one; ``state`` shares no
     dict with another state. Each kind takes its own branch. An edge step
@@ -196,9 +183,7 @@ def advance(state: GraphState, delta: PhaseDelta | EdgeStep | NodeRecord | Prune
     endpoints through the index, before its key joins their entries, and
     leaves each, like its new weight, a bare float, which only a working
     state keeps; its masses replace its endpoints' records in their places.
-    Settlement's records replace theirs in their places and change no
-    degree, no liveness and, as it only raises weights (by ln of a mass sum
-    above 2), no floor. A node event's record goes last, under the next id,
+    A node event's record goes last, under the next id,
     with an empty index entry and a count of degree 0. A prune deletes its
     report's edges, gives their endpoints' entries new tuples, replaces
     each removed node's record in its place by a dead one, and raises the
@@ -259,9 +244,6 @@ def advance(state: GraphState, delta: PhaseDelta | EdgeStep | NodeRecord | Prune
                 counts.pop()
             counted = tuple(counts)
             derived.histogram = hist if counted == hist else counted
-    elif kind is PhaseDelta:
-        nodes.update(delta.nodes)
-        edges.update(delta.edges)
     else:  # a node event's record, under the next id
         i = len(nodes) + 1
         nodes[i] = delta
@@ -288,14 +270,17 @@ def _finite(key: tuple[int, int], weight: float) -> float:
     return weight
 
 
-def settle_delta(state: GraphState) -> PhaseDelta:
-    """Settlement: turn the raw phase-0 inputs into the settled phase-1 state.
+def _settle(state: GraphState) -> GraphState:
+    """Settlement: turn the raw phase-0 inputs into the settled phase-1
+    state, a :func:`working_copy` of ``state``, which keeps its own index.
 
     Every node's mass grows by the summed reinforcement of its incident
     initial weights (absent pairs contribute nothing); afterwards every
-    existing edge is re-weighted by ln of its endpoints' new mass sum.
-    Pairs without an initial edge stay unconnected. A weight that
-    overflows raises :class:`InputError`.
+    existing edge is re-weighted by ln of its endpoints' new mass sum, in
+    its place. Pairs without an initial edge stay unconnected. A weight
+    that overflows raises :class:`InputError`. Settlement changes no
+    degree and no liveness and, as it only raises weights (by ln of a mass
+    sum above 2), lowers no floor.
     """
     if state.phase != 0:
         raise SequencingError(
@@ -308,29 +293,27 @@ def settle_delta(state: GraphState) -> PhaseDelta:
         gain = reinforcement(weight, state.params)
         gains[a] += gain
         gains[b] += gain
-    grown: dict[int, NodeRecord] = {}
-    for i in sorted(state.nodes):
-        if gains[i]:
-            rec = state.nodes[i]
-            grown[i] = NodeRecord(rec.mass + gains[i], rec.label, rec.alive)
-    nodes = {**state.nodes, **grown}
-    lifted: dict[tuple[int, int], EdgeRecord] = {}
+    settled = working_copy(state)
+    nodes = settled.nodes
+    for i, gain in gains.items():
+        if gain:
+            rec = nodes[i]
+            nodes[i] = NodeRecord(rec.mass + gain, rec.label, rec.alive)
     for key, weight in edges:
         a, b = key
-        lifted[key] = EdgeRecord(_finite(key, weight + math.log(nodes[a].mass + nodes[b].mass)))
-    return PhaseDelta(grown, lifted)
+        settled.edges[key] = EdgeRecord(
+            _finite(key, weight + math.log(nodes[a].mass + nodes[b].mass)))
+    object.__setattr__(settled, "phase", 1)
+    return settled
 
 
 def settle_phase_one(state: GraphState) -> GraphState:
-    """The settled phase-1 state (see :func:`settle_delta`); ``state``
-    keeps its fields. A phase-0 state must be one a run may start from,
-    which :func:`~massgraph.graph.initial_inputs` decides."""
+    """The settled phase-1 state (see :func:`_settle`); ``state`` keeps its
+    fields. A phase-0 state must be one a run may start from, which
+    :func:`~massgraph.graph.initial_inputs` decides."""
     if state.phase == 0:
         initial_inputs(state)
-    delta = settle_delta(state)
-    successor = working_copy(state)
-    advance(successor, delta)
-    return successor
+    return _settle(state)
 
 
 def edge_delta(state: GraphState, event: AddEdge) -> EdgeStep:
@@ -416,7 +399,8 @@ def prune_delta(state: GraphState, event: Prune) -> PruneReport:
 
 def event_delta(state: GraphState, event: Event) -> EdgeStep | NodeRecord | PruneReport:
     """Dispatch one event to its delta, the row a run's log keeps of it
-    (see :class:`PhaseDelta`); every event needs a settled state."""
+    (see :class:`~massgraph.scenario.PhaseHistory`); every event needs a
+    settled state."""
     if state.phase < 1:
         raise SequencingError(
             f"events require a settled state (phase >= 1), got phase {state.phase}"
@@ -443,17 +427,15 @@ def apply_event(state: GraphState, event: Event) -> tuple[GraphState, PruneRepor
     return successor, delta if type(delta) is PruneReport else None
 
 
-def _written(state: GraphState, delta: PhaseDelta | EdgeStep | NodeRecord | PruneReport) -> tuple:
+def _written(state: GraphState, delta: EdgeStep | NodeRecord | PruneReport) -> tuple:
     """The node ids and the edge keys that ``delta`` wrote when it was
     folded into ``state``, the state after it: an edge step's endpoints and
-    the keys at them, its own among them; settlement's records; a node
-    event's id, the last, and no key; a prune's dead ids and no key, as the
-    keys it removed are gone."""
+    the keys at them, its own among them; a node event's id, the last, and
+    no key; a prune's dead ids and no key, as the keys it removed are
+    gone."""
     kind = type(delta)
     if kind is EdgeStep:
         return delta.key, {key for i in delta.key for key in state.incident[i]}
     if kind is PruneReport:
         return delta.removed_nodes, ()
-    if kind is PhaseDelta:
-        return delta.nodes, delta.edges
     return (len(state.nodes),), ()  # a node event's record, filed last

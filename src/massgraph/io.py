@@ -24,9 +24,10 @@ there, and every other object, takes the checked path, which checks the
 object's shape first. :func:`script_document` writes each event's fields
 as the event holds them, which is as parsing reads them back, and refuses
 a phase-0 state by :func:`~massgraph.graph.initial_inputs`, the rule
-``run_script`` applies too, with :class:`InputError`. Exports are
-canonical -- keys sorted, floats rendered as their shortest round-trip
-decimals -- so identical inputs always yield byte-identical files.
+``run_script`` applies too, with :class:`~massgraph.errors.InputError`.
+Exports are canonical -- keys sorted, floats rendered as their shortest
+round-trip decimals -- so identical inputs always yield byte-identical
+files.
 
 A history's snapshots are written as text, not built as dicts first: the
 writer keeps each array's keys in ascending order beside their texts,

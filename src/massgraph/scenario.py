@@ -30,11 +30,10 @@ from .engine import (
     Prune,
     PruneReport,
     _records,
+    _settle,
     advance,
     event_delta,
     folded,
-    settle_delta,
-    working_copy,
 )
 from .errors import (GenerationError, InputError, MassGraphError, ParameterError,
                      SimulationError)
@@ -125,8 +124,9 @@ class PhaseHistory:
     endpoints' grown masses, its new weight and ``shift``, the ln(gain)
     that :func:`~massgraph.engine.advance` adds to every weight at the
     endpoints); and each prune's report. Each walk settles the phase-0
-    state again, and a node event needs nothing beyond itself: its id is
-    the next one. So the log grows with the changes, not with the weights
+    state again, into a working copy of it, so phase 0 keeps its own
+    index, and a node event needs nothing beyond itself: its id is the
+    next one. So the log grows with the changes, not with the weights
     a shift changes. Each phase's delta, its row of the log (a node
     event's record is built from the event alone), is folded onto copies
     (:func:`~massgraph.engine.folded`): a folded state shares each dict
@@ -172,21 +172,24 @@ class PhaseHistory:
         self._final = final
 
     def _folds(self, in_place: bool = False) -> Iterator[tuple]:
-        """Every state in phase order with its phase's delta (None at phase
-        0): each delta taken from the log, or for a node event built from
-        the event, and folded onto the state before it, which no delta
-        reads; last comes ``final``. ``in_place`` steps one working copy of
-        phase 0 instead, with phase 0's histogram, and yields it at each
-        phase between, valid until the next."""
+        """Every state in phase order with its phase's delta: phase 0, then
+        the settled phase-1 state, each with None, then each event's delta,
+        taken from the log, or for a node event built from the event, and
+        folded onto the state before it, which no delta reads; last comes
+        ``final``. A history with no events settles nothing: ``final`` is
+        its phase 1. The settled state, a working copy of phase 0, takes
+        phase 0's histogram; ``in_place`` steps it in place and yields it
+        at each phase between, valid until the next."""
         numbers, keys, reports = self._log
         keys, numbers, reports = iter(keys), _FOUR.iter_unpack(numbers), iter(reports)
-        state, delta = self._initial, settle_delta(self._initial)
-        yield state, None
-        if in_place:
-            state = working_copy(state)
-            state._derived.histogram = self._initial._derived.histogram
+        state = initial = self._initial
+        delta = None
+        yield state, delta
         for event in self.events:
-            if in_place:
+            if state is initial:
+                state = _settle(initial)
+                state._derived.histogram = initial._derived.histogram
+            elif in_place:
                 advance(state, delta)
             else:
                 state = folded(state, delta)
@@ -280,11 +283,9 @@ def _run(initial: GraphState,
     bare floats until the loop's end makes them records, and the events; a
     failing transition raises :class:`SimulationError` with its phase."""
     try:
-        settled = settle_delta(initial)
+        state = _settle(initial)
     except MassGraphError as err:
         raise SimulationError(f"settlement failed: {err}", phase=1) from err
-    state = working_copy(initial)
-    advance(state, settled)
     numbers, keys, reports, events = bytearray(), [], [], []
     for event in draw(state, reports):
         try:

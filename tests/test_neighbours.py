@@ -4,9 +4,10 @@ nodes and edges and held beside its value. ``advance`` is the one step
 that keeps them: it folds a delta into a state's index in place and steps
 a held histogram in O(touched), a held alive tuple on node events and node
 removals, and a held floor by one compare. A run's working state holds a
-histogram only once it is read; a folded state takes its predecessor's
-index, which then holds none and builds another if read, and its
-predecessor's histogram, alive tuple and floor. The next node id is not
+histogram only once it is read; the settled state is a working copy of
+phase 0, which keeps its own index, and a folded state takes its
+predecessor's index, which then holds none and builds another if read, and
+its predecessor's histogram, alive tuple and floor. The next node id is not
 held: every state numbers its nodes 1 to n, so it is n + 1. That every
 held field is exact on every path is checked in ``test_state_paths.py``;
 the tests here pin which state holds what, and what a step reads."""
@@ -14,6 +15,7 @@ the tests here pin which state holds what, and what a step reads."""
 from __future__ import annotations
 
 import copy
+import operator
 import sys
 from dataclasses import replace
 from unittest.mock import patch
@@ -34,8 +36,7 @@ from massgraph import (
     settle_phase_one,
 )
 from massgraph import engine, scenario
-from massgraph.engine import (advance, event_delta, folded, node_delta, prune_delta, settle_delta,
-                             working_copy)
+from massgraph.engine import advance, event_delta, folded, node_delta, prune_delta, working_copy
 from massgraph.io import _history_pieces
 from support import assert_held_is_exact, assert_index_matches_edges, rebuilt
 
@@ -53,10 +54,12 @@ def test_only_the_state_before_final_keeps_an_index():
     snapshots = history.snapshots
     assert snapshots[-1] is final
     assert history.final is final
-    # each fold moves its predecessor's index on, phase 0's included: only
-    # the state final follows still holds one; each fold holds phase 0's
-    # histogram and alive ids, stepped
-    assert not any(holds_index(s) for s in snapshots[:-2])
+    # phase 0 keeps its index, which the settled state copies; each fold
+    # moves its predecessor's index on: only the state final follows still
+    # holds one; each fold holds phase 0's histogram and alive ids, stepped
+    assert holds_index(snapshots[0])
+    assert_index_matches_edges(snapshots[0])
+    assert not any(holds_index(s) for s in snapshots[1:-2])
     assert holds_index(snapshots[-2])
     assert_index_matches_edges(snapshots[-2])
     assert all(None not in (s._derived.histogram, s._derived.alive) for s in snapshots[:-1])
@@ -66,6 +69,29 @@ def test_only_the_state_before_final_keeps_an_index():
     replacement = copy.copy(final)
     history.snapshots[-1] = replacement
     assert history.final is replacement
+
+
+def test_phase_zero_keeps_its_held_fields_through_every_walk():
+    # settlement copies phase 0's index, so no walk takes it from phase 0:
+    # every walk after the run's reads phase 0's own index, histogram and
+    # alive ids, the very ones the first walk found, and builds none
+    config = ScenarioConfig(seed=3, n_initial=10, n_phases=80, event_mix=(0.6, 0.2, 0.2),
+                            prune_threshold=20.0)
+    initial, events = generate_scenario(config)
+    initial = rebuilt(initial)
+    history = run_script(initial, events)
+    list(history.states())
+    held = initial._derived
+    fields = held.incident, held.histogram, held.alive
+    assert None not in fields
+
+    for walk in (lambda: list(history.states()), lambda: list(_history_pieces(history, metrics)),
+                 lambda: list(history.states())):
+        walk()
+        # the same objects, so none was built again, and each exact
+        assert all(map(operator.is_, (held.incident, held.histogram, held.alive), fields))
+        assert_held_is_exact(initial)
+    assert history.snapshots[0] is initial
 
 
 def test_a_state_whose_ids_run_out_of_order_holds_exact_fields():
@@ -241,14 +267,19 @@ def test_a_run_holds_no_histogram_until_metrics_reads_one():
     # neither final holds one: only a read counts it
     config = ScenarioConfig(seed=3, n_initial=10, n_phases=80, event_mix=(0.6, 0.2, 0.2),
                             prune_threshold=20.0)
-    real = scenario.advance
+    real, real_settle = scenario.advance, scenario._settle
     held = []
 
     def checked(state, delta):
         real(state, delta)
         held.append(state._derived.histogram)
 
-    with patch.object(scenario, "advance", checked):
+    def settle(initial):
+        state = real_settle(initial)
+        held.append(state._derived.histogram)
+        return state
+
+    with patch.object(scenario, "advance", checked), patch.object(scenario, "_settle", settle):
         initial, events = generate_scenario(config)
         generated = initial._derived.run[-1]
         history = run_script(rebuilt(initial), events)
@@ -285,7 +316,9 @@ def test_the_writers_pass_counts_a_histogram_only_if_its_hook_reads_one():
 def test_a_fold_derives_its_histogram_from_its_predecessors():
     initial = new_graph([2, 2, 3], [(1, 2, 2)])
     hist = initial.degree_histogram
-    settled = folded(initial, settle_delta(initial))
+    states = run_script(initial, [AddNode(4.0)]).states()
+    next(states)
+    settled = next(states)
     assert settled.degree_histogram is hist  # settling changes no degree
     grown = folded(settled, node_delta(settled, AddNode(4.0)))
     assert grown._derived.histogram == (2, 2)  # held, not counted on read

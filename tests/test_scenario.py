@@ -6,6 +6,7 @@ import copy
 import gc
 import hashlib
 import itertools
+import json
 import math
 import pickle
 import random
@@ -37,10 +38,12 @@ from massgraph import (
     SimulationError,
     apply_event,
     canonical_json_bytes,
+    cli_main,
     edge_key,
     export_dot,
     export_history_json,
     generate_scenario,
+    load_history,
     metrics,
     new_graph,
     reinforcement,
@@ -143,8 +146,9 @@ class TestRunScript:
     @staticmethod
     def counted_run(initial, events):
         """``run_script(initial, events)`` with the engine's record builds
-        counted: the history, after each fold the records built so far,
-        and the edge records built once the last fold is done."""
+        counted: the history, after settlement and after each fold the
+        records built so far, and the edge records built once the last fold
+        is done."""
         built = Counter()
 
         def counted(record):
@@ -156,18 +160,24 @@ class TestRunScript:
         def no_copy(*args):
             raise AssertionError("a run copied its state")
 
-        real = scenario.advance
-        steps = []  # after each fold: records built so far, and the dicts folded into
+        real, real_settle = scenario.advance, scenario._settle
+        steps = []  # after each step: records built so far, and the dicts folded into
 
         def step(state, delta):
             real(state, delta)
             steps.append((built[EdgeRecord], built[NodeRecord], state.nodes, state.edges))
 
+        def settle(initial):
+            state = real_settle(initial)
+            steps.append((built[EdgeRecord], built[NodeRecord], state.nodes, state.edges))
+            return state
+
         with patch.object(engine, "EdgeRecord", counted(EdgeRecord)), \
                 patch.object(engine, "NodeRecord", counted(NodeRecord)), \
                 patch.object(engine, "folded", no_copy), \
                 patch.object(scenario, "folded", no_copy), \
-                patch.object(scenario, "advance", step):
+                patch.object(scenario, "advance", step), \
+                patch.object(scenario, "_settle", settle):
             history = run_script(initial, events)
             final = history.final
         assert all(nodes is final.nodes and edges is final.edges
@@ -229,9 +239,10 @@ class TestRunScript:
                 seen[id(obj)] = obj
                 todo += [o for o in gc.get_referents(obj) if isinstance(o, kinds)]
         kept = list(seen.values())
-        # four doubles per edge event: no event's delta, and not settlement's,
-        # which each walk computes again from phase 0
-        assert not any(isinstance(o, engine.PhaseDelta) for o in kept)
+        # four doubles per edge event: no event's delta, and no state but
+        # phase 0 and final, as each walk settles phase 0 again
+        assert [o for o in kept if isinstance(o, GraphState)] in \
+            ([history._initial, history.final], [history.final, history._initial])
         (packed,) = [o for o in kept if isinstance(o, bytearray)]
         numbers = struct.unpack(f"{4 * len(events)}d", packed)
         keys = history._log[1]
@@ -366,16 +377,21 @@ FORGETTING = ScenarioConfig(seed=7, n_initial=10, n_phases=60, event_mix=(0.6, 0
 
 
 def folds_of(call):
-    """``call()``'s result and how many deltas it folded into a working state."""
-    real, folds = scenario.advance, []
+    """``call()``'s result, and how many times it settled and how many
+    deltas it folded into a working state."""
+    real, real_settle, folds, settles = scenario.advance, scenario._settle, [], []
 
     def counted(state, delta):
         folds.append(state.phase)
         real(state, delta)
 
-    with patch.object(scenario, "advance", counted):
+    def settle(state):
+        settles.append(state.phase)
+        return real_settle(state)
+
+    with patch.object(scenario, "advance", counted), patch.object(scenario, "_settle", settle):
         result = call()
-    return result, len(folds)
+    return result, (len(settles), len(folds))
 
 
 def assert_same_history(history, fresh):
@@ -397,7 +413,7 @@ class TestHandoff:
         def settle(state):
             raise AssertionError("settled before refusing")
 
-        with patch.object(scenario, "settle_delta", settle), \
+        with patch.object(scenario, "_settle", settle), \
                 pytest.raises(TypeError, match=r"events\[1\]"):
             run_script(new_graph([2.0, 3.0], [(1, 2, 2.5)]), [AddNode(2.0), 42])
 
@@ -406,14 +422,14 @@ class TestHandoff:
         with pytest.raises(TypeError, match=r"events\[3\]"):
             run_script(initial, events[:3] + ["prune"] + events[3:])
         history, folds = folds_of(lambda: run_script(initial, events))
-        assert folds == 0  # the refusal left the run for the next call
+        assert folds == (0, 0)  # the refusal left the run for the next call
 
     @settings(max_examples=60, deadline=None)
     @given(configs)
     def test_the_handed_off_history_is_a_fresh_runs(self, config):
         initial, events = generate_scenario(config)
         history, folds = folds_of(lambda: run_script(initial, events))
-        assert folds == 0
+        assert folds == (0, 0)
         assert_same_history(history, run_script(rebuilt(initial), events))
 
     def test_forgetting_config_runs_to_its_golden_history(self):
@@ -430,7 +446,7 @@ class TestHandoff:
         initial, events = generate_scenario(FORGETTING)
         edit(events)
         history, folds = folds_of(lambda: run_script(initial, events))
-        assert folds == len(events) + 1
+        assert folds == (1, len(events))
         assert_same_history(history, run_script(rebuilt(initial), events))
 
     @pytest.mark.parametrize("edit", [
@@ -442,15 +458,15 @@ class TestHandoff:
         initial, events = generate_scenario(FORGETTING)
         edit(initial)
         history, folds = folds_of(lambda: run_script(initial, events))
-        assert folds == len(events) + 1
+        assert folds == (1, len(events))
         assert_same_history(history, run_script(rebuilt(initial), events))
 
     def test_only_the_first_run_takes_the_generated_one(self):
         initial, events = generate_scenario(FORGETTING)
         first, folds = folds_of(lambda: run_script(initial, events))
-        assert folds == 0
+        assert folds == (0, 0)
         second, folds = folds_of(lambda: run_script(initial, events))
-        assert folds == len(events) + 1
+        assert folds == (1, len(events))
         assert_same_history(first, second)
         assert second.final is not first.final
         assert second._log is not first._log
@@ -487,9 +503,9 @@ class TestHandoff:
         twin = copy.copy(initial)
         assert twin._derived is initial._derived
         _, folds = folds_of(lambda: run_script(twin, events))
-        assert folds == 0
+        assert folds == (0, 0)
         _, folds = folds_of(lambda: run_script(initial, events))
-        assert folds == len(events) + 1
+        assert folds == (1, len(events))
 
     @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
                                            lambda s: pickle.loads(pickle.dumps(s))],
@@ -510,8 +526,33 @@ class TestHandoff:
             run_script(initial, events, source=script_document(initial, events[:-1]))
         history, folds = folds_of(
             lambda: run_script(initial, events, source=script_document(initial, events)))
-        assert folds == 0
+        assert folds == (0, 0)
         assert_same_history(history, run_script(rebuilt(initial), events))
+
+
+class TestWalks:
+    """A walk over a history's states settles phase 0 once, and a history
+    with no events settles nothing: its ``final`` is its phase 1."""
+
+    @pytest.mark.parametrize("events", [[], [AddEdge(1, 3, 2.0)]], ids=["no-event", "one-event"])
+    def test_a_walk_settles_at_most_once(self, events, tmp_path, capsys):
+        history = run_script(new_graph([2.0, 3.0, 4.0], [(1, 2, 2.5)]), events)
+        walk = len(events)  # the settlements of one walk
+        path = tmp_path / "h.json"
+        path.write_bytes(export_history_json(history))
+        for call in (lambda: list(history.states()), lambda: export_history_json(history)):
+            for _ in range(2):  # each walk settles afresh
+                assert folds_of(call)[1] == (walk, 0)
+        # a load or stats replays the script, which settles and folds each
+        # event once, then walks its export
+        for call in (lambda: load_history(path.read_bytes()),
+                     lambda: cli_main(["stats", "--history", str(path)])):
+            assert folds_of(call)[1] == (1 + walk, len(events))
+        assert len(json.loads(capsys.readouterr().out)) == len(events) + 2
+
+    def test_the_handed_off_run_settles_nothing(self):
+        initial, events = generate_scenario(FORGETTING)
+        assert folds_of(lambda: run_script(initial, events))[1] == (0, 0)
 
 
 class TestConfig:
