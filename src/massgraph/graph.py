@@ -26,11 +26,24 @@ ones :func:`new_graph` builds, with masses and weights > 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (DiagonalError, DuplicateEdgeError, InputError, MassGraphError,
                      NodeLookupError, ParameterError, named)
 from .kernel import KernelParams, as_float, as_int
+
+if sys.version_info < (3, 12):
+    _left_sum = sum  # which adds floats left to right
+else:
+    def _left_sum(values: list[float]) -> float:
+        """``values`` added left to right from the int 0, as ``sum`` adds
+        floats before Python 3.12; from 3.12 on, ``sum`` compensates the
+        rounding of each float addition, so its last digits differ."""
+        total = 0
+        for value in values:
+            total += value
+        return total
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -226,8 +239,9 @@ class GraphState:
         return list(self._alive)
 
     def total_mass(self) -> float:
-        """Sum of the masses of alive nodes, in ascending id order."""
-        return sum(self.nodes[i].mass for i in self._alive)
+        """Sum of the masses of alive nodes, added left to right in
+        ascending id order."""
+        return _left_sum([self.nodes[i].mass for i in self._alive])
 
 
 def new_graph(masses: list[float], weights: list[tuple[int, int, float]],

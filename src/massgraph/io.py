@@ -329,13 +329,15 @@ def _history_pieces(history: PhaseHistory,
     ``script``, each snapshot as ``snapshots[p]``, and the head and tail
     around them as ``snapshots``. The top-level keys sort as
     ``prune_reports``, ``script``, ``snapshots``, and the compact JSON of
-    an array is its elements' joined by commas. ``each(state)``, when
-    given, is called on each state in phase order, before its snapshot is
-    written: phase 0, then one working copy of it, stepped in place and
-    valid until the next call, whose shifted weights are bare floats, then
-    ``final`` (or the built ``snapshots``). A number that is not finite
-    raises ValueError before its snapshot's piece is yielded."""
-    steps = history._steps(in_place=True)
+    an array is its elements' joined by commas. The states and their
+    deltas come from the history's one walk, :meth:`PhaseHistory._folds`,
+    in place. ``each(state)``, when given, is called on each state in
+    phase order, before its snapshot is written: phase 0, then one working
+    copy of it, stepped in place and valid until the next call, whose
+    shifted weights are bare floats, then ``final``; or, once ``snapshots``
+    is built, that list's entries. A number that is not finite raises
+    ValueError before its snapshot's piece is yielded."""
+    steps = history._folds(in_place=True)
     initial = next(steps)[0]
     script = script_document(initial, history.events)
     yield "prune_reports", b'{"prune_reports":['

@@ -37,7 +37,7 @@ from .engine import (
 )
 from .errors import (GenerationError, InputError, MassGraphError, ParameterError,
                      SimulationError)
-from .graph import GraphState, NodeRecord, initial_inputs, new_graph
+from .graph import GraphState, NodeRecord, _left_sum, initial_inputs, new_graph
 from .kernel import KernelParams, as_float, as_int
 
 _MAX_REDRAWS = 1000
@@ -149,8 +149,9 @@ class PhaseHistory:
     and hands that state, whose shifted weights are bare floats, to a hook.
     ``prune_reports`` are the log's reports, in order. ``snapshots`` is the
     list of the states, ``snapshots[i]`` the state at phase i, for callers
-    that index or keep states: it is built on first read, and is then a
-    plain, writable list.
+    that index or keep states: it is built from :meth:`states` on first
+    read, and is then a plain, writable list, which every later walk
+    (:meth:`states`, the writer) yields instead of folding the log.
 
     ``final`` is the state at the last phase, the run's working state, which
     the package never changes after :func:`run_script` returns (nor any
@@ -172,14 +173,20 @@ class PhaseHistory:
         self._final = final
 
     def _folds(self, in_place: bool = False) -> Iterator[tuple]:
-        """Every state in phase order with its phase's delta: phase 0, then
-        the settled phase-1 state, each with None, then each event's delta,
-        taken from the log, or for a node event built from the event, and
-        folded onto the state before it, which no delta reads; last comes
-        ``final``. A history with no events settles nothing: ``final`` is
-        its phase 1. The settled state, a working copy of phase 0, takes
-        phase 0's histogram; ``in_place`` steps it in place and yields it
-        at each phase between, valid until the next."""
+        """Every state in phase order with its phase's delta, the one walk
+        every reader takes. Once ``snapshots`` is built, its entries, each
+        with None. Otherwise phase 0, then the settled phase-1 state, each
+        with None, then each event's delta, taken from the log, or for a
+        node event built from the event, and folded onto the state before
+        it, which no delta reads; last comes ``final``. A history with no
+        events settles nothing: ``final`` is its phase 1. The settled
+        state, a working copy of phase 0, takes phase 0's histogram;
+        ``in_place`` steps it in place and yields it at each phase between,
+        valid until the next. The choice is made at the first step."""
+        built = vars(self).get("snapshots")
+        if built is not None:
+            yield from ((state, None) for state in built)
+            return
         numbers, keys, reports = self._log
         keys, numbers, reports = iter(keys), _FOUR.iter_unpack(numbers), iter(reports)
         state = initial = self._initial
@@ -202,13 +209,6 @@ class PhaseHistory:
                 delta = next(reports)
         yield self._final, delta
 
-    def _steps(self, in_place: bool = False) -> Iterator[tuple]:
-        """:meth:`_folds` afresh, or the built ``snapshots`` with no deltas."""
-        built = vars(self).get("snapshots")
-        if built is not None:
-            return ((state, None) for state in built)
-        return self._folds(in_place)
-
     def states(self) -> Iterator[GraphState]:
         """The states at phases 0 to the last, in order, as ``snapshots``
         holds them.
@@ -219,12 +219,12 @@ class PhaseHistory:
         entries instead.
         """
         self._initial.degree_histogram, self._initial._alive  # so that each fold hands them on
-        return (state for state, _ in self._steps())
+        return (state for state, _ in self._folds())
 
     @cached_property
     def snapshots(self) -> list[GraphState]:
-        self._initial.degree_histogram, self._initial._alive  # as states() reads them
-        return [state for state, _ in self._folds()]
+        """The list of what :meth:`states` yields."""
+        return list(self.states())
 
     @property
     def final(self) -> GraphState:
@@ -434,13 +434,16 @@ def metrics(state: GraphState, k: int = 1) -> MetricsReport:
     state that :class:`PhaseHistory` folds carries both, so its metrics
     cost O(A log A) in its A alive nodes and read no dead id and no edge;
     any other state (phase 0, ``final``, a hand-built one) scans its nodes
-    and counts its edges once, in O(N + E). A total mass beyond the float
-    range raises :class:`InputError` naming the phase."""
+    and counts its edges once, in O(N + E). The masses add left to right,
+    in ascending id order for the total and heaviest first for the share,
+    so each figure reads the same bits on every Python version. A total
+    mass beyond the float range raises :class:`InputError` naming the
+    phase."""
     as_int(k, "k", ParameterError, 1)
     alive = state._alive
     nodes = state.nodes
     masses = [nodes[i].mass for i in alive]
-    total = sum(masses)
+    total = _left_sum(masses)
     if not math.isfinite(total):
         raise InputError(f"phase {state.phase}: the total mass of the alive nodes "
                          f"overflows the float range")
@@ -449,7 +452,7 @@ def metrics(state: GraphState, k: int = 1) -> MetricsReport:
                              alive_edges=0, max_mass_node=None,
                              top_k_mass_share=1.0, degree_histogram=())
     best_mass = max(masses)  # the first of equal masses, so the lowest id
-    share = sum(sorted(masses, reverse=True)[:k]) / total if len(alive) > k else 1.0
+    share = _left_sum(sorted(masses, reverse=True)[:k]) / total if len(alive) > k else 1.0
     return MetricsReport(phase=state.phase, total_mass=total, alive_nodes=len(alive),
                          alive_edges=len(state.edges),
                          max_mass_node=(alive[masses.index(best_mass)], best_mass),

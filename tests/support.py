@@ -56,6 +56,16 @@ reconnecting = st.builds(
 )
 
 
+def added(values: list[float]) -> float:
+    """``values`` added left to right, as ``metrics`` and ``total_mass``
+    add masses on every Python version; the builtin ``sum`` compensates
+    the rounding of float additions from 3.12 on."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def rebuilt(initial):
     """A phase-0 state equal to ``initial`` that holds no generated run, so
     ``run_script`` of it settles and folds every event."""

@@ -394,9 +394,9 @@ class TestStreamedReaders:
         real = PhaseHistory._folds
         calls = []
 
-        def counted(history, *args):
+        def counted(history, in_place=False):
             calls.append(history)
-            return real(history, *args)
+            return real(history, in_place)
 
         monkeypatch.setattr(PhaseHistory, "_folds", counted)
         out = tmp_path / "h.json"

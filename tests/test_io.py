@@ -485,9 +485,9 @@ class TestHistoryExport:
         real = PhaseHistory._folds
         calls = []
 
-        def counted(history, *args):
+        def counted(history, in_place=False):
             calls.append(history)
-            return real(history, *args)
+            return real(history, in_place)
 
         monkeypatch.setattr(PhaseHistory, "_folds", counted)
         files = {  # each with its count of folds: one per compare
@@ -523,7 +523,7 @@ class TestHistoryExport:
         for name in ("_node", "_edge"):
             monkeypatch.setattr(_SnapshotWriter, name, counted(getattr(_SnapshotWriter, name)))
         expected, sizes = [], []
-        for state, delta in history._steps():
+        for state, delta in history._folds():
             sizes.append(len(state.nodes) + len(state.edges))
             if delta is None:
                 expected.append(sizes[-1])

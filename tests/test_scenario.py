@@ -54,7 +54,7 @@ from massgraph import (
     validate_state,
 )
 from massgraph import engine, scenario
-from support import configs, rebuilt
+from support import added, configs, rebuilt
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACE_EVENTS = [AddNode(3.0), AddEdge(1, 3, 2.0), Prune(3.6)]
@@ -807,6 +807,18 @@ class TestMetrics:
     def test_k_must_be_positive(self):
         with pytest.raises(ParameterError):
             metrics(new_graph([2], []), k=0)
+
+    def test_masses_sum_left_to_right(self):
+        # added left to right, ten masses of 1.1 make 10.999999999999998;
+        # with each addition's rounding compensated, as sum() adds floats
+        # from Python 3.12 on, they make 11.0
+        masses = [1.1] * 10
+        total, top = added(masses), added(masses[:3])
+        assert total == 10.999999999999998 != math.fsum(masses)
+        state = new_graph(masses, [])
+        report = metrics(state, 3)
+        assert report.total_mass == state.total_mass() == total
+        assert report.top_k_mass_share == top / total
 
     def test_a_total_mass_beyond_the_float_range_names_the_phase(self):
         # each mass is finite, their sum is not: no total or share to report

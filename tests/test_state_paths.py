@@ -34,7 +34,7 @@ from massgraph import (AddEdge, AddNode, EdgeRecord, GraphState, KernelParams, M
 from massgraph import scenario
 from massgraph.engine import _settle, _written, advance, event_delta, folded
 from massgraph.graph import initial_inputs
-from support import assert_held_is_exact, assert_state_matches, rebuilt, replay_oracle
+from support import added, assert_held_is_exact, assert_state_matches, rebuilt, replay_oracle
 
 # gains below 1 for most weights near 1, so most shifts there are negative,
 # and above 1 for most in the generator's default range (2, 100)
@@ -62,8 +62,8 @@ def counted_metrics(state: GraphState, k: int) -> MetricsReport:
     best = max(zip(masses, [-i for i in alive]))  # the lowest id of equal masses
     degrees = Counter(i for key in state.edges for i in key)
     hist = Counter(degrees[i] for i in alive)
-    share = sum(sorted(masses, reverse=True)[:k]) / sum(masses) if len(alive) > k else 1.0
-    return MetricsReport(state.phase, sum(masses), len(alive), len(state.edges),
+    share = added(sorted(masses, reverse=True)[:k]) / added(masses) if len(alive) > k else 1.0
+    return MetricsReport(state.phase, added(masses), len(alive), len(state.edges),
                          (-best[1], best[0]), share, tuple(hist[d] for d in range(max(hist) + 1)))
 
 
