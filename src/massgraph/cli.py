@@ -153,8 +153,7 @@ def _cmd_gen(args) -> int:
             print("error: --draw-kernel draws mu and sigma, so it excludes --mu and --sigma",
                   file=sys.stderr)
             return 2
-        mu_lo, mu_hi, sig_lo, sig_hi = args.draw_kernel
-        kernel = KernelDraw(mu_range=(mu_lo, mu_hi), sigma_range=(sig_lo, sig_hi))
+        kernel = KernelDraw(mu_range=args.draw_kernel[:2], sigma_range=args.draw_kernel[2:])
     else:
         kernel = KernelParams(**given)
     config = ScenarioConfig(

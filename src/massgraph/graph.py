@@ -33,8 +33,9 @@ from .errors import (DiagonalError, DuplicateEdgeError, InputError, MassGraphErr
                      NodeLookupError, ParameterError, named)
 from .kernel import KernelParams, as_float, as_int
 
+
 if sys.version_info < (3, 12):
-    _left_sum = sum  # which adds floats left to right
+    _left_sum = sum  # which adds floats left to right, at C speed
 else:
     def _left_sum(values: list[float]) -> float:
         """``values`` added left to right from the int 0, as ``sum`` adds
@@ -221,11 +222,7 @@ class GraphState:
 
     def weight(self, i: int, j: int) -> float:
         """Weight of the pair {i, j}; 0 for the diagonal and for absent edges."""
-        self._record(i)
-        self._record(j)
-        if i == j:
-            return 0.0
-        return float(self.edges.get(edge_key(i, j), 0.0))
+        return float(self.edges[edge_key(i, j)]) if self.has_edge(i, j) else 0.0
 
     def has_edge(self, i: int, j: int) -> bool:
         self._record(i)

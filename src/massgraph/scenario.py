@@ -228,8 +228,7 @@ class PhaseHistory:
 
     @property
     def final(self) -> GraphState:
-        built = vars(self).get("snapshots")
-        return self._final if built is None else built[-1]
+        return self.snapshots[-1] if "snapshots" in vars(self) else self._final
 
 
 def run_script(initial: GraphState, events: Iterable[Event], *,
@@ -355,12 +354,10 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
     takes it or the state is dropped.
     """
     rng = random.Random(config.seed)
-    if isinstance(config.kernel, KernelDraw):
-        mu = rng.uniform(*config.kernel.mu_range)
-        sigma = rng.uniform(*config.kernel.sigma_range)
-        params = KernelParams(mu=mu, sigma=sigma)
-    else:
-        params = config.kernel
+    params = config.kernel
+    if isinstance(params, KernelDraw):  # mu drawn first
+        params = KernelParams(mu=rng.uniform(*params.mu_range),
+                              sigma=rng.uniform(*params.sigma_range))
     masses = [rng.uniform(*config.mass_range) for _ in range(config.n_initial)]
     edges = []
     for i in range(1, config.n_initial + 1):
