@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from collections.abc import Iterable
@@ -206,8 +207,11 @@ def _rows_json(rows: list[MetricsReport]) -> str:
 def _cmd_stats(args) -> int:
     as_int(args.top_k, "k", ParameterError, 1)  # metrics' rule, checked before the read
     # the rows are made in the pass that checks the history, and printed
-    # only once the whole file is checked
-    _, rows = _checked_run(args.history.read_bytes(), lambda state: metrics(state, args.top_k))
+    # only once the whole file is checked; a file that cannot seek, such as
+    # a pipe, is read whole first
+    with args.history.open("rb") as file:
+        stream = file if file.seekable() else io.BytesIO(file.read())
+        _, rows = _checked_run(stream, lambda state: metrics(state, args.top_k))
     print(_rows_json(rows))
     return 0
 

@@ -35,19 +35,21 @@ and each phase rewrites only what its delta wrote (its node ids and edge
 keys, as the engine names them), so export pays for what each phase
 changed, plus the join and copying of the output. A
 history loads if and only if its canonical encoding equals the export of
-its script's one replay, byte for byte; a file whose own bytes differ is
-decoded whole and its re-encoding compared. The export is compared piece
-by piece, and a load that fails names the JSON path of the first piece
-that differs. The same snapshot text, with the kernel parameters, is
-what :func:`state_digest` hashes.
+its script's one replay, byte for byte. It is read as a stream: the
+script is sliced from the head, read until the snapshots begin, and
+each piece of the export is compared with the next bytes read, so a
+canonical file is never held whole. A file whose own bytes differ is
+read whole, decoded and its re-encoding compared. A load that fails
+names the JSON path of the first piece that differs. The same snapshot
+text, with the kernel parameters, is what :func:`state_digest` hashes.
 
 Export and load fold each phase's delta into one working copy of phase 0,
 in place, as the run did, and build neither the ``snapshots`` list nor a
 state per phase. The writer hands that state to a private per-state hook,
 through which the command line's ``run`` writes its DOT files and
 ``stats`` makes its rows, so each folds the run once for a file in
-canonical bytes and holds one state and its text beside its input or
-output.
+canonical bytes and holds one state and its text, not the file it writes
+or reads.
 """
 
 from __future__ import annotations
@@ -373,52 +375,87 @@ def _root(data: bytes) -> dict:
     return _as_object(_decode(data), "$", required=("script", "snapshots", "prune_reports"))
 
 
-def _checked_run(data: bytes,
+_READ = 1 << 16  # the bytes read at a time while the script is looked for
+
+
+def _index(stream, head: bytearray, key: bytes, start: int) -> int:
+    """The index of the first ``key`` in ``head`` at or after ``start``,
+    with as much more of ``stream`` read onto ``head`` as it takes; a key
+    split across two reads is found. ValueError if the stream ends first."""
+    while (at := head.find(key, start)) < 0:
+        start = max(start, len(head) - len(key) + 1)
+        if not (chunk := stream.read(_READ)):
+            raise ValueError(f"no {key!r}")
+        head += chunk
+    return at
+
+
+def _script_slice(stream) -> bytearray:
+    """The bytes of a history's script, from where the writer puts it,
+    read from the start of ``stream``, :data:`_READ` bytes at a time, until
+    the snapshots' key: a quote inside a string follows a backslash, never a comma, and a
+    history that can load holds no other such keys, so the first match of
+    each is it. ValueError if there is no such slice."""
+    script_key, snapshots_key = b'],"script":', b',"snapshots":['
+    head = bytearray()
+    try:
+        start = _index(stream, head, script_key, 0) + len(script_key)
+        return head[start:_index(stream, head, snapshots_key, start)]
+    finally:  # so that a ValueError's traceback does not hold what was read
+        head.clear()
+
+
+def _whole(stream) -> bytes:
+    stream.seek(0)
+    return stream.read()
+
+
+def _checked_run(stream,
                  row: Callable[[GraphState], object] | None = None) -> tuple[PhaseHistory, list]:
-    """:func:`load_history` of ``data``, which loads if and only if its
-    canonical encoding equals the export of its script's one replay, and
-    ``row(state)`` of each state in phase order, made in the pass that
-    compares it, and afresh in a compare of the re-encoding. The bytes as
-    they are are compared when the script can be sliced from them, and the
-    re-encoding of the decoded file unless it is those bytes; a failing
-    load names the path of the first piece the last compare found out of
-    place, with no other pass over the states."""
-    _require_bytes(data)
+    """:func:`load_history` of the bytes of the seekable binary ``stream``,
+    which load if and only if their canonical encoding equals the export
+    of their script's one replay, and ``row(state)`` of each state in
+    phase order, made in the pass that compares it, and afresh in a
+    compare of the re-encoding. The script is sliced from the stream's
+    head, which is read until the snapshots begin, so only the prune
+    reports and the script are held. Then each piece of the export
+    is compared with the next bytes read, and the stream must end where
+    the export does. A file that has no such slice or does not match is
+    read whole, decoded and re-encoded, and the re-encoding compared
+    unless it is those bytes; a failing load names the path of the first
+    piece the last compare found out of place, with no other pass over
+    the states."""
     rows = []
     each = None if row is None else (lambda state: rows.append(row(state)))
 
-    def difference(target: bytes) -> str | None:
+    def difference(target) -> str | None:
         rows.clear()
-        offset = 0
+        target.seek(0)
         for path, piece in _history_pieces(history, each):
-            if not target.startswith(piece, offset):
+            if target.read(len(piece)) != piece:
                 return path
-            offset += len(piece)
-        return None if offset == len(target) else path  # bytes after the tail
+        return None if not target.read(1) else path  # bytes after the tail
 
-    script_key, snapshots_key = b'],"script":', b',"snapshots":['
     root = compared = None
-    try:  # the script alone, from where the writer puts it: a quote inside a
-        # string follows a backslash, never a comma, and a history that can
-        # load holds no other such keys, so the first match of each is it
-        start = data.index(script_key) + len(script_key)
-        script = json.loads(data[start:data.index(snapshots_key, start)])
+    try:
+        script = json.loads(_script_slice(stream))
     except (ValueError, RecursionError):  # no such slice, or one that does not decode
-        script = (root := _root(data))["script"]
+        script = (root := _root(_whole(stream)))["script"]
     try:  # at the script, whatever the error names within it
         initial, events, _ = _script_values(script)
         del script  # before the run and the compare: the run holds what it needs of it
         history = run_script(initial, events)
     except MassGraphError as err:
         _fail("script", str(err))
-    if root is None:  # the script was sliced: the bytes as they are first
-        if (path := difference(data)) is None:
+    if root is None:  # the script was sliced: the file as it is first
+        if (path := difference(stream)) is None:
             return history, rows
-        compared, root = data, _root(data)
+        compared = _whole(stream)
+        root = _root(compared)
     # NaN and Infinity are written as the literals json reads, and differ
     # from every export, which holds none
     canonical = json.dumps(root, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-    if canonical != compared and (path := difference(canonical)) is None:
+    if canonical != compared and (path := difference(io.BytesIO(canonical))) is None:
         return history, rows
     _fail(path, "differs from the script's run")
 
@@ -431,14 +468,18 @@ def load_history(data: bytes) -> PhaseHistory:
     script's one replay, byte for byte, so neither a value the writer
     never writes (``1`` for ``true`` or for a float, ``1.0`` for an id)
     nor a history written where float math differs in the last bit
-    loads. Errors carry the JSON path ``script`` when the script does not
+    loads. ``data`` is read as a stream that shares its buffer, as
+    ``massgraph stats`` reads its file: a canonical history is compared
+    as it is, piece by piece, and any other is decoded and re-encoded.
+    Errors carry the JSON path ``script`` when the script does not
     parse, its run fails or only its spelling differs, and otherwise that
     of the first entry that differs, in file order, such as
     ``snapshots[3]``. When an array holds fewer entries than the run, the
     first missing one is named (``snapshots[4]``, ``prune_reports[0]``);
     when it holds more, the array (``snapshots``).
     """
-    return _checked_run(data)[0]
+    _require_bytes(data)
+    return _checked_run(io.BytesIO(data))[0]
 
 
 def _dot_escape(text: str) -> str:

@@ -525,12 +525,13 @@ class TestUsageErrors:
         assert cli_main(["--help"]) == 0
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports the package from this checkout."""
+def run_python(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from this checkout, with
+    ``stdin`` written to its standard input through a pipe."""
     path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60)
+                          input=stdin, timeout=60)
 
 
 @pytest.mark.parametrize("command", [["validate", "--script"], ["stats", "--history"]])
@@ -541,6 +542,22 @@ def test_nesting_beyond_the_recursion_limit_is_an_error(tmp_path, command):
     assert done.returncode == 1
     assert done.stderr.startswith("error: invalid JSON: maximum recursion depth")
     assert "Traceback" not in done.stderr
+
+
+def test_stats_reads_a_history_through_a_pipe(capsys):
+    # a pipe cannot seek, so stats reads it whole and checks it as a file
+    history = GOLDEN / "history_forgetting.json"
+    assert cli_main(["stats", "--history", str(history), "--top-k", "3"]) == 0
+    from_file = capsys.readouterr().out
+    stats = ("-W", "error", "-m", "massgraph.cli", "stats", "--history", "/dev/stdin")
+    done = run_python(*stats, "--top-k", "3", stdin=history.read_text())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == from_file
+    doc = json.loads(history.read_bytes())
+    doc["snapshots"][-1]["nodes"][0]["mass"] += 1
+    done = run_python(*stats, stdin=canonical_json_bytes(doc).decode())
+    assert (done.returncode, done.stdout) == (1, "")
+    assert f"snapshots[{len(doc['snapshots']) - 1}]" in done.stderr
 
 
 def test_module_entry_point_runs_without_warnings():

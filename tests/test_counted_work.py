@@ -9,16 +9,20 @@ the node or edge count. A prune at or below the floor reads no edge and no
 node record, only the index entry of each alive id. At each event's
 phase, the history writer renders only the records the event wrote. Drawing
 a generated edge event reads, of ``later`` and ``edges``, one key per
-alive id: linear in the alive count, pinned as the code meets it."""
+alive id: linear in the alive count, pinned as the code meets it. One
+rung is measured in bytes: ``stats`` holds a history's run, one state and
+its rows, not the file it checks."""
 
 from __future__ import annotations
 
+import json
 import math
+import tracemalloc
 from unittest.mock import patch
 
 from massgraph import (AddEdge, AddNode, GraphState, KernelParams, Prune, ScenarioConfig,
-                       apply_event, generate_scenario, new_graph, reinforcement, run_script,
-                       settle_phase_one)
+                       apply_event, cli_main, export_history_json, generate_scenario, new_graph,
+                       reinforcement, run_script, settle_phase_one)
 from massgraph import engine, scenario
 from massgraph.engine import advance, edge_delta, event_delta, folded
 from massgraph.io import _history_pieces, _SnapshotWriter
@@ -238,3 +242,22 @@ def test_drawing_an_edge_event_reads_each_alive_id_once():
         later_reads, edge_reads, alive = drawn(n)
         assert alive == n and later_reads > 0 and edge_reads > 0
         assert later_reads + edge_reads == n
+
+
+def test_stats_holds_far_less_than_the_history_it_checks(tmp_path, capsys):
+    # a canonical file is compared as it is read, so the peak tracks one
+    # state and the rows, and reading the file whole would hold all of it
+    config = ScenarioConfig(seed=1, n_initial=60, n_phases=300, initial_edge_density=0.3,
+                            event_mix=(0.7, 0.25, 0.05), prune_threshold=3.0)
+    history = tmp_path / "h.json"
+    history.write_bytes(export_history_json(run_script(*generate_scenario(config))))
+    size = history.stat().st_size
+    assert size > 2_000_000
+    tracemalloc.start()
+    try:
+        assert cli_main(["stats", "--history", str(history)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(capsys.readouterr().out)) == 301
+    assert peak * 4 < size, (peak, size)

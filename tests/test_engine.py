@@ -248,6 +248,15 @@ class TestPrune:
         assert report.removed_nodes == (3,)
         assert pruned.alive_ids() == [1, 2]
 
+    def test_an_edge_weighing_the_threshold_is_kept(self):
+        # a prune removes the edges weighing less than its threshold, not those at it
+        state = settle_phase_one(new_graph([2.0] * 3, [(1, 2, 2.0), (2, 3, 50.0)]))
+        pruned, report = apply_event(state, Prune(state.weight(2, 3)))
+        assert [pair for pair, _ in report.removed_edges] == [(1, 2)]
+        assert report.removed_nodes == (1,)
+        assert pruned.edges == {(2, 3): state.weight(2, 3)}
+        assert pruned.alive_ids() == [2, 3]
+
     def test_infinite_threshold_clears_everything(self, traced):
         # inf itself is rejected at the boundary; the largest finite float acts alike
         state, report = apply_event(traced, Prune(sys.float_info.max))

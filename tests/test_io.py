@@ -7,6 +7,7 @@ tests assert byte equality so any formatting drift is caught.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from pathlib import Path
@@ -42,7 +43,7 @@ from massgraph import (
     state_digest,
 )
 from massgraph.engine import EdgeStep, _written
-from massgraph.io import _history_pieces, _parse_event, _SnapshotWriter
+from massgraph.io import _history_pieces, _parse_event, _script_slice, _SnapshotWriter
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -552,6 +553,47 @@ class TestHistoryExport:
         with pytest.raises(ScriptError) as excinfo:
             load_history(canonical_json_bytes(doc))
         assert excinfo.value.path == "snapshots[1]"
+
+
+def variants(data: bytes) -> dict[str, bytes]:
+    """A history and the tampered copies of it that a load must refuse or
+    read whole."""
+    doc = json.loads(data)
+    return {
+        "as written": data,
+        "re-indented": json.dumps(doc, indent=1).encode(),
+        "snapshot dropped": canonical_json_bytes({**doc, "snapshots": doc["snapshots"][:-1]}),
+        "trailing ]": data + b"]",
+        "truncated": data[:len(data) // 2],
+    }
+
+
+def loaded(data: bytes):
+    """What :func:`load_history` makes of ``data``: each state's digest and
+    the events, or the error's path and message."""
+    try:
+        history = load_history(data)
+    except ScriptError as err:
+        return err.path, str(err)
+    return [state_digest(s) for s in history.states()], history.events
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_a_history_loads_alike_at_every_read_size(monkeypatch, size):
+    # at these sizes the script's key (11 bytes) and the snapshots' (14)
+    # fall across two reads, and are still found
+    goldens = sorted(GOLDEN.glob("history_*.json"))
+    files = {(path.name, name): text for path in goldens
+             for name, text in variants(path.read_bytes()).items()}
+    expected = {key: loaded(text) for key, text in files.items()}
+    assert {name for (_, name), result in expected.items() if type(result[0]) is list} == \
+        {"as written", "re-indented"}
+    monkeypatch.setattr("massgraph.io._READ", size)
+    for key, text in files.items():
+        assert loaded(text) == expected[key], key
+    for path in goldens:  # sliced, not found by the fallback's decoding
+        data = path.read_bytes()
+        assert json.loads(_script_slice(io.BytesIO(data))) == json.loads(data)["script"]
 
 
 class TestDotExport:
