@@ -14,7 +14,7 @@ import functools
 import io
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import MassGraphError, ParameterError
@@ -191,28 +191,36 @@ def _numbers_json(values) -> str:
     return "[\n      " + ",\n      ".join(map(repr, values)) + "\n    ]" if values else "[]"
 
 
-def _rows_json(rows: list[MetricsReport]) -> str:
-    """``json.dumps([vars(r) for r in rows], indent=2, sort_keys=True)``,
-    written in the one layout a report's seven fields take: ints, floats,
-    tuples of them and None, each number as json writes it (``repr``).
-    Every number is finite, since :func:`metrics` refuses a total mass that
-    overflows, so no row holds ``NaN`` or ``Infinity``."""
-    return "[\n" + ",\n".join(
-        _ROW.format(r.alive_edges, r.alive_nodes, _numbers_json(r.degree_histogram),
-                    "null" if r.max_mass_node is None else _numbers_json(r.max_mass_node),
-                    r.phase, r.top_k_mass_share, r.total_mass)
-        for r in rows) + "\n]" if rows else "[]"
+def _rows_json(rows: list[MetricsReport]) -> Iterator[str]:
+    """The pieces of ``json.dumps([dataclasses.asdict(r) for r in rows],
+    indent=2, sort_keys=True)``, one row's text at a time, so that a caller
+    that writes each piece as it comes holds one row's text, not them all.
+    Each is written in the one layout a report's seven fields take: ints,
+    floats, tuples of them and None, each number as json writes it
+    (``repr``). Every number is finite, since :func:`metrics` refuses a
+    total mass that overflows, so no row holds ``NaN`` or ``Infinity``."""
+    lead = "[\n"
+    for r in rows:
+        yield lead + _ROW.format(
+            r.alive_edges, r.alive_nodes, _numbers_json(r.degree_histogram),
+            "null" if r.max_mass_node is None else _numbers_json(r.max_mass_node),
+            r.phase, r.top_k_mass_share, r.total_mass)
+        lead = ",\n"
+    yield "\n]" if rows else "[]"
 
 
 def _cmd_stats(args) -> int:
+    """Print the rows of a history's states. The rows are made in the pass
+    that checks the history and held until the whole file has passed, so a
+    file that fails prints none; then each row's text is written to stdout
+    as it is formatted, so one row's text is held at a time, not their
+    join. A file that cannot seek, such as a pipe, is read whole first."""
     as_int(args.top_k, "k", ParameterError, 1)  # metrics' rule, checked before the read
-    # the rows are made in the pass that checks the history, and printed
-    # only once the whole file is checked; a file that cannot seek, such as
-    # a pipe, is read whole first
     with args.history.open("rb") as file:
         stream = file if file.seekable() else io.BytesIO(file.read())
         _, rows = _checked_run(stream, lambda state: metrics(state, args.top_k))
-    print(_rows_json(rows))
+    sys.stdout.writelines(_rows_json(rows))
+    sys.stdout.write("\n")
     return 0
 
 

@@ -338,17 +338,20 @@ def _history_pieces(history: PhaseHistory,
     copy of it, stepped in place and valid until the next call, whose
     shifted weights are bare floats, then ``final``; or, once ``snapshots``
     is built, that list's entries. A number that is not finite raises
-    ValueError before its snapshot's piece is yielded."""
+    ValueError before its snapshot's piece is yielded. Through the walk it
+    holds the script's piece as bytes, not its document, encoded before the
+    first piece is yielded so that a refused script fails first; and one
+    state, with the writer's texts of its records."""
     steps = history._folds(in_place=True)
     initial = next(steps)[0]
-    script = script_document(initial, history.events)
+    script = b',"script":' + _compact(script_document(initial, history.events))
     yield "prune_reports", b'{"prune_reports":['
     lead = b""
     for i, report in enumerate(history.prune_reports):
         yield f"prune_reports[{i}]", lead + _compact(_report_to_json(report))
         lead = b","
     yield "prune_reports", b"]"
-    yield "script", b',"script":' + _compact(script)
+    yield "script", script
     yield "snapshots", b',"snapshots":['
     writer = _SnapshotWriter()
     lead = b""

@@ -71,7 +71,12 @@ def log_cauchy_pdf(x: float, params: KernelParams) -> float:
     """
     if not x > 1:
         raise KernelDomainError(f"log-Cauchy density requires x > 1, got {x}")
-    z = (math.log(x) - params.mu) / params.sigma
+    return _density(x, math.log(x), params)
+
+
+def _density(x: float, ln_x: float, params: KernelParams) -> float:
+    """:func:`log_cauchy_pdf` at x > 1, given ``ln_x = math.log(x)``."""
+    z = (ln_x - params.mu) / params.sigma
     return 1.0 / (x * math.pi * params.sigma * (1.0 + z * z))
 
 
@@ -87,7 +92,8 @@ def reinforcement(x: float, params: KernelParams) -> float:
         raise KernelDomainError(
             f"reinforcement is defined for x = 0 or x > 1, got {x}"
         )
-    return math.log(x) + log_cauchy_pdf(x, params)
+    ln_x = math.log(x)
+    return ln_x + _density(x, ln_x, params)
 
 
 @dataclass(frozen=True)

@@ -410,9 +410,11 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GraphState, list[Event]]:
     return initial, events
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MetricsReport:
-    """Summary statistics of one snapshot, for analysis and export."""
+    """Summary statistics of one snapshot, for analysis and export. Its
+    ``__init__`` sets each slot through the slot's own descriptor, as
+    :class:`~massgraph.graph.NodeRecord`'s does."""
 
     phase: int
     total_mass: float
@@ -421,6 +423,26 @@ class MetricsReport:
     max_mass_node: tuple[int, float] | None
     top_k_mass_share: float
     degree_histogram: tuple[int, ...]
+
+    def __init__(self, phase: int, total_mass: float, alive_nodes: int, alive_edges: int,
+                 max_mass_node: tuple[int, float] | None, top_k_mass_share: float,
+                 degree_histogram: tuple[int, ...]) -> None:
+        _set_phase(self, phase)
+        _set_total_mass(self, total_mass)
+        _set_alive_nodes(self, alive_nodes)
+        _set_alive_edges(self, alive_edges)
+        _set_max_mass_node(self, max_mass_node)
+        _set_top_k_mass_share(self, top_k_mass_share)
+        _set_degree_histogram(self, degree_histogram)
+
+
+# bound after the decorator, which returns a new class for its slots
+(_set_phase, _set_total_mass, _set_alive_nodes, _set_alive_edges, _set_max_mass_node,
+ _set_top_k_mass_share, _set_degree_histogram) = (
+    MetricsReport.phase.__set__, MetricsReport.total_mass.__set__,
+    MetricsReport.alive_nodes.__set__, MetricsReport.alive_edges.__set__,
+    MetricsReport.max_mass_node.__set__, MetricsReport.top_k_mass_share.__set__,
+    MetricsReport.degree_histogram.__set__)
 
 
 def metrics(state: GraphState, k: int = 1) -> MetricsReport:

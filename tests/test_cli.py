@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -307,7 +308,8 @@ reports = st.builds(MetricsReport, phase=counts, total_mass=numbers, alive_nodes
           MetricsReport(2**70, sys.float_info.max, 1, 0, (1, 5e-324), 2.2250738585072014e-308,
                         (1,))])
 def test_the_rows_print_as_json_writes_them(rows):
-    assert _rows_json(rows) == json.dumps([vars(r) for r in rows], indent=2, sort_keys=True)
+    assert "".join(_rows_json(rows)) == json.dumps([dataclasses.asdict(r) for r in rows],
+                                                 indent=2, sort_keys=True)
 
 
 def refuse_snapshots(monkeypatch) -> None:
@@ -331,7 +333,7 @@ class TestStreamedReaders:
 
     @staticmethod
     def stats_text(snapshots) -> str:
-        return json.dumps([vars(metrics(s, 1)) for s in snapshots], indent=2,
+        return json.dumps([dataclasses.asdict(metrics(s, 1)) for s in snapshots], indent=2,
                           sort_keys=True) + "\n"
 
     def test_export_and_load(self, snapshots, monkeypatch):

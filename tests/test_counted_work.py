@@ -11,19 +11,22 @@ phase, the history writer renders only the records the event wrote. Drawing
 a generated edge event reads, of ``later`` and ``edges``, one key per
 alive id: linear in the alive count, pinned as the code meets it. One
 rung is measured in bytes: ``stats`` holds a history's run, one state and
-its rows, not the file it checks."""
+its rows, not the file it checks, and printing the rows adds one row's
+text, not all of them."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 from massgraph import (AddEdge, AddNode, GraphState, KernelParams, Prune, ScenarioConfig,
                        apply_event, cli_main, export_history_json, generate_scenario, new_graph,
                        reinforcement, run_script, settle_phase_one)
-from massgraph import engine, scenario
+from massgraph import cli, engine, scenario
 from massgraph.engine import advance, edge_delta, event_delta, folded
 from massgraph.io import _history_pieces, _SnapshotWriter
 
@@ -244,13 +247,21 @@ def test_drawing_an_edge_event_reads_each_alive_id_once():
         assert later_reads + edge_reads == n
 
 
+STATS_CONFIG = ScenarioConfig(seed=1, n_initial=60, n_phases=300, initial_edge_density=0.3,
+                              event_mix=(0.7, 0.25, 0.05), prune_threshold=3.0)
+
+
+def stats_history(tmp_path) -> Path:
+    """The history file of :data:`STATS_CONFIG`'s run."""
+    history = tmp_path / "h.json"
+    history.write_bytes(export_history_json(run_script(*generate_scenario(STATS_CONFIG))))
+    return history
+
+
 def test_stats_holds_far_less_than_the_history_it_checks(tmp_path, capsys):
     # a canonical file is compared as it is read, so the peak tracks one
     # state and the rows, and reading the file whole would hold all of it
-    config = ScenarioConfig(seed=1, n_initial=60, n_phases=300, initial_edge_density=0.3,
-                            event_mix=(0.7, 0.25, 0.05), prune_threshold=3.0)
-    history = tmp_path / "h.json"
-    history.write_bytes(export_history_json(run_script(*generate_scenario(config))))
+    history = stats_history(tmp_path)
     size = history.stat().st_size
     assert size > 2_000_000
     tracemalloc.start()
@@ -261,3 +272,30 @@ def test_stats_holds_far_less_than_the_history_it_checks(tmp_path, capsys):
         tracemalloc.stop()
     assert len(json.loads(capsys.readouterr().out)) == 301
     assert peak * 4 < size, (peak, size)
+
+
+def test_stats_prints_each_row_as_it_is_formatted(tmp_path):
+    # once the check returns, the rows are held; printing them adds one
+    # row's text and the output buffer, not the texts of every row or
+    # their join. The output goes to a file, which holds it outside the heap
+    history, out = stats_history(tmp_path), tmp_path / "stats.txt"
+    checked = []
+    real = cli._checked_run
+
+    def check_then_mark(*args):
+        done = real(*args)
+        checked.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return done
+
+    tracemalloc.start()
+    try:
+        with patch.object(cli, "_checked_run", check_then_mark), \
+                out.open("w") as file, contextlib.redirect_stdout(file):
+            assert cli_main(["stats", "--history", str(history)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert len(json.loads(out.read_bytes())) == 301
+    assert (peak - checked[0]) * 4 < size, (peak - checked[0], size)

@@ -24,6 +24,7 @@ from massgraph import (
     GraphState,
     InputError,
     KernelParams,
+    MetricsReport,
     NodeLookupError,
     NodeRecord,
     Prune,
@@ -360,7 +361,8 @@ class TestDispatch:
 
 
 @pytest.mark.parametrize("value", [NodeRecord(2.5, "hub", False), AddEdge(1, 2, 2.0),
-                                   AddNode(3.0, "new"), Prune(3.6)])
+                                   AddNode(3.0, "new"), Prune(3.6),
+                                   MetricsReport(3, 10.5, 2, 1, (1, 6.0), 0.6, (0, 2))])
 def test_records_and_events_are_slotted_values(value):
     assert dataclasses.replace(value) == value
     assert copy.deepcopy(value) == value

@@ -21,6 +21,7 @@ from massgraph import (
     reinforcement,
     validate_kernel_params,
 )
+from massgraph.cli import build_parser
 
 # independently computed reference points (mu=0, sigma=1 unless noted)
 PDF_AT_2 = 0.10750421769257787
@@ -111,6 +112,16 @@ class TestReinforcement:
     @given(x=st.floats(min_value=1.0, max_value=1e9, exclude_min=True))
     def test_strictly_positive_above_one(self, x):
         assert reinforcement(x, STANDARD) > 0
+
+    @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (0.5, 0.05), (-1.0, 2.0)])
+    def test_is_the_logarithm_plus_the_density_bit_for_bit(self, mu, sigma):
+        # on kernel-check's default grid, sampled as the scan samples it
+        args = build_parser().parse_args(["kernel-check", "--mu", "0", "--sigma", "1"])
+        params = KernelParams(mu=mu, sigma=sigma)
+        ratio = (args.grid_hi / args.grid_lo) ** (1.0 / (args.steps - 1))
+        for i in range(args.steps):
+            x = args.grid_lo * ratio**i
+            assert reinforcement(x, params) == math.log(x) + log_cauchy_pdf(x, params), x
 
 
 class TestMonotonicityScan:
